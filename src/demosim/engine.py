@@ -16,7 +16,6 @@ import json
 import os
 import random
 import secrets
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -26,7 +25,7 @@ from .model import (FEMALE, MALE, AssumptionFailure, IntegrityError,
                     ModelData, ModelParams, SimulationParams, WorldState,
                     validate_world)
 from .predicates import SnapshotStore
-from .rates import RateContext
+from .rates import RateContext, check_yearly_rates
 from .space import DensityMap
 from .verification import (SpaceDigest, Violation, build_registry,
                            check_initial, check_retrospective, check_step)
@@ -54,6 +53,7 @@ class RunConfig:
             raise ValueError(
                 f"verification_mode must be warn or fail, "
                 f"got {self.verification_mode!r}")
+        check_yearly_rates(self.model, self.data)
 
 
 @dataclass(slots=True)
@@ -250,20 +250,17 @@ def run(config: RunConfig) -> RunResult:
                      init_report=report, seed=seed, summary=summary)
 
 
-def run_batch(config: RunConfig, replicates: int, base_seed: int,
-              max_workers: int | None = None) -> list[RunResult]:
-    """Run independent replicates concurrently, replicate r seeded with
-    base_seed + r; no state is shared between them. Results come back in
-    replicate order."""
+def run_batch(config: RunConfig, replicates: int,
+              base_seed: int) -> list[RunResult]:
+    """Run independent replicates one after another, replicate r seeded
+    with base_seed + r; no state is shared between them."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-
-    def one(r: int) -> RunResult:
+    results = []
+    for r in range(replicates):
         out = (os.path.join(config.out_dir, f"replicate_{r:03d}")
                if config.out_dir is not None else None)
-        cfg = replace(config, sim=replace(config.sim, seed=base_seed + r),
-                      out_dir=out)
-        return run(cfg)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, range(replicates)))
+        results.append(run(replace(
+            config, sim=replace(config.sim, seed=base_seed + r),
+            out_dir=out)))
+    return results

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass, field
 
 from .model import (ADULT_YEARS, ConfigError, IntegrityError, MALE, FEMALE,
-                    Person, WorldState, link_partners, unlink_partners)
+                    MOTHER_AGE_LIMIT_YEARS, Person, WorldState, link_partners,
+                    unlink_partners)
 from .predicates import Snapshot, SnapshotStore
 from .rates import RateContext
 from .space import find_or_create_empty_house, leave_house, manhattan, move_person
@@ -179,10 +180,11 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
 
 
 def _reproducible_women(state: WorldState) -> list[Person]:
-    """Married women under 45 whose latest live birth lies more than a year
-    back (time-based, so a child's death cannot freeze the spacing rule)."""
+    """Married women below the mother age limit whose latest live birth lies
+    more than a year back (time-based, so a child's death cannot freeze the
+    spacing rule)."""
     spy = state.time.steps_per_year
-    limit = 45 * spy
+    limit = MOTHER_AGE_LIMIT_YEARS * spy
     now = state.time.step_index
     out = []
     for p in state.persons.values():
@@ -256,19 +258,14 @@ def marriage_eligible_females(state: WorldState, prev: Snapshot) -> list[Person]
             and p.age_steps >= adult_steps and p.id not in prev.married]
 
 
-def candidate_count(pool_size: int, max_num_marr_cand: int,
-                    literal: bool = False) -> int:
-    """Number of candidate brides sampled per marrying male. The default
-    treats max_num_marr_cand as a cap; literal=True reproduces the historic
-    floor variant."""
-    if literal:
-        return max(max_num_marr_cand, pool_size // 10)
+def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
+    """Number of candidate brides sampled per marrying male: a tenth of the
+    pool, at least one, at most max_num_marr_cand."""
     return min(max_num_marr_cand, max(1, pool_size // 10))
 
 
 def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
-              rng: random.Random, outcome: StepOutcome,
-              algorithm1_literal: bool = False) -> None:
+              rng: random.Random, outcome: StepOutcome) -> None:
     """One Bernoulli(marriage p_step) draw per eligible male, ascending id
     (drawn even when the bride pool is empty, to keep the stream aligned);
     on success: sample candidates without replacement, pick one by full
@@ -276,8 +273,7 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     the wife's side)."""
     males = marriage_eligible_males(state, prev)
     pool = marriage_eligible_females(state, prev)
-    n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand,
-                             algorithm1_literal)
+    n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
     for man in males:
         if rng.random() >= ctx.marriage_p_step(man):
             continue
@@ -312,8 +308,7 @@ _EVENTS = {"deaths": deaths, "births": births, "divorces": divorces}
 
 
 def step(state: WorldState, ctx: RateContext, snaps: SnapshotStore,
-         rng: random.Random, event_order=DEFAULT_EVENT_ORDER,
-         algorithm1_literal: bool = False) -> StepOutcome:
+         rng: random.Random, event_order=DEFAULT_EVENT_ORDER) -> StepOutcome:
     """Advance the clock one step, apply the configured events (ageing first),
     freeze the new snapshot, and return the merged outcome."""
     order = validate_event_order(event_order)
@@ -323,7 +318,7 @@ def step(state: WorldState, ctx: RateContext, snaps: SnapshotStore,
     ageing(state, ctx, rng, outcome)
     for name in order[1:]:
         if name == "marriages":
-            marriages(state, ctx, prev, rng, outcome, algorithm1_literal)
+            marriages(state, ctx, prev, rng, outcome)
         else:
             _EVENTS[name](state, ctx, rng, outcome)
     snaps.freeze(state)

@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 
 from .events import age_factor, candidate_count, weighted_pick
-from .model import (ADULT_YEARS, FEMALE, MALE, ModelParams, Person, SimTime,
-                    SimulationParams, WorldState, link_partners)
+from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
+                    ModelParams, Person, SimTime, SimulationParams, WorldState,
+                    link_partners)
 from .space import DensityMap, build_towns, find_or_create_empty_house, \
     move_person, weighted_town
 
@@ -73,8 +74,7 @@ def sample_age(rng: random.Random, n_per_year: int) -> int:
 
 
 def init_partnerships(state: WorldState, params: ModelParams,
-                      rng: random.Random,
-                      algorithm1_literal: bool = False) -> tuple[int, int]:
+                      rng: random.Random) -> tuple[int, int]:
     """Marry off adult males: each is selected with probability
     start_married_ratio; a selected male samples candidate brides and picks
     one weighted by ageFactor. Returns (couples formed, selected males left
@@ -86,8 +86,7 @@ def init_partnerships(state: WorldState, params: ModelParams,
         if p.age_steps < adult_steps:
             continue
         (males if p.gender == MALE else pool).append(p)
-    n_cand = candidate_count(len(pool), params.max_num_marr_cand,
-                             algorithm1_literal)
+    n_cand = candidate_count(len(pool), params.max_num_marr_cand)
     couples = left_single = 0
     for m in males:
         if rng.random() >= params.start_married_ratio:
@@ -113,10 +112,12 @@ def assign_parents(state: WorldState,
                    rng: random.Random) -> tuple[int, list[int]]:
     """Give every child a uniformly drawn father from the couples that are old
     enough (both spouses at least 18 years 9 months older than the child) and
-    whose wife was under 45 at the child's birth. Children with no candidates
-    stay parentless and are reported, not failed."""
+    whose wife was younger than MOTHER_AGE_LIMIT_YEARS at the child's birth.
+    Children with no candidates stay parentless and are reported, not
+    failed."""
     spy = state.time.steps_per_year
     adult_steps = ADULT_YEARS * spy
+    mother_limit = MOTHER_AGE_LIMIT_YEARS * spy
     couples = [(p, state.persons[p.partner]) for p in state.persons.values()
                if p.gender == MALE and p.partner is not None]
     assigned = 0
@@ -126,7 +127,7 @@ def assign_parents(state: WorldState,
         cands = [m for m, wife in couples
                  if 4 * min(m.age_steps, wife.age_steps)
                  >= 4 * child.age_steps + 75 * spy
-                 and wife.age_steps < 45 * spy + child.age_steps]
+                 and wife.age_steps < mother_limit + child.age_steps]
         if not cands:
             parentless.append(child.id)
             continue
@@ -167,8 +168,8 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
 
 
 def init_world(params: ModelParams, sim: SimulationParams, data,
-               density: DensityMap, rng: random.Random,
-               algorithm1_literal: bool = False) -> tuple[WorldState, InitReport]:
+               density: DensityMap,
+               rng: random.Random) -> tuple[WorldState, InitReport]:
     """Build the starting world on a fresh RNG stream; see the module
     docstring for the draw order."""
     spy = sim.steps_per_year
@@ -184,8 +185,7 @@ def init_world(params: ModelParams, sim: SimulationParams, data,
     for p in persons:
         p.age_steps = sample_age(rng, spy)
         p.born_step = -p.age_steps
-    couples, left_single = init_partnerships(state, params, rng,
-                                             algorithm1_literal)
+    couples, left_single = init_partnerships(state, params, rng)
     assigned, parentless = assign_parents(state, rng)
     houses = assign_housing(state, rng)
     adult_steps = ADULT_YEARS * spy

@@ -1,13 +1,20 @@
 """Domain types shared by every other module: persons, houses, towns, time,
-parameters, and the error hierarchy."""
+parameters, the error hierarchy, and the structural rules that both
+validate_world and the every-step assumption checks apply."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MALE = "male"
 FEMALE = "female"
 
 ADULT_YEARS = 18
+# women give birth only while younger than this many years
+MOTHER_AGE_LIMIT_YEARS = 45
+
+# house coordinates within a town are integers in [lo, hi] on both axes
+HOUSE_COORD_BOUNDS = (1, 25)
 
 # clock-rate labels -> steps per year
 STEPS_PER_YEAR = {"monthly": 12, "weekly": 52, "daily": 365, "hourly": 8760}
@@ -72,7 +79,6 @@ class SimulationParams:
     t_final: int = 2030
     delta_t: str | int = "daily"
     seed: int | str = "random"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.t_final <= self.t0:
@@ -130,9 +136,10 @@ class FertilityTable:
                 raise DataFormatError(f"fertility row {r} has {len(row)} "
                                       f"columns, expected {width}")
             for value in row:
-                if not 0.0 <= value <= 1.0:
+                # a yearly probability of 1 has no per-step equivalent
+                if not 0.0 <= value < 1.0:
                     raise DataFormatError(
-                        f"fertility row {r} has value {value} outside [0, 1]")
+                        f"fertility row {r} has value {value} outside [0, 1)")
 
 
 @dataclass(slots=True)
@@ -209,10 +216,6 @@ class WorldState:
         self.next_house_id = hid + 1
         return hid
 
-    def alive_persons(self):
-        """Alive persons in ascending id order (dict preserves creation order)."""
-        return (p for p in self.persons.values() if p.alive)
-
 
 def age_years(person: Person, time: SimTime) -> float:
     return person.age_steps / time.steps_per_year
@@ -238,11 +241,87 @@ def unlink_partners(state: WorldState, person: Person) -> None:
     person.partner = None
 
 
+class Fault(NamedTuple):
+    """One breach of a structural rule: the persons (or, for the coordinate
+    rule, the house) it names, and what broke."""
+    ids: tuple[int, ...]
+    message: str
+
+
+def _person_fault(kind: str, pid: int, *others: int) -> Fault:
+    return Fault((pid, *others), f"{kind}: p{pid}")
+
+
+def residence_faults(state: WorldState) -> list[Fault]:
+    """Every alive person lives in a house that exists and lists them."""
+    out = []
+    for pid, p in state.persons.items():
+        if not p.alive:
+            continue
+        if p.house is None:
+            out.append(_person_fault("alive person without house", pid))
+        elif p.house not in state.houses:
+            out.append(_person_fault("dangling house ref", pid))
+        elif pid not in state.houses[p.house].occupants:
+            out.append(_person_fault("occupant set misses resident", pid))
+    return out
+
+
+def dead_residence_faults(state: WorldState) -> list[Fault]:
+    """The dead hold no house, and an occupant set lists only living
+    persons who live in that house."""
+    out = [_person_fault("dead person keeps house", pid)
+           for pid, p in state.persons.items()
+           if not p.alive and p.house is not None]
+    for hid, h in state.houses.items():
+        for pid in h.occupants:
+            occ = state.persons.get(pid)
+            if occ is None or not occ.alive or occ.house != hid:
+                out.append(Fault((pid,), f"stale occupant p{pid}: h{hid}"))
+    return out
+
+
+def partnership_faults(state: WorldState) -> list[Fault]:
+    """Partnerships are symmetric, opposite-gender and between living
+    adults. Each partner is checked from both sides."""
+    adult_steps = ADULT_YEARS * state.time.steps_per_year
+    out = []
+    for pid, p in state.persons.items():
+        if p.partner is None:
+            continue
+        other = state.persons.get(p.partner)
+        if other is None:
+            out.append(_person_fault("dangling partner ref", pid))
+            continue
+        if other.partner != pid:
+            out.append(_person_fault("partnership not symmetric", pid))
+        if other.gender == p.gender:
+            out.append(_person_fault("partners share gender", pid, other.id))
+        if not (p.alive and other.alive):
+            out.append(_person_fault("dead person still partnered", pid,
+                                     other.id))
+        if p.age_steps < adult_steps:
+            out.append(_person_fault("married minor", pid))
+    return out
+
+
+def house_xy_faults(state: WorldState) -> list[Fault]:
+    """House coordinates lie within HOUSE_COORD_BOUNDS on both axes."""
+    lo, hi = HOUSE_COORD_BOUNDS
+    return [Fault((hid,), f"house coordinates out of range: h{hid}")
+            for hid, h in state.houses.items()
+            if not (lo <= h.local_xy[0] <= hi and lo <= h.local_xy[1] <= hi)]
+
+
+# the structural rules shared by validate_world and the every-step checks
+STRUCTURAL_RULES = (residence_faults, dead_residence_faults,
+                    partnership_faults, house_xy_faults)
+
+
 def validate_world(state: WorldState) -> list[str]:
     """Referential-integrity sweep. Returns one message per broken rule,
     empty when every structural invariant holds."""
-    problems: list[str] = []
-    adult_steps = ADULT_YEARS * state.time.steps_per_year
+    problems = [f.message for rule in STRUCTURAL_RULES for f in rule(state)]
     for pid, p in state.persons.items():
         if p.father is not None and p.father == p.mother:
             problems.append(f"father equals mother: p{pid}")
@@ -257,37 +336,11 @@ def validate_world(state: WorldState) -> list[str]:
                 problems.append(f"dangling child ref: p{pid}")
             elif pid not in (child.father, child.mother):
                 problems.append(f"child link not reciprocated: p{pid} -> p{cid}")
-        if p.partner is not None:
-            other = state.persons.get(p.partner)
-            if other is None:
-                problems.append(f"dangling partner ref: p{pid}")
-            else:
-                if other.partner != pid:
-                    problems.append(f"partnership not symmetric: p{pid}")
-                if other.gender == p.gender:
-                    problems.append(f"partners share gender: p{pid}")
-                if p.age_steps < adult_steps:
-                    problems.append(f"married minor: p{pid}")
-        if p.alive:
-            if p.house is None:
-                problems.append(f"alive person without house: p{pid}")
-            elif p.house not in state.houses:
-                problems.append(f"dangling house ref: p{pid}")
-            elif pid not in state.houses[p.house].occupants:
-                problems.append(f"occupant set misses resident: p{pid}")
-        elif p.house is not None:
-            problems.append(f"dead person keeps house: p{pid}")
     for hid, h in state.houses.items():
         if h.town not in state.towns:
             problems.append(f"dangling town ref: h{hid}")
         elif hid not in state.towns[h.town].houses:
             problems.append(f"town house set misses house: h{hid}")
-        if not (1 <= h.local_xy[0] <= 25 and 1 <= h.local_xy[1] <= 25):
-            problems.append(f"house coordinates out of range: h{hid}")
-        for pid in h.occupants:
-            occ = state.persons.get(pid)
-            if occ is None or not occ.alive or occ.house != hid:
-                problems.append(f"stale occupant p{pid}: h{hid}")
     for tid, t in state.towns.items():
         if t.density <= 0:
             problems.append(f"town without density: t{tid}")

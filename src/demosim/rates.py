@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import math
 
-from .model import (DataFormatError, FertilityTable, ModelData, ModelParams,
-                    Person, SimTime, MALE, age_years)
+from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS,
+                    DataFormatError, FertilityTable, ModelData, ModelParams,
+                    Person, SimTime)
 
 # death rates are clamped to this before conversion; the exponential term
 # crosses 1.0 around age 118 for males
@@ -54,42 +55,55 @@ def death_rate_yearly_at(age: float, gender: str, params: ModelParams) -> float:
     return min(rate, MAX_YEARLY_RATE)
 
 
-def death_rate_yearly(person: Person, params: ModelParams, time: SimTime) -> float:
-    return death_rate_yearly_at(age_years(person, time), person.gender, params)
-
-
 def decade_index(age: float) -> int:
     """1-based decade of life, clamped into [1, 16] so modifier lookups stay
     total (both modifier tails are zero, so clamping changes nothing)."""
     return min(16, max(1, math.ceil(age / 10)))
 
 
-def divorce_rate_yearly(man: Person, params: ModelParams, data: ModelData,
-                        time: SimTime) -> float:
-    decade = decade_index(age_years(man, time))
+def divorce_rate_yearly(decade: int, params: ModelParams,
+                        data: ModelData) -> float:
     return params.basic_divorce_rate * data.divorce_modifier_by_decade[decade - 1]
 
 
-def marriage_rate_yearly(man: Person, params: ModelParams, data: ModelData,
-                         time: SimTime) -> float:
-    decade = decade_index(age_years(man, time))
+def marriage_rate_yearly(decade: int, params: ModelParams,
+                         data: ModelData) -> float:
     return (params.basic_male_marriage_rate
             * data.male_marriage_modifier_by_decade[decade - 1])
 
 
-def fertility_rate_yearly(woman: Person, data: ModelData, time: SimTime) -> float:
+def fertility_rate_yearly(age: float, year: int,
+                          table: FertilityTable) -> float:
     """Table lookup by (floored age, calendar year). The year column clamps to
     the table edges; an age outside the table means the reproducibility
     precondition was violated upstream, so that raises instead."""
-    table = data.fertility
-    row = int(age_years(woman, time)) - table.age_offset
+    row = int(age) - table.age_offset
     if not 0 <= row < len(table.rows):
-        raise ValueError(f"age {age_years(woman, time):.2f} outside fertility "
-                         f"table (rows {table.age_offset}.."
+        raise ValueError(f"age {age:.2f} outside fertility table (rows "
+                         f"{table.age_offset}.."
                          f"{table.age_offset + len(table.rows) - 1})")
-    col = time.year - table.year_offset
-    col = min(max(col, 0), len(table.rows[0]) - 1)
+    col = min(max(year - table.year_offset, 0), len(table.rows[0]) - 1)
     return table.rows[row][col]
+
+
+def check_yearly_rates(params: ModelParams, data: ModelData) -> None:
+    """Raise ValueError unless a run can look up every yearly rate it needs
+    and convert it to a per-step one: the divorce and marriage rate of each
+    decade must be < 1, and the fertility table must cover each age a mother
+    can have (FertilityTable itself keeps its values < 1)."""
+    for decade in range(1, 17):
+        for name, formula in (("divorce", divorce_rate_yearly),
+                              ("marriage", marriage_rate_yearly)):
+            rate = formula(decade, params, data)
+            if rate >= 1:
+                raise ValueError(f"yearly {name} rate in decade {decade} is "
+                                 f"{rate}; base rate x modifier must be < 1")
+    table = data.fertility
+    first, last = table.age_offset, table.age_offset + len(table.rows) - 1
+    if first > ADULT_YEARS or last < MOTHER_AGE_LIMIT_YEARS - 1:
+        raise ValueError(f"fertility table covers ages {first}..{last}; it "
+                         f"must cover {ADULT_YEARS}.."
+                         f"{MOTHER_AGE_LIMIT_YEARS - 1}")
 
 
 def load_fertility_text(text: str) -> FertilityTable:
@@ -139,8 +153,9 @@ class RateContext:
     """Params + data + per-step-probability caches for one run.
 
     Every age bucket maps to the same per-step probability for the whole run
-    (the clock rate is fixed), so memoizing by (gender, age_steps), decade, or
-    fertility cell is behavior-preserving and keeps the hot event loops cheap.
+    (the clock rate is fixed), so memoizing the converted formulas by
+    (gender, age_steps), decade, or (age in years, calendar year) is
+    behavior-preserving and keeps the hot event loops cheap.
     """
 
     def __init__(self, params: ModelParams, data: ModelData, steps_per_year: int):
@@ -158,42 +173,30 @@ class RateContext:
         if p is None:
             yearly = death_rate_yearly_at(person.age_steps / self.steps_per_year,
                                           person.gender, self.params)
-            p = instantaneous(yearly, self.steps_per_year)
-            self._death[key] = p
+            p = self._death[key] = instantaneous(yearly, self.steps_per_year)
         return p
 
     def divorce_p_step(self, man: Person) -> float:
         decade = decade_index(man.age_steps / self.steps_per_year)
         p = self._divorce.get(decade)
         if p is None:
-            yearly = (self.params.basic_divorce_rate
-                      * self.data.divorce_modifier_by_decade[decade - 1])
-            p = instantaneous(yearly, self.steps_per_year)
-            self._divorce[decade] = p
+            yearly = divorce_rate_yearly(decade, self.params, self.data)
+            p = self._divorce[decade] = instantaneous(yearly, self.steps_per_year)
         return p
 
     def marriage_p_step(self, man: Person) -> float:
         decade = decade_index(man.age_steps / self.steps_per_year)
         p = self._marriage.get(decade)
         if p is None:
-            yearly = (self.params.basic_male_marriage_rate
-                      * self.data.male_marriage_modifier_by_decade[decade - 1])
-            p = instantaneous(yearly, self.steps_per_year)
-            self._marriage[decade] = p
+            yearly = marriage_rate_yearly(decade, self.params, self.data)
+            p = self._marriage[decade] = instantaneous(yearly, self.steps_per_year)
         return p
 
     def fertility_p_step(self, woman: Person, time: SimTime) -> float:
-        table = self.data.fertility
-        row = woman.age_steps // self.steps_per_year - table.age_offset
-        if not 0 <= row < len(table.rows):
-            raise ValueError(
-                f"age {woman.age_steps / self.steps_per_year:.2f} outside "
-                f"fertility table (rows {table.age_offset}.."
-                f"{table.age_offset + len(table.rows) - 1})")
-        col = min(max(time.year - table.year_offset, 0), len(table.rows[0]) - 1)
-        key = (row, col)
+        age = woman.age_steps / self.steps_per_year
+        key = (int(age), time.year)
         p = self._fertility.get(key)
         if p is None:
-            p = instantaneous(table.rows[row][col], self.steps_per_year)
-            self._fertility[key] = p
+            yearly = fertility_rate_yearly(age, time.year, self.data.fertility)
+            p = self._fertility[key] = instantaneous(yearly, self.steps_per_year)
         return p

@@ -6,10 +6,8 @@ import bisect
 import random
 from dataclasses import dataclass
 
-from .model import ConfigError, DataFormatError, House, Person, Town, WorldState
-
-HOUSE_COORD_MIN = 1
-HOUSE_COORD_MAX = 25
+from .model import (HOUSE_COORD_BOUNDS, ConfigError, DataFormatError, House,
+                    Person, Town, WorldState)
 
 # built-in population density grid, 12 rows by 8 columns
 DEFAULT_DENSITY_ROWS: tuple[tuple[float, ...], ...] = (
@@ -94,8 +92,8 @@ def manhattan(town_a: Town, town_b: Town) -> int:
 def create_house(state: WorldState, town: Town, rng: random.Random) -> House:
     """New empty house in `town` at uniform integer coordinates; x drawn
     before y."""
-    x = rng.randint(HOUSE_COORD_MIN, HOUSE_COORD_MAX)
-    y = rng.randint(HOUSE_COORD_MIN, HOUSE_COORD_MAX)
+    x = rng.randint(*HOUSE_COORD_BOUNDS)
+    y = rng.randint(*HOUSE_COORD_BOUNDS)
     house = House(id=state.allocate_house_id(), town=town.id, local_xy=(x, y))
     state.houses[house.id] = house
     town.houses.add(house.id)

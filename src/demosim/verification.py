@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import ADULT_YEARS, MALE, Person, WorldState
+from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Person,
+                    WorldState, dead_residence_faults, house_xy_faults,
+                    partnership_faults, residence_faults)
 from .predicates import Snapshot, SnapshotStore
 from .events import DEFAULT_EVENT_ORDER, validate_event_order
 
@@ -140,69 +142,13 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 # ------------------------------------------------------------- every step
 
-def _check_homeless(state: WorldState, snaps) -> list[Violation]:
-    bad = []
-    for p in state.persons.values():
-        if not p.alive:
-            continue
-        if (p.house is None or p.house not in state.houses
-                or p.id not in state.houses[p.house].occupants):
-            bad.append(p.id)
-    if not bad:
-        return []
-    return [Violation("a_homeless", state.time.step_index, tuple(bad),
-                      "alive persons must occupy a resolving house")]
-
-
-def _check_dead_no_house(state: WorldState, snaps) -> list[Violation]:
-    out = []
-    bad = [p.id for p in state.persons.values()
-           if not p.alive and p.house is not None]
-    if bad:
-        out.append(Violation("a_dead_no_house", state.time.step_index,
-                             tuple(bad), "dead persons must not keep a house"))
-    stale = []
-    for house in state.houses.values():
-        for pid in house.occupants:
-            if not state.persons[pid].alive:
-                stale.append(pid)
-    if stale:
-        out.append(Violation("a_dead_no_house", state.time.step_index,
-                             tuple(sorted(stale)),
-                             "occupant sets must contain only the living"))
-    return out
-
-
-def _check_marriage_age(state: WorldState, snaps) -> list[Violation]:
-    out = []
-    adult = _adult_steps(state)
-    for p in state.persons.values():
-        if p.partner is None:
-            continue
-        other = state.persons.get(p.partner)
-        if other is None or other.partner != p.id:
-            out.append(Violation("a_p_marriage_age", state.time.step_index,
-                                 (p.id,), "partnership not symmetric"))
-            continue
-        if other.gender == p.gender:
-            out.append(Violation("a_p_marriage_age", state.time.step_index,
-                                 (p.id, other.id), "partners share gender"))
-        if not p.alive or not other.alive:
-            out.append(Violation("a_p_marriage_age", state.time.step_index,
-                                 (p.id, other.id), "dead person still partnered"))
-        if p.age_steps < adult:
-            out.append(Violation("a_p_marriage_age", state.time.step_index,
-                                 (p.id,), "married person below 18 years"))
-    return out
-
-
-def _check_house_xy_bounds(state: WorldState, snaps) -> list[Violation]:
-    bad = [h.id for h in state.houses.values()
-           if not (1 <= h.local_xy[0] <= 25 and 1 <= h.local_xy[1] <= 25)]
-    if not bad:
-        return []
-    return [Violation("a_s_house_xy_bounds", state.time.step_index, tuple(bad),
-                      "house coordinates must lie in [1,25] x [1,25]")]
+def _structural(label: str, rule) -> Assumption:
+    """Every-step entry for a structural rule of model.py, which
+    validate_world applies too; its check reports one Violation per fault."""
+    def check(state: WorldState, snaps) -> list[Violation]:
+        return [Violation(label, state.time.step_index, f.ids, f.message)
+                for f in rule(state)]
+    return Assumption(label, "every_step", check)
 
 
 def _check_no_adoption(state: WorldState, snaps) -> list[Violation]:
@@ -236,9 +182,10 @@ def _check_married_gives_birth(state: WorldState, snaps) -> list[Violation]:
             out.append(Violation("a_p_married_gives_birth", now,
                                  (q.id, mother.id),
                                  "mother not flagged for this birth"))
-        if mother.age_steps >= 45 * spy:
+        if mother.age_steps >= MOTHER_AGE_LIMIT_YEARS * spy:
             out.append(Violation("a_p_married_gives_birth", now, (mother.id,),
-                                 "mother aged 45 or older at birth"))
+                                 f"mother aged {MOTHER_AGE_LIMIT_YEARS} or "
+                                 f"older at birth"))
         father_ok = (mother.partner == q.father
                      or (mother.partner is None and mother.ever_partners
                          and mother.ever_partners[-1] == q.father))
@@ -532,7 +479,7 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
         Assumption("a_s_dynamic_houses_per_town", "every_step", _noop,
                    kind="vacuous",
                    note="per-town house counts may grow freely"),
-        Assumption("a_s_house_xy_bounds", "every_step", _check_house_xy_bounds),
+        _structural("a_s_house_xy_bounds", house_xy_faults),
         Assumption("a_s_uniform_house_locations", "every_step", _noop,
                    kind="statistical", note="covered by offline uniformity tests"),
         Assumption("a_s_empty_house_selection", "every_step", _noop,
@@ -541,18 +488,18 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
                    kind="statistical", note="covered by offline frequency tests"),
         Assumption("a_p_gender_ratio", "every_step", _noop, kind="statistical",
                    note="covered by offline binomial tests"),
-        Assumption("a_p_marriage_age", "every_step", _check_marriage_age),
+        _structural("a_p_marriage_age", partnership_faults),
         Assumption("a_p_married_gives_birth", "every_step",
                    _check_married_gives_birth),
         Assumption("a_p_no_adoption", "every_step", _check_no_adoption,
                    note="runtime face is no-resurrection; parent-link "
                         "immutability is structural and unit-tested"),
-        Assumption("a_homeless", "every_step", _check_homeless),
+        _structural("a_homeless", residence_faults),
         Assumption("a_arbitrary_occupants", "every_step", _noop, kind="vacuous",
                    note="houses have no occupancy cap; nothing to check"),
         Assumption("a_housing_kinship", "every_step", _check_housing_kinship),
         Assumption("a_adult_moves_out", "every_step", _check_adult_moves_out),
-        Assumption("a_dead_no_house", "every_step", _check_dead_no_house),
+        _structural("a_dead_no_house", dead_residence_faults),
         Assumption("a_divorce_male_moves", "every_step",
                    _check_divorce_male_moves),
         Assumption("a_marriage_housing", "every_step",

@@ -78,16 +78,22 @@ def test_config_rejects_bad_values():
         build_config({"divorce_modifiers": "0.1, 0.2"})  # needs 16 entries
 
 
+def fertility_text(first_age: int, last_age: int, rate: float = 0.05) -> str:
+    return (f"age_offset={first_age} year_offset=2020\n"
+            + f"{rate}\n" * (last_age - first_age + 1))
+
+
 def test_config_data_files(tmp_path):
     fert = tmp_path / "fert.txt"
-    fert.write_text("age_offset=20 year_offset=2020\n0.5\n0.5\n")
+    fert.write_text(fertility_text(18, 44, 0.5))
     dens = tmp_path / "dens.txt"
     dens.write_text("\n".join(" ".join("0.5" for _ in range(8))
                               for _ in range(12)) + "\n")
     cfg = build_config({"fertility_path": str(fert),
                         "density_path": str(dens)})
-    assert cfg.data.fertility.age_offset == 20
-    assert len(cfg.data.fertility.rows) == 2
+    assert cfg.data.fertility.age_offset == 18
+    assert len(cfg.data.fertility.rows) == 27
+    assert all(row == (0.5,) for row in cfg.data.fertility.rows)
     assert all(v == 0.5 for row in cfg.density.rows for v in row)
 
 
@@ -188,3 +194,39 @@ def test_main_defaults_lists_vectors(capsys):
     assert f"divorce_modifiers = {expect}" in stdout
     assert "initial_pop = 10000" in stdout
     assert "48 towns" in stdout
+
+
+_BAD_RATE_INPUTS = {
+    # the table leaves out ages 18 and 19, which a mother can have
+    "fertility_from_20": ({"fertility_path": fertility_text(20, 51)},
+                          "must cover 18..44"),
+    "fertility_cell_one": ({"fertility_path": fertility_text(17, 51, 1.0)},
+                           "outside [0, 1)"),
+    "divorce_times_modifier": (
+        {"basic_divorce_rate": "0.6",
+         "divorce_modifiers": ",".join(["2.0"] * 16)},
+        "divorce rate"),
+    "marriage_times_modifier": (
+        {"basic_male_marriage_rate": "0.7",
+         "marriage_modifiers": ",".join(["1.5"] * 16)},
+        "marriage rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RATE_INPUTS))
+def test_bad_rate_input_exits_1(tmp_path, capsys, case):
+    settings, message = _BAD_RATE_INPUTS[case]
+    lines = ["seed = 1", "initial_pop = 50", "t_final = 2021"]
+    for key, value in settings.items():
+        if key == "fertility_path":
+            path = tmp_path / "fert.txt"
+            path.write_text(value)
+            value = str(path)
+        lines.append(f"{key} = {value}")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    for command in ("validate", "run"):
+        rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert message in stderr
+        assert "Traceback" not in stderr

@@ -112,8 +112,6 @@ def test_candidate_count():
     assert candidate_count(5, 100) == 1
     assert candidate_count(200, 100) == 20
     assert candidate_count(5000, 100) == 100
-    assert candidate_count(5000, 100, literal=True) == 500
-    assert candidate_count(5, 100, literal=True) == 100
 
 
 def test_validate_event_order():

@@ -13,8 +13,7 @@ import random
 import pytest
 
 from conftest import add_person, make_state
-from demosim.model import (FEMALE, MALE, DataFormatError, ModelParams,
-                           SimTime)
+from demosim.model import FEMALE, MALE, DataFormatError, ModelParams
 from demosim.rates import (DEFAULT_DIVORCE_MODIFIERS,
                            DEFAULT_MARRIAGE_MODIFIERS, MAX_YEARLY_RATE,
                            RateContext, death_rate_yearly_at, decade_index,
@@ -99,16 +98,13 @@ def test_modifier_vectors():
 
 
 def test_decade_rates():
-    state = make_state()
     params = ModelParams()
     data = default_model_data()
-    man = add_person(state, MALE, 25)
-    assert divorce_rate_yearly(man, params, data, state.time) == \
+    assert divorce_rate_yearly(decade_index(25), params, data) == \
         pytest.approx(0.06 * 0.9, rel=1e-12)
-    assert marriage_rate_yearly(man, params, data, state.time) == \
+    assert marriage_rate_yearly(decade_index(25), params, data) == \
         pytest.approx(0.7 * 0.5, rel=1e-12)
-    man.age_steps = 35 * 365
-    assert marriage_rate_yearly(man, params, data, state.time) == \
+    assert marriage_rate_yearly(decade_index(35), params, data) == \
         pytest.approx(0.7 * 1.0, rel=1e-12)
 
 
@@ -122,20 +118,15 @@ def test_default_fertility_shape():
 
 
 def test_fertility_lookup_strict_age_clamped_year():
-    state = make_state()
-    data = default_model_data()
-    woman = add_person(state, FEMALE, 30)
-    rate = fertility_rate_yearly(woman, data, state.time)
-    assert rate == data.fertility.rows[30 - 17][0]
+    table = default_model_data().fertility
+    rate = fertility_rate_yearly(30.5, 2020, table)
+    assert rate == table.rows[30 - 17][0]
     # year outside the single-column table clamps to it
-    late = SimTime(step_index=0, t0_year=2150, steps_per_year=365)
-    assert fertility_rate_yearly(woman, data, late) == rate
-    woman.age_steps = 16 * 365
+    assert fertility_rate_yearly(30.5, 2150, table) == rate
     with pytest.raises(ValueError):
-        fertility_rate_yearly(woman, data, state.time)
-    woman.age_steps = 60 * 365
+        fertility_rate_yearly(16.0, 2020, table)
     with pytest.raises(ValueError):
-        fertility_rate_yearly(woman, data, state.time)
+        fertility_rate_yearly(60.0, 2020, table)
 
 
 def test_load_fertility_text():
@@ -169,10 +160,11 @@ def test_rate_context_matches_direct_computation():
     assert ctx.death_p_step(man) == pytest.approx(
         instantaneous(death_rate_yearly_at(42, MALE, params), 365), rel=1e-12)
     assert ctx.divorce_p_step(man) == pytest.approx(
-        instantaneous(divorce_rate_yearly(man, params, data, state.time), 365),
-        rel=1e-12)
+        instantaneous(divorce_rate_yearly(5, params, data), 365), rel=1e-12)
+    assert ctx.marriage_p_step(man) == pytest.approx(
+        instantaneous(marriage_rate_yearly(5, params, data), 365), rel=1e-12)
     assert ctx.fertility_p_step(woman, state.time) == pytest.approx(
-        instantaneous(fertility_rate_yearly(woman, data, state.time), 365),
+        instantaneous(fertility_rate_yearly(29, 2020, data.fertility), 365),
         rel=1e-12)
 
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
-from demosim.model import ADULT_YEARS, FEMALE, MALE, ModelParams
+from demosim.model import (ADULT_YEARS, FEMALE, MALE, ModelParams,
+                           validate_world)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.verification import (Assumption, SpaceDigest, Violation,
@@ -113,51 +116,79 @@ def test_step_checks_clean_after_real_step(family):
     assert check_step(state, snaps) == []
 
 
-def test_homeless_flagged(family):
-    state, _, (h0, _), (dad, *_rest) = family
-    def mutate():
-        h0.occupants.discard(dad.id)
-        dad.house = None
-    snaps = snaps_after(state, mutate)
-    assert "a_homeless" in labels_of(check_step(state, snaps))
+def _homeless(state, houses, persons):
+    (h0, _), (dad, *_rest) = houses, persons
+    h0.occupants.discard(dad.id)
+    dad.house = None
+    return f"alive person without house: p{dad.id}"
 
 
-def test_dead_with_house_flagged(family):
-    state, _, _, (dad, *_rest) = family
-    def mutate():
-        dad.alive = False  # keeps the house on purpose
-        dad.partner = None
-        state.persons[1].partner = None
-    snaps = snaps_after(state, mutate)
-    assert "a_dead_no_house" in labels_of(check_step(state, snaps))
+def _dead_with_house(state, houses, persons):
+    dad, mum, *_rest = persons
+    dad.alive = False  # keeps the house on purpose
+    dad.partner = mum.partner = None
+    return f"dead person keeps house: p{dad.id}"
 
 
-def test_dead_occupant_reference_flagged(family):
-    state, _, (h0, _), (dad, *_rest) = family
-    def mutate():
-        dad.alive = False
-        dad.house = None  # but the house still lists him
-        dad.partner = None
-        state.persons[1].partner = None
-    snaps = snaps_after(state, mutate)
-    assert "a_dead_no_house" in labels_of(check_step(state, snaps))
+def _dead_occupant_reference(state, houses, persons):
+    (h0, _), (dad, mum, *_rest) = houses, persons
+    dad.alive = False
+    dad.house = None  # but the house still lists him
+    dad.partner = mum.partner = None
+    return f"stale occupant p{dad.id}: h{h0.id}"
 
 
-def test_married_minor_flagged(family):
-    state, _, _, (dad, mum, kid, single) = family
-    def mutate():
-        kid.partner = single.id
-        single.partner = kid.id
-    snaps = snaps_after(state, mutate)
-    assert "a_p_marriage_age" in labels_of(check_step(state, snaps))
+def _married_minor(state, houses, persons):
+    dad, mum, kid, single = persons
+    kid.partner = single.id
+    single.partner = kid.id
+    return f"married minor: p{kid.id}"
 
 
-def test_house_coordinates_bound(family):
-    state, _, (h0, _), _ = family
-    def mutate():
-        h0.local_xy = (26, 1)
-    snaps = snaps_after(state, mutate)
-    assert "a_s_house_xy_bounds" in labels_of(check_step(state, snaps))
+def _house_coordinates_bound(state, houses, persons):
+    h0, _ = houses
+    h0.local_xy = (26, 1)
+    return f"house coordinates out of range: h{h0.id}"
+
+
+def _dead_still_partnered(state, houses, persons):
+    (h0, _), (dad, *_rest) = houses, persons
+    dad.alive = False  # leaves the house but stays married
+    dad.house = None
+    h0.occupants.discard(dad.id)
+    return f"dead person still partnered: p{dad.id}"
+
+
+def _listed_in_second_house(state, houses, persons):
+    (h0, _), (*_rest, single) = houses, persons
+    h0.occupants.add(single.id)  # she still lives in, and is listed by, h1
+    return f"stale occupant p{single.id}: h{h0.id}"
+
+
+# injected fault -> the every-step label that must flag it
+STRUCTURAL_FAULTS = {
+    "homeless": ("a_homeless", _homeless),
+    "dead_with_house": ("a_dead_no_house", _dead_with_house),
+    "dead_occupant_reference": ("a_dead_no_house", _dead_occupant_reference),
+    "married_minor": ("a_p_marriage_age", _married_minor),
+    "house_coordinates_bound": ("a_s_house_xy_bounds",
+                                _house_coordinates_bound),
+    "dead_still_partnered": ("a_p_marriage_age", _dead_still_partnered),
+    "listed_in_second_house": ("a_dead_no_house", _listed_in_second_house),
+}
+
+
+@pytest.mark.parametrize("fault", list(STRUCTURAL_FAULTS))
+def test_structural_fault_flagged(family, fault):
+    """validate_world and the every-step checks share one rule set, so both
+    report each injected fault."""
+    label, inject = STRUCTURAL_FAULTS[fault]
+    state, _, houses, persons = family
+    messages = []
+    snaps = snaps_after(state,
+                        lambda: messages.append(inject(state, houses, persons)))
+    assert label in labels_of(check_step(state, snaps))
+    assert messages[0] in validate_world(state)
 
 
 def test_resurrection_flagged(family):
