@@ -187,9 +187,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config.out_dir = args.out
         config.config_echo["out_dir"] = args.out
     if args.seed is not None:
-        seed = "random" if args.seed == "random" else int(args.seed)
-        config.sim = replace(config.sim, seed=seed)
-        config.config_echo["seed"] = seed
+        config.sim = replace(config.sim, seed=args.seed)
+        config.config_echo["seed"] = args.seed
     try:
         if args.replicates > 1:
             base = resolve_seed(config.sim.seed)
@@ -229,6 +228,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+# argument types: argparse reports a ValueError from one as a usage error
+# that names the function
+def integer_or_random(value: str) -> int | str:
+    return value if value == "random" else int(value)
+
+
+def positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="demosim",
@@ -239,8 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="execute a simulation run")
     run_p.add_argument("--config", help="key = value config file")
     run_p.add_argument("--out", help="artifact output directory")
-    run_p.add_argument("--seed", help="override the seed (integer or random)")
-    run_p.add_argument("--replicates", type=int, default=1,
+    run_p.add_argument("--seed", type=integer_or_random,
+                       help="override the seed (integer or random)")
+    run_p.add_argument("--replicates", type=positive_int, default=1,
                        help="independent replicates, seeds base+0..base+R-1")
 
     val_p = sub.add_parser("validate",

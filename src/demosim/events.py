@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass, field
 
 from .model import (ADULT_YEARS, ConfigError, IntegrityError, MALE, FEMALE,
-                    MOTHER_AGE_LIMIT_YEARS, Person, WorldState, link_partners,
-                    unlink_partners)
+                    MOTHER_AGE_LIMIT_YEARS, Person, WorldState,
+                    is_orphan_oldest_sibling, link_partners, unlink_partners)
 from .predicates import Snapshot, SnapshotStore
 from .rates import RateContext
 from .space import find_or_create_empty_house, leave_house, manhattan, move_person
@@ -126,23 +126,6 @@ def _move_to_own_empty_house(state: WorldState, person: Person,
     move_person(state, person, house)
 
 
-def _is_orphan_oldest_sibling(state: WorldState, p: Person) -> bool:
-    """The stay-home exception at 18: no alive parent, and oldest (max age,
-    ties to the smaller id) among their alive siblings."""
-    for parent_id in (p.father, p.mother):
-        if parent_id is not None and state.persons[parent_id].alive:
-            return False
-    group = [p]
-    for parent_id in (p.father, p.mother):
-        if parent_id is None:
-            continue
-        for cid in state.persons[parent_id].children:
-            if cid != p.id and state.persons[cid].alive:
-                group.append(state.persons[cid])
-    oldest = max(group, key=lambda q: (q.age_steps, -q.id))
-    return oldest is p
-
-
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """Increment every alive person's age by one step; persons reaching
@@ -160,7 +143,9 @@ def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
         if p.age_steps == adult_steps:
             movers.append(p)
     for p in movers:
-        if _is_orphan_oldest_sibling(state, p):
+        if is_orphan_oldest_sibling(state, p,
+                                    lambda q: state.persons[q].alive,
+                                    lambda q: state.persons[q].age_steps):
             continue
         _move_to_own_empty_house(state, p, rng, outcome)
         outcome.adults_moved.append(p.id)
@@ -238,24 +223,17 @@ def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
             outcome.divorced.append((man.id, wife_id))
 
 
-def marriage_eligible_males(state: WorldState, prev: Snapshot) -> list[Person]:
-    """Single adult males, excluding those married at the previous step
-    (covers the just-divorced and delays widowers one step) and those who
-    turned exactly 18 this step."""
+def marriage_eligible(state: WorldState, prev: Snapshot,
+                      gender: str) -> list[Person]:
+    """Single adults of one gender, excluding those married at the previous
+    step (covers the just-divorced and delays widowed persons one step).
+    Males who turned exactly 18 this step are excluded too; females are
+    not."""
     adult_steps = ADULT_YEARS * state.time.steps_per_year
     return [p for p in state.persons.values()
-            if p.alive and p.gender == MALE and p.partner is None
-            and p.age_steps >= adult_steps and p.age_steps != adult_steps
-            and p.id not in prev.married]
-
-
-def marriage_eligible_females(state: WorldState, prev: Snapshot) -> list[Person]:
-    """Single adult females, excluding those married at the previous step
-    (same snapshot rule as males: widows and fresh divorcees wait one step)."""
-    adult_steps = ADULT_YEARS * state.time.steps_per_year
-    return [p for p in state.persons.values()
-            if p.alive and p.gender == FEMALE and p.partner is None
-            and p.age_steps >= adult_steps and p.id not in prev.married]
+            if p.alive and p.gender == gender and p.partner is None
+            and p.age_steps >= adult_steps and p.id not in prev.married
+            and (gender == FEMALE or p.age_steps != adult_steps)]
 
 
 def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
@@ -271,8 +249,8 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     on success: sample candidates without replacement, pick one by full
     weight, marry, merge households (the smaller household moves, ties move
     the wife's side)."""
-    males = marriage_eligible_males(state, prev)
-    pool = marriage_eligible_females(state, prev)
+    males = marriage_eligible(state, prev, MALE)
+    pool = marriage_eligible(state, prev, FEMALE)
     n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
     for man in males:
         if rng.random() >= ctx.marriage_p_step(man):

@@ -1,10 +1,11 @@
 """Domain types shared by every other module: persons, houses, towns, time,
-parameters, the error hierarchy, and the structural rules that both
-validate_world and the every-step assumption checks apply."""
+parameters, the error hierarchy, the structural rules that both
+validate_world and the every-step assumption checks apply, and the orphan
+stay-home rule that ageing applies and its check replays."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 MALE = "male"
 FEMALE = "female"
@@ -239,6 +240,26 @@ def unlink_partners(state: WorldState, person: Person) -> None:
     other = state.persons[person.partner]
     other.partner = None
     person.partner = None
+
+
+def is_orphan_oldest_sibling(state: WorldState, p: Person,
+                             alive: Callable[[int], bool],
+                             age_steps: Callable[[int], int]) -> bool:
+    """The stay-home exception at 18: no alive parent, and oldest (max age,
+    ties to the smaller id) among their alive siblings. `alive` and
+    `age_steps` read relatives as ageing saw them: live during ageing, from
+    the previous snapshot (ages plus one) when a check replays it."""
+    for parent_id in (p.father, p.mother):
+        if parent_id is not None and alive(parent_id):
+            return False
+    key = (p.age_steps, -p.id)
+    for parent_id in (p.father, p.mother):
+        if parent_id is None:
+            continue
+        for sid in state.persons[parent_id].children:
+            if sid != p.id and alive(sid) and (age_steps(sid), -sid) > key:
+                return False
+    return True
 
 
 class Fault(NamedTuple):

@@ -1,6 +1,10 @@
 """Featured sub-populations: Boolean and group predicates, set composition,
 and the temporal operators just/pre over a two-deep snapshot history.
 
+A snapshot freezes only the per-person values that later steps overwrite;
+previous town and coordinates are derived from the frozen house id, since
+houses never move, never change town and are never removed.
+
 The post-style assumptions have no forward-looking query here; the
 verification module checks them one step later against the stored snapshot.
 """
@@ -11,48 +15,43 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import (ADULT_YEARS, FEMALE, IntegrityError, MALE,
+from .model import (ADULT_YEARS, FEMALE, House, IntegrityError, MALE,
                     MissingSnapshotError, WorldState)
 
 
 class Snapshot:
-    """Frozen per-person attributes for one step: alive, married, partner,
-    house, town, age_steps, gave_birth."""
+    """One step's per-person alive, partner, house id, age_steps and
+    gave_birth: only what the live state cannot give back. `known` and
+    `married` are the key views of `age_steps` and `partner`; a previous
+    town or location is read from the live house with the frozen id, which
+    is exact as houses never move or change town and are never removed
+    (a_s_house_persistence)."""
 
-    __slots__ = ("step_index", "known", "alive", "married", "partner",
-                 "house", "town", "age_steps", "gave_birth", "location")
+    __slots__ = ("step_index", "alive", "partner", "house", "age_steps",
+                 "gave_birth")
 
     def __init__(self, state: WorldState):
+        persons = state.persons.values()
         self.step_index = state.time.step_index
-        self.known: frozenset[int] = frozenset(state.persons)
-        alive, married, gave_birth = set(), set(), set()
-        partner: dict[int, int] = {}
-        house: dict[int, int] = {}
-        town: dict[int, int] = {}
-        location: dict[int, tuple[int, int]] = {}
-        age_steps: dict[int, int] = {}
-        for pid, p in state.persons.items():
-            age_steps[pid] = p.age_steps
-            if p.alive:
-                alive.add(pid)
-            if p.partner is not None:
-                married.add(pid)
-                partner[pid] = p.partner
-            if p.gave_birth:
-                gave_birth.add(pid)
-            if p.house is not None:
-                h = state.houses[p.house]
-                house[pid] = h.id
-                town[pid] = h.town
-                location[pid] = h.local_xy
-        self.alive = frozenset(alive)
-        self.married = frozenset(married)
-        self.gave_birth = frozenset(gave_birth)
-        self.partner = partner
-        self.house = house
-        self.town = town
-        self.location = location
-        self.age_steps = age_steps
+        self.age_steps = {p.id: p.age_steps for p in persons}
+        self.alive = {p.id for p in persons if p.alive}
+        self.partner = {p.id: p.partner for p in persons
+                        if p.partner is not None}
+        self.house = {p.id: p.house for p in persons if p.house is not None}
+        self.gave_birth = {p.id for p in persons if p.gave_birth}
+
+    @property
+    def known(self):
+        return self.age_steps.keys()
+
+    @property
+    def married(self):
+        return self.partner.keys()
+
+    def old_house(self, pid: int, state: WorldState) -> House | None:
+        """The live house the person lived in at this step; None when they
+        had none or it is gone."""
+        return state.houses.get(self.house.get(pid))
 
 
 class SnapshotStore:
@@ -180,8 +179,8 @@ def just(attr: str, state: WorldState, snaps: SnapshotStore,
 
 
 def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
-    """Frozen previous-step value of one attribute. `location` resolves the
-    previous house's coordinates (houses never move once built)."""
+    """Frozen previous-step value of one attribute. `town` and `location`
+    are read through the previous house id (houses never move once built)."""
     prev = snaps.before(state.time.step_index)
     if pid not in prev.known:
         raise MissingSnapshotError(f"person {pid} unknown at step "
@@ -194,10 +193,9 @@ def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
         return prev.partner.get(pid)
     if attr == "house":
         return prev.house.get(pid)
-    if attr == "town":
-        return prev.town.get(pid)
-    if attr == "location":
-        return prev.location.get(pid)
+    if attr in ("town", "location"):
+        h = prev.old_house(pid, state)
+        return None if h is None else (h.town if attr == "town" else h.local_xy)
     if attr == "age_steps":
         return prev.age_steps[pid]
     if attr == "gave_birth":

@@ -15,7 +15,8 @@ from typing import Callable
 
 from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Person,
                     WorldState, dead_residence_faults, house_xy_faults,
-                    partnership_faults, residence_faults)
+                    is_orphan_oldest_sibling, partnership_faults,
+                    residence_faults)
 from .predicates import Snapshot, SnapshotStore
 from .events import DEFAULT_EVENT_ORDER, validate_event_order
 
@@ -142,6 +143,49 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 # ------------------------------------------------------------- every step
 
+def _born_now(state: WorldState) -> list[Person]:
+    """Persons born this step, ascending id."""
+    now = state.time.step_index
+    return [q for q in state.persons.values() if q.born_step == now]
+
+
+def _died_now(state: WorldState, prev: Snapshot) -> set[int]:
+    """Ids alive at the previous step and dead now."""
+    return {pid for pid in prev.alive if not state.persons[pid].alive}
+
+
+def _turned_adult(state: WorldState,
+                  prev: Snapshot) -> list[tuple[Person, bool]]:
+    """Persons alive at the previous step who are exactly 18 years old now,
+    ascending id, each with whether the orphan stay-home exception held when
+    ageing ran (parents and siblings as frozen, siblings one step older)."""
+    adult = _adult_steps(state)
+    return [(p, is_orphan_oldest_sibling(state, p, prev.alive.__contains__,
+                                         lambda q: prev.age_steps[q] + 1))
+            for p in state.persons.values()
+            if p.age_steps == adult and p.id in prev.alive]
+
+
+def _divorced_males(state: WorldState, prev: Snapshot) -> list[Person]:
+    """Males married at the previous step, alive and single now, whose ex is
+    alive (so divorced, not widowed), ascending id."""
+    out = []
+    for pid in sorted(prev.married):
+        p = state.persons[pid]
+        if p.gender == MALE and p.alive and p.partner is None \
+                and state.persons[prev.partner[pid]].alive:
+            out.append(p)
+    return out
+
+
+def _just_married_couples(state: WorldState,
+                          prev: Snapshot) -> list[tuple[Person, Person]]:
+    """(husband, wife) pairs married this step, ascending husband id."""
+    return [(p, state.persons[p.partner]) for p in state.persons.values()
+            if p.gender == MALE and p.partner is not None
+            and p.id not in prev.married]
+
+
 def _structural(label: str, rule) -> Assumption:
     """Every-step entry for a structural rule of model.py, which
     validate_world applies too; its check reports one Violation per fault."""
@@ -169,9 +213,7 @@ def _check_married_gives_birth(state: WorldState, snaps) -> list[Violation]:
     spy = state.time.steps_per_year
     now = state.time.step_index
     mothers_with_neonate = set()
-    for q in state.persons.values():
-        if q.born_step != now:
-            continue
+    for q in _born_now(state):
         if q.father is None or q.mother is None:
             out.append(Violation("a_p_married_gives_birth", now, (q.id,),
                                  "neonate lacks a parent link"))
@@ -249,98 +291,57 @@ def _check_housing_kinship(state: WorldState, snaps) -> list[Violation]:
     return out
 
 
-def _orphan_oldest_at_ageing(state: WorldState, prev: Snapshot,
-                             p: Person) -> bool:
-    """Replays the ageing-time stay-home test from the previous snapshot:
-    parent aliveness and sibling ages as they stood when ageing ran."""
-    for parent_id in (p.father, p.mother):
-        if parent_id is not None and parent_id in prev.alive:
-            return False
-    best = (p.age_steps, -p.id)
-    for parent_id in (p.father, p.mother):
-        if parent_id is None:
-            continue
-        for sid in state.persons[parent_id].children:
-            if sid == p.id or sid not in prev.alive:
-                continue
-            key = (prev.age_steps[sid] + 1, -sid)
-            if key > best:
-                return False
-    return True
-
-
-def _just_married_couples(state: WorldState, prev: Snapshot) -> list[tuple[Person, Person]]:
-    couples = []
-    for p in state.persons.values():
-        if (p.gender == MALE and p.partner is not None
-                and p.id not in prev.married):
-            couples.append((p, state.persons[p.partner]))
-    return couples
+def _move_out_violations(label: str, who: str, state: WorldState,
+                         prev: Snapshot, p: Person) -> list[Violation]:
+    """The move-out rule shared by new adults and divorced males: alone in a
+    house other than the previous one, in the previous town."""
+    house = state.houses.get(p.house) if p.house is not None else None
+    if house is None:
+        return []  # homeless check reports this
+    now = state.time.step_index
+    out = []
+    if house.occupants != {p.id}:
+        out.append(Violation(label, now, (p.id,), f"{who} must live alone"))
+    if p.house == prev.house.get(p.id):
+        out.append(Violation(label, now, (p.id,),
+                             f"{who} must leave the family house"))
+    old = prev.old_house(p.id, state)
+    if old is None or house.town != old.town:
+        out.append(Violation(label, now, (p.id,),
+                             f"{who} must stay in the same town"))
+    return out
 
 
 def _check_adult_moves_out(state: WorldState, snaps) -> list[Violation]:
     prev = _prev(state, snaps)
-    adult = _adult_steps(state)
-    now = state.time.step_index
     just_married = {pid for m, f in _just_married_couples(state, prev)
                     for pid in (m.id, f.id)}
     out = []
-    for p in state.persons.values():
-        if p.age_steps != adult or not p.alive or p.id not in prev.known:
-            continue
-        if p.id in just_married:
-            continue  # housing covered by the marriage check
-        old_house = prev.house.get(p.id)
-        old_town = prev.town.get(p.id)
-        if _orphan_oldest_at_ageing(state, prev, p):
-            if p.house != old_house:
-                out.append(Violation("a_adult_moves_out", now, (p.id,),
+    for p, stays_home in _turned_adult(state, prev):
+        if not p.alive or p.id in just_married:
+            continue  # housing of the just-married is the marriage check's
+        if stays_home:
+            if p.house != prev.house.get(p.id):
+                out.append(Violation("a_adult_moves_out",
+                                     state.time.step_index, (p.id,),
                                      "oldest orphan sibling must keep the "
                                      "family house"))
-            continue
-        house = state.houses.get(p.house) if p.house is not None else None
-        if house is None:
-            continue  # homeless check reports this
-        if house.occupants != {p.id}:
-            out.append(Violation("a_adult_moves_out", now, (p.id,),
-                                 "new adult must live alone"))
-        if p.house == old_house:
-            out.append(Violation("a_adult_moves_out", now, (p.id,),
-                                 "new adult must leave the family house"))
-        if house.town != old_town:
-            out.append(Violation("a_adult_moves_out", now, (p.id,),
-                                 "new adult must stay in the same town"))
+        else:
+            out.extend(_move_out_violations("a_adult_moves_out",
+                                            "new adult", state, prev, p))
     return out
 
 
 def _check_divorce_male_moves(state: WorldState, snaps) -> list[Violation]:
-    """Detects this step's divorced males (previously married, single now,
-    ex-partner alive) and checks the move-out rule. A male whose ex died the
-    same step is classified widowed and skipped: under orders where deaths
-    follow divorces this misses the occasional real divorce (false negative)
-    but never flags a legal state."""
+    """Checks the move-out rule for this step's divorced males. A male whose
+    ex died the same step is classified widowed and skipped: under orders
+    where deaths follow divorces this misses the occasional real divorce
+    (false negative) but never flags a legal state."""
     prev = _prev(state, snaps)
-    now = state.time.step_index
     out = []
-    for pid in sorted(prev.married):
-        p = state.persons[pid]
-        if p.gender != MALE or not p.alive or p.partner is not None:
-            continue
-        ex = prev.partner.get(pid)
-        if ex is None or not state.persons[ex].alive:
-            continue  # widowed, not divorced
-        house = state.houses.get(p.house) if p.house is not None else None
-        if house is None:
-            continue  # homeless check reports this
-        if house.occupants != {pid}:
-            out.append(Violation("a_divorce_male_moves", now, (pid,),
-                                 "divorced male must live alone"))
-        if p.house == prev.house.get(pid):
-            out.append(Violation("a_divorce_male_moves", now, (pid,),
-                                 "divorced male must leave the family house"))
-        if house.town != prev.town.get(pid):
-            out.append(Violation("a_divorce_male_moves", now, (pid,),
-                                 "divorced male must stay in the same town"))
+    for p in _divorced_males(state, prev):
+        out.extend(_move_out_violations("a_divorce_male_moves",
+                                        "divorced male", state, prev, p))
     return out
 
 
@@ -362,16 +363,9 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
         couples = _just_married_couples(state, prev)
         if not couples:
             return []
-        couples.sort(key=lambda mf: mf[0].id)
-        adult = _adult_steps(state)
 
         slot_of: dict[int, object] = {}
         occ: dict[object, set[int]] = {}
-        for pid in prev.alive:
-            h = prev.house.get(pid)
-            if h is not None:
-                slot_of[pid] = h
-                occ.setdefault(h, set()).add(pid)
 
         def move(pid: int, slot) -> None:
             old = slot_of.get(pid)
@@ -385,34 +379,30 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
             if old is not None:
                 occ[old].discard(pid)
 
+        for pid in prev.alive & prev.house.keys():
+            move(pid, prev.house[pid])
+
         # ageing always runs first: replicate the 18-year move-outs
-        for p in state.persons.values():
-            if p.id not in prev.alive or p.age_steps != adult:
-                continue
+        for p, stays_home in _turned_adult(state, prev):
             if not p.alive:
                 remove(p.id)  # aged, possibly moved, then died
-            elif not _orphan_oldest_at_ageing(state, prev, p):
+            elif not stays_home:
                 move(p.id, ("new-adult", p.id))
 
+        born_now = _born_now(state)
+        died_now = _died_now(state, prev)
         for name in pre_marriage:
             if name == "deaths":
-                for pid in prev.alive:
-                    if not state.persons[pid].alive:
-                        remove(pid)
+                for pid in died_now:
+                    remove(pid)
             elif name == "births":
-                for q in state.persons.values():
-                    if q.born_step == now and q.mother is not None:
-                        mom_slot = slot_of.get(q.mother)
-                        if mom_slot is not None:
-                            move(q.id, mom_slot)
+                for q in born_now:
+                    mom_slot = slot_of.get(q.mother)
+                    if mom_slot is not None:
+                        move(q.id, mom_slot)
             elif name == "divorces":
-                for pid in sorted(prev.married):
-                    q = state.persons[pid]
-                    if q.gender != MALE or not q.alive or q.partner is not None:
-                        continue
-                    ex = prev.partner.get(pid)
-                    if ex is not None and state.persons[ex].alive:
-                        move(pid, ("divorced", pid))
+                for q in _divorced_males(state, prev):
+                    move(q.id, ("divorced", q.id))
 
         out = []
         merged: list[tuple[Person, Person, object]] = []
@@ -433,9 +423,7 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
                 target = sm
             merged.append((m, f, target))
 
-        born_now = {q.id for q in state.persons.values() if q.born_step == now}
-        died_now = {pid for pid in prev.alive if not state.persons[pid].alive}
-        mask = born_now | died_now
+        mask = {q.id for q in born_now} | died_now
         for m, f, target in merged:
             if not isinstance(target, int):
                 out.append(Violation("a_marriage_housing", now, (m.id, f.id),

@@ -5,6 +5,7 @@ advance; tolerances are 3-sigma bands of the relevant estimator.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -149,11 +150,16 @@ def decade_run():
 
 def test_c05_decade_run_zero_violations(decade_run):
     """initial_pop=1000, daily steps, 2020 to 2030 in fail mode: all 3650
-    steps complete with zero violations across the assumption registry."""
+    steps complete with zero violations across the assumption registry.
+    The final digest and the timeseries.csv sha256 are pinned too: the only
+    golden trajectory at daily scale."""
     result, elapsed = decade_run
     assert result.summary["steps_completed"] == 3650
     assert result.summary["aborted_on_violation"] is False
     assert result.violations == []
+    assert result.digest == "4c0c4adce606794a"
+    assert hashlib.sha256(result.timeseries.to_csv().encode()).hexdigest() \
+        == "e88166ae2a8ab158e4918bbb434e837a77e889dfcdde5bda2ef654a7a6cc6cb1"
     assert elapsed < 120.0
     print(f"[C5] 3650 steps, 0 violations, "
           f"alive={result.summary['final_alive']}, {elapsed:.1f}s PASS")

@@ -187,6 +187,18 @@ def test_main_usage_errors(capsys):
     assert rc == 64
 
 
+@pytest.mark.parametrize("args", [["--seed", "abc"], ["--seed", "1.5"],
+                                  ["--replicates", "0"],
+                                  ["--replicates", "-2"],
+                                  ["--replicates", "two"]])
+def test_main_run_bad_flag_is_usage_error(args, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 1\ninitial_pop = 20\nt_final = 2021\n")
+    rc, _, stderr = run_main(["run", "--config", str(cfg), *args], capsys)
+    assert rc == 64
+    assert "Traceback" not in stderr
+
+
 def test_main_defaults_lists_vectors(capsys):
     rc, stdout, _ = run_main(["defaults"], capsys)
     assert rc == 0

@@ -12,11 +12,9 @@ import pytest
 from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, age_factor,
                             ageing, births, candidate_count, children_factor,
-                            deaths, divorces, geo_factor,
-                            marriage_eligible_females,
-                            marriage_eligible_males, marriage_weight,
-                            marriages, step, validate_event_order,
-                            weighted_pick)
+                            deaths, divorces, geo_factor, marriage_eligible,
+                            marriage_weight, marriages, step,
+                            validate_event_order, weighted_pick)
 from demosim.model import ADULT_YEARS, FEMALE, MALE, ConfigError
 from demosim.model import ModelParams
 from demosim.predicates import SnapshotStore
@@ -320,9 +318,9 @@ def test_marriage_eligibility_rules():
     snaps.freeze(state)
     state.time.step_index = 1
     prev = snaps.before(1)
-    assert [p.id for p in marriage_eligible_males(state, prev)] == [older.id]
+    assert [p.id for p in marriage_eligible(state, prev, MALE)] == [older.id]
     # females have no exact-18 exclusion
-    assert [p.id for p in marriage_eligible_females(state, prev)] == \
+    assert [p.id for p in marriage_eligible(state, prev, FEMALE)] == \
         [woman18.id]
 
 
@@ -342,8 +340,8 @@ def test_marriage_excludes_prev_married():
     man.partner = None
     wife.partner = None
     prev = snaps.before(1)
-    assert marriage_eligible_males(state, prev) == []
-    assert [p.id for p in marriage_eligible_females(state, prev)] == \
+    assert marriage_eligible(state, prev, MALE) == []
+    assert [p.id for p in marriage_eligible(state, prev, FEMALE)] == \
         [other.id]
 
 

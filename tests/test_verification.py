@@ -11,7 +11,7 @@ from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ModelParams,
                            validate_world)
-from demosim.predicates import SnapshotStore
+from demosim.predicates import SnapshotStore, pre
 from demosim.rates import RateContext, default_model_data
 from demosim.verification import (Assumption, SpaceDigest, Violation,
                                   build_registry, check_initial,
@@ -401,6 +401,38 @@ def test_retrospective_space_checks(family):
     town.houses.discard(h0.id)
     out = check_retrospective(before, state)
     assert "a_s_house_persistence" in labels_of(out)
+
+
+def test_house_deleted_between_steps_raises_nothing(family):
+    """A house removed between steps leaves the previous town of its former
+    occupants unknown: the every-step checks and pre() read it as no town
+    instead of raising, and the retrospective check reports the removal."""
+    state, town, (h0, _), (dad, mum, kid, single) = family
+    kid.age_steps = ADULT_YEARS * state.time.steps_per_year - 1
+    before = SpaceDigest.of(state)
+
+    def mutate():
+        # the new adult and the divorced father move out, then the family
+        # house is demolished with the mother evicted
+        dad.partner = mum.partner = None
+        for p in (kid, dad):
+            h = add_house(state, town)
+            h0.occupants.discard(p.id)
+            p.house = h.id
+            h.occupants.add(p.id)
+        mum.house = None
+        h0.occupants.discard(mum.id)
+        del state.houses[h0.id]
+        town.houses.discard(h0.id)
+
+    snaps = snaps_after(state, mutate)
+    assert "a_homeless" in labels_of(check_step(state, snaps))
+    for p in (dad, mum, kid):
+        assert pre("house", p.id, snaps, state) == h0.id
+        assert pre("town", p.id, snaps, state) is None
+        assert pre("location", p.id, snaps, state) is None
+    assert "a_s_house_persistence" in \
+        labels_of(check_retrospective(before, state))
 
 
 def test_checks_do_not_mutate_state(family):
