@@ -21,11 +21,11 @@ from datetime import datetime, timezone
 
 from .events import DEFAULT_EVENT_ORDER, step, validate_event_order
 from .initialization import InitReport, init_world
-from .model import (FEMALE, MALE, AssumptionFailure, IntegrityError,
+from .model import (MALE, AssumptionFailure, IntegrityError,
                     ModelData, ModelParams, SimulationParams, WorldState,
                     validate_world)
 from .predicates import SnapshotStore
-from .rates import RateContext, check_yearly_rates
+from .rates import RateContext
 from .space import DensityMap
 from .verification import (SpaceDigest, Violation, build_registry,
                            check_initial, check_retrospective, check_step)
@@ -33,6 +33,9 @@ from .verification import (SpaceDigest, Violation, build_registry,
 TIMESERIES_HEADER = ("step", "year", "alive", "males", "females", "births",
                      "deaths", "marriages", "divorces", "mean_age_years",
                      "houses_total", "houses_empty", "violations")
+
+
+_ALIVE = TIMESERIES_HEADER.index("alive")
 
 
 @dataclass(slots=True)
@@ -53,7 +56,8 @@ class RunConfig:
             raise ValueError(
                 f"verification_mode must be warn or fail, "
                 f"got {self.verification_mode!r}")
-        check_yearly_rates(self.model, self.data)
+        # building the per-step rate tables rejects rates a run cannot use
+        RateContext(self.model, self.data, self.sim.steps_per_year)
 
 
 @dataclass(slots=True)
@@ -178,7 +182,6 @@ def run(config: RunConfig) -> RunResult:
 
     series = TimeSeries()
     all_violations: list[Violation] = []
-    totals = {"births": 0, "deaths": 0, "marriages": 0, "divorces": 0}
 
     def summarize(final_digest: str, completed_steps: int,
                   aborted: bool) -> dict:
@@ -192,8 +195,11 @@ def run(config: RunConfig) -> RunResult:
             "steps_planned": (sim.t_final - sim.t0) * spy,
             "aborted_on_violation": aborted,
             "final_digest": final_digest,
-            "totals": dict(totals, violations=len(all_violations)),
-            "final_alive": sum(1 for p in state.persons.values() if p.alive),
+            "totals": {name: sum(row[TIMESERIES_HEADER.index(name)]
+                                 for row in series.rows)
+                       for name in ("births", "deaths", "marriages",
+                                    "divorces", "violations")},
+            "final_alive": series.rows[-1][_ALIVE],
             "final_houses": len(state.houses),
             "init": report.to_dict(),
         }
@@ -220,24 +226,20 @@ def run(config: RunConfig) -> RunResult:
 
     total_steps = (sim.t_final - sim.t0) * spy
     for i in range(1, total_steps + 1):
-        alive_before = sum(1 for p in state.persons.values() if p.alive)
         outcome = step(state, ctx, snaps, rng, config.event_order)
-        alive_after = sum(1 for p in state.persons.values() if p.alive)
-        if alive_after - alive_before != outcome.births - outcome.deaths:
-            raise IntegrityError(
-                f"step {i}: alive delta {alive_after - alive_before} != "
-                f"births {outcome.births} - deaths {outcome.deaths}")
         step_violations = check_step(state, snaps, registry)
         step_violations.extend(check_retrospective(space_before, state))
         space_before = SpaceDigest.of(state)
         all_violations.extend(step_violations)
-        totals["births"] += outcome.births
-        totals["deaths"] += outcome.deaths
-        totals["marriages"] += outcome.marriages
-        totals["divorces"] += outcome.divorces
         series.append(state, i, outcome.births, outcome.deaths,
                       outcome.marriages, outcome.divorces,
                       len(step_violations))
+        # checks do not mutate, so the last two rows bracket this step
+        delta = series.rows[-1][_ALIVE] - series.rows[-2][_ALIVE]
+        if delta != outcome.births - outcome.deaths:
+            raise IntegrityError(
+                f"step {i}: alive delta {delta} != "
+                f"births {outcome.births} - deaths {outcome.deaths}")
         if step_violations and config.verification_mode == "fail":
             fail(i)
 

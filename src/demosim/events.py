@@ -9,13 +9,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .model import (ADULT_YEARS, ConfigError, IntegrityError, MALE, FEMALE,
                     MOTHER_AGE_LIMIT_YEARS, Person, WorldState,
                     is_orphan_oldest_sibling, link_partners, unlink_partners)
 from .predicates import Snapshot, SnapshotStore
 from .rates import RateContext
-from .space import find_or_create_empty_house, leave_house, manhattan, move_person
+from .space import (find_or_create_empty_house, leave_house, manhattan,
+                    move_person, weighted_pick)
 
 DEFAULT_EVENT_ORDER = ("ageing", "deaths", "births", "divorces", "marriages")
 EVENT_NAMES = frozenset(DEFAULT_EVENT_ORDER)
@@ -78,9 +81,12 @@ def age_factor(age_m: float, age_f: float) -> float:
 
 
 def geo_factor(state: WorldState, m: Person, f: Person) -> float:
-    town_m = state.towns[state.houses[m.house].town]
-    town_f = state.towns[state.houses[f.house].town]
-    return math.exp(-4.0 * manhattan(town_m, town_f))
+    """exp(-4 x town distance); 0 when either has no live house."""
+    house_m, house_f = state.houses.get(m.house), state.houses.get(f.house)
+    if house_m is None or house_f is None:
+        return 0.0
+    return math.exp(-4.0 * manhattan(state.towns[house_m.town],
+                                     state.towns[house_f.town]))
 
 
 def children_factor(n_children_m: int, n_children_f: int) -> float:
@@ -98,32 +104,20 @@ def marriage_weight(state: WorldState, m: Person, f: Person) -> float:
     return max(0.0, w)
 
 
-def weighted_pick(items: list, weights: list[float], rng: random.Random):
-    """One item with probability proportional to weight; None when the total
-    weight is zero."""
-    total = 0.0
-    cumulative = []
-    for w in weights:
-        total += w
-        cumulative.append(total)
-    if total <= 0.0:
-        return None
-    x = rng.random() * total
-    for i, bound in enumerate(cumulative):
-        if x < bound:
-            return items[i]
-    return items[-1]
-
-
 def _move_to_own_empty_house(state: WorldState, person: Person,
-                             rng: random.Random, outcome: StepOutcome) -> None:
-    """Relocate one person alone to an empty house in their current town."""
-    town = state.towns[state.houses[person.house].town]
+                             rng: random.Random, outcome: StepOutcome) -> bool:
+    """Relocate one person alone to an empty house in their current town;
+    False, with nobody moved, when they have no live house (so no town)."""
+    current = state.houses.get(person.house)
+    if current is None:
+        return False
+    town = state.towns[current.town]
     before = state.next_house_id
     house = find_or_create_empty_house(state, town, rng)
     if state.next_house_id != before:
         outcome.houses_created.append(house.id)
     move_person(state, person, house)
+    return True
 
 
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -147,8 +141,8 @@ def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
                                     lambda q: state.persons[q].alive,
                                     lambda q: state.persons[q].age_steps):
             continue
-        _move_to_own_empty_house(state, p, rng, outcome)
-        outcome.adults_moved.append(p.id)
+        if _move_to_own_empty_house(state, p, rng, outcome):
+            outcome.adults_moved.append(p.id)
 
 
 def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -201,7 +195,9 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
                                  father=father.id, mother=mother.id)
         father.children.add(child.id)
         mother.children.add(child.id)
-        move_person(state, child, state.houses[mother.house])
+        home = state.houses.get(mother.house)
+        if home is not None:  # a homeless mother's neonate is homeless too
+            move_person(state, child, home)
         mother.gave_birth = True
         outcome.born.append(child.id)
 
@@ -242,6 +238,23 @@ def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
     return min(max_num_marr_cand, max(1, pool_size // 10))
 
 
+def find_bride(man: Person, pool: list[Person], n_cand: int,
+               weight: Callable[[Person, Person], float],
+               rng: random.Random) -> Person | None:
+    """Sample up to n_cand candidate brides from the pool, pick one by
+    weight(man, candidate), link the couple and take the bride out of the
+    pool. None if the pool is empty (no draw) or every weight is zero."""
+    if not pool:
+        return None
+    candidates = rng.sample(pool, min(n_cand, len(pool)))
+    bride = weighted_pick(candidates, [weight(man, f) for f in candidates],
+                          rng)
+    if bride is not None:
+        link_partners(man, bride)
+        pool.remove(bride)
+    return bride
+
+
 def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
               rng: random.Random, outcome: StepOutcome) -> None:
     """One Bernoulli(marriage p_step) draw per eligible male, ascending id
@@ -252,27 +265,20 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     males = marriage_eligible(state, prev, MALE)
     pool = marriage_eligible(state, prev, FEMALE)
     n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
+    weight = partial(marriage_weight, state)
     for man in males:
         if rng.random() >= ctx.marriage_p_step(man):
             continue
-        k = min(n_cand, len(pool))
-        if k == 0:
-            continue
-        candidates = rng.sample(pool, k)
-        weights = [marriage_weight(state, man, f) for f in candidates]
-        bride = weighted_pick(candidates, weights, rng)
+        bride = find_bride(man, pool, n_cand, weight, rng)
         if bride is None:
             continue
-        link_partners(man, bride)
-        pool.remove(bride)
         _merge_households(state, man, bride)
         outcome.married.append((man.id, bride.id))
 
 
 def _merge_households(state: WorldState, man: Person, bride: Person) -> None:
-    his = state.houses[man.house]
-    hers = state.houses[bride.house]
-    if his.id == hers.id:
+    his, hers = state.houses.get(man.house), state.houses.get(bride.house)
+    if his is None or hers is None or his is hers:
         return
     if len(his.occupants) >= len(hers.occupants):
         source, target = hers, his

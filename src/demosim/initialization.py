@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .events import age_factor, candidate_count, weighted_pick
+from .events import age_factor, candidate_count, find_bride
 from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                    ModelParams, Person, SimTime, SimulationParams, WorldState,
-                    link_partners)
+                    ModelParams, Person, SimTime, SimulationParams, WorldState)
 from .space import DensityMap, build_towns, find_or_create_empty_house, \
     move_person, weighted_town
 
@@ -36,17 +35,10 @@ class InitReport:
     houses_created: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_town": {str(k): v for k, v in sorted(self.per_town.items())},
-            "persons_total": self.persons_total,
-            "adults": self.adults,
-            "children": self.children,
-            "couples": self.couples,
-            "males_left_single": self.males_left_single,
-            "children_assigned_parents": self.children_assigned_parents,
-            "parentless_children": list(self.parentless_children),
-            "houses_created": self.houses_created,
-        }
+        """The fields as JSON-ready values: town ids as strings, in order."""
+        return dict(asdict(self), per_town={
+            str(k): v for k, v in sorted(self.per_town.items())},
+            parentless_children=list(self.parentless_children))
 
 
 def town_population_targets(initial_pop: int,
@@ -87,24 +79,18 @@ def init_partnerships(state: WorldState, params: ModelParams,
             continue
         (males if p.gender == MALE else pool).append(p)
     n_cand = candidate_count(len(pool), params.max_num_marr_cand)
+
+    def weight(m: Person, f: Person) -> float:
+        return max(0.0, age_factor(m.age_steps / spy, f.age_steps / spy))
+
     couples = left_single = 0
     for m in males:
         if rng.random() >= params.start_married_ratio:
             continue
-        k = min(n_cand, len(pool))
-        if k == 0:
+        if find_bride(m, pool, n_cand, weight, rng) is None:
             left_single += 1
-            continue
-        candidates = rng.sample(pool, k)
-        weights = [max(0.0, age_factor(m.age_steps / spy, f.age_steps / spy))
-                   for f in candidates]
-        bride = weighted_pick(candidates, weights, rng)
-        if bride is None:
-            left_single += 1
-            continue
-        link_partners(m, bride)
-        pool.remove(bride)
-        couples += 1
+        else:
+            couples += 1
     return couples, left_single
 
 

@@ -161,7 +161,7 @@ class ModelData:
                 raise ConfigError(f"{name} entries must be >= 0")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # ids are unique: compare by identity
 class Person:
     id: int
     gender: str

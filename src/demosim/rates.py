@@ -6,8 +6,10 @@ them into per-step probabilities for a clock running n_per_year steps a year.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import repeat
 
-from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS,
+from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
                     DataFormatError, FertilityTable, ModelData, ModelParams,
                     Person, SimTime)
 
@@ -72,38 +74,23 @@ def marriage_rate_yearly(decade: int, params: ModelParams,
             * data.male_marriage_modifier_by_decade[decade - 1])
 
 
-def fertility_rate_yearly(age: float, year: int,
-                          table: FertilityTable) -> float:
-    """Table lookup by (floored age, calendar year). The year column clamps to
-    the table edges; an age outside the table means the reproducibility
-    precondition was violated upstream, so that raises instead."""
+def fertility_cell(age: float, year: int,
+                   table: FertilityTable) -> tuple[int, int]:
+    """(row, column) of the cell for a floored age and a calendar year. The
+    year clamps to the table edges; an age outside the table means the
+    reproducibility precondition failed upstream, so that raises instead."""
     row = int(age) - table.age_offset
     if not 0 <= row < len(table.rows):
         raise ValueError(f"age {age:.2f} outside fertility table (rows "
                          f"{table.age_offset}.."
                          f"{table.age_offset + len(table.rows) - 1})")
-    col = min(max(year - table.year_offset, 0), len(table.rows[0]) - 1)
+    return row, min(max(year - table.year_offset, 0), len(table.rows[0]) - 1)
+
+
+def fertility_rate_yearly(age: float, year: int,
+                          table: FertilityTable) -> float:
+    row, col = fertility_cell(age, year, table)
     return table.rows[row][col]
-
-
-def check_yearly_rates(params: ModelParams, data: ModelData) -> None:
-    """Raise ValueError unless a run can look up every yearly rate it needs
-    and convert it to a per-step one: the divorce and marriage rate of each
-    decade must be < 1, and the fertility table must cover each age a mother
-    can have (FertilityTable itself keeps its values < 1)."""
-    for decade in range(1, 17):
-        for name, formula in (("divorce", divorce_rate_yearly),
-                              ("marriage", marriage_rate_yearly)):
-            rate = formula(decade, params, data)
-            if rate >= 1:
-                raise ValueError(f"yearly {name} rate in decade {decade} is "
-                                 f"{rate}; base rate x modifier must be < 1")
-    table = data.fertility
-    first, last = table.age_offset, table.age_offset + len(table.rows) - 1
-    if first > ADULT_YEARS or last < MOTHER_AGE_LIMIT_YEARS - 1:
-        raise ValueError(f"fertility table covers ages {first}..{last}; it "
-                         f"must cover {ADULT_YEARS}.."
-                         f"{MOTHER_AGE_LIMIT_YEARS - 1}")
 
 
 def load_fertility_text(text: str) -> FertilityTable:
@@ -150,53 +137,65 @@ def default_model_data() -> ModelData:
 
 
 class RateContext:
-    """Params + data + per-step-probability caches for one run.
+    """Params + data + per-step probabilities for one run.
 
-    Every age bucket maps to the same per-step probability for the whole run
-    (the clock rate is fixed), so memoizing the converted formulas by
-    (gender, age_steps), decade, or (age in years, calendar year) is
-    behavior-preserving and keeps the hot event loops cheap.
+    The clock rate is fixed, so each yearly rate has one per-step value. The
+    constructor converts every decade's divorce and marriage rate and every
+    fertility cell once, and raises ValueError for any rate a run cannot use.
+    Death rates fill one array per gender on first use, indexed by age in
+    steps (NaN: not converted yet) and as long as the oldest age looked up.
     """
 
     def __init__(self, params: ModelParams, data: ModelData, steps_per_year: int):
         self.params = params
         self.data = data
         self.steps_per_year = steps_per_year
-        self._death: dict[tuple[str, int], float] = {}
-        self._divorce: dict[int, float] = {}
-        self._marriage: dict[int, float] = {}
-        self._fertility: dict[tuple[int, int], float] = {}
+        self._divorce = self._decade_table("divorce", divorce_rate_yearly)
+        self._marriage = self._decade_table("marriage", marriage_rate_yearly)
+        table = data.fertility
+        first, last = table.age_offset, table.age_offset + len(table.rows) - 1
+        if first > ADULT_YEARS or last < MOTHER_AGE_LIMIT_YEARS - 1:
+            raise ValueError(f"fertility table covers ages {first}..{last}; it "
+                             f"must cover {ADULT_YEARS}.."
+                             f"{MOTHER_AGE_LIMIT_YEARS - 1}")
+        # FertilityTable keeps its values in [0, 1), so each cell converts
+        self._fertility = tuple(
+            tuple(instantaneous(v, steps_per_year) for v in row)
+            for row in table.rows)
+        self._death = {MALE: array("d"), FEMALE: array("d")}
+
+    def _decade_table(self, name: str, formula) -> tuple[float, ...]:
+        """Per-step rate of decades 1..16, at index decade - 1."""
+        table = []
+        for decade in range(1, 17):
+            rate = formula(decade, self.params, self.data)
+            if rate >= 1:
+                raise ValueError(f"yearly {name} rate in decade {decade} is "
+                                 f"{rate}; base rate x modifier must be < 1")
+            table.append(instantaneous(rate, self.steps_per_year))
+        return tuple(table)
 
     def death_p_step(self, person: Person) -> float:
-        key = (person.gender, person.age_steps)
-        p = self._death.get(key)
-        if p is None:
-            yearly = death_rate_yearly_at(person.age_steps / self.steps_per_year,
+        memo = self._death[person.gender]
+        age = person.age_steps
+        if age >= len(memo):
+            memo.extend(repeat(math.nan, age + 1 - len(memo)))
+        p = memo[age]
+        if p != p:  # NaN: not converted yet
+            yearly = death_rate_yearly_at(age / self.steps_per_year,
                                           person.gender, self.params)
-            p = self._death[key] = instantaneous(yearly, self.steps_per_year)
+            p = memo[age] = instantaneous(yearly, self.steps_per_year)
         return p
 
     def divorce_p_step(self, man: Person) -> float:
         decade = decade_index(man.age_steps / self.steps_per_year)
-        p = self._divorce.get(decade)
-        if p is None:
-            yearly = divorce_rate_yearly(decade, self.params, self.data)
-            p = self._divorce[decade] = instantaneous(yearly, self.steps_per_year)
-        return p
+        return self._divorce[decade - 1]
 
     def marriage_p_step(self, man: Person) -> float:
         decade = decade_index(man.age_steps / self.steps_per_year)
-        p = self._marriage.get(decade)
-        if p is None:
-            yearly = marriage_rate_yearly(decade, self.params, self.data)
-            p = self._marriage[decade] = instantaneous(yearly, self.steps_per_year)
-        return p
+        return self._marriage[decade - 1]
 
     def fertility_p_step(self, woman: Person, time: SimTime) -> float:
-        age = woman.age_steps / self.steps_per_year
-        key = (int(age), time.year)
-        p = self._fertility.get(key)
-        if p is None:
-            yearly = fertility_rate_yearly(age, time.year, self.data.fertility)
-            p = self._fertility[key] = instantaneous(yearly, self.steps_per_year)
-        return p
+        row, col = fertility_cell(woman.age_steps / self.steps_per_year,
+                                  time.year, self.data.fertility)
+        return self._fertility[row][col]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import (HOUSE_COORD_BOUNDS, ConfigError, DataFormatError, House,
                     Person, Town, WorldState)
@@ -117,27 +118,30 @@ def find_or_create_empty_house(state: WorldState, town: Town,
     return create_house(state, town, rng)
 
 
+def weighted_pick(items: list, weights: list[float], rng: random.Random):
+    """One item with probability proportional to its non-negative weight;
+    None, with no draw, when the total weight is zero."""
+    cumulative = list(accumulate(weights))
+    if not cumulative or cumulative[-1] <= 0.0:
+        return None
+    x = rng.random() * cumulative[-1]
+    # first index whose running total exceeds x, so a zero-weight item never
+    # matches; the last item if x reaches the total (rounded or infinite)
+    return items[min(bisect.bisect_right(cumulative, x), len(items) - 1)]
+
+
 def weighted_town(towns: list[Town], rng: random.Random) -> Town:
     """Density-weighted town selection."""
-    if not towns:
-        raise ConfigError("no towns to select from")
-    total = 0.0
-    cumulative = []
-    for town in towns:
-        total += town.density
-        cumulative.append(total)
-    if total <= 0:
-        raise ConfigError("total town density is zero")
-    x = rng.random() * total
-    # first index whose cumulative weight exceeds x; zero-weight towns can
-    # never match because they add nothing to the running total
-    return towns[bisect.bisect_right(cumulative, x)]
+    town = weighted_pick(towns, [t.density for t in towns], rng)
+    if town is None:
+        raise ConfigError("total town density is zero" if towns
+                          else "no towns to select from")
+    return town
 
 
 def move_person(state: WorldState, person: Person, house: House) -> None:
     """Re-house a person, keeping both occupant sets consistent."""
-    if person.house is not None and person.house in state.houses:
-        state.houses[person.house].occupants.discard(person.id)
+    leave_house(state, person)
     person.house = house.id
     house.occupants.add(person.id)
 

@@ -11,7 +11,8 @@ import demosim.engine as engine
 from demosim.engine import (RunConfig, TimeSeries, TIMESERIES_HEADER,
                             resolve_seed, run, run_batch, state_digest,
                             violations_csv)
-from demosim.model import (AssumptionFailure, ModelParams, SimulationParams)
+from demosim.model import (AssumptionFailure, IntegrityError, ModelParams,
+                           SimulationParams)
 from demosim.rates import default_model_data
 from demosim.space import DensityMap
 from demosim.verification import Violation
@@ -160,3 +161,47 @@ def test_timeseries_rows_cross_check():
     assert totals["marriages"] == sum(r[7] for r in rows)
     assert totals["divorces"] == sum(r[8] for r in rows)
     assert all(r[2] == r[3] + r[4] for r in rows)  # alive = males + females
+
+
+def test_homeless_persons_do_not_stop_warn_mode(monkeypatch):
+    """Every other occupied house is removed after the first step, so half
+    the population lives on without a house: a warn-mode run keeps stepping
+    (no mover, marriage weight or neonate placement looks the missing house
+    up) and flags a_homeless on every step from then on."""
+    real_step = engine.step
+
+    def demolish(state, *args):
+        outcome = real_step(state, *args)
+        if state.time.step_index == 1:
+            occupied = sorted(h.id for h in state.houses.values()
+                              if h.occupants)
+            for hid in occupied[::2]:
+                house = state.houses.pop(hid)
+                state.towns[house.town].houses.discard(hid)
+        return outcome
+
+    monkeypatch.setattr(engine, "step", demolish)
+    result = run(config(pop=300, seed=3, verification_mode="warn"))
+    assert result.summary["steps_completed"] == 365
+    flagged = {v.step_index for v in result.violations
+               if v.label == "a_homeless"}
+    assert flagged == set(range(1, 366))
+
+
+@pytest.mark.parametrize("mode", ["warn", "fail"])
+def test_conservation_check_fires(monkeypatch, mode):
+    """A person who dies without the death being recorded breaks the alive
+    count's balance with births - deaths; run() raises IntegrityError in
+    either verification mode, before a fail-mode abort on the violations
+    the stray death also causes."""
+    real_step = engine.step
+
+    def lose_one(state, *args):
+        outcome = real_step(state, *args)
+        if state.time.step_index == 3:
+            next(p for p in state.persons.values() if p.alive).alive = False
+        return outcome
+
+    monkeypatch.setattr(engine, "step", lose_one)
+    with pytest.raises(IntegrityError, match="step 3: alive delta"):
+        run(config(pop=100, seed=5, verification_mode=mode))

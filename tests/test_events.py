@@ -104,6 +104,33 @@ def test_weighted_pick():
     # zero-weight item is unreachable even when the draw lands on its bound
     rng = ScriptedRandom([0.0])
     assert weighted_pick(["a", "b"], [0.0, 1.0], rng) == "b"
+    # a draw that reaches the total takes the last item
+    assert weighted_pick(["a", "b"], [1.0, 0.0], ScriptedRandom([1.0])) == "b"
+
+
+def test_weighted_pick_matches_linear_scan():
+    """The running-total bisection picks the item a linear scan for the
+    first running total above the draw picks, zero weights included."""
+    def linear(items, weights, rng):
+        total, cumulative = 0.0, []
+        for w in weights:
+            total += w
+            cumulative.append(total)
+        if total <= 0.0:
+            return None
+        x = rng.random() * total
+        return next((item for item, bound in zip(items, cumulative)
+                     if x < bound), items[-1])
+
+    gen = random.Random(11)
+    for _ in range(2000):
+        n = gen.randint(1, 12)
+        items = list(range(n))
+        weights = [gen.choice((0.0, 0.25, 1.0, gen.random(), 1e300))
+                   for _ in range(n)]
+        seed = gen.random()
+        assert weighted_pick(items, weights, random.Random(seed)) == \
+            linear(items, weights, random.Random(seed))
 
 
 def test_candidate_count():

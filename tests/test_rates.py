@@ -151,33 +151,66 @@ def test_load_fertility_text_errors():
 
 
 def test_rate_context_matches_direct_computation():
-    state = make_state()
+    """Every table entry is exactly the converted formula: each decade's
+    divorce and marriage rate, each fertility cell (the year clamped at both
+    table edges, an age outside the table raising as the formula does), and
+    death at ages spread over 0..120 years on every clock."""
     params = ModelParams()
     data = default_model_data()
-    ctx = RateContext(params, data, 365)
-    man = add_person(state, MALE, 42)
-    woman = add_person(state, FEMALE, 29)
-    assert ctx.death_p_step(man) == pytest.approx(
-        instantaneous(death_rate_yearly_at(42, MALE, params), 365), rel=1e-12)
-    assert ctx.divorce_p_step(man) == pytest.approx(
-        instantaneous(divorce_rate_yearly(5, params, data), 365), rel=1e-12)
-    assert ctx.marriage_p_step(man) == pytest.approx(
-        instantaneous(marriage_rate_yearly(5, params, data), 365), rel=1e-12)
-    assert ctx.fertility_p_step(woman, state.time) == pytest.approx(
-        instantaneous(fertility_rate_yearly(29, 2020, data.fertility), 365),
-        rel=1e-12)
+    table = data.fertility
+    for spy in (12, 52, 365, 8760):
+        ctx = RateContext(params, data, spy)
+        state = make_state(spy)
+        for decade in range(1, 17):
+            man = add_person(state, MALE, 0)
+            man.age_steps = max(1, (decade - 1) * 10 * spy + spy // 2)
+            assert decade_index(man.age_steps / spy) == decade
+            assert ctx.divorce_p_step(man) == instantaneous(
+                divorce_rate_yearly(decade, params, data), spy)
+            assert ctx.marriage_p_step(man) == instantaneous(
+                marriage_rate_yearly(decade, params, data), spy)
+        woman = add_person(state, FEMALE, 0)
+        for row in range(len(table.rows)):
+            woman.age_steps = (table.age_offset + row) * spy + spy // 3
+            age = woman.age_steps / spy
+            for year in (2000, table.year_offset, 2150):
+                state.time.step_index = (year - state.time.t0_year) * spy
+                assert ctx.fertility_p_step(woman, state.time) == \
+                    instantaneous(fertility_rate_yearly(age, year, table), spy)
+        for years in (table.age_offset - 1, table.age_offset + len(table.rows)):
+            woman.age_steps = years * spy
+            with pytest.raises(ValueError, match="outside fertility table"):
+                ctx.fertility_p_step(woman, state.time)
+        for gender in (MALE, FEMALE):
+            person = add_person(state, gender, 0)
+            for years in (0, 0.5, 1, 17.99, 18, 35, 64.2, 80, 99.9, 118, 120):
+                person.age_steps = int(years * spy)
+                assert ctx.death_p_step(person) == instantaneous(
+                    death_rate_yearly_at(person.age_steps / spy, gender,
+                                         params), spy)
 
 
 def test_rate_context_memoizes():
-    params = ModelParams()
-    data = default_model_data()
-    ctx = RateContext(params, data, 365)
-    state = make_state()
+    """The death memo holds one entry per age step up to the oldest age
+    looked up, whatever the number of lookups."""
+    ctx = RateContext(ModelParams(), default_model_data(), 8760)
+    state = make_state(8760)
     a = add_person(state, MALE, 42)
     b = add_person(state, MALE, 42)
     first = ctx.death_p_step(a)
     assert ctx.death_p_step(b) == first
-    assert (MALE, a.age_steps) in ctx._death
+    oldest = a.age_steps
+    for _ in range(3):
+        for years in (1, 30, 42, 10):
+            b.age_steps = int(years * 8760)
+            ctx.death_p_step(b)
+            oldest = max(oldest, b.age_steps)
+    assert len(ctx._death[MALE]) == oldest + 1
+    assert len(ctx._death[FEMALE]) == 0
+    woman = add_person(state, FEMALE, 7)
+    ctx.death_p_step(woman)
+    assert len(ctx._death[FEMALE]) == woman.age_steps + 1
+    assert len(ctx._death[MALE]) == oldest + 1
 
 
 def test_zero_rate_never_fires():
