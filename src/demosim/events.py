@@ -150,8 +150,9 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
     """One Bernoulli(death p_step) draw per alive non-neonate, ascending id.
     Dying persons stay on record (kinship intact, age frozen) but leave their
     house and widow their partner."""
+    draw, death_p_step = rng.random, ctx.death_p_step
     for p in [q for q in state.persons.values() if q.alive and q.age_steps > 0]:
-        if rng.random() < ctx.death_p_step(p):
+        if draw() < death_p_step(p):
             unlink_partners(state, p)
             leave_house(state, p)
             p.alive = False

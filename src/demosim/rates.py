@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from itertools import repeat
 
 from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
@@ -150,6 +151,10 @@ class RateContext:
         self.params = params
         self.data = data
         self.steps_per_year = steps_per_year
+        # the last age in steps of decades 1..15: bisect_left(bounds, age)
+        # is decade_index(age in years) - 1, without float division
+        self._decade_bounds = tuple(10 * k * steps_per_year
+                                    for k in range(1, 16))
         self._divorce = self._decade_table("divorce", divorce_rate_yearly)
         self._marriage = self._decade_table("marriage", marriage_rate_yearly)
         table = data.fertility
@@ -188,12 +193,10 @@ class RateContext:
         return p
 
     def divorce_p_step(self, man: Person) -> float:
-        decade = decade_index(man.age_steps / self.steps_per_year)
-        return self._divorce[decade - 1]
+        return self._divorce[bisect_left(self._decade_bounds, man.age_steps)]
 
     def marriage_p_step(self, man: Person) -> float:
-        decade = decade_index(man.age_steps / self.steps_per_year)
-        return self._marriage[decade - 1]
+        return self._marriage[bisect_left(self._decade_bounds, man.age_steps)]
 
     def fertility_p_step(self, woman: Person, time: SimTime) -> float:
         row, col = fertility_cell(woman.age_steps / self.steps_per_year,

@@ -6,7 +6,10 @@ checks once after construction, every_step checks after each step, and the
 retrospective space checks against a digest of the previous step's id sets.
 Statistical assumptions (uniformity, gender ratio, weighted selection) keep
 registry entries but no per-step check; they are covered by seeded
-distribution tests in the test suite. Checks are read-only by contract.
+distribution tests in the test suite. Checks are read-only by contract:
+they never mutate the state. A check may keep its own bookkeeping across
+steps, as the kinship check keeps a merge-only union-find (KinshipIndex)
+for the run's WorldState, so build_registry builds fresh checks per run.
 """
 from __future__ import annotations
 
@@ -245,12 +248,29 @@ def _check_married_gives_birth(state: WorldState, snaps) -> list[Violation]:
     return out
 
 
-def _kinship_roots(state: WorldState) -> dict[int, int]:
-    """Union-find over the kinship graph: parent links and every historic
-    partnership. Dead persons participate as connectors."""
-    parent = {pid: pid for pid in state.persons}
+class KinshipIndex:
+    """Merge-only union-find over the kinship graph of one WorldState: every
+    parent link and every historic partnership, with dead persons as
+    connectors (Tarjan 1975).
 
-    def find(x: int) -> int:
+    Components only ever merge, because parent links are set once when a
+    person is created and `ever_partners` only grows. So `sync` keeps the
+    index exact by absorbing what is new since the last call: the parent
+    links of persons seen for the first time, and the partner entries
+    appended since. A partner list that shrank, a write the model never
+    makes, rebuilds the index from scratch. A parent link rewritten after
+    creation is not seen.
+    """
+
+    __slots__ = ("_parent", "_absorbed")
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
+        # person id -> number of its ever_partners entries already unioned
+        self._absorbed: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self._parent
         root = x
         while parent[root] != root:
             root = parent[root]
@@ -258,37 +278,65 @@ def _kinship_roots(state: WorldState) -> dict[int, int]:
             parent[x], x = root, parent[x]
         return root
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
+    def _union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            parent[rb] = ra
+            self._parent[rb] = ra
 
-    for p in state.persons.values():
-        if p.father is not None:
-            union(p.id, p.father)
-        if p.mother is not None:
-            union(p.id, p.mother)
-        for ex in p.ever_partners:
-            union(p.id, ex)
-    return {pid: find(pid) for pid in parent}
+    def sync(self, state: WorldState) -> None:
+        """Bring the index up to the kinship graph of `state`."""
+        parent, absorbed = self._parent, self._absorbed
+        fresh, grown = [], []
+        for pid, p in state.persons.items():
+            seen = absorbed.get(pid)
+            if seen is None:
+                parent.setdefault(pid, pid)
+                fresh.append(p)
+            elif seen != len(p.ever_partners):
+                if seen > len(p.ever_partners):
+                    parent.clear()
+                    absorbed.clear()
+                    self.sync(state)
+                    return
+                grown.append(p)
+        # every person on record has an entry now, so links can be unioned
+        for p in fresh:
+            for kin in (p.father, p.mother):
+                if kin is not None:
+                    self._union(p.id, kin)
+        for p in fresh + grown:
+            for ex in p.ever_partners[absorbed.get(p.id, 0):]:
+                self._union(p.id, ex)
+            absorbed[p.id] = len(p.ever_partners)
 
 
-def _check_housing_kinship(state: WorldState, snaps) -> list[Violation]:
+def _make_housing_kinship_check():
     """Co-occupants must be mutually reachable through parent/child and
     (possibly historic) partnership links: the pairwise kin list closed under
-    chains, with dead relatives as valid intermediates."""
-    roots = _kinship_roots(state)
-    out = []
-    for house in state.houses.values():
-        if len(house.occupants) < 2:
-            continue
-        occ = sorted(house.occupants)
-        first = roots[occ[0]]
-        if any(roots[pid] != first for pid in occ[1:]):
-            out.append(Violation("a_housing_kinship", state.time.step_index,
-                                 tuple(occ),
-                                 f"house {house.id} mixes unrelated persons"))
-    return out
+    chains, with dead relatives as valid intermediates.
+
+    The check keeps one KinshipIndex for the WorldState it last saw and
+    syncs it before each evaluation; handed a different state, it starts a
+    fresh index. It still visits every house, so an occupant written
+    straight into a house is checked like one moved there by an event."""
+    index = indexed = None
+
+    def check(state: WorldState, snaps) -> list[Violation]:
+        nonlocal index, indexed
+        if state is not indexed:
+            index, indexed = KinshipIndex(), state
+        index.sync(state)
+        find = index.find
+        out = []
+        for house in state.houses.values():
+            occ = house.occupants
+            if len(occ) >= 2 and len({find(pid) for pid in occ}) > 1:
+                out.append(Violation("a_housing_kinship", state.time.step_index,
+                                     tuple(sorted(occ)),
+                                     f"house {house.id} mixes unrelated persons"))
+        return out
+
+    return check
 
 
 def _move_out_violations(label: str, who: str, state: WorldState,
@@ -314,10 +362,13 @@ def _move_out_violations(label: str, who: str, state: WorldState,
 
 def _check_adult_moves_out(state: WorldState, snaps) -> list[Violation]:
     prev = _prev(state, snaps)
+    turned_adult = _turned_adult(state, prev)
+    if not turned_adult:
+        return []
     just_married = {pid for m, f in _just_married_couples(state, prev)
                     for pid in (m.id, f.id)}
     out = []
-    for p, stays_home in _turned_adult(state, prev):
+    for p, stays_home in turned_adult:
         if not p.alive or p.id in just_married:
             continue  # housing of the just-married is the marriage check's
         if stays_home:
@@ -450,8 +501,10 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
 # ----------------------------------------------------------- registry
 
 def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
-    """All labeled assumptions. Statistical and vacuous entries carry no-op
-    runtime checks so the registry still enumerates them."""
+    """All labeled assumptions, built for one run: the marriage-housing
+    check follows the event order and the kinship check keeps its own
+    index. Statistical and vacuous entries carry no-op runtime checks so
+    the registry still enumerates them."""
     return (
         Assumption("a0_adults_no_parents", "initial", _check_adults_no_parents),
         Assumption("a0_parents_alive", "initial", _check_parents_alive),
@@ -485,7 +538,8 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
         _structural("a_homeless", residence_faults),
         Assumption("a_arbitrary_occupants", "every_step", _noop, kind="vacuous",
                    note="houses have no occupancy cap; nothing to check"),
-        Assumption("a_housing_kinship", "every_step", _check_housing_kinship),
+        Assumption("a_housing_kinship", "every_step",
+                   _make_housing_kinship_check()),
         Assumption("a_adult_moves_out", "every_step", _check_adult_moves_out),
         _structural("a_dead_no_house", dead_residence_faults),
         Assumption("a_divorce_male_moves", "every_step",

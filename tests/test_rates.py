@@ -152,23 +152,28 @@ def test_load_fertility_text_errors():
 
 def test_rate_context_matches_direct_computation():
     """Every table entry is exactly the converted formula: each decade's
-    divorce and marriage rate, each fertility cell (the year clamped at both
-    table edges, an age outside the table raising as the formula does), and
-    death at ages spread over 0..120 years on every clock."""
+    divorce and marriage rate (mid-decade and one step either side of each
+    decade bound), each fertility cell (the year clamped at both table
+    edges, an age outside the table raising as the formula does), and death
+    at ages spread over 0..120 years on every clock."""
     params = ModelParams()
     data = default_model_data()
     table = data.fertility
     for spy in (12, 52, 365, 8760):
         ctx = RateContext(params, data, spy)
         state = make_state(spy)
+        man = add_person(state, MALE, 0)
         for decade in range(1, 17):
-            man = add_person(state, MALE, 0)
-            man.age_steps = max(1, (decade - 1) * 10 * spy + spy // 2)
-            assert decade_index(man.age_steps / spy) == decade
-            assert ctx.divorce_p_step(man) == instantaneous(
-                divorce_rate_yearly(decade, params, data), spy)
-            assert ctx.marriage_p_step(man) == instantaneous(
-                marriage_rate_yearly(decade, params, data), spy)
+            mid = max(1, (decade - 1) * 10 * spy + spy // 2)
+            assert decade_index(mid / spy) == decade
+            bound = decade * 10 * spy
+            for age in (mid, bound - 1, bound, bound + 1):
+                man.age_steps = age
+                expected = decade_index(age / spy)
+                assert ctx.divorce_p_step(man) == instantaneous(
+                    divorce_rate_yearly(expected, params, data), spy)
+                assert ctx.marriage_p_step(man) == instantaneous(
+                    marriage_rate_yearly(expected, params, data), spy)
         woman = add_person(state, FEMALE, 0)
         for row in range(len(table.rows)):
             woman.age_steps = (table.age_offset + row) * spy + spy // 3
