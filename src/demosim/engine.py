@@ -28,7 +28,7 @@ from .predicates import SnapshotStore
 from .rates import RateContext
 from .space import DensityMap
 from .verification import (SpaceDigest, Violation, build_registry,
-                           check_initial, check_retrospective, check_step)
+                           check_initial, check_step, space_changes)
 
 TIMESERIES_HEADER = ("step", "year", "alive", "males", "females", "births",
                      "deaths", "marriages", "divorces", "mean_age_years",
@@ -67,16 +67,22 @@ class TimeSeries:
     def append(self, state: WorldState, step_index: int, births: int,
                deaths: int, marriages: int, divorces: int,
                violations: int) -> None:
-        alive = [p for p in state.persons.values() if p.alive]
-        males = sum(1 for p in alive if p.gender == MALE)
+        # a full recount, one pass: the conservation check in run() compares
+        # consecutive rows, so a count kept by the events would prove nothing
+        alive = males = age_sum = 0
+        for p in state.persons.values():
+            if p.alive:
+                alive += 1
+                age_sum += p.age_steps
+                if p.gender == MALE:
+                    males += 1
         spy = state.time.steps_per_year
-        mean_age = (sum(p.age_steps for p in alive) / len(alive) / spy
-                    if alive else 0.0)
+        mean_age = age_sum / alive / spy if alive else 0.0
         empty = sum(1 for h in state.houses.values() if not h.occupants)
         self.rows.append((
             step_index,
             state.time.t0_year + step_index // spy,
-            len(alive), males, len(alive) - males,
+            alive, males, alive - males,
             births, deaths, marriages, divorces,
             round(mean_age, 6),
             len(state.houses), empty, violations,
@@ -228,8 +234,9 @@ def run(config: RunConfig) -> RunResult:
     for i in range(1, total_steps + 1):
         outcome = step(state, ctx, snaps, rng, config.event_order)
         step_violations = check_step(state, snaps, registry)
-        step_violations.extend(check_retrospective(space_before, state))
-        space_before = SpaceDigest.of(state)
+        space_after = SpaceDigest.of(state)
+        step_violations.extend(space_changes(space_before, space_after, i))
+        space_before = space_after
         all_violations.extend(step_violations)
         series.append(state, i, outcome.births, outcome.deaths,
                       outcome.marriages, outcome.divorces,

@@ -130,12 +130,12 @@ def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
     adult_steps = ADULT_YEARS * state.time.steps_per_year
     movers: list[Person] = []
     for p in state.persons.values():
-        p.gave_birth = False
-        if not p.alive:
-            continue
-        p.age_steps += 1
-        if p.age_steps == adult_steps:
-            movers.append(p)
+        if p.gave_birth:
+            p.gave_birth = False
+        if p.alive:
+            p.age_steps += 1
+            if p.age_steps == adult_steps:
+                movers.append(p)
     for p in movers:
         if is_orphan_oldest_sibling(state, p,
                                     lambda q: state.persons[q].alive,
@@ -149,10 +149,12 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(death p_step) draw per alive non-neonate, ascending id.
     Dying persons stay on record (kinship intact, age frozen) but leave their
-    house and widow their partner."""
+    house and widow their partner. One pass over the live records: a death
+    changes only the dying person's `alive`, so later visits see what a
+    list taken before the first draw would hold."""
     draw, death_p_step = rng.random, ctx.death_p_step
-    for p in [q for q in state.persons.values() if q.alive and q.age_steps > 0]:
-        if draw() < death_p_step(p):
+    for p in state.persons.values():
+        if p.alive and p.age_steps > 0 and draw() < death_p_step(p):
             unlink_partners(state, p)
             leave_house(state, p)
             p.alive = False
@@ -160,22 +162,26 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
 
 
 def _reproducible_women(state: WorldState) -> list[Person]:
-    """Married women below the mother age limit whose latest live birth lies
-    more than a year back (time-based, so a child's death cannot freeze the
-    spacing rule)."""
+    """Married adult women below the mother age limit with no child born
+    within the last year (time-based, so a child's death cannot freeze the
+    spacing rule). Married implies adult in a correct run; the adult test
+    keeps a married minor, which a_p_marriage_age reports, out of the
+    fertility table."""
     spy = state.time.steps_per_year
+    adult = ADULT_YEARS * spy
     limit = MOTHER_AGE_LIMIT_YEARS * spy
-    now = state.time.step_index
+    recent = state.time.step_index - spy
+    persons = state.persons
     out = []
-    for p in state.persons.values():
-        if not (p.alive and p.gender == FEMALE and p.partner is not None
-                and p.age_steps < limit):
+    for p in persons.values():
+        if (p.partner is None or p.gender != FEMALE or not p.alive
+                or not adult <= p.age_steps < limit):
             continue
-        if p.children:
-            last_birth = max(state.persons[c].born_step for c in p.children)
-            if now - last_birth <= spy:
-                continue
-        out.append(p)
+        for c in p.children:
+            if persons[c].born_step >= recent:
+                break
+        else:
+            out.append(p)
     return out
 
 
@@ -184,15 +190,16 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
     """One Bernoulli(fertility p_step) draw per reproducible woman, ascending
     id; on success one gender draw. The neonate starts in the mother's house
     with both parent links set."""
+    draw, fertility_p_step, time = rng.random, ctx.fertility_p_step, state.time
     for mother in _reproducible_women(state):
-        if rng.random() >= ctx.fertility_p_step(mother, state.time):
+        if draw() >= fertility_p_step(mother, time):
             continue
         if mother.partner is None:
             raise IntegrityError(f"reproducible woman p{mother.id} has no partner")
         father = state.persons[mother.partner]
-        gender = MALE if rng.random() < 0.5 else FEMALE
+        gender = MALE if draw() < 0.5 else FEMALE
         child = state.add_person(gender, age_steps=0,
-                                 born_step=state.time.step_index,
+                                 born_step=time.step_index,
                                  father=father.id, mother=mother.id)
         father.children.add(child.id)
         mother.children.add(child.id)
@@ -210,7 +217,7 @@ def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
     house in the same town, the rest of the household stays."""
     married_this_step = {m for m, _ in outcome.married}
     eligible = [p for p in state.persons.values()
-                if p.alive and p.gender == MALE and p.partner is not None
+                if p.partner is not None and p.gender == MALE and p.alive
                 and p.id not in married_this_step]
     for man in eligible:
         if rng.random() < ctx.divorce_p_step(man):
@@ -228,7 +235,7 @@ def marriage_eligible(state: WorldState, prev: Snapshot,
     not."""
     adult_steps = ADULT_YEARS * state.time.steps_per_year
     return [p for p in state.persons.values()
-            if p.alive and p.gender == gender and p.partner is None
+            if p.partner is None and p.gender == gender and p.alive
             and p.age_steps >= adult_steps and p.id not in prev.married
             and (gender == FEMALE or p.age_steps != adult_steps)]
 

@@ -218,14 +218,6 @@ class WorldState:
         return hid
 
 
-def age_years(person: Person, time: SimTime) -> float:
-    return person.age_steps / time.steps_per_year
-
-
-def is_adult(person: Person, time: SimTime) -> bool:
-    return person.age_steps >= ADULT_YEARS * time.steps_per_year
-
-
 def link_partners(a: Person, b: Person) -> None:
     a.partner = b.id
     b.partner = a.id

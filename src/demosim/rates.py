@@ -45,7 +45,9 @@ def instantaneous(p_yearly: float, n_per_year: int) -> float:
         raise ValueError(f"yearly rate must be < 1, got {p_yearly}")
     if n_per_year <= 0:
         raise ValueError(f"steps per year must be positive, got {n_per_year}")
-    return min(1.0, -math.log1p(-p_yearly) / n_per_year)
+    p = -math.log1p(-p_yearly) / n_per_year
+    # min(1.0, p) without the call: the same operand wins, NaN included
+    return p if p < 1.0 else 1.0
 
 
 def death_rate_yearly_at(age: float, gender: str, params: ModelParams) -> float:
@@ -55,7 +57,8 @@ def death_rate_yearly_at(age: float, gender: str, params: ModelParams) -> float:
     else:
         rate = (params.basic_death_rate
                 + math.exp(age / params.female_age_scaling) * params.female_age_death_rate)
-    return min(rate, MAX_YEARLY_RATE)
+    # min(rate, MAX_YEARLY_RATE) without the call: the same operand wins
+    return MAX_YEARLY_RATE if MAX_YEARLY_RATE < rate else rate
 
 
 def decade_index(age: float) -> int:
@@ -183,9 +186,11 @@ class RateContext:
     def death_p_step(self, person: Person) -> float:
         memo = self._death[person.gender]
         age = person.age_steps
-        if age >= len(memo):
+        try:
+            p = memo[age]
+        except IndexError:  # older than any age looked up so far
             memo.extend(repeat(math.nan, age + 1 - len(memo)))
-        p = memo[age]
+            p = math.nan
         if p != p:  # NaN: not converted yet
             yearly = death_rate_yearly_at(age / self.steps_per_year,
                                           person.gender, self.params)
@@ -199,6 +204,15 @@ class RateContext:
         return self._marriage[bisect_left(self._decade_bounds, man.age_steps)]
 
     def fertility_p_step(self, woman: Person, time: SimTime) -> float:
+        """fertility_cell's row and column rule, read without float division
+        for ages inside the table; any other age goes through fertility_cell,
+        which raises its out-of-table error."""
+        table = self.data.fertility
+        row = woman.age_steps // self.steps_per_year - table.age_offset
+        if 0 <= row < len(self._fertility):
+            cells = self._fertility[row]
+            col = time.year - table.year_offset
+            return cells[0 if col < 0 else col if col < len(cells) else -1]
         row, col = fertility_cell(woman.age_steps / self.steps_per_year,
-                                  time.year, self.data.fertility)
+                                  time.year, table)
         return self._fertility[row][col]

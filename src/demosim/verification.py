@@ -258,8 +258,9 @@ class KinshipIndex:
     index exact by absorbing what is new since the last call: the parent
     links of persons seen for the first time, and the partner entries
     appended since. A partner list that shrank, a write the model never
-    makes, rebuilds the index from scratch. A parent link rewritten after
-    creation is not seen.
+    makes, rebuilds the index from scratch, and `sync` returns True: only
+    then can a component have split. A parent link rewritten after creation
+    is not seen.
     """
 
     __slots__ = ("_parent", "_absorbed")
@@ -283,21 +284,26 @@ class KinshipIndex:
         if ra != rb:
             self._parent[rb] = ra
 
-    def sync(self, state: WorldState) -> None:
-        """Bring the index up to the kinship graph of `state`."""
+    def sync(self, state: WorldState) -> bool:
+        """Bring the index up to the kinship graph of `state`; True when it
+        had to rebuild."""
         parent, absorbed = self._parent, self._absorbed
         fresh, grown = [], []
-        for pid, p in state.persons.items():
+        # one cheap filter pass; the few persons it keeps are new or have a
+        # partner list whose length changed
+        changed = [(pid, p) for pid, p in state.persons.items()
+                   if absorbed.get(pid) != len(p.ever_partners)]
+        for pid, p in changed:
             seen = absorbed.get(pid)
             if seen is None:
                 parent.setdefault(pid, pid)
                 fresh.append(p)
-            elif seen != len(p.ever_partners):
-                if seen > len(p.ever_partners):
-                    parent.clear()
-                    absorbed.clear()
-                    self.sync(state)
-                    return
+            elif seen > len(p.ever_partners):
+                parent.clear()
+                absorbed.clear()
+                self.sync(state)
+                return True
+            else:
                 grown.append(p)
         # every person on record has an entry now, so links can be unioned
         for p in fresh:
@@ -308,6 +314,7 @@ class KinshipIndex:
             for ex in p.ever_partners[absorbed.get(p.id, 0):]:
                 self._union(p.id, ex)
             absorbed[p.id] = len(p.ever_partners)
+        return False
 
 
 def _make_housing_kinship_check():
@@ -317,23 +324,35 @@ def _make_housing_kinship_check():
 
     The check keeps one KinshipIndex for the WorldState it last saw and
     syncs it before each evaluation; handed a different state, it starts a
-    fresh index. It still visits every house, so an occupant written
-    straight into a house is checked like one moved there by an event."""
+    fresh index. It also keeps, per house id, the occupant set that last
+    passed. Between rebuilds components only merge, so a set that passed
+    still passes and its house is skipped while its occupants are equal to
+    that set; a house that failed is re-proved, and so re-reported, every
+    step. A rebuild or a new state clears the memo. Occupants are compared
+    with the live house on every visit, so an occupant written straight
+    into a house is checked like one moved there by an event."""
     index = indexed = None
+    proven: dict[int, frozenset[int]] = {}
 
     def check(state: WorldState, snaps) -> list[Violation]:
         nonlocal index, indexed
         if state is not indexed:
             index, indexed = KinshipIndex(), state
-        index.sync(state)
+            proven.clear()
+        if index.sync(state):
+            proven.clear()
         find = index.find
         out = []
-        for house in state.houses.values():
+        for hid, house in state.houses.items():
             occ = house.occupants
-            if len(occ) >= 2 and len({find(pid) for pid in occ}) > 1:
+            if len(occ) < 2 or proven.get(hid) == occ:
+                continue
+            if len({find(pid) for pid in occ}) > 1:
                 out.append(Violation("a_housing_kinship", state.time.step_index,
                                      tuple(sorted(occ)),
                                      f"house {house.id} mixes unrelated persons"))
+            else:
+                proven[hid] = frozenset(occ)
         return out
 
     return check
@@ -569,20 +588,27 @@ def check_step(state: WorldState, snaps: SnapshotStore,
     return out
 
 
-def check_retrospective(prev_digest: SpaceDigest,
-                        state: WorldState) -> list[Violation]:
-    """Post-style space assumptions, checked one step after the fact: town
-    set (with densities) never changes; houses are never demolished."""
+def space_changes(before: SpaceDigest, after: SpaceDigest,
+                  step_index: int) -> list[Violation]:
+    """Post-style space assumptions between two digests: the town set (with
+    densities) never changes; houses are never demolished."""
     out = []
-    cur = SpaceDigest.of(state)
-    if cur.towns != prev_digest.towns:
-        changed = prev_digest.towns ^ cur.towns
+    if after.towns != before.towns:
+        changed = before.towns ^ after.towns
         ids = tuple(sorted({entry[0] for entry in changed}))
-        out.append(Violation("a_s_static_towns", state.time.step_index, ids,
+        out.append(Violation("a_s_static_towns", step_index, ids,
                              "town set or densities changed between steps"))
-    missing = prev_digest.houses - cur.houses
+    missing = before.houses - after.houses
     if missing:
-        out.append(Violation("a_s_house_persistence", state.time.step_index,
+        out.append(Violation("a_s_house_persistence", step_index,
                              tuple(sorted(missing)),
                              "houses disappeared between steps"))
     return out
+
+
+def check_retrospective(prev_digest: SpaceDigest,
+                        state: WorldState) -> list[Violation]:
+    """The space assumptions, checked one step after the fact against the
+    digest of the previous step."""
+    return space_changes(prev_digest, SpaceDigest.of(state),
+                         state.time.step_index)

@@ -11,8 +11,9 @@ import demosim.engine as engine
 from demosim.engine import (RunConfig, TimeSeries, TIMESERIES_HEADER,
                             resolve_seed, run, run_batch, state_digest,
                             violations_csv)
-from demosim.model import (AssumptionFailure, IntegrityError, ModelParams,
-                           SimulationParams)
+from demosim.model import (ADULT_YEARS, FEMALE, MALE, AssumptionFailure,
+                           IntegrityError, ModelParams, SimulationParams,
+                           link_partners)
 from demosim.rates import default_model_data
 from demosim.space import DensityMap
 from demosim.verification import Violation
@@ -186,6 +187,42 @@ def test_homeless_persons_do_not_stop_warn_mode(monkeypatch):
     flagged = {v.step_index for v in result.violations
                if v.label == "a_homeless"}
     assert flagged == set(range(1, 366))
+
+
+def test_married_minor_does_not_stop_warn_mode(monkeypatch):
+    """A single adult man is linked to a girl of 9 to 15 years after the
+    events of step 2, a partnership no event makes. The girl is never a
+    reproducible woman, so births does not look her age up in the
+    fertility table; the warn-mode run completes and a_p_marriage_age flags
+    her on every step from step 2 on."""
+    real_step = engine.step
+    minors = []
+
+    def marry_minor(state, *args):
+        outcome = real_step(state, *args)
+        if state.time.step_index == 2:
+            spy = state.time.steps_per_year
+            single = [p for p in state.persons.values()
+                      if p.alive and p.partner is None]
+            man = next(p for p in single if p.gender == MALE
+                       and p.age_steps >= ADULT_YEARS * spy)
+            girl = next(p for p in single if p.gender == FEMALE
+                        and 9 * spy <= p.age_steps < 16 * spy)
+            link_partners(man, girl)
+            minors.append(girl.id)
+        return outcome
+
+    monkeypatch.setattr(engine, "step", marry_minor)
+    result = run(RunConfig(
+        sim=SimulationParams(t0=2020, t_final=2022, delta_t="monthly",
+                             seed=1),
+        model=ModelParams(initial_pop=300), data=default_model_data(),
+        density=DensityMap.default(), verification_mode="warn"))
+    assert result.summary["steps_completed"] == 24
+    flagged = [v for v in result.violations
+               if v.label == "a_p_marriage_age"]
+    assert [v.step_index for v in flagged] == list(range(2, 25))
+    assert {v.ids for v in flagged} == {tuple(minors)}
 
 
 @pytest.mark.parametrize("mode", ["warn", "fail"])

@@ -52,6 +52,11 @@ GOLDEN = {
          "t_final": "2021", "seed": "7"},
         "ad3412930bc48e23",
         "2de8015f080cfce694ba99f8945b839ff35264737483e8747118adfc44cc22dc"),
+    "integer_clock": (
+        {"initial_pop": "200", "delta_t": "1000", "t0": "2020",
+         "t_final": "2022", "seed": "8"},
+        "8bdd6e7ffc5dc7fe",
+        "b4e94f2ca05423e401a0662cc57aaa60f07efdb4b61a54fe6f71b7bd8dedea7c"),
 }
 
 

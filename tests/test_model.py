@@ -7,9 +7,10 @@ import pytest
 from conftest import add_house, add_person, add_town, make_state, marry
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ConfigError,
                            DataFormatError, FertilityTable, ModelData,
-                           ModelParams, SimTime, SimulationParams, age_years,
-                           is_adult, link_partners, resolve_steps_per_year,
+                           ModelParams, SimTime, SimulationParams,
+                           link_partners, resolve_steps_per_year,
                            unlink_partners, validate_world)
+from demosim.predicates import is_adult
 
 
 def test_clock_labels():
@@ -115,10 +116,9 @@ def test_adult_boundary_is_exact():
     state = make_state(spy=12)
     p = add_person(state, MALE, 0)
     p.age_steps = ADULT_YEARS * 12 - 1
-    assert not is_adult(p, state.time)
+    assert not is_adult.eval(p.id, state, None)
     p.age_steps = ADULT_YEARS * 12
-    assert is_adult(p, state.time)
-    assert age_years(p, state.time) == 18.0
+    assert is_adult.eval(p.id, state, None)
 
 
 def test_validate_world_clean_family(family):

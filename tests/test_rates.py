@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
 from conftest import add_person, make_state
-from demosim.model import FEMALE, MALE, DataFormatError, ModelParams
+from demosim.model import (FEMALE, MALE, DataFormatError, FertilityTable,
+                           ModelParams)
 from demosim.rates import (DEFAULT_DIVORCE_MODIFIERS,
                            DEFAULT_MARRIAGE_MODIFIERS, MAX_YEARLY_RATE,
                            RateContext, death_rate_yearly_at, decade_index,
@@ -31,6 +34,18 @@ def test_instantaneous_frozen_values():
     assert instantaneous(0.05, 365) == pytest.approx(INST_005_DAILY, rel=1e-12)
     assert instantaneous(0.05, 12) == pytest.approx(INST_005_MONTHLY, rel=1e-12)
     assert instantaneous(0.0, 365) == 0.0
+
+
+def test_instantaneous_clamps_at_one():
+    """With one step a year, -ln(1 - p) passes 1 at p = 1 - 1/e; from there
+    on the per-step probability is exactly 1.0, as min(1.0, .) gives."""
+    edge = -math.expm1(-1.0)
+    for p in (0.5, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0),
+              0.7, 0.99, MAX_YEARLY_RATE):
+        assert instantaneous(p, 1) == min(1.0, -math.log1p(-p))
+    assert instantaneous(0.5, 1) == -math.log1p(-0.5) < 1.0
+    assert instantaneous(0.7, 1) == 1.0
+    assert instantaneous(MAX_YEARLY_RATE, 1) == 1.0
 
 
 def test_instantaneous_hazard_identity():
@@ -153,13 +168,20 @@ def test_load_fertility_text_errors():
 def test_rate_context_matches_direct_computation():
     """Every table entry is exactly the converted formula: each decade's
     divorce and marriage rate (mid-decade and one step either side of each
-    decade bound), each fertility cell (the year clamped at both table
-    edges, an age outside the table raising as the formula does), and death
-    at ages spread over 0..120 years on every clock."""
+    decade bound), each fertility row one step either side of its first
+    step and at it, for years below, inside and above a three-column table
+    (an age outside the table raising the formula's own error), and death
+    at ages spread over 0..120 years, on every label clock and on an
+    integer clock."""
     params = ModelParams()
     data = default_model_data()
-    table = data.fertility
-    for spy in (12, 52, 365, 8760):
+    table = FertilityTable(
+        rows=tuple((v, v / 2, v / 3) for v, in data.fertility.rows),
+        age_offset=data.fertility.age_offset, year_offset=2021)
+    first = table.age_offset
+    after_last = first + len(table.rows)
+    calendar_years = (2000, 2020, 2021, 2022, 2023, 2024, 2150)
+    for spy in (12, 52, 365, 8760, 1000):
         ctx = RateContext(params, data, spy)
         state = make_state(spy)
         man = add_person(state, MALE, 0)
@@ -174,18 +196,28 @@ def test_rate_context_matches_direct_computation():
                     divorce_rate_yearly(expected, params, data), spy)
                 assert ctx.marriage_p_step(man) == instantaneous(
                     marriage_rate_yearly(expected, params, data), spy)
+        fert_ctx = RateContext(params, replace(data, fertility=table), spy)
         woman = add_person(state, FEMALE, 0)
-        for row in range(len(table.rows)):
-            woman.age_steps = (table.age_offset + row) * spy + spy // 3
-            age = woman.age_steps / spy
-            for year in (2000, table.year_offset, 2150):
-                state.time.step_index = (year - state.time.t0_year) * spy
-                assert ctx.fertility_p_step(woman, state.time) == \
-                    instantaneous(fertility_rate_yearly(age, year, table), spy)
-        for years in (table.age_offset - 1, table.age_offset + len(table.rows)):
-            woman.age_steps = years * spy
-            with pytest.raises(ValueError, match="outside fertility table"):
-                ctx.fertility_p_step(woman, state.time)
+        outside = set()
+        for k in range(first, after_last + 1):
+            for age in (k * spy - 1, k * spy, k * spy + 1):
+                woman.age_steps = age
+                for year in calendar_years:
+                    state.time.step_index = (year - state.time.t0_year) * spy
+                    assert state.time.year == year
+                    try:
+                        expected = instantaneous(
+                            fertility_rate_yearly(age / spy, year, table), spy)
+                    except ValueError as exc:
+                        outside.add(age)
+                        with pytest.raises(ValueError,
+                                           match=f"^{re.escape(str(exc))}$"):
+                            fert_ctx.fertility_p_step(woman, state.time)
+                    else:
+                        assert fert_ctx.fertility_p_step(
+                            woman, state.time) == expected
+        assert outside == {first * spy - 1, after_last * spy,
+                           after_last * spy + 1}
         for gender in (MALE, FEMALE):
             person = add_person(state, gender, 0)
             for years in (0, 0.5, 1, 17.99, 18, 35, 64.2, 80, 99.9, 118, 120):
