@@ -13,7 +13,8 @@ from dataclasses import fields, replace
 from .engine import RunConfig, resolve_seed, run, run_batch
 from .events import DEFAULT_EVENT_ORDER
 from .model import (AssumptionFailure, ConfigError, DataFormatError,
-                    ModelData, ModelParams, SimulationParams)
+                    ModelData, ModelParams, SimulationError,
+                    SimulationParams)
 from .rates import (DEFAULT_DIVORCE_MODIFIERS, DEFAULT_MARRIAGE_MODIFIERS,
                     default_fertility, load_fertility_text)
 from .space import DensityMap
@@ -63,6 +64,16 @@ def _parse_vector(key: str, value: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, v.strip()) for v in value.split(","))
 
 
+def _read_text(path: str, error: type[SimulationError]) -> str:
+    """The text of an input file; one that is not UTF-8 is bad input."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
+
+
 def build_config(pairs: dict[str, str]) -> RunConfig:
     """Resolve a parsed key/value map into a full RunConfig; missing keys
     fall back to the embedded defaults."""
@@ -87,13 +98,13 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
     model = ModelParams(**model_kwargs)
 
     if "fertility_path" in pairs:
-        with open(pairs["fertility_path"], encoding="utf-8") as fh:
-            fertility = load_fertility_text(fh.read())
+        fertility = load_fertility_text(
+            _read_text(pairs["fertility_path"], DataFormatError))
     else:
         fertility = default_fertility()
     if "density_path" in pairs:
-        with open(pairs["density_path"], encoding="utf-8") as fh:
-            density = DensityMap.from_text(fh.read())
+        density = DensityMap.from_text(
+            _read_text(pairs["density_path"], DataFormatError))
     else:
         density = DensityMap.default()
     divorce_mod = (_parse_vector("divorce_modifiers", pairs["divorce_modifiers"])
@@ -136,8 +147,7 @@ def parse_config(path: str | None) -> RunConfig:
     """Load a config file (or the full defaults when path is None)."""
     if path is None:
         return build_config({})
-    with open(path, encoding="utf-8") as fh:
-        return build_config(parse_config_lines(fh.read()))
+    return build_config(parse_config_lines(_read_text(path, ConfigError)))
 
 
 def _print_defaults() -> None:

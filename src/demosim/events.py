@@ -14,7 +14,8 @@ from typing import Callable
 
 from .model import (ADULT_YEARS, ConfigError, IntegrityError, MALE, FEMALE,
                     MOTHER_AGE_LIMIT_YEARS, Person, WorldState,
-                    is_orphan_oldest_sibling, link_partners, unlink_partners)
+                    is_orphan_oldest_sibling, link_partners, mark_dead,
+                    unlink_partners)
 from .predicates import Snapshot, SnapshotStore
 from .rates import RateContext
 from .space import (find_or_create_empty_house, leave_house, manhattan,
@@ -157,7 +158,7 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
         if p.alive and p.age_steps > 0 and draw() < death_p_step(p):
             unlink_partners(state, p)
             leave_house(state, p)
-            p.alive = False
+            mark_dead(state, p)
             outcome.died.append(p.id)
 
 
@@ -246,8 +247,8 @@ def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
     return min(max_num_marr_cand, max(1, pool_size // 10))
 
 
-def find_bride(man: Person, pool: list[Person], n_cand: int,
-               weight: Callable[[Person, Person], float],
+def find_bride(state: WorldState, man: Person, pool: list[Person],
+               n_cand: int, weight: Callable[[Person, Person], float],
                rng: random.Random) -> Person | None:
     """Sample up to n_cand candidate brides from the pool, pick one by
     weight(man, candidate), link the couple and take the bride out of the
@@ -258,7 +259,7 @@ def find_bride(man: Person, pool: list[Person], n_cand: int,
     bride = weighted_pick(candidates, [weight(man, f) for f in candidates],
                           rng)
     if bride is not None:
-        link_partners(man, bride)
+        link_partners(state, man, bride)
         pool.remove(bride)
     return bride
 
@@ -277,7 +278,7 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     for man in males:
         if rng.random() >= ctx.marriage_p_step(man):
             continue
-        bride = find_bride(man, pool, n_cand, weight, rng)
+        bride = find_bride(state, man, pool, n_cand, weight, rng)
         if bride is None:
             continue
         _merge_households(state, man, bride)

@@ -87,7 +87,7 @@ def init_partnerships(state: WorldState, params: ModelParams,
     for m in males:
         if rng.random() >= params.start_married_ratio:
             continue
-        if find_bride(m, pool, n_cand, weight, rng) is None:
+        if find_bride(state, m, pool, n_cand, weight, rng) is None:
             left_single += 1
         else:
             couples += 1

@@ -1,9 +1,12 @@
 """Domain types shared by every other module: persons, houses, towns, time,
-parameters, the error hierarchy, the structural rules that both
-validate_world and the every-step assumption checks apply, and the orphan
-stay-home rule that ageing applies and its check replays."""
+parameters, the error hierarchy, the per-step change journal and the
+partnership and death mutators that write it, the structural rules that
+both validate_world and the every-step assumption checks apply, and the
+orphan stay-home rule that ageing applies and its check replays."""
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -108,6 +111,13 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("basic_divorce_rate", "basic_death_rate",
                      "basic_male_marriage_rate", "female_age_death_rate",
+                     "female_age_scaling", "male_age_death_rate",
+                     "male_age_scaling", "start_married_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
+        for name in ("basic_divorce_rate", "basic_death_rate",
+                     "basic_male_marriage_rate", "female_age_death_rate",
                      "male_age_death_rate"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -157,6 +167,8 @@ class ModelData:
             setattr(self, name, vec)
             if len(vec) != 16:
                 raise ConfigError(f"{name} must have 16 entries, got {len(vec)}")
+            if not all(math.isfinite(v) for v in vec):
+                raise ConfigError(f"{name} entries must be finite")
             if any(v < 0 for v in vec):
                 raise ConfigError(f"{name} entries must be >= 0")
 
@@ -194,6 +206,66 @@ class Town:
     houses: set[int] = field(default_factory=set)
 
 
+class Journal:
+    """The ids of the persons whose standing a WorldState mutator changed,
+    in write order (a person created, moved, housed out, linked, unlinked
+    or marked dead, and a partner a new link displaced), and of the houses
+    built. A house whose occupant set grew holds a journaled person: only
+    moving a person in adds an occupant.
+
+    It is keyed to the step index each write is made at. It holds the
+    writes of the newest step written at and of the step written at before
+    it, and forgets older ones. A reader keeps a mark from an earlier call
+    and asks for every id written since; `since` answers None when the mark
+    is from another journal or older than what is held, and the reader then
+    sweeps the whole state instead. Nothing written before the first mark
+    can be asked for, so until then (while a world is built) it records
+    nothing."""
+
+    __slots__ = ("_step", "_persons", "_houses", "_dropped", "_step_start",
+                 "_read")
+
+    def __init__(self) -> None:
+        self._step: int | None = None  # step of the newest write
+        self._persons: list[int] = []
+        self._houses: list[int] = []
+        # positions count recorded writes, persons and houses apart: the
+        # first entry held, and the first of the newest step's writes
+        self._dropped = self._step_start = (0, 0)
+        self._read = False  # whether a mark was ever taken
+
+    def note(self, step: int, persons: Iterable[int] = (),
+             houses: Iterable[int] = ()) -> None:
+        if not self._read:
+            return
+        if step != self._step:
+            (dp, dh), (sp, sh) = self._dropped, self._step_start
+            del self._persons[:sp - dp]
+            del self._houses[:sh - dh]
+            self._dropped = self._step_start
+            self._step_start = (sp + len(self._persons),
+                                sh + len(self._houses))
+            self._step = step
+        self._persons.extend(persons)
+        self._houses.extend(houses)
+
+    def mark(self) -> tuple:
+        """A position to read from later: everything written up to now."""
+        self._read = True
+        dp, dh = self._dropped
+        return (self, dp + len(self._persons), dh + len(self._houses))
+
+    def since(self, mark: tuple | None) -> tuple[set[int], set[int]] | None:
+        """The person ids and house ids written after `mark` was taken;
+        None when this journal cannot tell."""
+        if mark is None or mark[0] is not self:
+            return None
+        (_, mp, mh), (dp, dh) = mark, self._dropped
+        if mp < dp or mh < dh:
+            return None
+        return set(self._persons[mp - dp:]), set(self._houses[mh - dh:])
+
+
 @dataclass(slots=True)
 class WorldState:
     persons: dict[int, Person] = field(default_factory=dict)
@@ -202,6 +274,7 @@ class WorldState:
     time: SimTime = field(default_factory=lambda: SimTime(0, 2020, 365))
     next_person_id: int = 0
     next_house_id: int = 0
+    journal: Journal = field(default_factory=Journal)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:
@@ -210,6 +283,7 @@ class WorldState:
         person = Person(id=pid, gender=gender, age_steps=age_steps,
                         born_step=born_step, father=father, mother=mother)
         self.persons[pid] = person
+        self.journal.note(self.time.step_index, (pid,))
         return person
 
     def allocate_house_id(self) -> int:
@@ -218,11 +292,16 @@ class WorldState:
         return hid
 
 
-def link_partners(a: Person, b: Person) -> None:
+def link_partners(state: WorldState, a: Person, b: Person) -> None:
+    """Partner a and b and append each to the other's history. A partner
+    either had before is displaced: their link no longer points back, so
+    they are journaled too."""
+    displaced = [p.partner for p in (a, b) if p.partner is not None]
     a.partner = b.id
     b.partner = a.id
     a.ever_partners.append(b.id)
     b.ever_partners.append(a.id)
+    state.journal.note(state.time.step_index, (a.id, b.id, *displaced))
 
 
 def unlink_partners(state: WorldState, person: Person) -> None:
@@ -232,6 +311,14 @@ def unlink_partners(state: WorldState, person: Person) -> None:
     other = state.persons[person.partner]
     other.partner = None
     person.partner = None
+    state.journal.note(state.time.step_index, (person.id, other.id))
+
+
+def mark_dead(state: WorldState, person: Person) -> None:
+    """Set a person dead. They stay on record; leaving the house and
+    widowing the partner are separate writes (deaths makes both first)."""
+    person.alive = False
+    state.journal.note(state.time.step_index, (person.id,))
 
 
 def is_orphan_oldest_sibling(state: WorldState, p: Person,
@@ -256,52 +343,63 @@ def is_orphan_oldest_sibling(state: WorldState, p: Person,
 
 class Fault(NamedTuple):
     """One breach of a structural rule: the persons (or, for the coordinate
-    rule, the house) it names, and what broke."""
+    rule, the house) it names, what broke, and the house whose record broke
+    it; `house` is None when the broken record is the person ids[0]."""
     ids: tuple[int, ...]
     message: str
+    house: int | None = None
 
 
 def _person_fault(kind: str, pid: int, *others: int) -> Fault:
     return Fault((pid, *others), f"{kind}: p{pid}")
 
 
-def residence_faults(state: WorldState) -> list[Fault]:
+# Each structural rule examines the person and house records it is handed,
+# in ascending id, and returns their faults in that order. validate_world
+# hands it every person and house; an every-step check hands it those the
+# journal says may have changed, and those it flagged.
+
+def residence_faults(state: WorldState, persons: Iterable[Person],
+                     houses: Iterable[House]) -> list[Fault]:
     """Every alive person lives in a house that exists and lists them."""
     out = []
-    for pid, p in state.persons.items():
+    for p in persons:
         if not p.alive:
             continue
         if p.house is None:
-            out.append(_person_fault("alive person without house", pid))
+            out.append(_person_fault("alive person without house", p.id))
         elif p.house not in state.houses:
-            out.append(_person_fault("dangling house ref", pid))
-        elif pid not in state.houses[p.house].occupants:
-            out.append(_person_fault("occupant set misses resident", pid))
+            out.append(_person_fault("dangling house ref", p.id))
+        elif p.id not in state.houses[p.house].occupants:
+            out.append(_person_fault("occupant set misses resident", p.id))
     return out
 
 
-def dead_residence_faults(state: WorldState) -> list[Fault]:
+def dead_residence_faults(state: WorldState, persons: Iterable[Person],
+                          houses: Iterable[House]) -> list[Fault]:
     """The dead hold no house, and an occupant set lists only living
     persons who live in that house."""
-    out = [_person_fault("dead person keeps house", pid)
-           for pid, p in state.persons.items()
+    out = [_person_fault("dead person keeps house", p.id) for p in persons
            if not p.alive and p.house is not None]
-    for hid, h in state.houses.items():
+    for h in houses:
         for pid in h.occupants:
             occ = state.persons.get(pid)
-            if occ is None or not occ.alive or occ.house != hid:
-                out.append(Fault((pid,), f"stale occupant p{pid}: h{hid}"))
+            if occ is None or not occ.alive or occ.house != h.id:
+                out.append(Fault((pid,), f"stale occupant p{pid}: h{h.id}",
+                                 h.id))
     return out
 
 
-def partnership_faults(state: WorldState) -> list[Fault]:
+def partnership_faults(state: WorldState, persons: Iterable[Person],
+                       houses: Iterable[House]) -> list[Fault]:
     """Partnerships are symmetric, opposite-gender and between living
     adults. Each partner is checked from both sides."""
     adult_steps = ADULT_YEARS * state.time.steps_per_year
     out = []
-    for pid, p in state.persons.items():
+    for p in persons:
         if p.partner is None:
             continue
+        pid = p.id
         other = state.persons.get(p.partner)
         if other is None:
             out.append(_person_fault("dangling partner ref", pid))
@@ -318,11 +416,12 @@ def partnership_faults(state: WorldState) -> list[Fault]:
     return out
 
 
-def house_xy_faults(state: WorldState) -> list[Fault]:
+def house_xy_faults(state: WorldState, persons: Iterable[Person],
+                    houses: Iterable[House]) -> list[Fault]:
     """House coordinates lie within HOUSE_COORD_BOUNDS on both axes."""
     lo, hi = HOUSE_COORD_BOUNDS
-    return [Fault((hid,), f"house coordinates out of range: h{hid}")
-            for hid, h in state.houses.items()
+    return [Fault((h.id,), f"house coordinates out of range: h{h.id}", h.id)
+            for h in houses
             if not (lo <= h.local_xy[0] <= hi and lo <= h.local_xy[1] <= hi)]
 
 
@@ -334,7 +433,9 @@ STRUCTURAL_RULES = (residence_faults, dead_residence_faults,
 def validate_world(state: WorldState) -> list[str]:
     """Referential-integrity sweep. Returns one message per broken rule,
     empty when every structural invariant holds."""
-    problems = [f.message for rule in STRUCTURAL_RULES for f in rule(state)]
+    problems = [f.message for rule in STRUCTURAL_RULES
+                for f in rule(state, state.persons.values(),
+                              state.houses.values())]
     for pid, p in state.persons.items():
         if p.father is not None and p.father == p.mother:
             problems.append(f"father equals mother: p{pid}")

@@ -98,6 +98,7 @@ def create_house(state: WorldState, town: Town, rng: random.Random) -> House:
     house = House(id=state.allocate_house_id(), town=town.id, local_xy=(x, y))
     state.houses[house.id] = house
     town.houses.add(house.id)
+    state.journal.note(state.time.step_index, houses=(house.id,))
     return house
 
 
@@ -140,7 +141,8 @@ def weighted_town(towns: list[Town], rng: random.Random) -> Town:
 
 
 def move_person(state: WorldState, person: Person, house: House) -> None:
-    """Re-house a person, keeping both occupant sets consistent."""
+    """Re-house a person, keeping both occupant sets consistent. The
+    leave_house call journals the person."""
     leave_house(state, person)
     person.house = house.id
     house.occupants.add(person.id)
@@ -151,3 +153,4 @@ def leave_house(state: WorldState, person: Person) -> None:
     if person.house is not None and person.house in state.houses:
         state.houses[person.house].occupants.discard(person.id)
     person.house = None
+    state.journal.note(state.time.step_index, (person.id,))

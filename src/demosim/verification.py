@@ -8,15 +8,18 @@ Statistical assumptions (uniformity, gender ratio, weighted selection) keep
 registry entries but no per-step check; they are covered by seeded
 distribution tests in the test suite. Checks are read-only by contract:
 they never mutate the state. A check may keep its own bookkeeping across
-steps, as the kinship check keeps a merge-only union-find (KinshipIndex)
-for the run's WorldState, so build_registry builds fresh checks per run.
+steps: every hard every-step check remembers its last evaluation so that it
+can read the state's change journal instead of sweeping, and the kinship
+check keeps a merge-only union-find (KinshipIndex) for the run's
+WorldState. So build_registry builds fresh checks per run.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Person,
+from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, House, Person,
                     WorldState, dead_residence_faults, house_xy_faults,
                     is_orphan_oldest_sibling, partnership_faults,
                     residence_faults)
@@ -145,23 +148,122 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 
 # ------------------------------------------------------------- every step
+#
+# A hard every-step check reads what may have changed from the state's
+# change journal (model.Journal) when it has history: it was last evaluated
+# on the same WorldState at the previous step index, and no house has gone
+# missing since. Otherwise it sweeps every person and house on record, as a
+# fresh registry does at the first step.
 
-def _born_now(state: WorldState) -> list[Person]:
-    """Persons born this step, ascending id."""
+class _History:
+    """A check's record of its last evaluation: the state, the step index,
+    the journal mark then, and how many allocated house ids had no house."""
+
+    __slots__ = ("state", "step", "mark", "lost")
+
+    def __init__(self) -> None:
+        self.state = self.step = self.mark = self.lost = None
+
+    def follow(self, state: WorldState) -> tuple | None:
+        """Record this evaluation. Returns the journal mark of the previous
+        one when this one directly follows it on the same state and no
+        house went missing in between; None means sweep everything."""
+        now = state.time.step_index
+        lost = state.next_house_id - len(state.houses)
+        follows = (state is self.state and now == self.step + 1
+                   and lost == self.lost)
+        last = self.mark if follows else None
+        self.state, self.step, self.mark, self.lost = (
+            state, now, state.journal.mark(), lost)
+        return last
+
+
+def _reach(state: WorldState, written: tuple[set[int], set[int]],
+           flagged: tuple[set[int], set[int]]) -> tuple[list[Person],
+                                                     list[House]]:
+    """The persons and houses a structural rule re-examines, ascending id
+    (the order they are on record in, as ids are allocated in ascending
+    order): those journaled, the partner and house of each journaled
+    person, and those flagged at the last evaluation."""
+    pids, hids = written
+    persons, houses = state.persons, state.houses
+    for pid in tuple(pids):
+        p = persons[pid]
+        if p.partner in persons:
+            pids.add(p.partner)
+        hids.add(p.house)
+    pids |= flagged[0]
+    hids |= flagged[1]
+    return ([persons[pid] for pid in sorted(pids)],
+            [houses[hid] for hid in sorted(hid for hid in hids
+                                           if hid in houses)])
+
+
+def _structural(label: str, rule) -> Assumption:
+    """Every-step entry for a structural rule of model.py, which
+    validate_world applies too; its check reports one Violation per fault.
+    With history it examines only what _reach returns: any other record
+    passed at the last evaluation and no mutator has touched it or its
+    partner or house since, so it passes still. Re-examining what it
+    flagged keeps a fault that persists reported in warn mode."""
+    history = _History()
+    flagged: tuple[set[int], set[int]] = (set(), set())
+
+    def check(state: WorldState, snaps) -> list[Violation]:
+        nonlocal flagged
+        written = state.journal.since(history.follow(state))
+        if written is None:
+            persons, houses = state.persons.values(), state.houses.values()
+        else:
+            persons, houses = _reach(state, written, flagged)
+        faults = rule(state, persons, houses)
+        flagged = ({f.ids[0] for f in faults if f.house is None},
+                   {f.house for f in faults if f.house is not None})
+        return [Violation(label, state.time.step_index, f.ids, f.message)
+                for f in faults]
+
+    return Assumption(label, "every_step", check)
+
+
+def _step_change(label: str, body, note: str = "") -> Assumption:
+    """Every-step entry for a check that compares the state with the
+    previous snapshot. body(state, prev, changed) looks for step changes
+    only among `changed`, in ascending id: with history, the persons
+    journaled since that snapshot was frozen, as any other person's alive,
+    partner, house and birth step are as frozen; without, everyone on
+    record."""
+    history = _History()
+
+    def check(state: WorldState, snaps) -> list[Violation]:
+        prev = _prev(state, snaps)
+        written = (state.journal.since(prev.journal_mark)
+                   if history.follow(state) is not None else None)
+        persons = state.persons
+        changed = (persons.values() if written is None
+                   else [persons[pid] for pid in sorted(written[0])])
+        return body(state, prev, changed)
+
+    return Assumption(label, "every_step", check, note=note)
+
+
+def _born_now(state: WorldState, changed) -> list[Person]:
+    """Persons born this step."""
     now = state.time.step_index
-    return [q for q in state.persons.values() if q.born_step == now]
+    return [q for q in changed if q.born_step == now]
 
 
-def _died_now(state: WorldState, prev: Snapshot) -> set[int]:
+def _died_now(prev: Snapshot, changed) -> set[int]:
     """Ids alive at the previous step and dead now."""
-    return {pid for pid in prev.alive if not state.persons[pid].alive}
+    return {q.id for q in changed if not q.alive and q.id in prev.alive}
 
 
 def _turned_adult(state: WorldState,
                   prev: Snapshot) -> list[tuple[Person, bool]]:
     """Persons alive at the previous step who are exactly 18 years old now,
     ascending id, each with whether the orphan stay-home exception held when
-    ageing ran (parents and siblings as frozen, siblings one step older)."""
+    ageing ran (parents and siblings as frozen, siblings one step older).
+    A scan of everyone, not of the journal: it verifies ageing, which
+    writes every living person's age each step."""
     adult = _adult_steps(state)
     return [(p, is_orphan_oldest_sibling(state, p, prev.alive.__contains__,
                                          lambda q: prev.age_steps[q] + 1))
@@ -169,54 +271,47 @@ def _turned_adult(state: WorldState,
             if p.age_steps == adult and p.id in prev.alive]
 
 
-def _divorced_males(state: WorldState, prev: Snapshot) -> list[Person]:
+def _divorced_males(state: WorldState, prev: Snapshot,
+                    changed) -> list[Person]:
     """Males married at the previous step, alive and single now, whose ex is
-    alive (so divorced, not widowed), ascending id."""
-    out = []
-    for pid in sorted(prev.married):
-        p = state.persons[pid]
-        if p.gender == MALE and p.alive and p.partner is None \
-                and state.persons[prev.partner[pid]].alive:
-            out.append(p)
-    return out
+    alive (so divorced, not widowed)."""
+    return [p for p in changed
+            if p.id in prev.married and p.gender == MALE and p.alive
+            and p.partner is None
+            and state.persons[prev.partner[p.id]].alive]
 
 
-def _just_married_couples(state: WorldState,
-                          prev: Snapshot) -> list[tuple[Person, Person]]:
-    """(husband, wife) pairs married this step, ascending husband id."""
-    return [(p, state.persons[p.partner]) for p in state.persons.values()
+def _just_married_couples(state: WorldState, prev: Snapshot,
+                          changed) -> list[tuple[Person, Person]]:
+    """(husband, wife) pairs married this step, by husband."""
+    return [(p, state.persons[p.partner]) for p in changed
             if p.gender == MALE and p.partner is not None
             and p.id not in prev.married]
 
 
-def _structural(label: str, rule) -> Assumption:
-    """Every-step entry for a structural rule of model.py, which
-    validate_world applies too; its check reports one Violation per fault."""
-    def check(state: WorldState, snaps) -> list[Violation]:
-        return [Violation(label, state.time.step_index, f.ids, f.message)
-                for f in rule(state)]
-    return Assumption(label, "every_step", check)
-
-
-def _check_no_adoption(state: WorldState, snaps) -> list[Violation]:
+def _no_adoption(state: WorldState, prev: Snapshot,
+                 changed) -> list[Violation]:
     """Runtime face of the no-adoption assumption: nobody dead at the previous
     step is alive now. Parent links are immutable by construction (set only at
     creation), which unit tests pin; snapshots carry no parent attributes."""
-    prev = _prev(state, snaps)
-    bad = [pid for pid in prev.known
-           if pid not in prev.alive and state.persons[pid].alive]
+    bad = [p.id for p in changed
+           if p.alive and p.id in prev.known and p.id not in prev.alive]
     if not bad:
         return []
     return [Violation("a_p_no_adoption", state.time.step_index, tuple(bad),
                       "dead persons must stay dead")]
 
 
-def _check_married_gives_birth(state: WorldState, snaps) -> list[Violation]:
+def _married_gives_birth(state: WorldState, prev: Snapshot,
+                         changed) -> list[Violation]:
+    """Each neonate has a flagged, partnered mother under the age limit and
+    shares her house; the flag scan covers everyone, as ageing clears every
+    flag each step."""
     out = []
     spy = state.time.steps_per_year
     now = state.time.step_index
     mothers_with_neonate = set()
-    for q in _born_now(state):
+    for q in _born_now(state, changed):
         if q.father is None or q.mother is None:
             out.append(Violation("a_p_married_gives_birth", now, (q.id,),
                                  "neonate lacks a parent link"))
@@ -255,12 +350,14 @@ class KinshipIndex:
 
     Components only ever merge, because parent links are set once when a
     person is created and `ever_partners` only grows. So `sync` keeps the
-    index exact by absorbing what is new since the last call: the parent
-    links of persons seen for the first time, and the partner entries
-    appended since. A partner list that shrank, a write the model never
-    makes, rebuilds the index from scratch, and `sync` returns True: only
-    then can a component have split. A parent link rewritten after creation
-    is not seen.
+    index exact by absorbing what is new among the persons it is handed:
+    the parent links of persons seen for the first time, and the partner
+    entries appended since. It must be handed every person created or
+    linked since the last sync: the persons the journal holds, or everyone.
+    A partner list that shrank, a write the model never makes, rebuilds the
+    index from every person on record, and `sync` returns True: only then
+    can a component have split. A parent link rewritten after creation is
+    not seen.
     """
 
     __slots__ = ("_parent", "_absorbed")
@@ -284,28 +381,25 @@ class KinshipIndex:
         if ra != rb:
             self._parent[rb] = ra
 
-    def sync(self, state: WorldState) -> bool:
-        """Bring the index up to the kinship graph of `state`; True when it
-        had to rebuild."""
+    def sync(self, state: WorldState, persons: Iterable[Person]) -> bool:
+        """Absorb what is new in `persons`; True when it had to rebuild."""
         parent, absorbed = self._parent, self._absorbed
         fresh, grown = [], []
-        # one cheap filter pass; the few persons it keeps are new or have a
-        # partner list whose length changed
-        changed = [(pid, p) for pid, p in state.persons.items()
-                   if absorbed.get(pid) != len(p.ever_partners)]
-        for pid, p in changed:
-            seen = absorbed.get(pid)
+        for p in persons:
+            seen = absorbed.get(p.id)
+            if seen == len(p.ever_partners):
+                continue
             if seen is None:
-                parent.setdefault(pid, pid)
+                parent.setdefault(p.id, p.id)
                 fresh.append(p)
             elif seen > len(p.ever_partners):
                 parent.clear()
                 absorbed.clear()
-                self.sync(state)
+                self.sync(state, state.persons.values())
                 return True
             else:
                 grown.append(p)
-        # every person on record has an entry now, so links can be unioned
+        # every new person has an entry now, so links can be unioned
         for p in fresh:
             for kin in (p.father, p.mother):
                 if kin is not None:
@@ -322,37 +416,47 @@ def _make_housing_kinship_check():
     (possibly historic) partnership links: the pairwise kin list closed under
     chains, with dead relatives as valid intermediates.
 
-    The check keeps one KinshipIndex for the WorldState it last saw and
-    syncs it before each evaluation; handed a different state, it starts a
-    fresh index. It also keeps, per house id, the occupant set that last
-    passed. Between rebuilds components only merge, so a set that passed
-    still passes and its house is skipped while its occupants are equal to
-    that set; a house that failed is re-proved, and so re-reported, every
-    step. A rebuild or a new state clears the memo. Occupants are compared
-    with the live house on every visit, so an occupant written straight
-    into a house is checked like one moved there by an event."""
+    The check keeps one KinshipIndex for the WorldState it last saw; handed
+    a different state, it starts a fresh index. With history it syncs the
+    index from the persons journaled since its last evaluation and proves
+    only the houses those persons live in now (every house that gained an
+    occupant holds one), the houses built since, and the houses that failed
+    then. Components only merge, so a house that passed and gained nobody
+    passes still, and a house that failed is re-proved, and so re-reported,
+    every step. Without history, or when the sync rebuilt, it syncs from
+    everyone and proves every house."""
+    history = _History()
     index = indexed = None
-    proven: dict[int, frozenset[int]] = {}
+    failed: set[int] = set()
 
     def check(state: WorldState, snaps) -> list[Violation]:
-        nonlocal index, indexed
+        nonlocal index, indexed, failed
+        written = state.journal.since(history.follow(state))
         if state is not indexed:
             index, indexed = KinshipIndex(), state
-            proven.clear()
-        if index.sync(state):
-            proven.clear()
+        houses = state.houses
+        if written is None:
+            index.sync(state, state.persons.values())
+            hids = houses
+        else:
+            pids, hids = written
+            changed = [state.persons[pid] for pid in pids]
+            if index.sync(state, changed):
+                hids = houses
+            else:
+                hids |= failed
+                hids.update(p.house for p in changed)
+                hids = sorted(hid for hid in hids if hid in houses)
         find = index.find
         out = []
-        for hid, house in state.houses.items():
-            occ = house.occupants
-            if len(occ) < 2 or proven.get(hid) == occ:
-                continue
-            if len({find(pid) for pid in occ}) > 1:
+        failed = set()
+        for hid in hids:
+            occ = houses[hid].occupants
+            if len(occ) > 1 and len({find(pid) for pid in occ}) > 1:
                 out.append(Violation("a_housing_kinship", state.time.step_index,
                                      tuple(sorted(occ)),
-                                     f"house {house.id} mixes unrelated persons"))
-            else:
-                proven[hid] = frozenset(occ)
+                                     f"house {hid} mixes unrelated persons"))
+                failed.add(hid)
         return out
 
     return check
@@ -379,12 +483,12 @@ def _move_out_violations(label: str, who: str, state: WorldState,
     return out
 
 
-def _check_adult_moves_out(state: WorldState, snaps) -> list[Violation]:
-    prev = _prev(state, snaps)
+def _adult_moves_out(state: WorldState, prev: Snapshot,
+                     changed) -> list[Violation]:
     turned_adult = _turned_adult(state, prev)
     if not turned_adult:
         return []
-    just_married = {pid for m, f in _just_married_couples(state, prev)
+    just_married = {pid for m, f in _just_married_couples(state, prev, changed)
                     for pid in (m.id, f.id)}
     out = []
     for p, stays_home in turned_adult:
@@ -402,20 +506,20 @@ def _check_adult_moves_out(state: WorldState, snaps) -> list[Violation]:
     return out
 
 
-def _check_divorce_male_moves(state: WorldState, snaps) -> list[Violation]:
+def _divorce_male_moves(state: WorldState, prev: Snapshot,
+                        changed) -> list[Violation]:
     """Checks the move-out rule for this step's divorced males. A male whose
     ex died the same step is classified widowed and skipped: under orders
     where deaths follow divorces this misses the occasional real divorce
     (false negative) but never flags a legal state."""
-    prev = _prev(state, snaps)
     out = []
-    for p in _divorced_males(state, prev):
+    for p in _divorced_males(state, prev, changed):
         out.extend(_move_out_violations("a_divorce_male_moves",
                                         "divorced male", state, prev, p))
     return out
 
 
-def _make_marriage_housing_check(event_order: tuple[str, ...]):
+def _marriage_housing(event_order: tuple[str, ...]):
     """The marriage-housing rule depends on which events precede marriages in
     the configured order, so the check is built per run. It replays the
     step's occupancy from the previous snapshot (ageing moves, then the
@@ -427,10 +531,9 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
     else:
         pre_marriage = ()
 
-    def check(state: WorldState, snaps) -> list[Violation]:
-        prev = _prev(state, snaps)
+    def body(state: WorldState, prev: Snapshot, changed) -> list[Violation]:
         now = state.time.step_index
-        couples = _just_married_couples(state, prev)
+        couples = _just_married_couples(state, prev, changed)
         if not couples:
             return []
 
@@ -459,8 +562,8 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
             elif not stays_home:
                 move(p.id, ("new-adult", p.id))
 
-        born_now = _born_now(state)
-        died_now = _died_now(state, prev)
+        born_now = _born_now(state, changed)
+        died_now = _died_now(prev, changed)
         for name in pre_marriage:
             if name == "deaths":
                 for pid in died_now:
@@ -471,7 +574,7 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
                     if mom_slot is not None:
                         move(q.id, mom_slot)
             elif name == "divorces":
-                for q in _divorced_males(state, prev):
+                for q in _divorced_males(state, prev, changed):
                     move(q.id, ("divorced", q.id))
 
         out = []
@@ -514,15 +617,15 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
                     f"house {target} occupants diverge from the merge rule"))
         return out
 
-    return check
+    return body
 
 
 # ----------------------------------------------------------- registry
 
 def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
     """All labeled assumptions, built for one run: the marriage-housing
-    check follows the event order and the kinship check keeps its own
-    index. Statistical and vacuous entries carry no-op runtime checks so
+    check follows the event order, every hard every-step check keeps its
+    own history and the kinship check its own index. Statistical and vacuous entries carry no-op runtime checks so
     the registry still enumerates them."""
     return (
         Assumption("a0_adults_no_parents", "initial", _check_adults_no_parents),
@@ -549,22 +652,19 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
         Assumption("a_p_gender_ratio", "every_step", _noop, kind="statistical",
                    note="covered by offline binomial tests"),
         _structural("a_p_marriage_age", partnership_faults),
-        Assumption("a_p_married_gives_birth", "every_step",
-                   _check_married_gives_birth),
-        Assumption("a_p_no_adoption", "every_step", _check_no_adoption,
-                   note="runtime face is no-resurrection; parent-link "
-                        "immutability is structural and unit-tested"),
+        _step_change("a_p_married_gives_birth", _married_gives_birth),
+        _step_change("a_p_no_adoption", _no_adoption,
+                     note="runtime face is no-resurrection; parent-link "
+                          "immutability is structural and unit-tested"),
         _structural("a_homeless", residence_faults),
         Assumption("a_arbitrary_occupants", "every_step", _noop, kind="vacuous",
                    note="houses have no occupancy cap; nothing to check"),
         Assumption("a_housing_kinship", "every_step",
                    _make_housing_kinship_check()),
-        Assumption("a_adult_moves_out", "every_step", _check_adult_moves_out),
+        _step_change("a_adult_moves_out", _adult_moves_out),
         _structural("a_dead_no_house", dead_residence_faults),
-        Assumption("a_divorce_male_moves", "every_step",
-                   _check_divorce_male_moves),
-        Assumption("a_marriage_housing", "every_step",
-                   _make_marriage_housing_check(event_order)),
+        _step_change("a_divorce_male_moves", _divorce_male_moves),
+        _step_change("a_marriage_housing", _marriage_housing(event_order)),
     )
 
 

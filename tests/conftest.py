@@ -47,8 +47,8 @@ def add_person(state: WorldState, gender: str = MALE,
     return p
 
 
-def marry(a: Person, b: Person) -> None:
-    link_partners(a, b)
+def marry(state: WorldState, a: Person, b: Person) -> None:
+    link_partners(state, a, b)
 
 
 def family_state():
@@ -60,7 +60,7 @@ def family_state():
     h1 = add_house(state, town, xy=(2, 2))
     dad = add_person(state, MALE, 40, h0)
     mum = add_person(state, FEMALE, 38, h0)
-    marry(dad, mum)
+    marry(state, dad, mum)
     kid = add_person(state, FEMALE, 10, h0, father=dad.id, mother=mum.id)
     dad.children.add(kid.id)
     mum.children.add(kid.id)

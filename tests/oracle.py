@@ -4,13 +4,351 @@ Each function here is the plain, whole-state version of a check that the
 package now evaluates incrementally. They are kept as they were before the
 incremental version replaced them and must not be optimised: the
 differential tests require the live checks to return identical Violation
-lists.
+lists. The structural rules and the five step-change checks are copied
+verbatim from the package as it was before the checks read the change
+journal; `check_step` evaluates them, with the kinship check below, in
+the registry's order.
 """
 from __future__ import annotations
 
-from demosim.model import WorldState
+from demosim.events import validate_event_order
+from demosim.model import (ADULT_YEARS, HOUSE_COORD_BOUNDS, MALE,
+                           MOTHER_AGE_LIMIT_YEARS, Fault, Person, WorldState,
+                           is_orphan_oldest_sibling)
+from demosim.predicates import Snapshot, SnapshotStore
 from demosim.verification import Violation
 
+
+def _adult_steps(state: WorldState) -> int:
+    return ADULT_YEARS * state.time.steps_per_year
+
+
+def _prev(state: WorldState, snaps: SnapshotStore) -> Snapshot:
+    return snaps.before(state.time.step_index)
+
+
+# ------------------------------------------------------ structural rules
+
+def _person_fault(kind: str, pid: int, *others: int) -> Fault:
+    return Fault((pid, *others), f"{kind}: p{pid}")
+
+
+def residence_faults(state: WorldState) -> list[Fault]:
+    """Every alive person lives in a house that exists and lists them."""
+    out = []
+    for pid, p in state.persons.items():
+        if not p.alive:
+            continue
+        if p.house is None:
+            out.append(_person_fault("alive person without house", pid))
+        elif p.house not in state.houses:
+            out.append(_person_fault("dangling house ref", pid))
+        elif pid not in state.houses[p.house].occupants:
+            out.append(_person_fault("occupant set misses resident", pid))
+    return out
+
+
+def dead_residence_faults(state: WorldState) -> list[Fault]:
+    """The dead hold no house, and an occupant set lists only living
+    persons who live in that house."""
+    out = [_person_fault("dead person keeps house", pid)
+           for pid, p in state.persons.items()
+           if not p.alive and p.house is not None]
+    for hid, h in state.houses.items():
+        for pid in h.occupants:
+            occ = state.persons.get(pid)
+            if occ is None or not occ.alive or occ.house != hid:
+                out.append(Fault((pid,), f"stale occupant p{pid}: h{hid}"))
+    return out
+
+
+def partnership_faults(state: WorldState) -> list[Fault]:
+    """Partnerships are symmetric, opposite-gender and between living
+    adults. Each partner is checked from both sides."""
+    adult_steps = ADULT_YEARS * state.time.steps_per_year
+    out = []
+    for pid, p in state.persons.items():
+        if p.partner is None:
+            continue
+        other = state.persons.get(p.partner)
+        if other is None:
+            out.append(_person_fault("dangling partner ref", pid))
+            continue
+        if other.partner != pid:
+            out.append(_person_fault("partnership not symmetric", pid))
+        if other.gender == p.gender:
+            out.append(_person_fault("partners share gender", pid, other.id))
+        if not (p.alive and other.alive):
+            out.append(_person_fault("dead person still partnered", pid,
+                                     other.id))
+        if p.age_steps < adult_steps:
+            out.append(_person_fault("married minor", pid))
+    return out
+
+
+def house_xy_faults(state: WorldState) -> list[Fault]:
+    """House coordinates lie within HOUSE_COORD_BOUNDS on both axes."""
+    lo, hi = HOUSE_COORD_BOUNDS
+    return [Fault((hid,), f"house coordinates out of range: h{hid}")
+            for hid, h in state.houses.items()
+            if not (lo <= h.local_xy[0] <= hi and lo <= h.local_xy[1] <= hi)]
+
+
+# ------------------------------------------------------ step-change checks
+
+def _born_now(state: WorldState) -> list[Person]:
+    """Persons born this step, ascending id."""
+    now = state.time.step_index
+    return [q for q in state.persons.values() if q.born_step == now]
+
+
+def _died_now(state: WorldState, prev: Snapshot) -> set[int]:
+    """Ids alive at the previous step and dead now."""
+    return {pid for pid in prev.alive if not state.persons[pid].alive}
+
+
+def _turned_adult(state: WorldState,
+                  prev: Snapshot) -> list[tuple[Person, bool]]:
+    """Persons alive at the previous step who are exactly 18 years old now,
+    ascending id, each with whether the orphan stay-home exception held when
+    ageing ran (parents and siblings as frozen, siblings one step older)."""
+    adult = _adult_steps(state)
+    return [(p, is_orphan_oldest_sibling(state, p, prev.alive.__contains__,
+                                         lambda q: prev.age_steps[q] + 1))
+            for p in state.persons.values()
+            if p.age_steps == adult and p.id in prev.alive]
+
+
+def _divorced_males(state: WorldState, prev: Snapshot) -> list[Person]:
+    """Males married at the previous step, alive and single now, whose ex is
+    alive (so divorced, not widowed), ascending id."""
+    out = []
+    for pid in sorted(prev.married):
+        p = state.persons[pid]
+        if p.gender == MALE and p.alive and p.partner is None \
+                and state.persons[prev.partner[pid]].alive:
+            out.append(p)
+    return out
+
+
+def _just_married_couples(state: WorldState,
+                          prev: Snapshot) -> list[tuple[Person, Person]]:
+    """(husband, wife) pairs married this step, ascending husband id."""
+    return [(p, state.persons[p.partner]) for p in state.persons.values()
+            if p.gender == MALE and p.partner is not None
+            and p.id not in prev.married]
+
+
+def _check_no_adoption(state: WorldState, snaps) -> list[Violation]:
+    """Runtime face of the no-adoption assumption: nobody dead at the previous
+    step is alive now. Parent links are immutable by construction (set only at
+    creation), which unit tests pin; snapshots carry no parent attributes."""
+    prev = _prev(state, snaps)
+    bad = [pid for pid in prev.known
+           if pid not in prev.alive and state.persons[pid].alive]
+    if not bad:
+        return []
+    return [Violation("a_p_no_adoption", state.time.step_index, tuple(bad),
+                      "dead persons must stay dead")]
+
+
+def _check_married_gives_birth(state: WorldState, snaps) -> list[Violation]:
+    out = []
+    spy = state.time.steps_per_year
+    now = state.time.step_index
+    mothers_with_neonate = set()
+    for q in _born_now(state):
+        if q.father is None or q.mother is None:
+            out.append(Violation("a_p_married_gives_birth", now, (q.id,),
+                                 "neonate lacks a parent link"))
+            continue
+        mother = state.persons[q.mother]
+        mothers_with_neonate.add(mother.id)
+        if not mother.gave_birth:
+            out.append(Violation("a_p_married_gives_birth", now,
+                                 (q.id, mother.id),
+                                 "mother not flagged for this birth"))
+        if mother.age_steps >= MOTHER_AGE_LIMIT_YEARS * spy:
+            out.append(Violation("a_p_married_gives_birth", now, (mother.id,),
+                                 f"mother aged {MOTHER_AGE_LIMIT_YEARS} or "
+                                 f"older at birth"))
+        father_ok = (mother.partner == q.father
+                     or (mother.partner is None and mother.ever_partners
+                         and mother.ever_partners[-1] == q.father))
+        if not father_ok:
+            out.append(Violation("a_p_married_gives_birth", now,
+                                 (q.id, q.father),
+                                 "father is not the mother's partner at birth"))
+        if mother.alive and q.house != mother.house:
+            out.append(Violation("a_p_married_gives_birth", now, (q.id,),
+                                 "neonate not housed with its mother"))
+    flagged = {p.id for p in state.persons.values() if p.gave_birth}
+    for pid in sorted(flagged - mothers_with_neonate):
+        out.append(Violation("a_p_married_gives_birth", now, (pid,),
+                             "gave_birth flag without a neonate this step"))
+    return out
+
+
+def _move_out_violations(label: str, who: str, state: WorldState,
+                         prev: Snapshot, p: Person) -> list[Violation]:
+    """The move-out rule shared by new adults and divorced males: alone in a
+    house other than the previous one, in the previous town."""
+    house = state.houses.get(p.house) if p.house is not None else None
+    if house is None:
+        return []  # homeless check reports this
+    now = state.time.step_index
+    out = []
+    if house.occupants != {p.id}:
+        out.append(Violation(label, now, (p.id,), f"{who} must live alone"))
+    if p.house == prev.house.get(p.id):
+        out.append(Violation(label, now, (p.id,),
+                             f"{who} must leave the family house"))
+    old = prev.old_house(p.id, state)
+    if old is None or house.town != old.town:
+        out.append(Violation(label, now, (p.id,),
+                             f"{who} must stay in the same town"))
+    return out
+
+
+def _check_adult_moves_out(state: WorldState, snaps) -> list[Violation]:
+    prev = _prev(state, snaps)
+    turned_adult = _turned_adult(state, prev)
+    if not turned_adult:
+        return []
+    just_married = {pid for m, f in _just_married_couples(state, prev)
+                    for pid in (m.id, f.id)}
+    out = []
+    for p, stays_home in turned_adult:
+        if not p.alive or p.id in just_married:
+            continue  # housing of the just-married is the marriage check's
+        if stays_home:
+            if p.house != prev.house.get(p.id):
+                out.append(Violation("a_adult_moves_out",
+                                     state.time.step_index, (p.id,),
+                                     "oldest orphan sibling must keep the "
+                                     "family house"))
+        else:
+            out.extend(_move_out_violations("a_adult_moves_out",
+                                            "new adult", state, prev, p))
+    return out
+
+
+def _check_divorce_male_moves(state: WorldState, snaps) -> list[Violation]:
+    """Checks the move-out rule for this step's divorced males. A male whose
+    ex died the same step is classified widowed and skipped: under orders
+    where deaths follow divorces this misses the occasional real divorce
+    (false negative) but never flags a legal state."""
+    prev = _prev(state, snaps)
+    out = []
+    for p in _divorced_males(state, prev):
+        out.extend(_move_out_violations("a_divorce_male_moves",
+                                        "divorced male", state, prev, p))
+    return out
+
+
+def _make_marriage_housing_check(event_order: tuple[str, ...]):
+    """The marriage-housing rule depends on which events precede marriages in
+    the configured order, so the check is built per run. It replays the
+    step's occupancy from the previous snapshot (ageing moves, then the
+    pre-marriage events, then each merge in ascending groom id) and compares
+    the resulting households with the live state."""
+    order = validate_event_order(event_order)
+    if "marriages" in order:
+        pre_marriage = order[1:order.index("marriages")]
+    else:
+        pre_marriage = ()
+
+    def check(state: WorldState, snaps) -> list[Violation]:
+        prev = _prev(state, snaps)
+        now = state.time.step_index
+        couples = _just_married_couples(state, prev)
+        if not couples:
+            return []
+
+        slot_of: dict[int, object] = {}
+        occ: dict[object, set[int]] = {}
+
+        def move(pid: int, slot) -> None:
+            old = slot_of.get(pid)
+            if old is not None:
+                occ[old].discard(pid)
+            slot_of[pid] = slot
+            occ.setdefault(slot, set()).add(pid)
+
+        def remove(pid: int) -> None:
+            old = slot_of.pop(pid, None)
+            if old is not None:
+                occ[old].discard(pid)
+
+        for pid in prev.alive & prev.house.keys():
+            move(pid, prev.house[pid])
+
+        # ageing always runs first: replicate the 18-year move-outs
+        for p, stays_home in _turned_adult(state, prev):
+            if not p.alive:
+                remove(p.id)  # aged, possibly moved, then died
+            elif not stays_home:
+                move(p.id, ("new-adult", p.id))
+
+        born_now = _born_now(state)
+        died_now = _died_now(state, prev)
+        for name in pre_marriage:
+            if name == "deaths":
+                for pid in died_now:
+                    remove(pid)
+            elif name == "births":
+                for q in born_now:
+                    mom_slot = slot_of.get(q.mother)
+                    if mom_slot is not None:
+                        move(q.id, mom_slot)
+            elif name == "divorces":
+                for q in _divorced_males(state, prev):
+                    move(q.id, ("divorced", q.id))
+
+        out = []
+        merged: list[tuple[Person, Person, object]] = []
+        for m, f in couples:
+            sm, sf = slot_of.get(m.id), slot_of.get(f.id)
+            if sm is None or sf is None:
+                out.append(Violation("a_marriage_housing", now, (m.id, f.id),
+                                     "spouse has no tracked household"))
+                continue
+            if sm != sf:
+                if len(occ[sm]) >= len(occ[sf]):
+                    target, source = sm, sf
+                else:
+                    target, source = sf, sm
+                for pid in sorted(occ[source]):
+                    move(pid, target)
+            else:
+                target = sm
+            merged.append((m, f, target))
+
+        mask = {q.id for q in born_now} | died_now
+        for m, f, target in merged:
+            if not isinstance(target, int):
+                out.append(Violation("a_marriage_housing", now, (m.id, f.id),
+                                     "household merged into a fresh house, "
+                                     "which the move rule never produces"))
+                continue
+            if m.house != target or f.house != target:
+                out.append(Violation(
+                    "a_marriage_housing", now, (m.id, f.id),
+                    f"couple expected in house {target}, found "
+                    f"m->{m.house} f->{f.house}"))
+                continue
+            expected = occ[target] - mask
+            actual = set(state.houses[target].occupants) - mask
+            if expected != actual:
+                out.append(Violation(
+                    "a_marriage_housing", now, tuple(sorted(expected ^ actual)),
+                    f"house {target} occupants diverge from the merge rule"))
+        return out
+
+    return check
+
+
+# ---------------------------------------------------------------- kinship
 
 def kinship_roots(state: WorldState) -> dict[int, int]:
     """Union-find over the kinship graph, rebuilt from every person on
@@ -56,3 +394,22 @@ def check_housing_kinship(state: WorldState, snaps) -> list[Violation]:
                                  tuple(occ),
                                  f"house {house.id} mixes unrelated persons"))
     return out
+
+
+def check_step(state: WorldState, snaps: SnapshotStore,
+               event_order: tuple[str, ...]) -> list[Violation]:
+    """Every hard every-step check by full sweep, in the registry's order."""
+    def structural(label, rule):
+        return [Violation(label, state.time.step_index, f.ids, f.message)
+                for f in rule(state)]
+
+    return [*structural("a_s_house_xy_bounds", house_xy_faults),
+            *structural("a_p_marriage_age", partnership_faults),
+            *_check_married_gives_birth(state, snaps),
+            *_check_no_adoption(state, snaps),
+            *structural("a_homeless", residence_faults),
+            *check_housing_kinship(state, snaps),
+            *_check_adult_moves_out(state, snaps),
+            *structural("a_dead_no_house", dead_residence_faults),
+            *_check_divorce_male_moves(state, snaps),
+            *_make_marriage_housing_check(event_order)(state, snaps)]

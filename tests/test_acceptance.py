@@ -215,7 +215,7 @@ def _random_mini_world(rng):
                  if p.gender == FEMALE and p.age_steps >= 18 * spy]
     for m, f in zip(singles_m, singles_f):
         if rng.random() < 0.5:
-            link_partners(m, f)
+            link_partners(state, m, f)
     return state
 
 
@@ -244,7 +244,7 @@ def _mutate_mini_world(state, rng):
     rng.shuffle(adults_f)
     for m, f in list(zip(adults_m, adults_f))[:2]:
         if rng.random() < 0.6:
-            link_partners(m, f)
+            link_partners(state, m, f)
     for p in list(state.persons.values()):
         if p.alive and p.gender == FEMALE and p.partner is not None \
                 and rng.random() < 0.15 and len(state.persons) < 50:

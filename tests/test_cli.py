@@ -222,6 +222,18 @@ _BAD_RATE_INPUTS = {
         {"basic_male_marriage_rate": "0.7",
          "marriage_modifiers": ",".join(["1.5"] * 16)},
         "marriage rate"),
+    # non-finite values pass every comparison-based range test
+    "death_rate_nan": ({"basic_death_rate": "nan"},
+                       "basic_death_rate must be finite"),
+    "death_rate_inf": ({"basic_death_rate": "inf"},
+                       "basic_death_rate must be finite"),
+    "female_scaling_nan": ({"female_age_scaling": "nan"},
+                           "female_age_scaling must be finite"),
+    "male_age_death_inf": ({"male_age_death_rate": "inf"},
+                           "male_age_death_rate must be finite"),
+    "divorce_modifier_nan": (
+        {"divorce_modifiers": ",".join(["nan"] + ["0.1"] * 15)},
+        "divorce_modifier_by_decade entries must be finite"),
 }
 
 
@@ -241,4 +253,22 @@ def test_bad_rate_input_exits_1(tmp_path, capsys, case):
         rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
         assert rc == 1
         assert message in stderr
+        assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("key", ["config", "fertility_path", "density_path"])
+def test_non_utf8_input_exits_1(tmp_path, capsys, key):
+    """An input file that is not UTF-8 is bad input: exit 1 with a message
+    naming the file, not a traceback."""
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# caf\xe9\n".encode("latin-1"))
+    cfg = tmp_path / "c.cfg"
+    if key == "config":
+        cfg = latin1
+    else:
+        cfg.write_text(f"seed = 1\ninitial_pop = 50\n{key} = {latin1}\n")
+    for command in ("validate", "run"):
+        rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert f"{latin1}: not UTF-8 text" in stderr
         assert "Traceback" not in stderr

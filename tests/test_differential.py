@@ -1,12 +1,17 @@
-"""The incremental kinship check against the frozen full-rebuild oracle.
+"""The incremental every-step checks against the frozen full-sweep oracle.
 
-Seeded warn-mode runs in three event orders inject kinship faults at seeded
-steps through the mutators the events use, as a buggy event would: an
-unrelated adult moved into an occupied house (`move_person`), or a
-partnership linked across kinship components (`link_partners`). At every
-step the live check must return exactly the oracle's Violation list, with
-the registry kept for the whole run, with a fresh registry per call, and
-with one registry handed two WorldStates in turn. The direct writes of
+Seeded warn-mode runs in three event orders inject faults at seeded steps
+through the mutators the events use, as a buggy event would. The kinship
+runs inject an unrelated adult moved into an occupied house
+(`move_person`), or a partnership linked across kinship components
+(`link_partners`); at every step the live kinship check must return
+exactly the oracle's Violation list, with the registry kept for the whole
+run, with a fresh registry per call, and with one registry handed two
+WorldStates in turn. The fault runs inject one fault per hard every-step
+assumption, plus a removed house, once inside a step (right after ageing,
+by wrapping that event) and once after `step()` returns; at every step
+`check_step` with a kept and with a fresh registry must return exactly the
+oracle's list, and every fault must be flagged. The direct writes of
 test_verification.py are compared the same way.
 """
 from __future__ import annotations
@@ -15,16 +20,19 @@ import random
 
 import pytest
 
+import oracle
 from conftest import family_state
 from oracle import check_housing_kinship, kinship_roots
 from test_verification import STRUCTURAL_FAULTS
+from demosim import events
 from demosim.cli import build_config
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
-from demosim.model import ADULT_YEARS, link_partners
+from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
+                           link_partners, mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
-from demosim.space import move_person
+from demosim.space import create_house, leave_house, move_person
 from demosim.verification import build_registry, check_step
 
 ORDERS = (DEFAULT_EVENT_ORDER,
@@ -117,7 +125,7 @@ class SeededRun:
             pairs = [(a, p) for a in singles
                      for p in self._mates(a, singles, roots)]
         if pairs:
-            link_partners(*self.faults.choice(pairs))
+            link_partners(self.state, *self.faults.choice(pairs))
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(o[1:]))
@@ -228,3 +236,234 @@ def test_direct_writes_match_oracle(case):
     for write in DIRECT_WRITES[case]:
         write(state, houses, persons)
         assert kept(state, snaps) == check_housing_kinship(state, snaps)
+
+
+class _OffGrid:
+    """An rng stand-in whose coordinate draws fall just off the grid."""
+
+    def randint(self, lo: int, hi: int) -> int:
+        return hi + 1
+
+
+def _adults(state, **match) -> list:
+    """Living housed adults, ascending id, whose attributes equal `match`."""
+    adult = ADULT_YEARS * state.time.steps_per_year
+    return [p for p in state.persons.values()
+            if p.alive and p.house in state.houses and p.age_steps >= adult
+            and all(getattr(p, k) == v for k, v in match.items())]
+
+
+# Each injection returns the id its violation must name, or None when it
+# finds no target at this step.
+
+def _off_grid_house(run):
+    town = run.faults.choice(list(run.state.towns.values()))
+    return create_house(run.state, town, _OffGrid()).id
+
+
+def _married_minor(run):
+    state = run.state
+    adult = ADULT_YEARS * state.time.steps_per_year
+    minors = [p for p in state.persons.values()
+              if p.alive and p.partner is None and 0 < p.age_steps < adult]
+    if not minors:
+        return None
+    girl = run.faults.choice(minors)
+    men = [p for p in _adults(state, partner=None) if p.gender != girl.gender]
+    if not men:
+        return None
+    link_partners(state, run.faults.choice(men), girl)
+    return girl.id
+
+
+def _relinked_spouse(run):
+    """A married man linked to a single woman: his wife still points at
+    him, so her partnership is no longer symmetric."""
+    state = run.state
+    men = [p for p in _adults(state, gender=MALE) if p.partner is not None]
+    women = _adults(state, gender=FEMALE, partner=None)
+    if not men or not women:
+        return None
+    man = run.faults.choice(men)
+    wife = man.partner
+    link_partners(state, man, run.faults.choice(women))
+    return wife
+
+
+def _unflagged_birth(run):
+    """A neonate added and housed with its mother, who is not flagged."""
+    state = run.state
+    limit = MOTHER_AGE_LIMIT_YEARS * state.time.steps_per_year
+    mothers = [p for p in _adults(state, gender=FEMALE, gave_birth=False)
+               if p.partner is not None and p.age_steps < limit]
+    if not mothers:
+        return None
+    mother = run.faults.choice(mothers)
+    father = state.persons[mother.partner]
+    child = state.add_person(MALE, age_steps=0,
+                             born_step=state.time.step_index,
+                             father=father.id, mother=mother.id)
+    father.children.add(child.id)
+    mother.children.add(child.id)
+    move_person(state, child, state.houses[mother.house])
+    return child.id
+
+
+def _resurrection(run):
+    """No mutator brings the dead back: `alive` is written directly and the
+    revived person is re-housed through move_person."""
+    state = run.state
+    dead = [p for p in state.persons.values()
+            if not p.alive and p.house is None and p.partner is None]
+    homes = [h for h in state.houses.values() if h.occupants]
+    if not dead or not homes:
+        return None
+    p = run.faults.choice(dead)
+    p.alive = True
+    move_person(state, p, run.faults.choice(homes))
+    return p.id
+
+
+def _homeless(run):
+    p = run.faults.choice(_adults(run.state))
+    leave_house(run.state, p)
+    return p.id
+
+
+def _unrelated_move(run):
+    run._move_unrelated_adult()
+    return run.moved.id
+
+
+def _adult_stays_home(run):
+    """A person who turned 18 this step and moved out is moved back."""
+    state = run.state
+    adult = ADULT_YEARS * state.time.steps_per_year
+    prev = run.snaps.before(state.time.step_index)
+    movers = [p for p in state.persons.values()
+              if p.alive and p.age_steps == adult and p.id in prev.alive
+              and prev.house.get(p.id) in state.houses
+              and p.house != prev.house[p.id]]
+    if not movers:
+        return None
+    p = run.faults.choice(movers)
+    move_person(state, p, state.houses[prev.house[p.id]])
+    return p.id
+
+
+def _dead_keeps_house(run):
+    p = run.faults.choice(_adults(run.state))
+    mark_dead(run.state, p)
+    return p.id
+
+
+def _divorce_stays(run):
+    """A man married at the previous step is unlinked and left at home."""
+    state = run.state
+    prev = run.snaps.before(state.time.step_index)
+    men = [p for p in _adults(state, gender=MALE)
+           if p.partner is not None and p.id in prev.married
+           and state.persons[p.partner].alive]
+    if not men:
+        return None
+    man = run.faults.choice(men)
+    unlink_partners(state, man)
+    return man.id
+
+
+def _unmerged_marriage(run):
+    """Two singles in different houses linked without merging households."""
+    state = run.state
+    prev = run.snaps.before(state.time.step_index)
+    singles = [p for p in _adults(state, partner=None)
+               if p.id not in prev.married]
+    pairs = [(m, f) for m in singles if m.gender == MALE
+             for f in singles if f.gender == FEMALE and f.house != m.house]
+    if not pairs:
+        return None
+    man, woman = run.faults.choice(pairs)
+    link_partners(state, man, woman)
+    return man.id
+
+
+def _removed_house(run):
+    """No mutator removes a house: an occupied one is dropped directly."""
+    state = run.state
+    occupied = [h for h in state.houses.values() if h.occupants]
+    house = state.houses.pop(run.faults.choice(occupied).id)
+    state.towns[house.town].houses.discard(house.id)
+    return min(house.occupants)
+
+
+# fault -> (injection, the label that must flag it)
+MUTATOR_FAULTS = {
+    "off_grid_house": (_off_grid_house, "a_s_house_xy_bounds"),
+    "married_minor": (_married_minor, "a_p_marriage_age"),
+    "relinked_spouse": (_relinked_spouse, "a_p_marriage_age"),
+    "unflagged_birth": (_unflagged_birth, "a_p_married_gives_birth"),
+    "resurrection": (_resurrection, "a_p_no_adoption"),
+    "homeless": (_homeless, "a_homeless"),
+    "unrelated_move": (_unrelated_move, "a_housing_kinship"),
+    "adult_stays_home": (_adult_stays_home, "a_adult_moves_out"),
+    "dead_keeps_house": (_dead_keeps_house, "a_dead_no_house"),
+    "divorce_stays": (_divorce_stays, "a_divorce_male_moves"),
+    "unmerged_marriage": (_unmerged_marriage, "a_marriage_housing"),
+    "removed_house": (_removed_house, "a_homeless"),
+}
+FAULT_SEEDS = (5, 6)
+
+
+class FaultRun(SeededRun):
+    """A warn-mode run that injects every fault of MUTATOR_FAULTS twice:
+    right after ageing and after step() returns. Each injection has a
+    seeded step; one that finds no target there is retried at the next."""
+
+    def __init__(self, seed: int, order: tuple[str, ...]) -> None:
+        super().__init__(seed, order)
+        steps = self.faults.sample(range(2, STEPS - 20),
+                                   2 * len(MUTATOR_FAULTS))
+        self.pending = [(at, when, name) for (name, when), at in zip(
+            [(n, w) for n in MUTATOR_FAULTS for w in ("inside", "after")],
+            steps)]
+        self.injected: list[tuple[str, int]] = []  # (fault, id) this step
+
+    def inject(self, when: str) -> None:
+        now = self.state.time.step_index
+        for fault in [f for f in self.pending
+                      if f[0] <= now and f[1] == when]:
+            key = MUTATOR_FAULTS[fault[2]][0](self)
+            if key is not None:
+                self.pending.remove(fault)
+                self.injected.append((fault[2], key))
+
+    def advance(self) -> None:
+        self.injected = []
+        step(self.state, self.ctx, self.snaps, self.rng, self.order)
+        self.inject("after")
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(o[1:]))
+@pytest.mark.parametrize("seed", FAULT_SEEDS)
+def test_mutator_faults_match_oracle(monkeypatch, seed, order):
+    run = FaultRun(seed, order)
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    kept = build_registry(order)
+    flagged = set()
+    for _ in range(STEPS):
+        run.advance()
+        expected = oracle.check_step(run.state, run.snaps, order)
+        assert check_step(run.state, run.snaps, kept) == expected
+        assert check_step(run.state, run.snaps,
+                          build_registry(order)) == expected
+        flagged |= {name for name, key in run.injected
+                    if any(v.label == MUTATOR_FAULTS[name][1] and key in v.ids
+                           for v in expected)}
+    assert not run.pending
+    # every fault must show, or the comparison proves nothing
+    assert flagged == set(MUTATOR_FAULTS)

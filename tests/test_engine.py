@@ -208,7 +208,7 @@ def test_married_minor_does_not_stop_warn_mode(monkeypatch):
                        and p.age_steps >= ADULT_YEARS * spy)
             girl = next(p for p in single if p.gender == FEMALE
                         and 9 * spy <= p.age_steps < 16 * spy)
-            link_partners(man, girl)
+            link_partners(state, man, girl)
             minors.append(girl.id)
         return outcome
 

@@ -104,7 +104,7 @@ def test_link_partners_records_history_both_sides():
     state = make_state()
     m = add_person(state, MALE, 30)
     f = add_person(state, FEMALE, 30)
-    link_partners(m, f)
+    link_partners(state, m, f)
     assert m.partner == f.id and f.partner == m.id
     assert m.ever_partners == [f.id] and f.ever_partners == [m.id]
     unlink_partners(state, m)
@@ -157,7 +157,7 @@ def test_validate_world_partnership_checks():
     h = add_house(state, town)
     m = add_person(state, MALE, 30, h)
     f = add_person(state, FEMALE, 30, h)
-    marry(m, f)
+    marry(state, m, f)
     f.partner = None
     assert any("not symmetric" in msg for msg in validate_world(state))
     f.partner = m.id

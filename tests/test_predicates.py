@@ -122,7 +122,7 @@ def test_just_married(family):
     snaps.freeze(state)
     groom = add_person(state, MALE, 30, houses[1])
     state.time.step_index = 1
-    marry(groom, single)
+    marry(state, groom, single)
     snaps.freeze(state)
     assert just("married", state, snaps).ids == \
         tuple(sorted((groom.id, single.id)))
