@@ -84,7 +84,8 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         sim_kwargs["t_final"] = _parse_int("t_final", pairs["t_final"])
     if "delta_t" in pairs:
         v = pairs["delta_t"]
-        sim_kwargs["delta_t"] = int(v) if v.isdigit() else v.lower()
+        sim_kwargs["delta_t"] = (int(v) if v.isascii() and v.isdigit()
+                                 else v.lower())
     if "seed" in pairs:
         v = pairs["seed"]
         sim_kwargs["seed"] = "random" if v == "random" else _parse_int("seed", v)

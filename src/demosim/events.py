@@ -2,7 +2,10 @@
 
 Draw order is part of the determinism contract. Within every event, persons
 are visited in ascending id; each event's draws per person are documented on
-the event function. All draws come from the single run RNG stream.
+the event function. All draws come from the single run RNG stream. A
+Bernoulli event draws for every eligible person and reads the person's rate
+only when the draw is below the event's ceiling in RateContext, which no
+rate of that event exceeds; a draw at or above it cannot fire.
 """
 from __future__ import annotations
 
@@ -154,8 +157,10 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
     changes only the dying person's `alive`, so later visits see what a
     list taken before the first draw would hold."""
     draw, death_p_step = rng.random, ctx.death_p_step
+    ceiling = ctx.death_ceiling
     for p in state.persons.values():
-        if p.alive and p.age_steps > 0 and draw() < death_p_step(p):
+        if (p.alive and p.age_steps > 0 and (u := draw()) < ceiling
+                and u < death_p_step(p)):
             unlink_partners(state, p)
             leave_house(state, p)
             mark_dead(state, p)
@@ -192,8 +197,10 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
     id; on success one gender draw. The neonate starts in the mother's house
     with both parent links set."""
     draw, fertility_p_step, time = rng.random, ctx.fertility_p_step, state.time
+    ceiling = ctx.fertility_ceiling
     for mother in _reproducible_women(state):
-        if draw() >= fertility_p_step(mother, time):
+        u = draw()
+        if u >= ceiling or u >= fertility_p_step(mother, time):
             continue
         if mother.partner is None:
             raise IntegrityError(f"reproducible woman p{mother.id} has no partner")
@@ -220,8 +227,9 @@ def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
     eligible = [p for p in state.persons.values()
                 if p.partner is not None and p.gender == MALE and p.alive
                 and p.id not in married_this_step]
+    ceiling = ctx.divorce_ceiling
     for man in eligible:
-        if rng.random() < ctx.divorce_p_step(man):
+        if (u := rng.random()) < ceiling and u < ctx.divorce_p_step(man):
             wife_id = man.partner
             unlink_partners(state, man)
             _move_to_own_empty_house(state, man, rng, outcome)
@@ -275,8 +283,10 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     pool = marriage_eligible(state, prev, FEMALE)
     n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
     weight = partial(marriage_weight, state)
+    ceiling = ctx.marriage_ceiling
     for man in males:
-        if rng.random() >= ctx.marriage_p_step(man):
+        u = rng.random()
+        if u >= ceiling or u >= ctx.marriage_p_step(man):
             continue
         bride = find_bride(state, man, pool, n_cand, weight, rng)
         if bride is None:

@@ -59,7 +59,9 @@ def resolve_steps_per_year(delta_t: str | int) -> int:
     label = str(delta_t).strip().lower()
     if label in STEPS_PER_YEAR:
         return STEPS_PER_YEAR[label]
-    if label.isdigit() and int(label) > 0:
+    # ASCII only: str.isdigit also accepts digits such as "²" that int()
+    # rejects
+    if label.isascii() and label.isdigit() and int(label) > 0:
         return int(label)
     raise ConfigError(f"unknown delta_t {delta_t!r}; expected one of "
                       f"{sorted(STEPS_PER_YEAR)} or a positive integer")

@@ -6,11 +6,9 @@ them into per-step probabilities for a clock running n_per_year steps a year.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
-from itertools import repeat
 
-from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
+from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS,
                     DataFormatError, FertilityTable, ModelData, ModelParams,
                     Person, SimTime)
 
@@ -51,12 +49,22 @@ def instantaneous(p_yearly: float, n_per_year: int) -> float:
 
 
 def death_rate_yearly_at(age: float, gender: str, params: ModelParams) -> float:
+    """basic + exp(age / scaling) x age rate, clamped to MAX_YEARLY_RATE. An
+    exponential beyond a double's range makes the age term +inf, or 0 when
+    the age rate is 0 (never inf x 0, which is NaN)."""
     if gender == MALE:
-        rate = (params.basic_death_rate
-                + math.exp(age / params.male_age_scaling) * params.male_age_death_rate)
+        scaling, age_rate = params.male_age_scaling, params.male_age_death_rate
     else:
-        rate = (params.basic_death_rate
-                + math.exp(age / params.female_age_scaling) * params.female_age_death_rate)
+        scaling, age_rate = (params.female_age_scaling,
+                             params.female_age_death_rate)
+    if not age_rate:
+        term = 0.0
+    else:
+        try:
+            term = math.exp(age / scaling) * age_rate
+        except OverflowError:
+            term = math.inf
+    rate = params.basic_death_rate + term
     # min(rate, MAX_YEARLY_RATE) without the call: the same operand wins
     return MAX_YEARLY_RATE if MAX_YEARLY_RATE < rate else rate
 
@@ -146,8 +154,13 @@ class RateContext:
     The clock rate is fixed, so each yearly rate has one per-step value. The
     constructor converts every decade's divorce and marriage rate and every
     fertility cell once, and raises ValueError for any rate a run cannot use.
-    Death rates fill one array per gender on first use, indexed by age in
-    steps (NaN: not converted yet) and as long as the oldest age looked up.
+    Death rates are converted on each lookup; no per-age state is kept.
+
+    Each event also has a ceiling that every one of its lookups is at or
+    below: for deaths the converted clamp, MAX_YEARLY_RATE, and for the
+    other three the largest entry of their table. An event kernel draws
+    u first and looks the rate up only when u < ceiling, since u >= ceiling
+    already means u >= the rate: the same decision from the same draw.
     """
 
     def __init__(self, params: ModelParams, data: ModelData, steps_per_year: int):
@@ -170,7 +183,10 @@ class RateContext:
         self._fertility = tuple(
             tuple(instantaneous(v, steps_per_year) for v in row)
             for row in table.rows)
-        self._death = {MALE: array("d"), FEMALE: array("d")}
+        self.death_ceiling = instantaneous(MAX_YEARLY_RATE, steps_per_year)
+        self.divorce_ceiling = max(self._divorce)
+        self.marriage_ceiling = max(self._marriage)
+        self.fertility_ceiling = max(map(max, self._fertility))
 
     def _decade_table(self, name: str, formula) -> tuple[float, ...]:
         """Per-step rate of decades 1..16, at index decade - 1."""
@@ -184,18 +200,10 @@ class RateContext:
         return tuple(table)
 
     def death_p_step(self, person: Person) -> float:
-        memo = self._death[person.gender]
-        age = person.age_steps
-        try:
-            p = memo[age]
-        except IndexError:  # older than any age looked up so far
-            memo.extend(repeat(math.nan, age + 1 - len(memo)))
-            p = math.nan
-        if p != p:  # NaN: not converted yet
-            yearly = death_rate_yearly_at(age / self.steps_per_year,
-                                          person.gender, self.params)
-            p = memo[age] = instantaneous(yearly, self.steps_per_year)
-        return p
+        spy = self.steps_per_year
+        return instantaneous(death_rate_yearly_at(person.age_steps / spy,
+                                                  person.gender, self.params),
+                             spy)
 
     def divorce_p_step(self, man: Person) -> float:
         return self._divorce[bisect_left(self._decade_bounds, man.age_steps)]

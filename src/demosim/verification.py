@@ -205,7 +205,8 @@ def _structural(label: str, rule) -> Assumption:
     With history it examines only what _reach returns: any other record
     passed at the last evaluation and no mutator has touched it or its
     partner or house since, so it passes still. Re-examining what it
-    flagged keeps a fault that persists reported in warn mode."""
+    flagged keeps a fault that persists reported in warn mode. When nothing
+    was written and nothing flagged, that is nothing at all."""
     history = _History()
     flagged: tuple[set[int], set[int]] = (set(), set())
 
@@ -214,6 +215,8 @@ def _structural(label: str, rule) -> Assumption:
         written = state.journal.since(history.follow(state))
         if written is None:
             persons, houses = state.persons.values(), state.houses.values()
+        elif not (written[0] or written[1] or flagged[0] or flagged[1]):
+            return []
         else:
             persons, houses = _reach(state, written, flagged)
         faults = rule(state, persons, houses)
@@ -423,7 +426,8 @@ def _make_housing_kinship_check():
     occupant holds one), the houses built since, and the houses that failed
     then. Components only merge, so a house that passed and gained nobody
     passes still, and a house that failed is re-proved, and so re-reported,
-    every step. Without history, or when the sync rebuilt, it syncs from
+    every step; with nothing journaled and no failed house there is nothing
+    to prove. Without history, or when the sync rebuilt, it syncs from
     everyone and proves every house."""
     history = _History()
     index = indexed = None
@@ -438,6 +442,8 @@ def _make_housing_kinship_check():
         if written is None:
             index.sync(state, state.persons.values())
             hids = houses
+        elif not (written[0] or written[1] or failed):
+            return []
         else:
             pids, hids = written
             changed = [state.persons[pid] for pid in pids]

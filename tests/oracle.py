@@ -8,14 +8,33 @@ lists. The structural rules and the five step-change checks are copied
 verbatim from the package as it was before the checks read the change
 journal; `check_step` evaluates them, with the kinship check below, in
 the registry's order.
+
+The four Bernoulli event kernels (`deaths`, `births`, `divorces`,
+`marriages`), `step` and the per-gender death memo (`MemoRates`) are copied
+verbatim from the package as it was before the kernels screened each draw
+against a rate ceiling: every draw looks its rate up. The lockstep test
+steps a world with them beside one stepped by the live kernels.
 """
 from __future__ import annotations
 
-from demosim.events import validate_event_order
-from demosim.model import (ADULT_YEARS, HOUSE_COORD_BOUNDS, MALE,
-                           MOTHER_AGE_LIMIT_YEARS, Fault, Person, WorldState,
-                           is_orphan_oldest_sibling)
+import math
+import random
+from array import array
+from functools import partial
+from itertools import repeat
+
+from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome,
+                            _merge_households, _move_to_own_empty_house,
+                            _reproducible_women, ageing, candidate_count,
+                            find_bride, marriage_eligible, marriage_weight,
+                            validate_event_order)
+from demosim.model import (ADULT_YEARS, FEMALE, HOUSE_COORD_BOUNDS, MALE,
+                           MOTHER_AGE_LIMIT_YEARS, Fault, IntegrityError,
+                           Person, WorldState, is_orphan_oldest_sibling,
+                           mark_dead, unlink_partners)
 from demosim.predicates import Snapshot, SnapshotStore
+from demosim.rates import RateContext, death_rate_yearly_at, instantaneous
+from demosim.space import leave_house, move_person
 from demosim.verification import Violation
 
 
@@ -413,3 +432,129 @@ def check_step(state: WorldState, snaps: SnapshotStore,
             *structural("a_dead_no_house", dead_residence_faults),
             *_check_divorce_male_moves(state, snaps),
             *_make_marriage_housing_check(event_order)(state, snaps)]
+
+
+# --------------------------------------------------------- event kernels
+
+class MemoRates(RateContext):
+    """RateContext whose death rates fill one array per gender on first
+    use, indexed by age in steps (NaN: not converted yet) and as long as
+    the oldest age looked up."""
+
+    def __init__(self, params, data, steps_per_year: int) -> None:
+        super().__init__(params, data, steps_per_year)
+        self._death = {MALE: array("d"), FEMALE: array("d")}
+
+    def death_p_step(self, person: Person) -> float:
+        memo = self._death[person.gender]
+        age = person.age_steps
+        try:
+            p = memo[age]
+        except IndexError:  # older than any age looked up so far
+            memo.extend(repeat(math.nan, age + 1 - len(memo)))
+            p = math.nan
+        if p != p:  # NaN: not converted yet
+            yearly = death_rate_yearly_at(age / self.steps_per_year,
+                                          person.gender, self.params)
+            p = memo[age] = instantaneous(yearly, self.steps_per_year)
+        return p
+
+
+def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
+           outcome: StepOutcome) -> None:
+    """One Bernoulli(death p_step) draw per alive non-neonate, ascending id.
+    Dying persons stay on record (kinship intact, age frozen) but leave their
+    house and widow their partner. One pass over the live records: a death
+    changes only the dying person's `alive`, so later visits see what a
+    list taken before the first draw would hold."""
+    draw, death_p_step = rng.random, ctx.death_p_step
+    for p in state.persons.values():
+        if p.alive and p.age_steps > 0 and draw() < death_p_step(p):
+            unlink_partners(state, p)
+            leave_house(state, p)
+            mark_dead(state, p)
+            outcome.died.append(p.id)
+
+
+def births(state: WorldState, ctx: RateContext, rng: random.Random,
+           outcome: StepOutcome) -> None:
+    """One Bernoulli(fertility p_step) draw per reproducible woman, ascending
+    id; on success one gender draw. The neonate starts in the mother's house
+    with both parent links set."""
+    draw, fertility_p_step, time = rng.random, ctx.fertility_p_step, state.time
+    for mother in _reproducible_women(state):
+        if draw() >= fertility_p_step(mother, time):
+            continue
+        if mother.partner is None:
+            raise IntegrityError(f"reproducible woman p{mother.id} has no partner")
+        father = state.persons[mother.partner]
+        gender = MALE if draw() < 0.5 else FEMALE
+        child = state.add_person(gender, age_steps=0,
+                                 born_step=time.step_index,
+                                 father=father.id, mother=mother.id)
+        father.children.add(child.id)
+        mother.children.add(child.id)
+        home = state.houses.get(mother.house)
+        if home is not None:  # a homeless mother's neonate is homeless too
+            move_person(state, child, home)
+        mother.gave_birth = True
+        outcome.born.append(child.id)
+
+
+def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
+             outcome: StepOutcome) -> None:
+    """One Bernoulli(divorce p_step) draw per married male not married this
+    very step, ascending id; on divorce the male moves alone to an empty
+    house in the same town, the rest of the household stays."""
+    married_this_step = {m for m, _ in outcome.married}
+    eligible = [p for p in state.persons.values()
+                if p.partner is not None and p.gender == MALE and p.alive
+                and p.id not in married_this_step]
+    for man in eligible:
+        if rng.random() < ctx.divorce_p_step(man):
+            wife_id = man.partner
+            unlink_partners(state, man)
+            _move_to_own_empty_house(state, man, rng, outcome)
+            outcome.divorced.append((man.id, wife_id))
+
+
+def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
+              rng: random.Random, outcome: StepOutcome) -> None:
+    """One Bernoulli(marriage p_step) draw per eligible male, ascending id
+    (drawn even when the bride pool is empty, to keep the stream aligned);
+    on success: sample candidates without replacement, pick one by full
+    weight, marry, merge households (the smaller household moves, ties move
+    the wife's side)."""
+    males = marriage_eligible(state, prev, MALE)
+    pool = marriage_eligible(state, prev, FEMALE)
+    n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
+    weight = partial(marriage_weight, state)
+    for man in males:
+        if rng.random() >= ctx.marriage_p_step(man):
+            continue
+        bride = find_bride(state, man, pool, n_cand, weight, rng)
+        if bride is None:
+            continue
+        _merge_households(state, man, bride)
+        outcome.married.append((man.id, bride.id))
+
+
+_EVENTS = {"deaths": deaths, "births": births, "divorces": divorces}
+
+
+def step(state: WorldState, ctx: RateContext, snaps: SnapshotStore,
+         rng: random.Random, event_order=DEFAULT_EVENT_ORDER) -> StepOutcome:
+    """Advance the clock one step, apply the configured events (ageing first),
+    freeze the new snapshot, and return the merged outcome."""
+    order = validate_event_order(event_order)
+    state.time.step_index += 1
+    prev = snaps.before(state.time.step_index)
+    outcome = StepOutcome(step_index=state.time.step_index)
+    ageing(state, ctx, rng, outcome)
+    for name in order[1:]:
+        if name == "marriages":
+            marriages(state, ctx, prev, rng, outcome)
+        else:
+            _EVENTS[name](state, ctx, rng, outcome)
+    snaps.freeze(state)
+    return outcome

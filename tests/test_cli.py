@@ -272,3 +272,30 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, key):
         assert rc == 1
         assert f"{latin1}: not UTF-8 text" in stderr
         assert "Traceback" not in stderr
+
+
+def test_delta_t_with_non_ascii_digit_exits_1(tmp_path, capsys):
+    """"²" passes str.isdigit but not int(): bad input, not a traceback."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 1\ninitial_pop = 50\ndelta_t = ²\n",
+                   encoding="utf-8")
+    for command in ("validate", "run"):
+        rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert "delta_t" in stderr
+        assert "Traceback" not in stderr
+    with pytest.raises(ConfigError, match="delta_t"):
+        build_config({"delta_t": "²"})
+
+
+def test_death_rate_beyond_exp_range_runs(tmp_path, capsys):
+    """A scaling that puts age / scaling past exp's range clamps the death
+    rate instead of raising OverflowError mid-run: every male older than
+    about 7 years dies in the first monthly step."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 1\ninitial_pop = 200\ndelta_t = monthly\n"
+                   "t_final = 2021\nmale_age_scaling = 0.01\n")
+    for command in ("validate", "run"):
+        rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
+        assert rc == 0, stderr
+        assert "Traceback" not in stderr

@@ -13,6 +13,11 @@ by wrapping that event) and once after `step()` returns; at every step
 `check_step` with a kept and with a fresh registry must return exactly the
 oracle's list, and every fault must be flagged. The direct writes of
 test_verification.py are compared the same way.
+
+The lockstep runs step twin worlds from one seed, one with the live event
+kernels, which look a rate up only when the draw is below its ceiling, and
+one with the oracle's kernels, which look up every rate: after every step
+both must hold the same RNG state and the same state digest.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from oracle import check_housing_kinship, kinship_roots
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
 from demosim.cli import build_config
+from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
@@ -467,3 +473,46 @@ def test_mutator_faults_match_oracle(monkeypatch, seed, order):
     assert not run.pending
     # every fault must show, or the comparison proves nothing
     assert flagged == set(MUTATOR_FAULTS)
+
+
+# clock -> steps stepped in lockstep
+LOCKSTEP_CLOCKS = {"monthly": 180, "weekly": 156, "hourly": 400, "1000": 300}
+# seed -> params; seed 2 clamps every woman over 17 to MAX_YEARLY_RATE,
+# where the death lookup equals its ceiling, and divorces and marries often
+LOCKSTEP_RUNS = {1: {},
+                 2: {"female_age_scaling": "2", "basic_divorce_rate": "0.9",
+                     "basic_male_marriage_rate": "0.9"}}
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(o[1:]))
+@pytest.mark.parametrize("clock", sorted(LOCKSTEP_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(LOCKSTEP_RUNS))
+def test_screened_kernels_match_oracle_in_lockstep(seed, clock, order):
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), **LOCKSTEP_RUNS[seed]})
+    spy = config.sim.steps_per_year
+    twins = []
+    for rates, stepper in ((RateContext, step), (oracle.MemoRates,
+                                                 oracle.step)):
+        rng = random.Random(seed)
+        state, _ = init_world(config.model, config.sim, config.data,
+                              config.density, rng)
+        snaps = SnapshotStore()
+        snaps.freeze(state)
+        twins.append((stepper, state, rates(config.model, config.data, spy),
+                      snaps, rng))
+    live, frozen = twins
+    if LOCKSTEP_RUNS[seed]:
+        ctx, women = live[2], [p for p in live[1].persons.values()
+                               if p.gender == FEMALE and p.age_steps > 0]
+        assert any(ctx.death_p_step(p) == ctx.death_ceiling for p in women)
+    events_seen = 0
+    for _ in range(LOCKSTEP_CLOCKS[clock]):
+        outcome, _ = [stepper(state, ctx, snaps, rng, order)
+                      for stepper, state, ctx, snaps, rng in twins]
+        assert live[4].getstate() == frozen[4].getstate()
+        assert state_digest(live[1]) == state_digest(frozen[1])
+        events_seen += outcome.deaths + outcome.births + outcome.divorces
+    if LOCKSTEP_RUNS[seed]:
+        assert events_seen > 0

@@ -1,5 +1,5 @@
 """Rate formulas, per-step conversion, the fertility table loader, and the
-per-run memo context.
+per-run rate context with its ceilings.
 
 Numeric expectations marked "frozen" were computed once with mpmath at 50
 digits and pasted in; the formulas here must reproduce them in double
@@ -8,8 +8,10 @@ precision.
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -92,6 +94,25 @@ def test_death_rate_clamped_below_one():
     params = ModelParams()
     assert death_rate_yearly_at(500, MALE, params) == MAX_YEARLY_RATE
     assert instantaneous(death_rate_yearly_at(500, MALE, params), 365) > 0
+
+
+def test_death_rate_beyond_exp_range():
+    """Past exp's range the age term is +inf, which the clamp turns into
+    MAX_YEARLY_RATE, or 0 when the age rate is 0; never NaN, which
+    instantaneous would turn into a per-step probability of 1."""
+    params = ModelParams()
+    steep = replace(params, male_age_scaling=0.01)
+    # exp(700) is finite, exp(800) is not
+    assert death_rate_yearly_at(7, MALE, steep) == MAX_YEARLY_RATE
+    assert death_rate_yearly_at(8, MALE, steep) == MAX_YEARLY_RATE
+    flat = replace(steep, male_age_death_rate=0.0,
+                   female_age_scaling=5e-324, female_age_death_rate=0.0)
+    for age in (8, 200):
+        # male: exp raises OverflowError; female: age / 5e-324 is inf
+        for gender in (MALE, FEMALE):
+            assert death_rate_yearly_at(age, gender, flat) == \
+                params.basic_death_rate
+    assert instantaneous(death_rate_yearly_at(200, FEMALE, flat), 12) < 1e-4
 
 
 def test_decade_index():
@@ -227,27 +248,76 @@ def test_rate_context_matches_direct_computation():
                                          params), spy)
 
 
-def test_rate_context_memoizes():
-    """The death memo holds one entry per age step up to the oldest age
-    looked up, whatever the number of lookups."""
-    ctx = RateContext(ModelParams(), default_model_data(), 8760)
-    state = make_state(8760)
-    a = add_person(state, MALE, 42)
-    b = add_person(state, MALE, 42)
-    first = ctx.death_p_step(a)
-    assert ctx.death_p_step(b) == first
-    oldest = a.age_steps
-    for _ in range(3):
-        for years in (1, 30, 42, 10):
-            b.age_steps = int(years * 8760)
-            ctx.death_p_step(b)
-            oldest = max(oldest, b.age_steps)
-    assert len(ctx._death[MALE]) == oldest + 1
-    assert len(ctx._death[FEMALE]) == 0
-    woman = add_person(state, FEMALE, 7)
-    ctx.death_p_step(woman)
-    assert len(ctx._death[FEMALE]) == woman.age_steps + 1
-    assert len(ctx._death[MALE]) == oldest + 1
+def test_death_lookup_keeps_no_per_age_state():
+    """A death lookup converts the rate on the spot: at 100000 steps a year
+    one lookup for a 90-year-old allocates a few objects, not an array of
+    nine million ages, and lookups over many ages leave the context as it
+    was."""
+    spy = 100_000
+    ctx = RateContext(ModelParams(), default_model_data(), spy)
+    state = make_state(spy)
+    man = add_person(state, MALE, 90)
+    before = pickle.dumps(ctx)
+    tracemalloc.start()
+    try:
+        ctx.death_p_step(man)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    woman = add_person(state, FEMALE, 0)
+    for years in (0.5, 3, 42, 90, 117, 150):
+        for p in (man, woman):
+            p.age_steps = int(years * spy)
+            ctx.death_p_step(p)
+    assert pickle.dumps(ctx) == before
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"female_age_scaling": 2.0},
+    # exp(age / 0.01) leaves a double's range past about 7 years
+    {"male_age_scaling": 0.01, "male_age_death_rate": 0.5},
+    {"male_age_scaling": 0.01, "male_age_death_rate": 0.0,
+     "basic_death_rate": 0.3}])
+def test_ceilings_bound_every_lookup(settings):
+    """Each ceiling is at or above every rate its lookup returns, so a draw
+    at or above it cannot fire: deaths at every age step from 0 to 200
+    years for both genders (every 7th step at the hourly clock), and every
+    cell of the divorce, marriage and fertility tables. The table ceilings
+    are attained."""
+    params = replace(ModelParams(), **settings)
+    data = default_model_data()
+    table = FertilityTable(
+        rows=tuple((v, 2 * v, v / 3) for v, in data.fertility.rows),
+        age_offset=data.fertility.age_offset, year_offset=2021)
+    data = replace(data, fertility=table)
+    for spy in (1, 12, 52, 365, 1000, 8760):
+        ctx = RateContext(params, data, spy)
+        state = make_state(spy)
+        assert ctx.death_ceiling == instantaneous(MAX_YEARLY_RATE, spy)
+        for gender in (MALE, FEMALE):
+            person = add_person(state, gender, 0)
+            for age in range(0, 200 * spy + 1, 7 if spy == 8760 else 1):
+                person.age_steps = age
+                assert ctx.death_p_step(person) <= ctx.death_ceiling
+        man = add_person(state, MALE, 0)
+        divorce, marriage = set(), set()
+        for decade in range(1, 17):
+            for age in ((decade - 1) * 10 * spy + 1, decade * 10 * spy):
+                man.age_steps = age
+                divorce.add(ctx.divorce_p_step(man))
+                marriage.add(ctx.marriage_p_step(man))
+        assert max(divorce) == ctx.divorce_ceiling
+        assert max(marriage) == ctx.marriage_ceiling
+        woman = add_person(state, FEMALE, 0)
+        fertility = set()
+        for row in range(len(table.rows)):
+            woman.age_steps = (table.age_offset + row) * spy
+            for year in (2021, 2022, 2023):
+                state.time.step_index = (year - state.time.t0_year) * spy
+                fertility.add(ctx.fertility_p_step(woman, state.time))
+        assert len(fertility) > len(table.rows)
+        assert max(fertility) == ctx.fertility_ceiling
 
 
 def test_zero_rate_never_fires():
