@@ -26,7 +26,7 @@ from .model import (MALE, AssumptionFailure, IntegrityError,
                     validate_world)
 from .predicates import SnapshotStore
 from .rates import RateContext
-from .space import DensityMap
+from .space import DensityMap, build_towns
 from .verification import (SpaceDigest, Violation, build_registry,
                            check_initial, check_step, space_changes)
 
@@ -56,8 +56,10 @@ class RunConfig:
             raise ValueError(
                 f"verification_mode must be warn or fail, "
                 f"got {self.verification_mode!r}")
-        # building the per-step rate tables rejects rates a run cannot use
+        # building the per-step rate tables rejects rates a run cannot use,
+        # and building the towns a density map with no inhabited cell
         RateContext(self.model, self.data, self.sim.steps_per_year)
+        build_towns(self.density)
 
 
 @dataclass(slots=True)

@@ -220,16 +220,17 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
 
 def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
              outcome: StepOutcome) -> None:
-    """One Bernoulli(divorce p_step) draw per married male not married this
-    very step, ascending id; on divorce the male moves alone to an empty
-    house in the same town, the rest of the household stays."""
-    married_this_step = {m for m, _ in outcome.married}
-    eligible = [p for p in state.persons.values()
-                if p.partner is not None and p.gender == MALE and p.alive
-                and p.id not in married_this_step]
+    """One Bernoulli(divorce p_step) draw per married alive male, ascending
+    id; on divorce the male moves alone to an empty house in the same town,
+    the rest of the household stays. Divorces precede marriages in every
+    valid event order, so none of these males married this step. One pass
+    over the live records: a divorce changes only the man, already visited,
+    and his wife, who is female."""
+    draw, divorce_p_step = rng.random, ctx.divorce_p_step
     ceiling = ctx.divorce_ceiling
-    for man in eligible:
-        if (u := rng.random()) < ceiling and u < ctx.divorce_p_step(man):
+    for man in state.persons.values():
+        if (man.partner is not None and man.gender == MALE and man.alive
+                and (u := draw()) < ceiling and u < divorce_p_step(man)):
             wife_id = man.partner
             unlink_partners(state, man)
             _move_to_own_empty_house(state, man, rng, outcome)
@@ -278,16 +279,20 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     (drawn even when the bride pool is empty, to keep the stream aligned);
     on success: sample candidates without replacement, pick one by full
     weight, marry, merge households (the smaller household moves, ties move
-    the wife's side)."""
+    the wife's side). The bride pool is built when a draw first fires:
+    before that nobody has married, so it is the pool at the event's
+    start."""
     males = marriage_eligible(state, prev, MALE)
-    pool = marriage_eligible(state, prev, FEMALE)
-    n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
+    pool = None
     weight = partial(marriage_weight, state)
     ceiling = ctx.marriage_ceiling
     for man in males:
         u = rng.random()
         if u >= ceiling or u >= ctx.marriage_p_step(man):
             continue
+        if pool is None:
+            pool = marriage_eligible(state, prev, FEMALE)
+            n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
         bride = find_bride(state, man, pool, n_cand, weight, rng)
         if bride is None:
             continue

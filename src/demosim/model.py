@@ -209,63 +209,53 @@ class Town:
 
 
 class Journal:
-    """The ids of the persons whose standing a WorldState mutator changed,
-    in write order (a person created, moved, housed out, linked, unlinked
-    or marked dead, and a partner a new link displaced), and of the houses
-    built. A house whose occupant set grew holds a journaled person: only
-    moving a person in adds an occupant.
+    """The ids of the persons whose standing a WorldState mutator changed
+    (a person created, moved, housed out, linked, unlinked or marked dead,
+    and a partner a new link displaced), and of the houses built, keyed by
+    the step index each write is made at. A house whose occupant set grew
+    holds a journaled person: only moving a person in adds an occupant.
 
-    It is keyed to the step index each write is made at. It holds the
-    writes of the newest step written at and of the step written at before
-    it, and forgets older ones. A reader keeps a mark from an earlier call
-    and asks for every id written since; `since` answers None when the mark
-    is from another journal or older than what is held, and the reader then
-    sweeps the whole state instead. Nothing written before the first mark
-    can be asked for, so until then (while a world is built) it records
-    nothing."""
+    It holds the writes of the newest step written at and of the step
+    written at before it, and forgets older ones. `since(step)` answers
+    with every id written at `step` or later, or None when writes at or
+    after `step` may have been forgotten; the reader then sweeps the whole
+    state instead. Step 0 counts as forgotten from the start, so the writes
+    that build a world at step 0 are never recorded."""
 
-    __slots__ = ("_step", "_persons", "_houses", "_dropped", "_step_start",
-                 "_read")
+    __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older")
 
     def __init__(self) -> None:
-        self._step: int | None = None  # step of the newest write
-        self._persons: list[int] = []
-        self._houses: list[int] = []
-        # positions count recorded writes, persons and houses apart: the
-        # first entry held, and the first of the newest step's writes
-        self._dropped = self._step_start = (0, 0)
-        self._read = False  # whether a mark was ever taken
+        self._forgotten = 0  # the newest step whose writes were dropped
+        self._step = 0  # the newest step written at, and its writes
+        self._persons: set[int] = set()
+        self._houses: set[int] = set()
+        # the step written at before it, and its writes
+        self._older: tuple[int, set[int], set[int]] = (0, set(), set())
 
     def note(self, step: int, persons: Iterable[int] = (),
              houses: Iterable[int] = ()) -> None:
-        if not self._read:
+        if step <= self._forgotten:
             return
         if step != self._step:
-            (dp, dh), (sp, sh) = self._dropped, self._step_start
-            del self._persons[:sp - dp]
-            del self._houses[:sh - dh]
-            self._dropped = self._step_start
-            self._step_start = (sp + len(self._persons),
-                                sh + len(self._houses))
-            self._step = step
-        self._persons.extend(persons)
-        self._houses.extend(houses)
+            # max: still sound should a hand-built state's clock go back
+            self._forgotten = max(self._forgotten, self._older[0])
+            self._older = (self._step, self._persons, self._houses)
+            self._step, self._persons, self._houses = step, set(), set()
+        self._persons.update(persons)
+        self._houses.update(houses)
 
-    def mark(self) -> tuple:
-        """A position to read from later: everything written up to now."""
-        self._read = True
-        dp, dh = self._dropped
-        return (self, dp + len(self._persons), dh + len(self._houses))
-
-    def since(self, mark: tuple | None) -> tuple[set[int], set[int]] | None:
-        """The person ids and house ids written after `mark` was taken;
-        None when this journal cannot tell."""
-        if mark is None or mark[0] is not self:
+    def since(self, step: int | None) -> tuple[set[int], set[int]] | None:
+        """The person ids and house ids written at `step` or later; None
+        when `step` is None or this journal cannot tell."""
+        if step is None or step <= self._forgotten:
             return None
-        (_, mp, mh), (dp, dh) = mark, self._dropped
-        if mp < dp or mh < dh:
-            return None
-        return set(self._persons[mp - dp:]), set(self._houses[mh - dh:])
+        persons, houses = set(), set()
+        for at, p, h in (self._older, (self._step, self._persons,
+                                       self._houses)):
+            if at >= step:
+                persons |= p
+                houses |= h
+        return persons, houses
 
 
 @dataclass(slots=True)

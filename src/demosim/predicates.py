@@ -25,12 +25,11 @@ class Snapshot:
     `married` are the key views of `age_steps` and `partner`; a previous
     town or location is read from the live house with the frozen id, which
     is exact as houses never move or change town and are never removed
-    (a_s_house_persistence). `journal_mark` is the state's journal position
-    at the freeze: a person whose record differs from the snapshot was
-    journaled after it."""
+    (a_s_house_persistence). A person whose alive, partner or house
+    differs from the snapshot was journaled at its step index or later."""
 
     __slots__ = ("step_index", "alive", "partner", "house", "age_steps",
-                 "gave_birth", "journal_mark")
+                 "gave_birth")
 
     def __init__(self, state: WorldState):
         persons = state.persons.values()
@@ -41,7 +40,6 @@ class Snapshot:
                         if p.partner is not None}
         self.house = {p.id: p.house for p in persons if p.house is not None}
         self.gave_birth = {p.id for p in persons if p.gave_birth}
-        self.journal_mark = state.journal.mark()
 
     @property
     def known(self):

@@ -8,10 +8,11 @@ Statistical assumptions (uniformity, gender ratio, weighted selection) keep
 registry entries but no per-step check; they are covered by seeded
 distribution tests in the test suite. Checks are read-only by contract:
 they never mutate the state. A check may keep its own bookkeeping across
-steps: every hard every-step check remembers its last evaluation so that it
-can read the state's change journal instead of sweeping, and the kinship
-check keeps a merge-only union-find (KinshipIndex) for the run's
-WorldState. So build_registry builds fresh checks per run.
+steps: every hard every-step check remembers the state and step index of
+its last evaluation, so that it can read what the state's change journal
+holds from the previous step on instead of sweeping, and the kinship rule
+keeps a merge-only union-find (KinshipIndex) for the run's WorldState. So
+build_registry builds fresh checks per run.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, House, Person,
-                    WorldState, dead_residence_faults, house_xy_faults,
+from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Fault, House,
+                    Person, WorldState, dead_residence_faults, house_xy_faults,
                     is_orphan_oldest_sibling, partnership_faults,
                     residence_faults)
 from .predicates import Snapshot, SnapshotStore
@@ -152,30 +153,30 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 # A hard every-step check reads what may have changed from the state's
 # change journal (model.Journal) when it has history: it was last evaluated
 # on the same WorldState at the previous step index, and no house has gone
-# missing since. Otherwise it sweeps every person and house on record, as a
-# fresh registry does at the first step.
+# missing since. It then reads every id journaled at the previous step or
+# later, which holds every write made since that evaluation. Otherwise it
+# sweeps every person and house on record, as a fresh registry does at the
+# first step.
 
 class _History:
     """A check's record of its last evaluation: the state, the step index,
-    the journal mark then, and how many allocated house ids had no house."""
+    and how many allocated house ids had no house."""
 
-    __slots__ = ("state", "step", "mark", "lost")
+    __slots__ = ("state", "step", "lost")
 
     def __init__(self) -> None:
-        self.state = self.step = self.mark = self.lost = None
+        self.state = self.step = self.lost = None
 
-    def follow(self, state: WorldState) -> tuple | None:
-        """Record this evaluation. Returns the journal mark of the previous
+    def follow(self, state: WorldState) -> int | None:
+        """Record this evaluation. Returns the step index of the previous
         one when this one directly follows it on the same state and no
         house went missing in between; None means sweep everything."""
         now = state.time.step_index
         lost = state.next_house_id - len(state.houses)
         follows = (state is self.state and now == self.step + 1
                    and lost == self.lost)
-        last = self.mark if follows else None
-        self.state, self.step, self.mark, self.lost = (
-            state, now, state.journal.mark(), lost)
-        return last
+        self.state, self.step, self.lost = state, now, lost
+        return now - 1 if follows else None
 
 
 def _reach(state: WorldState, written: tuple[set[int], set[int]],
@@ -200,13 +201,14 @@ def _reach(state: WorldState, written: tuple[set[int], set[int]],
 
 
 def _structural(label: str, rule) -> Assumption:
-    """Every-step entry for a structural rule of model.py, which
-    validate_world applies too; its check reports one Violation per fault.
-    With history it examines only what _reach returns: any other record
-    passed at the last evaluation and no mutator has touched it or its
-    partner or house since, so it passes still. Re-examining what it
-    flagged keeps a fault that persists reported in warn mode. When nothing
-    was written and nothing flagged, that is nothing at all."""
+    """Every-step entry for a structural rule: one of model.py, which
+    validate_world applies too, or the kinship rule. Its check reports one
+    Violation per fault. With history it examines only what _reach returns:
+    any other record passed at the last evaluation and no mutator has
+    touched it or its partner or house since, so it passes still.
+    Re-examining what it flagged keeps a fault that persists reported in
+    warn mode. When nothing was written and nothing flagged, that is
+    nothing at all."""
     history = _History()
     flagged: tuple[set[int], set[int]] = (set(), set())
 
@@ -232,14 +234,15 @@ def _step_change(label: str, body, note: str = "") -> Assumption:
     """Every-step entry for a check that compares the state with the
     previous snapshot. body(state, prev, changed) looks for step changes
     only among `changed`, in ascending id: with history, the persons
-    journaled since that snapshot was frozen, as any other person's alive,
+    journaled at the snapshot's step or later, as any other person's alive,
     partner, house and birth step are as frozen; without, everyone on
-    record."""
+    record. Each body tests every condition against the snapshot, so a
+    person in `changed` who did not change adds nothing."""
     history = _History()
 
     def check(state: WorldState, snaps) -> list[Violation]:
         prev = _prev(state, snaps)
-        written = (state.journal.since(prev.journal_mark)
+        written = (state.journal.since(prev.step_index)
                    if history.follow(state) is not None else None)
         persons = state.persons
         changed = (persons.values() if written is None
@@ -414,58 +417,37 @@ class KinshipIndex:
         return False
 
 
-def _make_housing_kinship_check():
-    """Co-occupants must be mutually reachable through parent/child and
-    (possibly historic) partnership links: the pairwise kin list closed under
-    chains, with dead relatives as valid intermediates.
+def _kinship_faults():
+    """Structural rule for a_housing_kinship: co-occupants must be mutually
+    reachable through parent/child and (possibly historic) partnership
+    links: the pairwise kin list closed under chains, with dead relatives
+    as valid intermediates.
 
-    The check keeps one KinshipIndex for the WorldState it last saw; handed
-    a different state, it starts a fresh index. With history it syncs the
-    index from the persons journaled since its last evaluation and proves
-    only the houses those persons live in now (every house that gained an
-    occupant holds one), the houses built since, and the houses that failed
-    then. Components only merge, so a house that passed and gained nobody
-    passes still, and a house that failed is re-proved, and so re-reported,
-    every step; with nothing journaled and no failed house there is nothing
-    to prove. Without history, or when the sync rebuilt, it syncs from
-    everyone and proves every house."""
-    history = _History()
+    The rule keeps one KinshipIndex for the WorldState it last saw; handed
+    a different state, it starts a fresh index. It syncs the index from the
+    persons it is handed, those _reach returns or everyone, and proves the
+    houses it is handed: every house that gained an occupant holds a
+    journaled person.
+    Components only merge, so a house that passed and gained nobody passes
+    still. When the sync rebuilt, a component may have split, and it proves
+    every house."""
     index = indexed = None
-    failed: set[int] = set()
 
-    def check(state: WorldState, snaps) -> list[Violation]:
-        nonlocal index, indexed, failed
-        written = state.journal.since(history.follow(state))
+    def rule(state: WorldState, persons: Iterable[Person],
+             houses: Iterable[House]) -> list[Fault]:
+        nonlocal index, indexed
         if state is not indexed:
             index, indexed = KinshipIndex(), state
-        houses = state.houses
-        if written is None:
-            index.sync(state, state.persons.values())
-            hids = houses
-        elif not (written[0] or written[1] or failed):
-            return []
-        else:
-            pids, hids = written
-            changed = [state.persons[pid] for pid in pids]
-            if index.sync(state, changed):
-                hids = houses
-            else:
-                hids |= failed
-                hids.update(p.house for p in changed)
-                hids = sorted(hid for hid in hids if hid in houses)
+        if index.sync(state, persons):
+            houses = state.houses.values()
         find = index.find
-        out = []
-        failed = set()
-        for hid in hids:
-            occ = houses[hid].occupants
-            if len(occ) > 1 and len({find(pid) for pid in occ}) > 1:
-                out.append(Violation("a_housing_kinship", state.time.step_index,
-                                     tuple(sorted(occ)),
-                                     f"house {hid} mixes unrelated persons"))
-                failed.add(hid)
-        return out
+        return [Fault(tuple(sorted(h.occupants)),
+                      f"house {h.id} mixes unrelated persons", h.id)
+                for h in houses
+                if len(h.occupants) > 1
+                and len({find(pid) for pid in h.occupants}) > 1]
 
-    return check
+    return rule
 
 
 def _move_out_violations(label: str, who: str, state: WorldState,
@@ -631,8 +613,9 @@ def _marriage_housing(event_order: tuple[str, ...]):
 def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
     """All labeled assumptions, built for one run: the marriage-housing
     check follows the event order, every hard every-step check keeps its
-    own history and the kinship check its own index. Statistical and vacuous entries carry no-op runtime checks so
-    the registry still enumerates them."""
+    own history and the kinship rule its own index. Statistical and vacuous
+    entries carry no-op runtime checks so the registry still enumerates
+    them."""
     return (
         Assumption("a0_adults_no_parents", "initial", _check_adults_no_parents),
         Assumption("a0_parents_alive", "initial", _check_parents_alive),
@@ -665,8 +648,7 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
         _structural("a_homeless", residence_faults),
         Assumption("a_arbitrary_occupants", "every_step", _noop, kind="vacuous",
                    note="houses have no occupancy cap; nothing to check"),
-        Assumption("a_housing_kinship", "every_step",
-                   _make_housing_kinship_check()),
+        _structural("a_housing_kinship", _kinship_faults()),
         _step_change("a_adult_moves_out", _adult_moves_out),
         _structural("a_dead_no_house", dead_residence_faults),
         _step_change("a_divorce_male_moves", _divorce_male_moves),

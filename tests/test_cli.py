@@ -299,3 +299,17 @@ def test_death_rate_beyond_exp_range_runs(tmp_path, capsys):
         rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
         assert rc == 0, stderr
         assert "Traceback" not in stderr
+
+
+def test_density_map_without_towns_exits_1(tmp_path, capsys):
+    """A well-formed map with no positive cell has no town to build: bad
+    input at validate time, not a traceback when the run builds the world."""
+    density = tmp_path / "density.txt"
+    density.write_text("\n".join(["0 0 0 0 0 0 0 0"] * 12) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"seed = 1\ninitial_pop = 50\ndensity_path = {density}\n")
+    for command in ("validate", "run"):
+        rc, _, stderr = run_main([command, "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert "no positive cell" in stderr
+        assert "Traceback" not in stderr

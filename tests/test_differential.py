@@ -11,8 +11,10 @@ WorldStates in turn. The fault runs inject one fault per hard every-step
 assumption, plus a removed house, once inside a step (right after ageing,
 by wrapping that event) and once after `step()` returns; at every step
 `check_step` with a kept and with a fresh registry must return exactly the
-oracle's list, and every fault must be flagged. The direct writes of
-test_verification.py are compared the same way.
+oracle's list, and every fault must be flagged. The same faults injected
+after `check_step` has evaluated a step must match the oracle at the next
+step. The direct writes of test_verification.py are compared the same
+way.
 
 The lockstep runs step twin worlds from one seed, one with the live event
 kernels, which look a rate up only when the draw is below its ceiling, and
@@ -473,6 +475,38 @@ def test_mutator_faults_match_oracle(monkeypatch, seed, order):
     assert not run.pending
     # every fault must show, or the comparison proves nothing
     assert flagged == set(MUTATOR_FAULTS)
+
+
+# the faults still flagged one step after they are written: a birth and an
+# 18th birthday are step changes only at the step they happen
+PERSISTENT_FAULTS = set(MUTATOR_FAULTS) - {"unflagged_birth",
+                                           "adult_stays_home"}
+
+
+@pytest.mark.parametrize("seed", FAULT_SEEDS)
+def test_faults_written_after_the_check_match_oracle(seed):
+    """Every fault of MUTATOR_FAULTS injected once after check_step has
+    evaluated step k, so written at step k but after the kept registry's
+    last evaluation: at step k + 1 the kept registry must still return
+    exactly the oracle's list."""
+    run = FaultRun(seed, DEFAULT_EVENT_ORDER)
+    run.pending = [(at, "checked", name) for at, when, name in run.pending
+                   if when == "after"]
+    kept = build_registry()
+    flagged = set()
+    for _ in range(STEPS):
+        written_after_check = run.injected
+        run.advance()
+        expected = oracle.check_step(run.state, run.snaps,
+                                     DEFAULT_EVENT_ORDER)
+        assert check_step(run.state, run.snaps, kept) == expected
+        flagged |= {name for name, key in written_after_check
+                    if any(v.label == MUTATOR_FAULTS[name][1]
+                           and key in v.ids for v in expected)}
+        run.inject("checked")
+    assert not run.pending
+    # faults that still show a step later, or the comparison proves nothing
+    assert flagged >= PERSISTENT_FAULTS
 
 
 # clock -> steps stepped in lockstep

@@ -12,6 +12,8 @@ import random
 from pathlib import Path
 
 from conftest import add_house, add_person, add_town, make_state
+from demosim.cli import build_config
+from demosim.initialization import init_world
 from demosim.model import (FEMALE, Journal, link_partners, mark_dead,
                            unlink_partners)
 from demosim.space import create_house, leave_house, move_person
@@ -122,11 +124,10 @@ def test_mutators_journal_what_they_change():
     wife = add_person(state, age_years=30, gender=FEMALE)
     other = add_person(state, age_years=30, gender=FEMALE)
     state.time.step_index = 1
-    mark = state.journal.mark()
-    assert state.journal.since(mark) == (set(), set())
+    assert state.journal.since(1) == (set(), set())
     move_person(state, man, h0)
-    assert state.journal.since(mark) == ({man.id}, set())
-    mark = state.journal.mark()
+    assert state.journal.since(1) == ({man.id}, set())
+    state.time.step_index = 2
     link_partners(state, man, wife)
     link_partners(state, man, other)  # displaces the wife
     unlink_partners(state, man)
@@ -134,19 +135,39 @@ def test_mutators_journal_what_they_change():
     leave_house(state, man)
     mark_dead(state, man)
     built = create_house(state, town, random.Random(1))
-    assert state.journal.since(mark) == ({man.id, wife.id, other.id},
-                                         {built.id})
+    assert state.journal.since(2) == ({man.id, wife.id, other.id},
+                                      {built.id})
+    assert state.journal.since(1) == ({man.id, wife.id, other.id},
+                                      {built.id})
 
 
 def test_journal_keeps_two_steps_of_writes():
     journal = Journal()
     journal.note(1, persons=(1,))
-    at_one = journal.mark()
     journal.note(1, houses=(7,))
     journal.note(2, persons=(2,))
-    assert journal.since(at_one) == ({2}, {7})
+    assert journal.since(1) == ({1, 2}, {7})
+    assert journal.since(2) == ({2}, set())
+    assert journal.since(3) == (set(), set())
     journal.note(3, persons=(3,))
     # the writes of step 1 are forgotten once step 3 is written
-    assert journal.since(at_one) is None
+    assert journal.since(1) is None
+    assert journal.since(2) == ({2, 3}, set())
+    # nothing written at step 4: step 3 is still held when 5 is written
+    journal.note(5, persons=(5,))
+    assert journal.since(2) is None
+    assert journal.since(3) == ({3, 5}, set())
+    assert journal.since(4) == ({5}, set())
     assert journal.since(None) is None
-    assert Journal().since(journal.mark()) is None
+
+
+def test_building_a_world_records_nothing():
+    """The writes that build a world at step 0 count as forgotten, so the
+    journal holds nothing after init_world and cannot answer for step 0."""
+    config = build_config({"initial_pop": "300", "seed": "1"})
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, random.Random(1))
+    assert state.persons and state.houses
+    assert not (state.journal._persons or state.journal._houses)
+    assert state.journal.since(0) is None
+    assert state.journal.since(1) == (set(), set())
