@@ -9,11 +9,18 @@ in bench/pins.json.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from demosim.cli import build_config
-from demosim.engine import run
+from demosim.engine import run, state_digest
+from demosim.events import step
+from demosim.initialization import init_world
+from demosim.model import validate_world
+from demosim.predicates import SnapshotStore
+from demosim.rates import RateContext
+from demosim.verification import build_registry, check_initial, check_step
 
 _DECADE_MONTHLY = {"initial_pop": "300", "delta_t": "monthly",
                    "t0": "2020", "t_final": "2030"}
@@ -68,3 +75,68 @@ def test_golden_trajectory(name):
     assert result.digest == digest
     assert hashlib.sha256(
         result.timeseries.to_csv().encode()).hexdigest() == series_sha256
+
+
+# Per-step chains: the state digest after every step of a fault-free run,
+# folded into one hash, for each clock x event order x seed. A change that
+# keeps every final digest can still move a state in between; these catch
+# that too. Every step must pass every check (a fault-free config sweep).
+CHAIN_ORDERS = ("ageing,deaths,births,divorces,marriages",
+                "ageing,births,deaths,divorces,marriages",
+                "ageing,divorces,marriages,deaths,births")
+# clock -> steps stepped
+CHAIN_CLOCKS = {"monthly": 180, "weekly": 156, "hourly": 400, "1000": 300}
+# seed -> params; seed 2 kills women over 17 at the rate clamp, and divorces
+# and marries often
+CHAIN_RUNS = {1: {},
+              2: {"female_age_scaling": "2", "basic_divorce_rate": "0.9",
+                  "basic_male_marriage_rate": "0.9"}}
+# (seed, clock) -> the chain of each CHAIN_ORDERS entry, in that order
+CHAINS = {
+    (1, "1000"): ("e3718d1ba1878c04", "37d8720540d039ea",
+                  "21489d4d41c80297"),
+    (1, "hourly"): ("4c6764e0b74b3d90", "4c6764e0b74b3d90",
+                    "4c6764e0b74b3d90"),
+    (1, "monthly"): ("9f0c3fab8bdad67f", "8ffb0f4ccfe47e7a",
+                     "1b28877357bfe9e1"),
+    (1, "weekly"): ("d492d166749c9644", "637caaee9228ec7a",
+                    "3c237374d2c1b7e0"),
+    (2, "1000"): ("423dc17b5730ede9", "adb9203ac194a74b",
+                  "9e92decc69ce83c8"),
+    (2, "hourly"): ("f5177d4ce7cbdba2", "fc1d9ea7f0b8f0ed",
+                    "8f8782e32ab848ba"),
+    (2, "monthly"): ("e3a0a0937598df9e", "3685d951ed615c45",
+                     "d3f2973c04e7231a"),
+    (2, "weekly"): ("ac5334a3cf96fbfd", "106a1b9b8b79be72",
+                    "0ed63095685eee24"),
+}
+
+
+def digest_chain(seed: int, clock: str, order: str) -> str:
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    registry = build_registry(config.event_order)
+    assert validate_world(state) == []
+    assert check_initial(state, registry) == []
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    chain = hashlib.blake2b(state_digest(state).encode(), digest_size=8)
+    for _ in range(CHAIN_CLOCKS[clock]):
+        step(state, ctx, snaps, rng, config.event_order)
+        assert check_step(state, snaps, registry) == []
+        chain.update(state_digest(state).encode())
+    return chain.hexdigest()
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_per_step_digest_chain(seed, clock, order):
+    assert digest_chain(seed, clock, order) == \
+        CHAINS[seed, clock][CHAIN_ORDERS.index(order)]
