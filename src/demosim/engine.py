@@ -71,14 +71,16 @@ class TimeSeries:
                violations: int) -> None:
         # a full recount, one pass: the conservation check in run() compares
         # consecutive rows, so a count kept by the events would prove nothing
-        alive = males = age_sum = 0
+        alive = males = born_sum = 0
         for p in state.persons.values():
             if p.alive:
                 alive += 1
-                age_sum += p.age_steps
+                born_sum += p.born_step
                 if p.gender == MALE:
                     males += 1
         spy = state.time.steps_per_year
+        # each living person's age is now - born_step: the same integer sum
+        age_sum = alive * state.time.step_index - born_sum
         mean_age = age_sum / alive / spy if alive else 0.0
         empty = sum(1 for h in state.houses.values() if not h.occupants)
         self.rows.append((

@@ -101,10 +101,10 @@ def children_factor(n_children_m: int, n_children_f: int) -> float:
 def marriage_weight(state: WorldState, m: Person, f: Person) -> float:
     """Full matching weight geoFactor * childrenFactor * ageFactor, floored
     at 0 so weighted sampling stays total."""
-    spy = state.time.steps_per_year
+    spy, now = state.time.steps_per_year, state.time.step_index
     w = (geo_factor(state, m, f)
          * children_factor(len(m.children), len(f.children))
-         * age_factor(m.age_steps / spy, f.age_steps / spy))
+         * age_factor((now - m.born_step) / spy, (now - f.born_step) / spy))
     return max(0.0, w)
 
 
@@ -126,24 +126,20 @@ def _move_to_own_empty_house(state: WorldState, person: Person,
 
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
-    """Increment every alive person's age by one step; persons reaching
-    exactly 18 years move alone to an empty house in their town, except an
-    orphan who is the oldest alive sibling (they keep the family house).
-    Also resets the per-step gave_birth flags. Draws: only the house
-    selection for each mover, in ascending id order."""
-    adult_steps = ADULT_YEARS * state.time.steps_per_year
-    movers: list[Person] = []
-    for p in state.persons.values():
-        if p.gave_birth:
-            p.gave_birth = False
-        if p.alive:
-            p.age_steps += 1
-            if p.age_steps == adult_steps:
-                movers.append(p)
-    for p in movers:
-        if is_orphan_oldest_sibling(state, p,
-                                    lambda q: state.persons[q].alive,
-                                    lambda q: state.persons[q].age_steps):
+    """Ages follow the clock, so none is written. Clears the gave_birth
+    flags births set at the previous step. Alive persons born exactly 18
+    years ago move alone to an empty house in their town, except an orphan
+    who is the oldest alive sibling (they keep the family house). Draws:
+    only the house selection for each mover, in ascending id order."""
+    now, persons = state.time.step_index, state.persons
+    for pid in state.born_at(now - 1):
+        mother = persons.get(persons[pid].mother)
+        if mother is not None:
+            mother.gave_birth = False
+    for pid in state.born_at(state.time.born_years_ago(ADULT_YEARS)):
+        p = persons[pid]
+        if not p.alive or is_orphan_oldest_sibling(
+                state, p, lambda q: persons[q].alive):
             continue
         if _move_to_own_empty_house(state, p, rng, outcome):
             outcome.adults_moved.append(p.id)
@@ -157,9 +153,9 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
     changes only the dying person's `alive`, so later visits see what a
     list taken before the first draw would hold."""
     draw, death_p_step = rng.random, ctx.death_p_step
-    ceiling = ctx.death_ceiling
+    ceiling, now = ctx.death_ceiling, state.time.step_index
     for p in state.persons.values():
-        if (p.alive and p.age_steps > 0 and (u := draw()) < ceiling
+        if (p.alive and p.born_step < now and (u := draw()) < ceiling
                 and u < death_p_step(p)):
             unlink_partners(state, p)
             leave_house(state, p)
@@ -173,15 +169,16 @@ def _reproducible_women(state: WorldState) -> list[Person]:
     spacing rule). Married implies adult in a correct run; the adult test
     keeps a married minor, which a_p_marriage_age reports, out of the
     fertility table."""
-    spy = state.time.steps_per_year
-    adult = ADULT_YEARS * spy
-    limit = MOTHER_AGE_LIMIT_YEARS * spy
-    recent = state.time.step_index - spy
+    time = state.time
+    # born after `oldest` and at or before `youngest`: aged [adult, limit)
+    oldest = time.born_years_ago(MOTHER_AGE_LIMIT_YEARS)
+    youngest = time.born_years_ago(ADULT_YEARS)
+    recent = time.born_years_ago(1)
     persons = state.persons
     out = []
     for p in persons.values():
         if (p.partner is None or p.gender != FEMALE or not p.alive
-                or not adult <= p.age_steps < limit):
+                or not oldest < p.born_step <= youngest):
             continue
         for c in p.children:
             if persons[c].born_step >= recent:
@@ -215,6 +212,7 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
         if home is not None:  # a homeless mother's neonate is homeless too
             move_person(state, child, home)
         mother.gave_birth = True
+        state.journal.note(time.step_index, (mother.id,))
         outcome.born.append(child.id)
 
 
@@ -243,11 +241,11 @@ def marriage_eligible(state: WorldState, prev: Snapshot,
     step (covers the just-divorced and delays widowed persons one step).
     Males who turned exactly 18 this step are excluded too; females are
     not."""
-    adult_steps = ADULT_YEARS * state.time.steps_per_year
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     return [p for p in state.persons.values()
             if p.partner is None and p.gender == gender and p.alive
-            and p.age_steps >= adult_steps and p.id not in prev.married
-            and (gender == FEMALE or p.age_steps != adult_steps)]
+            and p.born_step <= came_of_age and p.id not in prev.married
+            and (gender == FEMALE or p.born_step != came_of_age)]
 
 
 def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
@@ -317,14 +315,13 @@ _EVENTS = {"deaths": deaths, "births": births, "divorces": divorces}
 
 def step(state: WorldState, ctx: RateContext, snaps: SnapshotStore,
          rng: random.Random, event_order=DEFAULT_EVENT_ORDER) -> StepOutcome:
-    """Advance the clock one step, apply the configured events (ageing first),
-    freeze the new snapshot, and return the merged outcome."""
-    order = validate_event_order(event_order)
+    """Advance the clock one step, apply the events in their validated order
+    (ageing first), freeze the new snapshot, and return the merged outcome."""
     state.time.step_index += 1
     prev = snaps.before(state.time.step_index)
     outcome = StepOutcome(step_index=state.time.step_index)
     ageing(state, ctx, rng, outcome)
-    for name in order[1:]:
+    for name in event_order[1:]:
         if name == "marriages":
             marriages(state, ctx, prev, rng, outcome)
         else:

@@ -71,17 +71,18 @@ def init_partnerships(state: WorldState, params: ModelParams,
     start_married_ratio; a selected male samples candidate brides and picks
     one weighted by ageFactor. Returns (couples formed, selected males left
     single because the pool ran dry or every weight was zero)."""
-    spy = state.time.steps_per_year
-    adult_steps = ADULT_YEARS * spy
+    spy, now = state.time.steps_per_year, state.time.step_index
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     males, pool = [], []
     for p in state.persons.values():
-        if p.age_steps < adult_steps:
+        if p.born_step > came_of_age:
             continue
         (males if p.gender == MALE else pool).append(p)
     n_cand = candidate_count(len(pool), params.max_num_marr_cand)
 
     def weight(m: Person, f: Person) -> float:
-        return max(0.0, age_factor(m.age_steps / spy, f.age_steps / spy))
+        return max(0.0, age_factor((now - m.born_step) / spy,
+                                   (now - f.born_step) / spy))
 
     couples = left_single = 0
     for m in males:
@@ -100,20 +101,23 @@ def assign_parents(state: WorldState,
     enough (both spouses at least 18 years 9 months older than the child) and
     whose wife was younger than MOTHER_AGE_LIMIT_YEARS at the child's birth.
     Children with no candidates stay parentless and are reported, not
-    failed."""
+    failed. Compared as birth steps: 18 years 9 months is 75/4 years."""
     spy = state.time.steps_per_year
-    adult_steps = ADULT_YEARS * spy
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     mother_limit = MOTHER_AGE_LIMIT_YEARS * spy
-    couples = [(p, state.persons[p.partner]) for p in state.persons.values()
-               if p.gender == MALE and p.partner is not None]
+    couples = []  # (husband, 4 x the later birth step, the wife's)
+    for m in state.persons.values():
+        if m.gender == MALE and m.partner is not None:
+            wife_born = state.persons[m.partner].born_step
+            couples.append((m, 4 * max(m.born_step, wife_born), wife_born))
     assigned = 0
     parentless: list[int] = []
     for child in [p for p in state.persons.values()
-                  if p.age_steps < adult_steps]:
-        cands = [m for m, wife in couples
-                 if 4 * min(m.age_steps, wife.age_steps)
-                 >= 4 * child.age_steps + 75 * spy
-                 and wife.age_steps < mother_limit + child.age_steps]
+                  if p.born_step > came_of_age]:
+        latest = 4 * child.born_step - 75 * spy
+        earliest = child.born_step - mother_limit
+        cands = [m for m, later4, wife_born in couples
+                 if later4 <= latest and wife_born > earliest]
         if not cands:
             parentless.append(child.id)
             continue
@@ -132,7 +136,7 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
     single adult alone, a parentless child alone. Towns are drawn by density
     weight per unit; every unit lands in an empty (here: always fresh) house.
     Returns the number of houses created."""
-    adult_steps = ADULT_YEARS * state.time.steps_per_year
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     towns = [state.towns[tid] for tid in sorted(state.towns)]
     for p in state.persons.values():
         if p.partner is not None:
@@ -140,7 +144,7 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
                 continue  # the male heads the couple's unit
             unit = [p, state.persons[p.partner]]
             unit.extend(state.persons[c] for c in sorted(p.children))
-        elif p.age_steps >= adult_steps:
+        elif p.born_step <= came_of_age:
             unit = [p]
         elif p.father is None:
             unit = [p]
@@ -168,14 +172,12 @@ def init_world(params: ModelParams, sim: SimulationParams, data,
             state.add_person(gender="", age_steps=0, born_step=0)
     persons = list(state.persons.values())
     assign_genders(persons, rng)
-    for p in persons:
-        p.age_steps = sample_age(rng, spy)
-        p.born_step = -p.age_steps
+    for p in persons:  # step 0: a person aged a steps was born at -a
+        p.born_step = -sample_age(rng, spy)
     couples, left_single = init_partnerships(state, params, rng)
     assigned, parentless = assign_parents(state, rng)
     houses = assign_housing(state, rng)
-    adult_steps = ADULT_YEARS * spy
-    adults = sum(1 for p in persons if p.age_steps >= adult_steps)
+    adults = sum(1 for p in persons if p.born_step <= -ADULT_YEARS * spy)
     report = InitReport(
         per_town=targets,
         persons_total=len(persons),

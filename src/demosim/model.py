@@ -78,6 +78,10 @@ class SimTime:
     def year(self) -> int:
         return self.t0_year + self.step_index // self.steps_per_year
 
+    def born_years_ago(self, years: int) -> int:
+        """The birth step of a person exactly `years` years old now."""
+        return self.step_index - years * self.steps_per_year
+
 
 @dataclass(slots=True)
 class SimulationParams:
@@ -177,11 +181,14 @@ class ModelData:
 
 @dataclass(slots=True, eq=False)  # ids are unique: compare by identity
 class Person:
+    """A person on record. The age is not stored but read from the state's
+    clock, which every person holds, and the birth and death steps."""
     id: int
     gender: str
-    age_steps: int
     born_step: int
+    time: SimTime = field(repr=False)
     alive: bool = True
+    died_step: int | None = None  # set by mark_dead
     partner: int | None = None
     father: int | None = None
     mother: int | None = None
@@ -190,6 +197,19 @@ class Person:
     ever_partners: list[int] = field(default_factory=list)
     house: int | None = None
     gave_birth: bool = False
+
+    @property
+    def age_steps(self) -> int:
+        """Steps lived: to now while alive, revived too, else to death."""
+        if self.alive or self.died_step is None:
+            return self.time.step_index - self.born_step
+        return self.died_step - self.born_step
+
+    @age_steps.setter
+    def age_steps(self, steps: int) -> None:
+        """Move the birth step; born_at keeps the one a person was filed
+        under, so set an age only before the first born_at call."""
+        self.born_step += self.age_steps - steps
 
 
 @dataclass(slots=True)
@@ -211,8 +231,9 @@ class Town:
 class Journal:
     """The ids of the persons whose standing a WorldState mutator changed
     (a person created, moved, housed out, linked, unlinked or marked dead,
-    and a partner a new link displaced), and of the houses built, keyed by
-    the step index each write is made at. A house whose occupant set grew
+    a mother flagged by births, a partner a link displaced or an unlink
+    stranded), and of the houses built, keyed by the step index each write
+    is made at. A house whose occupant set grew
     holds a journaled person: only moving a person in adds an occupant.
 
     It holds the writes of the newest step written at and of the step
@@ -267,16 +288,31 @@ class WorldState:
     next_person_id: int = 0
     next_house_id: int = 0
     journal: Journal = field(default_factory=Journal)
+    _born: dict[int, list[int]] = field(default_factory=dict, init=False,
+                                        repr=False)
+    _filed: int = field(default=0, init=False, repr=False)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:
+        if self.time.step_index - born_step != age_steps:
+            raise ValueError(f"age {age_steps} disagrees with birth step "
+                             f"{born_step} at step {self.time.step_index}")
         pid = self.next_person_id
         self.next_person_id = pid + 1
-        person = Person(id=pid, gender=gender, age_steps=age_steps,
-                        born_step=born_step, father=father, mother=mother)
+        person = Person(id=pid, gender=gender, born_step=born_step,
+                        time=self.time, father=father, mother=mother)
         self.persons[pid] = person
         self.journal.note(self.time.step_index, (pid,))
         return person
+
+    def born_at(self, step: int) -> list[int]:
+        """The ids of the persons born at `step`, ascending. Each person is
+        filed at the first call after they are added: ids only grow."""
+        born = self._born
+        for pid in range(self._filed, self.next_person_id):
+            born.setdefault(self.persons[pid].born_step, []).append(pid)
+        self._filed = self.next_person_id
+        return born.get(step, [])
 
     def allocate_house_id(self) -> int:
         hid = self.next_house_id
@@ -297,40 +333,39 @@ def link_partners(state: WorldState, a: Person, b: Person) -> None:
 
 
 def unlink_partners(state: WorldState, person: Person) -> None:
-    """Clear the partnership on both sides; no-op for a single person."""
+    """Clear the partnership on both sides; no-op for a single person. A
+    third person the other side pointed at is stranded, so journaled."""
     if person.partner is None:
         return
     other = state.persons[person.partner]
+    stranded = () if other.partner in (None, person.id) else (other.partner,)
     other.partner = None
     person.partner = None
-    state.journal.note(state.time.step_index, (person.id, other.id))
+    state.journal.note(state.time.step_index,
+                       (person.id, other.id, *stranded))
 
 
 def mark_dead(state: WorldState, person: Person) -> None:
-    """Set a person dead. They stay on record; leaving the house and
-    widowing the partner are separate writes (deaths makes both first)."""
+    """Set a person dead at this step. They stay on record; leaving the house
+    and widowing the partner are separate writes (deaths makes both first)."""
     person.alive = False
+    person.died_step = state.time.step_index
     state.journal.note(state.time.step_index, (person.id,))
 
 
 def is_orphan_oldest_sibling(state: WorldState, p: Person,
-                             alive: Callable[[int], bool],
-                             age_steps: Callable[[int], int]) -> bool:
-    """The stay-home exception at 18: no alive parent, and oldest (max age,
-    ties to the smaller id) among their alive siblings. `alive` and
-    `age_steps` read relatives as ageing saw them: live during ageing, from
-    the previous snapshot (ages plus one) when a check replays it."""
-    for parent_id in (p.father, p.mother):
-        if parent_id is not None and alive(parent_id):
-            return False
-    key = (p.age_steps, -p.id)
-    for parent_id in (p.father, p.mother):
-        if parent_id is None:
-            continue
-        for sid in state.persons[parent_id].children:
-            if sid != p.id and alive(sid) and (age_steps(sid), -sid) > key:
-                return False
-    return True
+                             alive: Callable[[int], bool]) -> bool:
+    """The stay-home exception at 18: no alive parent, and oldest (born
+    first, ties to the smaller id) among their alive siblings. `alive` reads
+    relatives as ageing saw them: live during ageing, from the previous
+    snapshot when a check replays it."""
+    persons = state.persons
+    parents = [persons[q] for q in (p.father, p.mother) if q is not None]
+    if any(alive(parent.id) for parent in parents):
+        return False
+    key = (p.born_step, p.id)  # p's own key is not below itself
+    return not any(alive(sid) and (persons[sid].born_step, sid) < key
+                   for parent in parents for sid in parent.children)
 
 
 class Fault(NamedTuple):
@@ -387,6 +422,7 @@ def partnership_faults(state: WorldState, persons: Iterable[Person],
     """Partnerships are symmetric, opposite-gender and between living
     adults. Each partner is checked from both sides."""
     adult_steps = ADULT_YEARS * state.time.steps_per_year
+    adult_born = state.time.born_years_ago(ADULT_YEARS)  # born later: minor
     out = []
     for p in persons:
         if p.partner is None:
@@ -403,7 +439,8 @@ def partnership_faults(state: WorldState, persons: Iterable[Person],
         if not (p.alive and other.alive):
             out.append(_person_fault("dead person still partnered", pid,
                                      other.id))
-        if p.age_steps < adult_steps:
+        if (p.born_step > adult_born if p.alive
+                else p.age_steps < adult_steps):
             out.append(_person_fault("married minor", pid))
     return out
 

@@ -20,30 +20,27 @@ from .model import (ADULT_YEARS, FEMALE, House, IntegrityError, MALE,
 
 
 class Snapshot:
-    """One step's per-person alive, partner, house id, age_steps and
-    gave_birth: only what the live state cannot give back. `known` and
-    `married` are the key views of `age_steps` and `partner`; a previous
-    town or location is read from the live house with the frozen id, which
-    is exact as houses never move or change town and are never removed
+    """One step's per-person alive, partner, house id and gave_birth: only
+    what the live state cannot give back. `known` holds the ids on record,
+    `married` is the key view of `partner`; an age is given back by the
+    step index and the birth and death steps (see pre). A previous town or
+    location is read from the live house with the frozen id, which is
+    exact as houses never move or change town and are never removed
     (a_s_house_persistence). A person whose alive, partner or house
     differs from the snapshot was journaled at its step index or later."""
 
-    __slots__ = ("step_index", "alive", "partner", "house", "age_steps",
+    __slots__ = ("step_index", "known", "alive", "partner", "house",
                  "gave_birth")
 
     def __init__(self, state: WorldState):
         persons = state.persons.values()
         self.step_index = state.time.step_index
-        self.age_steps = {p.id: p.age_steps for p in persons}
+        self.known = range(state.next_person_id)
         self.alive = {p.id for p in persons if p.alive}
         self.partner = {p.id: p.partner for p in persons
                         if p.partner is not None}
         self.house = {p.id: p.house for p in persons if p.house is not None}
         self.gave_birth = {p.id for p in persons if p.gave_birth}
-
-    @property
-    def known(self):
-        return self.age_steps.keys()
 
     @property
     def married(self):
@@ -197,8 +194,11 @@ def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
     if attr in ("town", "location"):
         h = prev.old_house(pid, state)
         return None if h is None else (h.town if attr == "town" else h.local_xy)
-    if attr == "age_steps":
-        return prev.age_steps[pid]
+    if attr == "age_steps":  # at the death step, if that came first
+        p, end = state.persons[pid], prev.step_index
+        if pid not in prev.alive and p.died_step is not None:
+            end = min(p.died_step, end)
+        return end - p.born_step
     if attr == "gave_birth":
         return pid in prev.gave_birth
     raise ValueError(f"pre() does not support attribute {attr!r}")

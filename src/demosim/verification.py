@@ -63,10 +63,6 @@ def _noop(state: WorldState, snaps) -> list[Violation]:
     return []
 
 
-def _adult_steps(state: WorldState) -> int:
-    return ADULT_YEARS * state.time.steps_per_year
-
-
 def _prev(state: WorldState, snaps: SnapshotStore) -> Snapshot:
     return snaps.before(state.time.step_index)
 
@@ -74,9 +70,10 @@ def _prev(state: WorldState, snaps: SnapshotStore) -> Snapshot:
 # ---------------------------------------------------------------- initial
 
 def _check_adults_no_parents(state: WorldState, snaps) -> list[Violation]:
-    adult = _adult_steps(state)
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     bad = [p.id for p in state.persons.values()
-           if p.age_steps >= adult and (p.father is not None or p.mother is not None)]
+           if p.born_step <= came_of_age
+           and (p.father is not None or p.mother is not None)]
     if not bad:
         return []
     return [Violation("a0_adults_no_parents", state.time.step_index, tuple(bad),
@@ -84,10 +81,10 @@ def _check_adults_no_parents(state: WorldState, snaps) -> list[Violation]:
 
 
 def _check_parents_alive(state: WorldState, snaps) -> list[Violation]:
-    adult = _adult_steps(state)
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     bad = []
     for p in state.persons.values():
-        if p.age_steps >= adult:
+        if p.born_step <= came_of_age:
             continue
         for parent_id in (p.father, p.mother):
             if parent_id is not None and not state.persons[parent_id].alive:
@@ -104,7 +101,7 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
     """Initial houses hold exactly one family unit: a couple plus their
     children, or one single adult, or one parentless child."""
     out = []
-    adult = _adult_steps(state)
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
     for house in state.houses.values():
         occ = [state.persons[pid] for pid in sorted(house.occupants)]
         if not occ:
@@ -130,15 +127,15 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
             out.append(Violation("a0_family_together", state.time.step_index,
                                  tuple(p.id for p in occ),
                                  f"house {house.id}: unpartnered co-residents"))
-        elif occ[0].age_steps < adult and (occ[0].father is not None
-                                           or occ[0].mother is not None):
+        elif occ[0].born_step > came_of_age and (occ[0].father is not None
+                                                 or occ[0].mother is not None):
             out.append(Violation("a0_family_together", state.time.step_index,
                                  (occ[0].id,),
                                  f"house {house.id}: child p{occ[0].id} housed "
                                  f"away from its parents"))
     # child side: children with parents must live with them
     for p in state.persons.values():
-        if p.age_steps >= adult or p.father is None:
+        if p.born_step <= came_of_age or p.father is None:
             continue
         father = state.persons[p.father]
         if p.house != father.house:
@@ -235,9 +232,10 @@ def _step_change(label: str, body, note: str = "") -> Assumption:
     previous snapshot. body(state, prev, changed) looks for step changes
     only among `changed`, in ascending id: with history, the persons
     journaled at the snapshot's step or later, as any other person's alive,
-    partner, house and birth step are as frozen; without, everyone on
-    record. Each body tests every condition against the snapshot, so a
-    person in `changed` who did not change adds nothing."""
+    partner, house and birth step are as frozen and births set no flag of
+    theirs; without, everyone on record. Each body tests every condition
+    against the snapshot, so a person in `changed` who did not change adds
+    nothing."""
     history = _History()
 
     def check(state: WorldState, snaps) -> list[Violation]:
@@ -267,14 +265,13 @@ def _turned_adult(state: WorldState,
                   prev: Snapshot) -> list[tuple[Person, bool]]:
     """Persons alive at the previous step who are exactly 18 years old now,
     ascending id, each with whether the orphan stay-home exception held when
-    ageing ran (parents and siblings as frozen, siblings one step older).
-    A scan of everyone, not of the journal: it verifies ageing, which
-    writes every living person's age each step."""
-    adult = _adult_steps(state)
-    return [(p, is_orphan_oldest_sibling(state, p, prev.alive.__contains__,
-                                         lambda q: prev.age_steps[q] + 1))
-            for p in state.persons.values()
-            if p.age_steps == adult and p.id in prev.alive]
+    ageing ran (parents and siblings alive as frozen). They are the persons
+    born 18 years ago, whom ageing reads from the same birth-step index."""
+    persons = state.persons
+    return [(persons[pid], is_orphan_oldest_sibling(
+                state, persons[pid], prev.alive.__contains__))
+            for pid in state.born_at(state.time.born_years_ago(ADULT_YEARS))
+            if pid in prev.alive]
 
 
 def _divorced_males(state: WorldState, prev: Snapshot,
@@ -311,8 +308,8 @@ def _no_adoption(state: WorldState, prev: Snapshot,
 def _married_gives_birth(state: WorldState, prev: Snapshot,
                          changed) -> list[Violation]:
     """Each neonate has a flagged, partnered mother under the age limit and
-    shares her house; the flag scan covers everyone, as ageing clears every
-    flag each step."""
+    shares her house, and each flagged person in `changed` has a neonate:
+    births journals the mother it flags."""
     out = []
     spy = state.time.steps_per_year
     now = state.time.step_index
@@ -342,7 +339,7 @@ def _married_gives_birth(state: WorldState, prev: Snapshot,
         if mother.alive and q.house != mother.house:
             out.append(Violation("a_p_married_gives_birth", now, (q.id,),
                                  "neonate not housed with its mother"))
-    flagged = {p.id for p in state.persons.values() if p.gave_birth}
+    flagged = {p.id for p in changed if p.gave_birth}
     for pid in sorted(flagged - mothers_with_neonate):
         out.append(Violation("a_p_married_gives_birth", now, (pid,),
                              "gave_birth flag without a neonate this step"))
@@ -597,6 +594,8 @@ def _marriage_housing(event_order: tuple[str, ...]):
                     f"couple expected in house {target}, found "
                     f"m->{m.house} f->{f.house}"))
                 continue
+            if target not in state.houses:
+                continue  # a_homeless reports the dangling house refs
             expected = occ[target] - mask
             actual = set(state.houses[target].occupants) - mask
             if expected != actual:

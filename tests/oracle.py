@@ -132,8 +132,7 @@ def _turned_adult(state: WorldState,
     ascending id, each with whether the orphan stay-home exception held when
     ageing ran (parents and siblings as frozen, siblings one step older)."""
     adult = _adult_steps(state)
-    return [(p, is_orphan_oldest_sibling(state, p, prev.alive.__contains__,
-                                         lambda q: prev.age_steps[q] + 1))
+    return [(p, is_orphan_oldest_sibling(state, p, prev.alive.__contains__))
             for p in state.persons.values()
             if p.age_steps == adult and p.id in prev.alive]
 

@@ -246,6 +246,30 @@ def test_direct_writes_match_oracle(case):
         assert kept(state, snaps) == check_housing_kinship(state, snaps)
 
 
+def test_unlink_journals_the_person_it_strands():
+    """The wife of a man linked to another woman still points at him. Once
+    she is unlinked, his link to the other woman is cut too and no longer
+    points back. Written a few quiet steps after the link, so the journal
+    holds nothing else on the stranded woman: the kept registry must still
+    report her, as the oracle does."""
+    state, _, _, (man, wife, _kid, other) = family_state()
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    kept = build_registry()
+    writes = {2: lambda: link_partners(state, man, other),
+              5: lambda: unlink_partners(state, wife)}
+    for now in range(1, 8):
+        state.time.step_index = now
+        if now in writes:
+            writes[now]()
+        snaps.freeze(state)
+        expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+        assert check_step(state, snaps, kept) == expected
+        stranded = [v for v in expected if v.ids == (other.id,)
+                    and "not symmetric" in v.detail]
+        assert bool(stranded) == (now >= 5)
+
+
 class _OffGrid:
     """An rng stand-in whose coordinate draws fall just off the grid."""
 

@@ -6,19 +6,22 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
 from conftest import add_house, add_person, add_town, family_state, make_state
+from demosim.cli import build_config
 from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, age_factor,
                             ageing, births, candidate_count, children_factor,
                             deaths, divorces, geo_factor, marriage_eligible,
                             marriage_weight, marriages, step,
                             validate_event_order, weighted_pick)
-from demosim.model import ADULT_YEARS, FEMALE, MALE, ConfigError
+from demosim.model import ADULT_YEARS, FEMALE, MALE, ConfigError, mark_dead
 from demosim.model import ModelParams
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
+from demosim.verification import build_registry
 
 
 class ScriptedRandom(random.Random):
@@ -155,19 +158,24 @@ def test_validate_event_order():
 def test_ageing_increments_alive_only():
     state, _, _, (dad, mum, kid, single) = family_state()
     dead = add_person(state, MALE, 80)
-    dead.alive = False
-    dead.gave_birth = True
+    mark_dead(state, dead)
+    # mum had a child at step 0, the previous step once the clock advances
+    baby = add_person(state, MALE, 0, father=dad.id, mother=mum.id)
+    mum.gave_birth = True
     before = {p.id: p.age_steps for p in state.persons.values()}
+    state.time.step_index = 1
     ageing(state, ctx365(), random.Random(0), StepOutcome(1))
     assert dad.age_steps == before[dad.id] + 1
+    assert baby.age_steps == 1
     assert dead.age_steps == before[dead.id]
-    assert dead.gave_birth is False  # flag reset applies to everyone
+    assert mum.gave_birth is False  # the flag lasts one step
 
 
 def test_ageing_moves_new_adult_out():
     state, town, (h0, h1), (dad, mum, kid, single) = family_state()
     spy = state.time.steps_per_year
     kid.age_steps = ADULT_YEARS * spy - 1
+    state.time.step_index = 1
     outcome = StepOutcome(1)
     ageing(state, ctx365(), random.Random(0), outcome)
     assert outcome.adults_moved == [kid.id]
@@ -189,6 +197,7 @@ def test_ageing_orphan_oldest_keeps_house():
     younger = add_person(state, MALE, 10, h, father=dad.id)
     dad.children = {older.id, younger.id}
     older.age_steps = ADULT_YEARS * spy - 1
+    state.time.step_index = 1
     outcome = StepOutcome(1)
     ageing(state, ctx365(), random.Random(0), outcome)
     assert outcome.adults_moved == []
@@ -207,6 +216,7 @@ def test_ageing_orphan_not_oldest_moves():
     mover = add_person(state, MALE, 17, h, father=dad.id)
     dad.children = {older.id, mover.id}
     mover.age_steps = ADULT_YEARS * spy - 1
+    state.time.step_index = 1
     outcome = StepOutcome(1)
     ageing(state, ctx365(), random.Random(0), outcome)
     assert outcome.adults_moved == [mover.id]
@@ -335,15 +345,16 @@ def test_marriage_eligibility_rules():
     spy = state.time.steps_per_year
     adult = ADULT_YEARS * spy
     fresh18 = add_person(state, MALE, 0, h)
-    fresh18.age_steps = adult
     older = add_person(state, MALE, 30, h)
     minor = add_person(state, MALE, 17, h)
     woman18 = add_person(state, FEMALE, 0, h)
-    woman18.age_steps = adult
     snaps = SnapshotStore()
     state.time.step_index = 0
     snaps.freeze(state)
     state.time.step_index = 1
+    # set after the clock moves: age follows it
+    fresh18.age_steps = adult
+    woman18.age_steps = adult
     prev = snaps.before(1)
     assert [p.id for p in marriage_eligible(state, prev, MALE)] == [older.id]
     # females have no exact-18 exclusion
@@ -393,9 +404,11 @@ def test_step_with_reduced_event_order():
     assert outcome.births == outcome.marriages == outcome.divorces == 0
 
 
-def test_step_rejects_bad_order():
-    state, *_ = family_state()
-    snaps = SnapshotStore()
-    snaps.freeze(state)
+def test_bad_order_rejected_before_the_first_step():
+    """step() takes the order as validated: a run's config and its
+    registry each reject a bad one once, before any step."""
+    config = build_config({"initial_pop": "10"})
     with pytest.raises(ConfigError):
-        step(state, ctx365(), snaps, random.Random(0), ("deaths", "ageing"))
+        replace(config, event_order=("deaths", "ageing"))
+    with pytest.raises(ConfigError):
+        build_registry(("deaths", "ageing"))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import add_house, add_person, add_town, make_state, marry
 from demosim.model import (FEMALE, MALE, IntegrityError,
-                           MissingSnapshotError, unlink_partners)
+                           MissingSnapshotError, mark_dead, unlink_partners)
 from demosim.predicates import (SnapshotStore, SubPopulation, children_of,
                                 combine, filter_pop, filtered_group,
                                 group_of_filtered, has_a_sibling,
@@ -171,7 +171,6 @@ def test_pre_attribute_lookup(family):
     snaps.freeze(state)
     state.time.step_index = 1
     unlink_partners(state, dad)
-    dad.age_steps += 1
     snaps.freeze(state)
     assert pre("married", dad.id, snaps, state) is True
     assert pre("partner", dad.id, snaps, state) == mum.id
@@ -182,6 +181,27 @@ def test_pre_attribute_lookup(family):
     assert pre("gave_birth", mum.id, snaps, state) is False
     with pytest.raises(ValueError):
         pre("favourite_colour", dad.id, snaps, state)
+
+
+def test_pre_age_of_the_dead(family):
+    """A person who died this step had their age at the previous step; one
+    who died at or before the previous step keeps the age they died at."""
+    state, _, _, (dad, mum, kid, single) = family
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    state.time.step_index = 1
+    mark_dead(state, mum)
+    snaps.freeze(state)
+    state.time.step_index = 2
+    mark_dead(state, dad)
+    snaps.freeze(state)
+    assert pre("age_steps", dad.id, snaps, state) == 40 * 365 + 1
+    assert pre("age_steps", mum.id, snaps, state) == 38 * 365 + 1
+    state.time.step_index = 3
+    snaps.freeze(state)
+    assert pre("age_steps", dad.id, snaps, state) == 40 * 365 + 2
+    assert pre("age_steps", mum.id, snaps, state) == 38 * 365 + 1
+    assert pre("age_steps", kid.id, snaps, state) == 10 * 365 + 2
 
 
 def test_pre_unknown_person(family):

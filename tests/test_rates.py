@@ -222,10 +222,10 @@ def test_rate_context_matches_direct_computation():
         outside = set()
         for k in range(first, after_last + 1):
             for age in (k * spy - 1, k * spy, k * spy + 1):
-                woman.age_steps = age
                 for year in calendar_years:
                     state.time.step_index = (year - state.time.t0_year) * spy
                     assert state.time.year == year
+                    woman.age_steps = age  # after the clock: age follows it
                     try:
                         expected = instantaneous(
                             fertility_rate_yearly(age / spy, year, table), spy)
@@ -312,9 +312,9 @@ def test_ceilings_bound_every_lookup(settings):
         woman = add_person(state, FEMALE, 0)
         fertility = set()
         for row in range(len(table.rows)):
-            woman.age_steps = (table.age_offset + row) * spy
             for year in (2021, 2022, 2023):
                 state.time.step_index = (year - state.time.t0_year) * spy
+                woman.age_steps = (table.age_offset + row) * spy
                 fertility.add(ctx.fertility_p_step(woman, state.time))
         assert len(fertility) > len(table.rows)
         assert max(fertility) == ctx.fertility_ceiling

@@ -10,9 +10,10 @@ from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ModelParams,
-                           validate_world)
+                           link_partners, validate_world)
 from demosim.predicates import SnapshotStore, pre
 from demosim.rates import RateContext, default_model_data
+from demosim.space import move_person
 from demosim.verification import (Assumption, SpaceDigest, Violation,
                                   build_registry, check_initial,
                                   check_retrospective, check_step)
@@ -34,13 +35,11 @@ def labels_of(violations: list[Violation]) -> set[str]:
 
 
 def snaps_after(state, mutate):
-    """Freeze step 0, advance, apply the mutation, freeze step 1."""
+    """Freeze step 0, advance (ages follow the clock), apply the mutation,
+    freeze step 1."""
     snaps = SnapshotStore()
     snaps.freeze(state)
     state.time.step_index = 1
-    for p in state.persons.values():
-        if p.alive:
-            p.age_steps += 1
     mutate()
     snaps.freeze(state)
     return snaps
@@ -383,6 +382,28 @@ def test_marriage_housing_checked_via_step():
     w.house = h_other.id
     h_other.occupants.add(w.id)
     assert "a_marriage_housing" in labels_of(check_step(state, snaps))
+
+
+def test_marriage_into_a_removed_house_reported():
+    """A couple married this step whose merged house was then removed: the
+    marriage check skips the house it cannot read, and a_homeless reports
+    both spouses' dangling house refs."""
+    state = make_state()
+    town = add_town(state)
+    h0, h1 = add_house(state, town), add_house(state, town)
+    man = add_person(state, MALE, 30, h0)
+    woman = add_person(state, FEMALE, 27, h1)
+
+    def mutate():
+        link_partners(state, man, woman)
+        move_person(state, woman, h0)
+        del state.houses[h0.id]
+        town.houses.discard(h0.id)
+
+    snaps = snaps_after(state, mutate)
+    homeless = [v for v in check_step(state, snaps)
+                if v.label == "a_homeless"]
+    assert [v.ids for v in homeless] == [(man.id,), (woman.id,)]
 
 
 def test_retrospective_space_checks(family):
