@@ -5,6 +5,7 @@ both validate_world and the every-step assumption checks apply, and the
 orphan stay-home rule that ageing applies and its check replays."""
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -197,6 +198,8 @@ class Person:
     ever_partners: list[int] = field(default_factory=list)
     house: int | None = None
     gave_birth: bool = False
+    # the birth-step index of the person's state (WorldState.born_at)
+    cohorts: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     @property
     def age_steps(self) -> int:
@@ -207,9 +210,13 @@ class Person:
 
     @age_steps.setter
     def age_steps(self, steps: int) -> None:
-        """Move the birth step; born_at keeps the one a person was filed
-        under, so set an age only before the first born_at call."""
+        """Move the birth step, and the person's entry in the birth-step
+        index once born_at has filed them."""
+        filed = self.cohorts.get(self.born_step, ())
         self.born_step += self.age_steps - steps
+        if self.id in filed:
+            filed.remove(self.id)
+            bisect.insort(self.cohorts.setdefault(self.born_step, []), self.id)
 
 
 @dataclass(slots=True)
@@ -222,10 +229,18 @@ class House:
 
 @dataclass(slots=True)
 class Town:
+    # (id, grid_xy, density) kept current for the space checks; first, so
+    # that __init__ sets it empty before the three fields it holds
+    entry: tuple = field(default=(), init=False, repr=False, compare=False)
     id: int
     grid_xy: tuple[int, int]
     density: float
     houses: set[int] = field(default_factory=set)
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "density" or name in ("id", "grid_xy") and self.entry:
+            self.entry = (self.id, self.grid_xy, self.density)
 
 
 class Journal:
@@ -244,6 +259,7 @@ class Journal:
     that build a world at step 0 are never recorded."""
 
     __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older")
+    _NOTHING = (frozenset(), frozenset())  # shared, so immutable
 
     def __init__(self) -> None:
         self._forgotten = 0  # the newest step whose writes were dropped
@@ -266,17 +282,19 @@ class Journal:
         self._houses.update(houses)
 
     def since(self, step: int | None) -> tuple[set[int], set[int]] | None:
-        """The person ids and house ids written at `step` or later; None
-        when `step` is None or this journal cannot tell."""
+        """The person ids and house ids written at `step` or later, which
+        the checks and SnapshotStore.freeze read; None when `step` is None
+        or this journal cannot tell, and a freeze then copies everyone.
+        When nothing was written, one shared pair of empty frozensets."""
         if step is None or step <= self._forgotten:
             return None
-        persons, houses = set(), set()
-        for at, p, h in (self._older, (self._step, self._persons,
-                                       self._houses)):
-            if at >= step:
-                persons |= p
-                houses |= h
-        return persons, houses
+        written = [(p, h) for at, p, h in (self._older, (
+            self._step, self._persons, self._houses))
+                   if at >= step and (p or h)]
+        if not written:
+            return self._NOTHING
+        persons, houses = zip(*written)
+        return set().union(*persons), set().union(*houses)
 
 
 @dataclass(slots=True)
@@ -300,14 +318,16 @@ class WorldState:
         pid = self.next_person_id
         self.next_person_id = pid + 1
         person = Person(id=pid, gender=gender, born_step=born_step,
-                        time=self.time, father=father, mother=mother)
+                        time=self.time, father=father, mother=mother,
+                        cohorts=self._born)
         self.persons[pid] = person
         self.journal.note(self.time.step_index, (pid,))
         return person
 
     def born_at(self, step: int) -> list[int]:
         """The ids of the persons born at `step`, ascending. Each person is
-        filed at the first call after they are added: ids only grow."""
+        filed at the first call after they are added (ids only grow) and
+        refiled by the age setter."""
         born = self._born
         for pid in range(self._filed, self.next_person_id):
             born.setdefault(self.persons[pid].born_step, []).append(pid)

@@ -3,7 +3,9 @@ and the temporal operators just/pre over a two-deep snapshot history.
 
 A snapshot freezes only the per-person values that later steps overwrite;
 previous town and coordinates are derived from the frozen house id, since
-houses never move, never change town and are never removed.
+houses never move or change town (a removed house reads as none). A freeze
+copies only the columns the journaled persons changed; snapshots share the
+rest, read-only (see Snapshot).
 
 The post-style assumptions have no forward-looking query here; the
 verification module checks them one step later against the stored snapshot.
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from .model import (ADULT_YEARS, FEMALE, House, IntegrityError, MALE,
@@ -24,23 +28,36 @@ class Snapshot:
     what the live state cannot give back. `known` holds the ids on record,
     `married` is the key view of `partner`; an age is given back by the
     step index and the birth and death steps (see pre). A previous town or
-    location is read from the live house with the frozen id, which is
-    exact as houses never move or change town and are never removed
-    (a_s_house_persistence). A person whose alive, partner or house
-    differs from the snapshot was journaled at its step index or later."""
+    location is read from the live house with the frozen id (old_house). A
+    person whose alive, partner or house differs from the snapshot was
+    journaled at its step index or later. So given `written`, those ids
+    since `base`'s step, the alive, partner and house columns are `base`'s
+    own, shared read-only; one is copied once and patched only where a
+    written person differs (path copying, Driscoll et al. 1989). Without
+    it (see SnapshotStore.freeze) everyone is patched onto empty columns.
+    gave_birth is one scan: tests set it directly, which no journal sees."""
 
     __slots__ = ("step_index", "known", "alive", "partner", "house",
                  "gave_birth")
 
-    def __init__(self, state: WorldState):
-        persons = state.persons.values()
+    def __init__(self, state: WorldState, base: Snapshot | None = None,
+                 written: Iterable[int] | None = None):
+        persons = state.persons
         self.step_index = state.time.step_index
         self.known = range(state.next_person_id)
-        self.alive = {p.id for p in persons if p.alive}
-        self.partner = {p.id: p.partner for p in persons
-                        if p.partner is not None}
-        self.house = {p.id: p.house for p in persons if p.house is not None}
-        self.gave_birth = {p.id for p in persons if p.gave_birth}
+        self.gave_birth = {p.id for p in persons.values() if p.gave_birth}
+        if written is None:  # everyone, onto empty columns
+            base = SimpleNamespace(alive=set(), partner={}, house={})
+            written = persons
+        alive, partner, house = base.alive, base.partner, base.house
+        for pid in written:
+            p = persons.get(pid)
+            if (pid in alive) != bool(p and p.alive):
+                alive = set(alive) if alive is base.alive else alive
+                alive ^= {pid}
+            partner = _patch(partner, base.partner, pid, p and p.partner)
+            house = _patch(house, base.house, pid, p and p.house)
+        self.alive, self.partner, self.house = alive, partner, house
 
     @property
     def married(self):
@@ -52,16 +69,35 @@ class Snapshot:
         return state.houses.get(self.house.get(pid))
 
 
+def _patch(column: dict, shared: dict, pid: int, value) -> dict:
+    """Set pid's entry (None drops it), copying the column if shared."""
+    if column.get(pid) != value:
+        column = dict(column) if column is shared else column
+        column[pid] = value
+        if value is None:
+            del column[pid]
+    return column
+
+
 class SnapshotStore:
-    """Keeps the two most recent snapshots (previous and current)."""
+    """Keeps the two most recent snapshots (previous and current) of the
+    state it last froze."""
 
     def __init__(self) -> None:
         self._snaps: deque[Snapshot] = deque(maxlen=2)
+        self._state: WorldState | None = None
 
     def freeze(self, state: WorldState) -> Snapshot:
-        snap = Snapshot(state)
-        self._snaps.append(snap)
-        return snap
+        """Built on the newest snapshot; a full copy on the first freeze,
+        for another state, after the clock went back, or when the journal
+        cannot tell what changed since."""
+        base = self._snaps[-1] if self._snaps else None
+        written = (state.journal.since(base.step_index) if base is not None
+                   and state is self._state
+                   and base.step_index <= state.time.step_index else None)
+        self._state = state
+        self._snaps.append(Snapshot(state, base, written and written[0]))
+        return self._snaps[-1]
 
     def __len__(self) -> int:
         return len(self._snaps)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Fault, House,
                     Person, WorldState, dead_residence_faults, house_xy_faults,
@@ -45,18 +45,17 @@ class Assumption:
     note: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class SpaceDigest:
-    """Id-level fingerprint of the space for the retrospective checks."""
-    towns: frozenset
-    houses: frozenset
+class SpaceDigest(NamedTuple):
+    """Id-level fingerprint of the space for the retrospective checks: the
+    towns' (id, grid_xy, density) entries and the house ids, in the order
+    the state's dicts hold them, so built and compared without hashing."""
+    towns: tuple
+    houses: tuple
 
     @classmethod
     def of(cls, state: WorldState) -> SpaceDigest:
-        return cls(
-            towns=frozenset((t.id, t.grid_xy, t.density)
-                            for t in state.towns.values()),
-            houses=frozenset(state.houses))
+        return cls(tuple([t.entry for t in state.towns.values()]),
+                   tuple(state.houses))
 
 
 def _noop(state: WorldState, snaps) -> list[Violation]:
@@ -183,15 +182,14 @@ def _reach(state: WorldState, written: tuple[set[int], set[int]],
     (the order they are on record in, as ids are allocated in ascending
     order): those journaled, the partner and house of each journaled
     person, and those flagged at the last evaluation."""
-    pids, hids = written
     persons, houses = state.persons, state.houses
-    for pid in tuple(pids):
+    # copies: the journal's pair may be its shared empty one
+    pids, hids = {*written[0], *flagged[0]}, {*written[1], *flagged[1]}
+    for pid in written[0]:
         p = persons[pid]
         if p.partner in persons:
             pids.add(p.partner)
         hids.add(p.house)
-    pids |= flagged[0]
-    hids |= flagged[1]
     return ([persons[pid] for pid in sorted(pids)],
             [houses[hid] for hid in sorted(hid for hid in hids
                                            if hid in houses)])
@@ -678,14 +676,19 @@ def check_step(state: WorldState, snaps: SnapshotStore,
 def space_changes(before: SpaceDigest, after: SpaceDigest,
                   step_index: int) -> list[Violation]:
     """Post-style space assumptions between two digests: the town set (with
-    densities) never changes; houses are never demolished."""
+    densities) never changes; houses are never demolished. The sets are
+    compared only when the town entries differ, or when before's house ids
+    are not a prefix of after's (new houses come last in a dict)."""
     out = []
-    if after.towns != before.towns:
-        changed = before.towns ^ after.towns
+    changed = (set(before.towns) ^ set(after.towns)
+               if after.towns != before.towns else ())
+    if changed:
         ids = tuple(sorted({entry[0] for entry in changed}))
         out.append(Violation("a_s_static_towns", step_index, ids,
                              "town set or densities changed between steps"))
-    missing = before.houses - after.houses
+    kept = before.houses
+    missing = (set(kept).difference(after.houses)
+               if after.houses[:len(kept)] != kept else ())
     if missing:
         out.append(Violation("a_s_house_persistence", step_index,
                              tuple(sorted(missing)),

@@ -14,6 +14,12 @@ The four Bernoulli event kernels (`deaths`, `births`, `divorces`,
 verbatim from the package as it was before the kernels screened each draw
 against a rate ceiling: every draw looks its rate up. The lockstep test
 steps a world with them beside one stepped by the live kernels.
+
+`FullSnapshot` is the snapshot constructor as it was before a freeze
+shared the columns no journaled person changed: a full copy of every
+column, which the lockstep snapshot test compares each freeze with.
+`SpaceSets` and `space_changes` are the retrospective space checks as they
+were before the space digest stopped hashing: frozenset diffs.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ import random
 from array import array
 from functools import partial
 from itertools import repeat
+from typing import NamedTuple
 
 from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome,
                             _merge_households, _move_to_own_empty_house,
@@ -557,3 +564,52 @@ def step(state: WorldState, ctx: RateContext, snaps: SnapshotStore,
             _EVENTS[name](state, ctx, rng, outcome)
     snaps.freeze(state)
     return outcome
+
+
+# ------------------------------------------------------------- snapshot
+
+class FullSnapshot:
+    """Every column copied from every person on record."""
+
+    def __init__(self, state: WorldState):
+        persons = state.persons.values()
+        self.step_index = state.time.step_index
+        self.known = range(state.next_person_id)
+        self.alive = {p.id for p in persons if p.alive}
+        self.partner = {p.id: p.partner for p in persons
+                        if p.partner is not None}
+        self.house = {p.id: p.house for p in persons if p.house is not None}
+        self.gave_birth = {p.id for p in persons if p.gave_birth}
+
+
+# ---------------------------------------------------------- space digest
+
+class SpaceSets(NamedTuple):
+    """The space digest as sets: town entries and house ids."""
+    towns: frozenset
+    houses: frozenset
+
+    @classmethod
+    def of(cls, state: WorldState) -> SpaceSets:
+        return cls(
+            towns=frozenset((t.id, t.grid_xy, t.density)
+                            for t in state.towns.values()),
+            houses=frozenset(state.houses))
+
+
+def space_changes(before: SpaceSets, after: SpaceSets,
+                  step_index: int) -> list[Violation]:
+    """Post-style space assumptions between two digests: the town set (with
+    densities) never changes; houses are never demolished."""
+    out = []
+    if after.towns != before.towns:
+        changed = before.towns ^ after.towns
+        ids = tuple(sorted({entry[0] for entry in changed}))
+        out.append(Violation("a_s_static_towns", step_index, ids,
+                             "town set or densities changed between steps"))
+    missing = before.houses - after.houses
+    if missing:
+        out.append(Violation("a_s_house_persistence", step_index,
+                             tuple(sorted(missing)),
+                             "houses disappeared between steps"))
+    return out

@@ -20,16 +20,24 @@ The lockstep runs step twin worlds from one seed, one with the live event
 kernels, which look a rate up only when the draw is below its ceiling, and
 one with the oracle's kernels, which look up every rate: after every step
 both must hold the same RNG state and the same state digest.
+
+The snapshot runs compare every freeze, which shares the columns no
+journaled person changed, with the oracle's full copy, under the fault
+runs and on the digest-chain configs; the space-check cases compare the
+retrospective checks with the oracle's frozenset diff.
 """
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import product
 
 import pytest
 
 import oracle
-from conftest import family_state
+from conftest import add_house, add_town, family_state
 from oracle import check_housing_kinship, kinship_roots
+from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
 from demosim.cli import build_config
@@ -37,11 +45,12 @@ from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                           link_partners, mark_dead, unlink_partners)
+                           House, link_partners, mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
 from demosim.space import create_house, leave_house, move_person
-from demosim.verification import build_registry, check_step
+from demosim.verification import (SpaceDigest, build_registry,
+                                  check_retrospective, check_step)
 
 ORDERS = (DEFAULT_EVENT_ORDER,
           ("ageing", "births", "deaths", "divorces", "marriages"),
@@ -574,3 +583,154 @@ def test_screened_kernels_match_oracle_in_lockstep(seed, clock, order):
         events_seen += outcome.deaths + outcome.births + outcome.divorces
     if LOCKSTEP_RUNS[seed]:
         assert events_seen > 0
+
+
+# The lockstep snapshot runs freeze, at every step, both the store's
+# snapshot, which shares the columns no journaled person changed, and the
+# oracle's full copy; after every step the store's newest and previous
+# snapshots must equal the full copies taken at their freezes. The other
+# tests here hand the oracle the store's own snapshots, so a wrong one
+# would go unseen there.
+
+SNAPSHOT_FIELDS = ("step_index", "known", "alive", "partner", "house",
+                   "gave_birth")
+
+
+class CheckedStore(SnapshotStore):
+    """A store that takes the oracle's full copy at each freeze too."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reference: deque = deque(maxlen=2)
+
+    def freeze(self, state):
+        self.reference.append(oracle.FullSnapshot(state))
+        return super().freeze(state)
+
+    def assert_matches(self, now: int) -> None:
+        """The newest snapshot and the one before `now` equal the full
+        copies taken when they were frozen."""
+        for snap, ref in ((self.newest(), self.reference[-1]),
+                          (self.before(now), self.reference[-2])):
+            assert {f: getattr(snap, f) for f in SNAPSHOT_FIELDS} == \
+                {f: getattr(ref, f) for f in SNAPSHOT_FIELDS}
+
+
+# the fault runs, and seed 22 births first, which removes an occupied house
+SNAPSHOT_FAULT_RUNS = [
+    pytest.param(seed, order, id=f"{seed}-{','.join(order[1:])}")
+    for seed, order in [*product(FAULT_SEEDS, ORDERS), (22, ORDERS[1])]]
+
+
+@pytest.mark.parametrize("seed,order", SNAPSHOT_FAULT_RUNS)
+def test_snapshots_match_full_copies_under_faults(monkeypatch, seed, order):
+    """Faults injected after ageing and after the step, as in
+    test_mutator_faults_match_oracle."""
+    run = FaultRun(seed, order)
+    run.snaps = CheckedStore()
+    run.snaps.freeze(run.state)
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    for _ in range(STEPS):
+        run.advance()
+        run.snaps.assert_matches(run.state.time.step_index)
+    assert not run.pending
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_snapshots_match_full_copies_on_chain_configs(seed, clock, order):
+    """The fault-free configs of the per-step digest chains."""
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = CheckedStore()
+    snaps.freeze(state)
+    for _ in range(CHAIN_CLOCKS[clock]):
+        step(state, ctx, snaps, rng, config.event_order)
+        snaps.assert_matches(state.time.step_index)
+
+
+def test_idle_steps_share_the_previous_columns():
+    """After step 1, a step whose journal window is empty freezes no
+    column anew: the newest snapshot holds the previous one's objects."""
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    idle = busy = 0
+    for i in range(1, 24 * 120 + 1):
+        step(state, ctx, snaps, rng)
+        new, old = snaps.newest(), snaps.before(i)
+        if i == 1 or state.journal.since(i - 1) != (set(), set()):
+            busy += 1
+            continue
+        idle += 1
+        assert new.alive is old.alive
+        assert new.partner is old.partner
+        assert new.house is old.house
+    assert idle > 2500 and busy > 3
+
+
+def _drop_house(state, house):
+    del state.houses[house.id]
+    state.towns[house.town].houses.discard(house.id)
+
+
+def _replace_house(state, house):
+    """Drop a house and insert one under the next id without allocating
+    it, so the lost-house count, next_house_id - len(houses), holds."""
+    _drop_house(state, house)
+    hid = state.next_house_id
+    state.houses[hid] = House(id=hid, town=house.town, local_xy=(3, 3))
+    state.towns[house.town].houses.add(hid)
+
+
+# direct writes to the space between two steps -> whether a check must fire
+SPACE_WRITES = {
+    "density": (lambda s, t, h: setattr(t, "density", 0.9), True),
+    "grid_xy": (lambda s, t, h: setattr(t, "grid_xy", (9, 9)), True),
+    "density_restored": (lambda s, t, h: setattr(t, "density", t.density),
+                         False),
+    "town_added": (lambda s, t, h: add_town(s, grid_xy=(3, 3)), True),
+    "town_removed": (lambda s, t, h: s.towns.pop(1), True),
+    "town_rekeyed": (lambda s, t, h: s.towns.update({0: s.towns.pop(0)}),
+                     False),
+    "house_added": (lambda s, t, h: add_house(s, t), False),
+    "house_removed": (lambda s, t, h: _drop_house(s, h), True),
+    "house_rekeyed": (lambda s, t, h: s.houses.update(
+        {h.id: s.houses.pop(h.id)}), False),
+    "house_replaced_unallocated": (lambda s, t, h: _replace_house(s, h),
+                                   True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_WRITES))
+def test_space_checks_match_set_diff(case):
+    """check_retrospective reports what the frozenset diff of the space
+    reports, label for label and id for id."""
+    state, town, (h0, _), _ = family_state()
+    add_town(state, grid_xy=(2, 2))
+    before, sets_before = SpaceDigest.of(state), oracle.SpaceSets.of(state)
+    write, fires = SPACE_WRITES[case]
+    write(state, town, h0)
+    state.time.step_index = 1
+    got = check_retrospective(before, state)
+    assert got == oracle.space_changes(sets_before,
+                                       oracle.SpaceSets.of(state), 1)
+    assert bool(got) == fires

@@ -186,6 +186,20 @@ def test_ageing_moves_new_adult_out():
     assert h0.occupants == {dad.id, mum.id}
 
 
+def test_age_set_after_a_step_refiles_the_birth_step():
+    """born_at files a person at the first step; an age set after that
+    moves them to their new birth step, so ageing finds them at 18."""
+    state, town, (h0, h1), (dad, mum, kid, single) = family_state()
+    snaps, rng = SnapshotStore(), random.Random(0)
+    snaps.freeze(state)
+    step(state, ctx365(), snaps, rng, ("ageing",))
+    kid.age_steps = ADULT_YEARS * state.time.steps_per_year - 1
+    assert state.born_at(kid.born_step) == [kid.id]
+    outcome = step(state, ctx365(), snaps, rng, ("ageing",))
+    assert outcome.adults_moved == [kid.id]
+    assert kid.house not in (h0.id, h1.id)
+
+
 def test_ageing_orphan_oldest_keeps_house():
     state = make_state()
     town = add_town(state)
