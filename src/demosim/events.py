@@ -6,6 +6,10 @@ the event function. All draws come from the single run RNG stream. A
 Bernoulli event draws for every eligible person and reads the person's rate
 only when the draw is below the event's ceiling in RateContext, which no
 rate of that event exceeds; a draw at or above it cannot fire.
+
+Births, divorces and marriages visit rosters of the persons who can take
+part (WorldState.roster), kept from the change journal, so a roster sees
+what the journal sees: the contract of SnapshotStore.freeze.
 """
 from __future__ import annotations
 
@@ -188,20 +192,32 @@ def _reproducible_women(state: WorldState) -> list[Person]:
     return out
 
 
+def _fertile_wife(state: WorldState, p: Person) -> bool:
+    """_reproducible_women's rule for one person."""
+    time = state.time
+    if (p.partner is None or p.gender != FEMALE or not p.alive
+            or not time.born_years_ago(MOTHER_AGE_LIMIT_YEARS) < p.born_step
+            <= time.born_years_ago(ADULT_YEARS)):
+        return False
+    recent, persons = time.born_years_ago(1), state.persons
+    return all(persons[c].born_step < recent for c in p.children)
+
+
 def births(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(fertility p_step) draw per reproducible woman, ascending
     id; on success one gender draw. The neonate starts in the mother's house
-    with both parent links set."""
+    with both parent links set. Visits only the roster of reproducible
+    women (WorldState.roster), so no other woman's children are walked."""
     draw, fertility_p_step, time = rng.random, ctx.fertility_p_step, state.time
-    ceiling = ctx.fertility_ceiling
-    for mother in _reproducible_women(state):
+    ceiling, persons = ctx.fertility_ceiling, state.persons
+    for pid in state.roster(_fertile_wife):
         u = draw()
-        if u >= ceiling or u >= fertility_p_step(mother, time):
+        if u >= ceiling or u >= fertility_p_step(mother := persons[pid], time):
             continue
         if mother.partner is None:
             raise IntegrityError(f"reproducible woman p{mother.id} has no partner")
-        father = state.persons[mother.partner]
+        father = persons[mother.partner]
         gender = MALE if draw() < 0.5 else FEMALE
         child = state.add_person(gender, age_steps=0,
                                  born_step=time.step_index,
@@ -216,19 +232,22 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
         outcome.born.append(child.id)
 
 
+def _married_man(state: WorldState, p: Person) -> bool:
+    return p.partner is not None and p.gender == MALE and p.alive
+
+
 def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
              outcome: StepOutcome) -> None:
     """One Bernoulli(divorce p_step) draw per married alive male, ascending
     id; on divorce the male moves alone to an empty house in the same town,
     the rest of the household stays. Divorces precede marriages in every
     valid event order, so none of these males married this step. One pass
-    over the live records: a divorce changes only the man, already visited,
-    and his wife, who is female."""
+    over the married men's roster: a divorce changes only the man, already
+    visited, and his wife, who is female."""
     draw, divorce_p_step = rng.random, ctx.divorce_p_step
-    ceiling = ctx.divorce_ceiling
-    for man in state.persons.values():
-        if (man.partner is not None and man.gender == MALE and man.alive
-                and (u := draw()) < ceiling and u < divorce_p_step(man)):
+    ceiling, persons = ctx.divorce_ceiling, state.persons
+    for pid in state.roster(_married_man):
+        if (u := draw()) < ceiling and u < divorce_p_step(man := persons[pid]):
             wife_id = man.partner
             unlink_partners(state, man)
             _move_to_own_empty_house(state, man, rng, outcome)
@@ -246,6 +265,20 @@ def marriage_eligible(state: WorldState, prev: Snapshot,
             if p.partner is None and p.gender == gender and p.alive
             and p.born_step <= came_of_age and p.id not in prev.married
             and (gender == FEMALE or p.born_step != came_of_age)]
+
+
+def _single_adult(gender: str, state: WorldState, p: Person) -> bool:
+    """marriage_eligible's rule for one person, less the test against the
+    previous step's marriages: that reads a snapshot, which each freeze
+    replaces with no journal write, so a roster cannot follow it.
+    _SINGLE_ADULT holds the fixed roster key of each gender."""
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    return (p.partner is None and p.gender == gender and p.alive
+            and p.born_step <= came_of_age
+            and (gender == FEMALE or p.born_step != came_of_age))
+
+
+_SINGLE_ADULT = {g: partial(_single_adult, g) for g in (MALE, FEMALE)}
 
 
 def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
@@ -279,17 +312,20 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     weight, marry, merge households (the smaller household moves, ties move
     the wife's side). The bride pool is built when a draw first fires:
     before that nobody has married, so it is the pool at the event's
-    start."""
-    males = marriage_eligible(state, prev, MALE)
+    start. Visits the rosters of single adult men and women
+    (WorldState.roster), less those married at the previous step."""
+    persons, married = state.persons, prev.married
+    males = state.roster(_SINGLE_ADULT[MALE])
+    females = state.roster(_SINGLE_ADULT[FEMALE])
     pool = None
     weight = partial(marriage_weight, state)
-    ceiling = ctx.marriage_ceiling
-    for man in males:
-        u = rng.random()
-        if u >= ceiling or u >= ctx.marriage_p_step(man):
+    draw, ceiling = rng.random, ctx.marriage_ceiling
+    for pid in males:
+        if (pid in married or (u := draw()) >= ceiling
+                or u >= ctx.marriage_p_step(man := persons[pid])):
             continue
         if pool is None:
-            pool = marriage_eligible(state, prev, FEMALE)
+            pool = [persons[pid] for pid in females if pid not in married]
             n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
         bride = find_bride(state, man, pool, n_cand, weight, rng)
         if bride is None:

@@ -309,6 +309,9 @@ class WorldState:
     _born: dict[int, list[int]] = field(default_factory=dict, init=False,
                                         repr=False)
     _filed: int = field(default=0, init=False, repr=False)
+    # holds -> (step last read at, roster), and (step, clock_turned there)
+    _rosters: dict = field(default_factory=dict, init=False, repr=False)
+    _turned: tuple = field(default=(None, ()), init=False, repr=False)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:
@@ -333,6 +336,55 @@ class WorldState:
             born.setdefault(self.persons[pid].born_step, []).append(pid)
         self._filed = self.next_person_id
         return born.get(step, [])
+
+    def clock_turned(self) -> set[int]:
+        """The persons whose standing the clock alone may flip at this step:
+        those turning ADULT_YEARS, a step past it (men join the marriage
+        pool then) or MOTHER_AGE_LIMIT_YEARS, and the parents of the
+        children a step past their first birthday (the birth spacing)."""
+        time, persons = self.time, self.persons
+        adult = time.born_years_ago(ADULT_YEARS)
+        turned = {*self.born_at(adult), *self.born_at(adult - 1),
+                  *self.born_at(time.born_years_ago(MOTHER_AGE_LIMIT_YEARS))}
+        for pid in self.born_at(time.born_years_ago(1) - 1):
+            p = persons[pid]
+            turned.update(q for q in (p.mother, p.father) if q is not None)
+        return turned
+
+    def roster(self, holds: Callable[[WorldState, Person], bool]) -> list[int]:
+        """The ascending ids of the persons on record for whom
+        holds(state, person) is true; holds reads only the live state and
+        the clock. If this roster was last read at this step or the one
+        before and the journal knows what was written since the previous
+        step, only the journaled persons, their parents (a child added to a
+        parent's children is journaled, the parent need not be) and, at the
+        first read in a step, clock_turned are evaluated again; else
+        everyone. So a roster sees what the journal sees, as
+        SnapshotStore.freeze does. Callers must not change the list."""
+        now, persons = self.time.step_index, self.persons
+        read_at, ids = self._rosters.get(holds, (None, None))
+        written = self.journal.since(now - 1)
+        if read_at not in (now - 1, now) or written is None:
+            ids = [pid for pid, p in persons.items() if holds(self, p)]
+        else:
+            again = set(written[0])
+            for p in filter(None, map(persons.get, written[0])):
+                again.update((p.mother, p.father))
+            if read_at != now:
+                if self._turned[0] != now:
+                    self._turned = (now, self.clock_turned())
+                again.update(self._turned[1])
+            again.discard(None)
+            for pid in again:
+                p, i = persons.get(pid), bisect.bisect_left(ids, pid)
+                there = i < len(ids) and ids[i] == pid
+                if p is not None and holds(self, p):
+                    if not there:
+                        ids.insert(i, pid)
+                elif there:
+                    del ids[i]
+        self._rosters[holds] = (now, ids)
+        return ids
 
     def allocate_house_id(self) -> int:
         hid = self.next_house_id

@@ -23,13 +23,15 @@ both must hold the same RNG state and the same state digest.
 
 The snapshot runs compare every freeze, which shares the columns no
 journaled person changed, with the oracle's full copy, under the fault
-runs and on the digest-chain configs; the space-check cases compare the
-retrospective checks with the oracle's frozenset diff.
+runs and on the digest-chain configs; the roster runs compare every read
+of an eligibility roster with the full scans, on the same runs; the
+space-check cases compare the retrospective checks with the oracle's
+frozenset diff.
 """
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 
 import pytest
@@ -45,7 +47,8 @@ from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                           House, link_partners, mark_dead, unlink_partners)
+                           House, WorldState, link_partners, mark_dead,
+                           unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
 from demosim.space import create_house, leave_house, move_person
@@ -684,6 +687,124 @@ def test_idle_steps_share_the_previous_columns():
         assert new.alive is old.alive
         assert new.partner is old.partner
         assert new.house is old.house
+    assert idle > 2500 and busy > 3
+
+
+# The roster runs wrap WorldState.roster: after every read, the roster
+# must equal the full scan over everyone on record with its predicate, and
+# each event's roster the full scan the event made before rosters: the
+# oracle's _reproducible_women, the married-man scan of divorces, and
+# marriage_eligible, once the previous step's marriages are taken out.
+
+def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
+    """Compare every roster read from now on; returns the reads per
+    predicate."""
+    real, reads = WorldState.roster, Counter()
+    single = {events._SINGLE_ADULT[g]: g for g in (MALE, FEMALE)}
+
+    def roster(state, holds):
+        ids = real(state, holds)
+        persons = state.persons
+        assert ids == [pid for pid, p in persons.items() if holds(state, p)]
+        if holds is events._fertile_wife:
+            assert ids == [p.id for p in events._reproducible_women(state)]
+        elif holds is events._married_man:
+            assert ids == [p.id for p in persons.values()
+                           if p.partner is not None and p.gender == MALE
+                           and p.alive]
+        else:
+            prev = snaps.before(state.time.step_index)
+            assert [pid for pid in ids if pid not in prev.married] == \
+                [p.id for p in events.marriage_eligible(state, prev,
+                                                        single[holds])]
+        reads[holds] += 1
+        return ids
+
+    monkeypatch.setattr(WorldState, "roster", roster)
+    return reads
+
+
+@pytest.mark.parametrize("seed,order", SNAPSHOT_FAULT_RUNS)
+def test_rosters_match_full_scans_under_faults(monkeypatch, seed, order):
+    """Faults injected after ageing and after the step, as in
+    test_mutator_faults_match_oracle; each of the four event rosters is
+    read once a step, so every read after step 1 refreshes from the
+    journal."""
+    run = FaultRun(seed, order)
+    reads = check_rosters(monkeypatch, run.snaps)
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    for _ in range(STEPS):
+        run.advance()
+    assert not run.pending
+    assert sorted(reads.values()) == [STEPS] * 4
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_rosters_match_full_scans_on_chain_configs(monkeypatch, seed, clock,
+                                                   order):
+    """The fault-free configs of the per-step digest chains."""
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    reads = check_rosters(monkeypatch, snaps)
+    for _ in range(CHAIN_CLOCKS[clock]):
+        step(state, ctx, snaps, rng, config.event_order)
+    assert sorted(reads.values()) == [CHAIN_CLOCKS[clock]] * 4
+
+
+def test_idle_roster_refresh_evaluates_nobody():
+    """After step 1, a roster refresh evaluates its predicate only for the
+    journaled persons, their parents and the cohorts the clock moved, each
+    once; so for nobody when all three are empty."""
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    evaluated = []
+
+    def fertile_wife(state, p):
+        evaluated.append(p.id)
+        return events._fertile_wife(state, p)
+
+    idle = busy = 0
+    for i in range(1, 24 * 120 + 1):
+        step(state, ctx, snaps, rng)
+        evaluated.clear()
+        state.roster(fertile_wife)
+        if i == 1:
+            assert len(evaluated) == len(state.persons)
+            continue
+        written = state.journal.since(i - 1)[0]
+        window = written | state.clock_turned() | {
+            q for pid in written for q in (state.persons[pid].mother,
+                                           state.persons[pid].father)
+            if q is not None}
+        assert set(evaluated) <= window
+        assert len(evaluated) == len(set(evaluated))
+        if window:
+            busy += 1
+        else:
+            idle += 1
+            assert evaluated == []
     assert idle > 2500 and busy > 3
 
 
