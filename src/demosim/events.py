@@ -5,7 +5,11 @@ are visited in ascending id; each event's draws per person are documented on
 the event function. All draws come from the single run RNG stream. A
 Bernoulli event draws for every eligible person and reads the person's rate
 only when the draw is below the event's ceiling in RateContext, which no
-rate of that event exceeds; a draw at or above it cannot fire.
+rate of that event exceeds; a draw at or above it cannot fire. Deaths
+screen a draw below the ceiling once more, against the band ceiling of the
+person's gender and whole year of age (RateContext.death_band). A screen
+decides only whether the rate is read, never whether a draw is made, so the
+draw order is the same with or without it.
 
 Births, divorces and marriages visit rosters of the persons who can take
 part (WorldState.roster), kept from the change journal, so a roster sees
@@ -152,14 +156,19 @@ def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
 def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(death p_step) draw per alive non-neonate, ascending id.
-    Dying persons stay on record (kinship intact, age frozen) but leave their
-    house and widow their partner. One pass over the live records: a death
-    changes only the dying person's `alive`, so later visits see what a
-    list taken before the first draw would hold."""
-    draw, death_p_step = rng.random, ctx.death_p_step
+    A draw u is tested against death_ceiling, then the person's year band
+    (death_band), then death_p_step; each bounds the next, so u < all
+    three exactly when u < death_p_step. Dying persons stay on record
+    (kinship intact, age frozen) but leave their house and widow their
+    partner. One pass over the live records: a death changes only the dying
+    person's `alive`, so later visits see what a list taken before the
+    first draw would hold."""
+    draw, death_p_step, band = rng.random, ctx.death_p_step, ctx.death_band
     ceiling, now = ctx.death_ceiling, state.time.step_index
+    spy = ctx.steps_per_year
     for p in state.persons.values():
         if (p.alive and p.born_step < now and (u := draw()) < ceiling
+                and u < band(p.gender, (now - p.born_step) // spy)
                 and u < death_p_step(p)):
             unlink_partners(state, p)
             leave_house(state, p)

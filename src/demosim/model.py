@@ -200,6 +200,8 @@ class Person:
     gave_birth: bool = False
     # the birth-step index of the person's state (WorldState.born_at)
     cohorts: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    # the change journal of the person's state, which the age setter writes
+    journal: Journal | None = field(default=None, repr=False)
 
     @property
     def age_steps(self) -> int:
@@ -211,12 +213,15 @@ class Person:
     @age_steps.setter
     def age_steps(self, steps: int) -> None:
         """Move the birth step, and the person's entry in the birth-step
-        index once born_at has filed them."""
+        index once born_at has filed them, and journal the person: a new
+        age can change what every roster and check holds of them."""
         filed = self.cohorts.get(self.born_step, ())
         self.born_step += self.age_steps - steps
         if self.id in filed:
             filed.remove(self.id)
             bisect.insort(self.cohorts.setdefault(self.born_step, []), self.id)
+        if self.journal is not None:
+            self.journal.note(self.time.step_index, (self.id,))
 
 
 @dataclass(slots=True)
@@ -245,11 +250,11 @@ class Town:
 
 class Journal:
     """The ids of the persons whose standing a WorldState mutator changed
-    (a person created, moved, housed out, linked, unlinked or marked dead,
-    a mother flagged by births, a partner a link displaced or an unlink
-    stranded), and of the houses built, keyed by the step index each write
-    is made at. A house whose occupant set grew
-    holds a journaled person: only moving a person in adds an occupant.
+    (a person created, moved, housed out, linked, unlinked, marked dead or
+    given a new age, a mother flagged by births, a partner a link displaced
+    or an unlink stranded), and of the houses built, keyed by the step
+    index each write is made at. A house whose occupant set grew holds a
+    journaled person: only moving a person in adds an occupant.
 
     It holds the writes of the newest step written at and of the step
     written at before it, and forgets older ones. `since(step)` answers
@@ -322,7 +327,7 @@ class WorldState:
         self.next_person_id = pid + 1
         person = Person(id=pid, gender=gender, born_step=born_step,
                         time=self.time, father=father, mother=mother,
-                        cohorts=self._born)
+                        cohorts=self._born, journal=self.journal)
         self.persons[pid] = person
         self.journal.note(self.time.step_index, (pid,))
         return person

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from typing import NamedTuple
 
 from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS,
                     DataFormatError, FertilityTable, ModelData, ModelParams,
@@ -15,6 +16,10 @@ from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS,
 # death rates are clamped to this before conversion; the exponential term
 # crosses 1.0 around age 118 for males
 MAX_YEARLY_RATE = 1.0 - 1e-12
+
+# a death band ceiling is the rate at the band's upper end times this, so
+# that libm rounding inside the band cannot put a lookup above it
+_DEATH_BAND_MARGIN = 1.0 + 1e-9
 
 # built-in decade modifiers, index 1 = ages (0, 10]
 DEFAULT_DIVORCE_MODIFIERS = (0.0, 1.0, 0.9, 0.5, 0.4, 0.2, 0.1, 0.03,
@@ -148,19 +153,30 @@ def default_model_data() -> ModelData:
                      male_marriage_modifier_by_decade=DEFAULT_MARRIAGE_MODIFIERS)
 
 
+class _AgedStandIn(NamedTuple):
+    """The two fields death_p_step reads, for a lookup at an age that no
+    person on record need have."""
+    gender: str
+    age_steps: int
+
+
 class RateContext:
     """Params + data + per-step probabilities for one run.
 
     The clock rate is fixed, so each yearly rate has one per-step value. The
     constructor converts every decade's divorce and marriage rate and every
     fertility cell once, and raises ValueError for any rate a run cannot use.
-    Death rates are converted on each lookup; no per-age state is kept.
+    Death rates are converted on each lookup; death_p_step keeps no state.
 
     Each event also has a ceiling that every one of its lookups is at or
     below: for deaths the converted clamp, MAX_YEARLY_RATE, and for the
     other three the largest entry of their table. An event kernel draws
     u first and looks the rate up only when u < ceiling, since u >= ceiling
     already means u >= the rate: the same decision from the same draw.
+    Deaths screen a draw below that ceiling once more, against death_band,
+    the ceiling of the person's gender and whole year of age; only a draw
+    below both reads death_p_step. This is thinning under a
+    piecewise-constant majorant (Lewis and Shedler 1979).
     """
 
     def __init__(self, params: ModelParams, data: ModelData, steps_per_year: int):
@@ -187,6 +203,9 @@ class RateContext:
         self.divorce_ceiling = max(self._divorce)
         self.marriage_ceiling = max(self._marriage)
         self.fertility_ceiling = max(map(max, self._fertility))
+        # gender -> death_band of whole years 0, 1, ... up to the oldest
+        # year looked up: one float per year at any clock rate
+        self._death_bands: dict[str, list[float]] = {}
 
     def _decade_table(self, name: str, formula) -> tuple[float, ...]:
         """Per-step rate of decades 1..16, at index decade - 1."""
@@ -204,6 +223,25 @@ class RateContext:
         return instantaneous(death_rate_yearly_at(person.age_steps / spy,
                                                   person.gender, self.params),
                              spy)
+
+    def death_band(self, gender: str, years: int) -> float:
+        """A per-step death ceiling for every age of `gender` from `years`
+        to just under `years + 1` whole years: death_p_step at the upper
+        end, raised by _DEATH_BAND_MARGIN and clamped to death_ceiling. The
+        yearly death rate never falls with age, since ModelParams keeps
+        the scalings > 0 and the rates >= 0, so the upper end bounds the
+        band. The bands are filled through death_p_step when first looked
+        up, so the rate formula is written once."""
+        try:
+            return self._death_bands[gender][years]
+        except (KeyError, IndexError):
+            pass
+        bands = self._death_bands.setdefault(gender, [])
+        spy, ceiling = self.steps_per_year, self.death_ceiling
+        for year in range(len(bands), years + 1):
+            upper = self.death_p_step(_AgedStandIn(gender, (year + 1) * spy))
+            bands.append(min(_DEATH_BAND_MARGIN * upper, ceiling))
+        return bands[years]
 
     def divorce_p_step(self, man: Person) -> float:
         return self._divorce[bisect_left(self._decade_bounds, man.age_steps)]

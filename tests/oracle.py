@@ -362,6 +362,8 @@ def _make_marriage_housing_check(event_order: tuple[str, ...]):
                     f"couple expected in house {target}, found "
                     f"m->{m.house} f->{f.house}"))
                 continue
+            if target not in state.houses:
+                continue  # a_homeless reports the dangling house refs
             expected = occ[target] - mask
             actual = set(state.houses[target].occupants) - mask
             if expected != actual:

@@ -37,13 +37,14 @@ JOURNALED = {("model", "WorldState.add_person"), ("model", "link_partners"),
              ("space", "leave_house"),
              # journals the mother it flags
              ("events", "births"),
+             # journals the person whose birth step it moves
+             ("model", "Person.age_steps"),
              # the frozen copy writes its own fields of the same names
              ("predicates", "Snapshot.__init__")}
 # writes no check needs journaled: ageing only clears a flag, which is never
 # a fault; a birth step is written at step 0, before WorldState.born_at files
-# the person, or through the age setter, which refiles a filed person
-UNJOURNALED = {("events", "ageing"), ("initialization", "init_world"),
-               ("model", "Person.age_steps")}
+# the person
+UNJOURNALED = {("events", "ageing"), ("initialization", "init_world")}
 
 
 class _Writes(ast.NodeVisitor):

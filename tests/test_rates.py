@@ -17,8 +17,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import add_person, make_state
+from demosim.cli import build_config
+from demosim.events import step
+from demosim.initialization import init_world
 from demosim.model import (FEMALE, MALE, DataFormatError, FertilityTable,
                            ModelParams)
+from demosim.predicates import SnapshotStore
 from demosim.rates import (DEFAULT_DIVORCE_MODIFIERS,
                            DEFAULT_MARRIAGE_MODIFIERS, MAX_YEARLY_RATE,
                            RateContext, death_rate_yearly_at, decade_index,
@@ -273,6 +277,58 @@ def test_death_lookup_keeps_no_per_age_state():
     assert pickle.dumps(ctx) == before
 
 
+def test_death_bands_hold_a_float_per_year_looked_up():
+    """At 100000 steps a year, the band of a 90-year-old fills the bands of
+    years 0..90 of that gender only, and allocates no per-step table."""
+    spy = 100_000
+    ctx = RateContext(ModelParams(), default_model_data(), spy)
+    state = make_state(spy)
+    man = add_person(state, MALE, 90)
+    tracemalloc.start()
+    try:
+        band = ctx.death_band(MALE, man.age_steps // spy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert ctx.death_p_step(man) <= band
+    assert len(ctx._death_bands[MALE]) <= 91
+    assert len(ctx._death_bands.get(FEMALE, ())) <= 91
+
+
+class CountingRates(RateContext):
+    """Counts its death_p_step calls, as the benchmark's traced context
+    does to time them."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.death_calls = 0
+
+    def death_p_step(self, person):
+        self.death_calls += 1
+        return RateContext.death_p_step(self, person)
+
+
+def test_death_bands_are_filled_through_death_p_step():
+    """An hourly run with no death still calls death_p_step: the bands are
+    filled through it, so an override of it sees every death rate the run
+    computes."""
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = CountingRates(config.model, config.data,
+                        config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    died = 0
+    for _ in range(24 * 30):
+        died += step(state, ctx, snaps, rng).deaths
+    assert died == 0
+    assert ctx.death_calls >= 1
+
+
 @pytest.mark.parametrize("settings", [
     {}, {"female_age_scaling": 2.0},
     # exp(age / 0.01) leaves a double's range past about 7 years
@@ -282,9 +338,10 @@ def test_death_lookup_keeps_no_per_age_state():
 def test_ceilings_bound_every_lookup(settings):
     """Each ceiling is at or above every rate its lookup returns, so a draw
     at or above it cannot fire: deaths at every age step from 0 to 200
-    years for both genders (every 7th step at the hourly clock), and every
-    cell of the divorce, marriage and fertility tables. The table ceilings
-    are attained."""
+    years for both genders (every 7th step at the hourly clock), under the
+    band of the age's whole year, itself at or below the death ceiling;
+    and every cell of the divorce, marriage and fertility tables. The
+    table ceilings are attained."""
     params = replace(ModelParams(), **settings)
     data = default_model_data()
     table = FertilityTable(
@@ -299,7 +356,8 @@ def test_ceilings_bound_every_lookup(settings):
             person = add_person(state, gender, 0)
             for age in range(0, 200 * spy + 1, 7 if spy == 8760 else 1):
                 person.age_steps = age
-                assert ctx.death_p_step(person) <= ctx.death_ceiling
+                band = ctx.death_band(gender, age // spy)
+                assert ctx.death_p_step(person) <= band <= ctx.death_ceiling
         man = add_person(state, MALE, 0)
         divorce, marriage = set(), set()
         for decade in range(1, 17):
