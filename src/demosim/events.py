@@ -176,33 +176,10 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
             outcome.died.append(p.id)
 
 
-def _reproducible_women(state: WorldState) -> list[Person]:
-    """Married adult women below the mother age limit with no child born
-    within the last year (time-based, so a child's death cannot freeze the
-    spacing rule). Married implies adult in a correct run; the adult test
-    keeps a married minor, which a_p_marriage_age reports, out of the
-    fertility table."""
-    time = state.time
-    # born after `oldest` and at or before `youngest`: aged [adult, limit)
-    oldest = time.born_years_ago(MOTHER_AGE_LIMIT_YEARS)
-    youngest = time.born_years_ago(ADULT_YEARS)
-    recent = time.born_years_ago(1)
-    persons = state.persons
-    out = []
-    for p in persons.values():
-        if (p.partner is None or p.gender != FEMALE or not p.alive
-                or not oldest < p.born_step <= youngest):
-            continue
-        for c in p.children:
-            if persons[c].born_step >= recent:
-                break
-        else:
-            out.append(p)
-    return out
-
-
 def _fertile_wife(state: WorldState, p: Person) -> bool:
-    """_reproducible_women's rule for one person."""
+    """A married adult woman under the mother age limit with no child born in
+    the last year (by birth step: a child's death cannot freeze the spacing).
+    The adult test keeps a married minor out of the fertility table."""
     time = state.time
     if (p.partner is None or p.gender != FEMALE or not p.alive
             or not time.born_years_ago(MOTHER_AGE_LIMIT_YEARS) < p.born_step
@@ -263,24 +240,11 @@ def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
             outcome.divorced.append((man.id, wife_id))
 
 
-def marriage_eligible(state: WorldState, prev: Snapshot,
-                      gender: str) -> list[Person]:
-    """Single adults of one gender, excluding those married at the previous
-    step (covers the just-divorced and delays widowed persons one step).
-    Males who turned exactly 18 this step are excluded too; females are
-    not."""
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
-    return [p for p in state.persons.values()
-            if p.partner is None and p.gender == gender and p.alive
-            and p.born_step <= came_of_age and p.id not in prev.married
-            and (gender == FEMALE or p.born_step != came_of_age)]
-
-
 def _single_adult(gender: str, state: WorldState, p: Person) -> bool:
-    """marriage_eligible's rule for one person, less the test against the
-    previous step's marriages: that reads a snapshot, which each freeze
-    replaces with no journal write, so a roster cannot follow it.
-    _SINGLE_ADULT holds the fixed roster key of each gender."""
+    """A single adult of the gender, less males who turned exactly 18 this
+    step. marriages also excludes those married at the previous step: that
+    reads a snapshot, which each freeze replaces with no journal write, so a
+    roster cannot follow it. _SINGLE_ADULT holds each gender's roster key."""
     came_of_age = state.time.born_years_ago(ADULT_YEARS)
     return (p.partner is None and p.gender == gender and p.alive
             and p.born_step <= came_of_age

@@ -7,12 +7,9 @@ retrospective space checks against a digest of the previous step's id sets.
 Statistical assumptions (uniformity, gender ratio, weighted selection) keep
 registry entries but no per-step check; they are covered by seeded
 distribution tests in the test suite. Checks are read-only by contract:
-they never mutate the state. A check may keep its own bookkeeping across
-steps: every hard every-step check remembers the state and step index of
-its last evaluation, so that it can read what the state's change journal
-holds from the previous step on instead of sweeping, and the kinship rule
-keeps a merge-only union-find (KinshipIndex) for the run's WorldState. So
-build_registry builds fresh checks per run.
+they never mutate the state. A registry keeps its own bookkeeping across
+steps, a change window (_Window) and the kinship rule's union-find
+(KinshipIndex), so build_registry builds fresh checks per run.
 """
 from __future__ import annotations
 
@@ -60,10 +57,6 @@ class SpaceDigest(NamedTuple):
 
 def _noop(state: WorldState, snaps) -> list[Violation]:
     return []
-
-
-def _prev(state: WorldState, snaps: SnapshotStore) -> Snapshot:
-    return snaps.before(state.time.step_index)
 
 
 # ---------------------------------------------------------------- initial
@@ -145,34 +138,35 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 
 # ------------------------------------------------------------- every step
-#
-# A hard every-step check reads what may have changed from the state's
-# change journal (model.Journal) when it has history: it was last evaluated
-# on the same WorldState at the previous step index, and no house has gone
-# missing since. It then reads every id journaled at the previous step or
-# later, which holds every write made since that evaluation. Otherwise it
-# sweeps every person and house on record, as a fresh registry does at the
-# first step.
 
-class _History:
-    """A check's record of its last evaluation: the state, the step index,
-    and how many allocated house ids had no house."""
-
-    __slots__ = ("state", "step", "lost")
+class _Window:
+    """Where a registry's hard every-step checks were last evaluated (the
+    state, the step index and the count of allocated house ids with no
+    house), the checks served there and at the step before, and whether
+    check_step's last call there flagged nothing."""
 
     def __init__(self) -> None:
-        self.state = self.step = self.lost = None
+        self.state = self.at = None
+        self.served, self.before, self.quiet = set(), set(), False
 
-    def follow(self, state: WorldState) -> int | None:
-        """Record this evaluation. Returns the step index of the previous
-        one when this one directly follows it on the same state and no
-        house went missing in between; None means sweep everything."""
-        now = state.time.step_index
-        lost = state.next_house_id - len(state.houses)
-        follows = (state is self.state and now == self.step + 1
-                   and lost == self.lost)
-        self.state, self.step, self.lost = state, now, lost
-        return now - 1 if follows else None
+    def moved(self, state: WorldState) -> bool:
+        """Move to the state's step; True when that is the next step on the
+        same state with no house lost."""
+        at = (state.time.step_index, state.next_house_id - len(state.houses))
+        if state is self.state and at == self.at:
+            return False
+        follows = state is self.state and at == (self.at[0] + 1, self.at[1])
+        self.before, self.served = self.served if follows else set(), set()
+        self.state, self.at, self.quiet = state, at, False
+        return follows
+
+    def read(self, state: WorldState, label: str, step: int) -> tuple | None:
+        """The ids journaled (model.Journal) at `step` or later if the check
+        `label` was served at the previous step, as they hold every write
+        since its last evaluation; else None, and the check sweeps."""
+        self.moved(state)
+        self.served.add(label)
+        return state.journal.since(step) if label in self.before else None
 
 
 def _reach(state: WorldState, written: tuple[set[int], set[int]],
@@ -195,25 +189,20 @@ def _reach(state: WorldState, written: tuple[set[int], set[int]],
                                            if hid in houses)])
 
 
-def _structural(label: str, rule) -> Assumption:
+def _structural(label: str, rule, window: _Window) -> Assumption:
     """Every-step entry for a structural rule: one of model.py, which
     validate_world applies too, or the kinship rule. Its check reports one
-    Violation per fault. With history it examines only what _reach returns:
-    any other record passed at the last evaluation and no mutator has
-    touched it or its partner or house since, so it passes still.
-    Re-examining what it flagged keeps a fault that persists reported in
-    warn mode. When nothing was written and nothing flagged, that is
-    nothing at all."""
-    history = _History()
+    Violation per fault. Unless it sweeps, it examines only what _reach
+    returns: any other record passed at the last evaluation, and no mutator
+    has touched it or its partner or house since. Re-examining what it
+    flagged keeps a fault that persists reported in warn mode."""
     flagged: tuple[set[int], set[int]] = (set(), set())
 
     def check(state: WorldState, snaps) -> list[Violation]:
         nonlocal flagged
-        written = state.journal.since(history.follow(state))
+        written = window.read(state, label, state.time.step_index - 1)
         if written is None:
             persons, houses = state.persons.values(), state.houses.values()
-        elif not (written[0] or written[1] or flagged[0] or flagged[1]):
-            return []
         else:
             persons, houses = _reach(state, written, flagged)
         faults = rule(state, persons, houses)
@@ -225,21 +214,18 @@ def _structural(label: str, rule) -> Assumption:
     return Assumption(label, "every_step", check)
 
 
-def _step_change(label: str, body, note: str = "") -> Assumption:
+def _step_change(label: str, body, window: _Window, note="") -> Assumption:
     """Every-step entry for a check that compares the state with the
-    previous snapshot. body(state, prev, changed) looks for step changes
-    only among `changed`, in ascending id: with history, the persons
-    journaled at the snapshot's step or later, as any other person's alive,
-    partner, house and birth step are as frozen and births set no flag of
-    theirs; without, everyone on record. Each body tests every condition
-    against the snapshot, so a person in `changed` who did not change adds
-    nothing."""
-    history = _History()
+    previous snapshot: body(state, prev, changed) looks for step changes
+    only among `changed`, ascending id. Unless the check sweeps, those are
+    the persons journaled at the snapshot's step or later: any other's
+    alive, partner, house, birth step and birth flag are as frozen. Each
+    body tests every condition against the snapshot, so a person in
+    `changed` who did not change adds nothing."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
-        prev = _prev(state, snaps)
-        written = (state.journal.since(prev.step_index)
-                   if history.follow(state) is not None else None)
+        prev = snaps.before(state.time.step_index)
+        written = window.read(state, label, prev.step_index)
         persons = state.persons
         changed = (persons.values() if written is None
                    else [persons[pid] for pid in sorted(written[0])])
@@ -252,11 +238,6 @@ def _born_now(state: WorldState, changed) -> list[Person]:
     """Persons born this step."""
     now = state.time.step_index
     return [q for q in changed if q.born_step == now]
-
-
-def _died_now(prev: Snapshot, changed) -> set[int]:
-    """Ids alive at the previous step and dead now."""
-    return {q.id for q in changed if not q.alive and q.id in prev.alive}
 
 
 def _turned_adult(state: WorldState,
@@ -351,14 +332,13 @@ class KinshipIndex:
 
     Components only ever merge, because parent links are set once when a
     person is created and `ever_partners` only grows. So `sync` keeps the
-    index exact by absorbing what is new among the persons it is handed:
+    index exact by absorbing what is new among the persons it is handed,
+    which must include every person created or linked since the last sync:
     the parent links of persons seen for the first time, and the partner
-    entries appended since. It must be handed every person created or
-    linked since the last sync: the persons the journal holds, or everyone.
-    A partner list that shrank, a write the model never makes, rebuilds the
-    index from every person on record, and `sync` returns True: only then
-    can a component have split. A parent link rewritten after creation is
-    not seen.
+    entries appended since. A partner list that shrank, a write the model
+    never makes, rebuilds the index from every person on record, and `sync`
+    returns True: only then can a component have split. A parent link
+    rewritten after creation is not seen.
     """
 
     __slots__ = ("_parent", "_absorbed")
@@ -418,14 +398,11 @@ def _kinship_faults():
     links: the pairwise kin list closed under chains, with dead relatives
     as valid intermediates.
 
-    The rule keeps one KinshipIndex for the WorldState it last saw; handed
-    a different state, it starts a fresh index. It syncs the index from the
-    persons it is handed, those _reach returns or everyone, and proves the
-    houses it is handed: every house that gained an occupant holds a
-    journaled person.
-    Components only merge, so a house that passed and gained nobody passes
-    still. When the sync rebuilt, a component may have split, and it proves
-    every house."""
+    The rule keeps one KinshipIndex for the WorldState it last saw, and
+    starts a fresh one when handed another. It syncs the index from the
+    persons it is handed and proves the houses it is handed: a house that
+    gained an occupant holds a journaled person, and one that passed and
+    gained nobody passes still. After a rebuild it proves every house."""
     index = indexed = None
 
     def rule(state: WorldState, persons: Iterable[Person],
@@ -546,7 +523,8 @@ def _marriage_housing(event_order: tuple[str, ...]):
                 move(p.id, ("new-adult", p.id))
 
         born_now = _born_now(state, changed)
-        died_now = _died_now(prev, changed)
+        died_now = {q.id for q in changed
+                    if not q.alive and q.id in prev.alive}
         for name in pre_marriage:
             if name == "deaths":
                 for pid in died_now:
@@ -607,13 +585,19 @@ def _marriage_housing(event_order: tuple[str, ...]):
 
 # ----------------------------------------------------------- registry
 
-def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
+class Registry(tuple):
+    """One run's assumptions, and the window their hard checks share."""
+    window: _Window
+
+
+def build_registry(event_order=DEFAULT_EVENT_ORDER) -> Registry:
     """All labeled assumptions, built for one run: the marriage-housing
-    check follows the event order, every hard every-step check keeps its
-    own history and the kinship rule its own index. Statistical and vacuous
-    entries carry no-op runtime checks so the registry still enumerates
-    them."""
-    return (
+    check follows the event order, the hard every-step checks share one
+    change window and the kinship rule keeps its own index. Statistical and
+    vacuous entries carry no-op runtime checks so the registry still
+    enumerates them; check_step does not call them."""
+    w = _Window()
+    registry = Registry((
         Assumption("a0_adults_no_parents", "initial", _check_adults_no_parents),
         Assumption("a0_parents_alive", "initial", _check_parents_alive),
         Assumption("a0_siblings_age_free", "initial", _noop, kind="vacuous",
@@ -628,7 +612,7 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
         Assumption("a_s_dynamic_houses_per_town", "every_step", _noop,
                    kind="vacuous",
                    note="per-town house counts may grow freely"),
-        _structural("a_s_house_xy_bounds", house_xy_faults),
+        _structural("a_s_house_xy_bounds", house_xy_faults, w),
         Assumption("a_s_uniform_house_locations", "every_step", _noop,
                    kind="statistical", note="covered by offline uniformity tests"),
         Assumption("a_s_empty_house_selection", "every_step", _noop,
@@ -637,20 +621,22 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> tuple[Assumption, ...]:
                    kind="statistical", note="covered by offline frequency tests"),
         Assumption("a_p_gender_ratio", "every_step", _noop, kind="statistical",
                    note="covered by offline binomial tests"),
-        _structural("a_p_marriage_age", partnership_faults),
-        _step_change("a_p_married_gives_birth", _married_gives_birth),
-        _step_change("a_p_no_adoption", _no_adoption,
+        _structural("a_p_marriage_age", partnership_faults, w),
+        _step_change("a_p_married_gives_birth", _married_gives_birth, w),
+        _step_change("a_p_no_adoption", _no_adoption, w,
                      note="runtime face is no-resurrection; parent-link "
                           "immutability is structural and unit-tested"),
-        _structural("a_homeless", residence_faults),
+        _structural("a_homeless", residence_faults, w),
         Assumption("a_arbitrary_occupants", "every_step", _noop, kind="vacuous",
                    note="houses have no occupancy cap; nothing to check"),
-        _structural("a_housing_kinship", _kinship_faults()),
-        _step_change("a_adult_moves_out", _adult_moves_out),
-        _structural("a_dead_no_house", dead_residence_faults),
-        _step_change("a_divorce_male_moves", _divorce_male_moves),
-        _step_change("a_marriage_housing", _marriage_housing(event_order)),
-    )
+        _structural("a_housing_kinship", _kinship_faults(), w),
+        _step_change("a_adult_moves_out", _adult_moves_out, w),
+        _structural("a_dead_no_house", dead_residence_faults, w),
+        _step_change("a_divorce_male_moves", _divorce_male_moves, w),
+        _step_change("a_marriage_housing", _marriage_housing(event_order), w),
+    ))
+    registry.window = w
+    return registry
 
 
 def check_initial(state: WorldState,
@@ -664,12 +650,23 @@ def check_initial(state: WorldState,
 
 
 def check_step(state: WorldState, snaps: SnapshotStore,
-               registry: tuple[Assumption, ...] | None = None) -> list[Violation]:
+               registry: Registry | None = None) -> list[Violation]:
+    """The every-step violations, in registry order. Only the hard checks
+    run; none does when the last call, at the previous step, flagged
+    nothing, nothing was journaled since and nobody turns ADULT_YEARS (the
+    one clock cohort a check reads). A fresh registry sweeps everyone."""
     registry = build_registry() if registry is None else registry
+    window, time = registry.window, state.time
+    if (window.quiet and window.moved(state)
+            and state.journal.since(time.step_index - 1) == (set(), set())
+            and not state.born_at(time.born_years_ago(ADULT_YEARS))):
+        window.served, window.quiet = set(window.before), True
+        return []
     out: list[Violation] = []
     for a in registry:
-        if a.scope == "every_step":
+        if a.scope == "every_step" and a.kind == "hard":
             out.extend(a.check(state, snaps))
+    window.quiet = not out
     return out
 
 

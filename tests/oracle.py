@@ -13,7 +13,11 @@ The four Bernoulli event kernels (`deaths`, `births`, `divorces`,
 `marriages`), `step` and the per-gender death memo (`MemoRates`) are copied
 verbatim from the package as it was before the kernels screened each draw
 against a rate ceiling: every draw looks its rate up. The lockstep test
-steps a world with them beside one stepped by the live kernels.
+steps a world with them beside one stepped by the live kernels. They
+find the eligible persons by full scans over everyone on record,
+`reproducible_women` and `marriage_eligible`, which the package kept as
+references once its kernels read eligibility rosters; the roster tests
+compare each roster read with them.
 
 `FullSnapshot` is the snapshot constructor as it was before a freeze
 shared the columns no journaled person changed: a full copy of every
@@ -32,9 +36,8 @@ from typing import NamedTuple
 
 from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome,
                             _merge_households, _move_to_own_empty_house,
-                            _reproducible_women, ageing, candidate_count,
-                            find_bride, marriage_eligible, marriage_weight,
-                            validate_event_order)
+                            ageing, candidate_count, find_bride,
+                            marriage_weight, validate_event_order)
 from demosim.model import (ADULT_YEARS, FEMALE, HOUSE_COORD_BOUNDS, MALE,
                            MOTHER_AGE_LIMIT_YEARS, Fault, IntegrityError,
                            Person, WorldState, is_orphan_oldest_sibling,
@@ -468,6 +471,44 @@ class MemoRates(RateContext):
         return p
 
 
+def reproducible_women(state: WorldState) -> list[Person]:
+    """Married adult women below the mother age limit with no child born
+    within the last year (time-based, so a child's death cannot freeze the
+    spacing rule). Married implies adult in a correct run; the adult test
+    keeps a married minor, which a_p_marriage_age reports, out of the
+    fertility table."""
+    time = state.time
+    # born after `oldest` and at or before `youngest`: aged [adult, limit)
+    oldest = time.born_years_ago(MOTHER_AGE_LIMIT_YEARS)
+    youngest = time.born_years_ago(ADULT_YEARS)
+    recent = time.born_years_ago(1)
+    persons = state.persons
+    out = []
+    for p in persons.values():
+        if (p.partner is None or p.gender != FEMALE or not p.alive
+                or not oldest < p.born_step <= youngest):
+            continue
+        for c in p.children:
+            if persons[c].born_step >= recent:
+                break
+        else:
+            out.append(p)
+    return out
+
+
+def marriage_eligible(state: WorldState, prev: Snapshot,
+                      gender: str) -> list[Person]:
+    """Single adults of one gender, excluding those married at the previous
+    step (covers the just-divorced and delays widowed persons one step).
+    Males who turned exactly 18 this step are excluded too; females are
+    not."""
+    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    return [p for p in state.persons.values()
+            if p.partner is None and p.gender == gender and p.alive
+            and p.born_step <= came_of_age and p.id not in prev.married
+            and (gender == FEMALE or p.born_step != came_of_age)]
+
+
 def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(death p_step) draw per alive non-neonate, ascending id.
@@ -490,7 +531,7 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
     id; on success one gender draw. The neonate starts in the mother's house
     with both parent links set."""
     draw, fertility_p_step, time = rng.random, ctx.fertility_p_step, state.time
-    for mother in _reproducible_women(state):
+    for mother in reproducible_women(state):
         if draw() >= fertility_p_step(mother, time):
             continue
         if mother.partner is None:

@@ -10,11 +10,13 @@ run, with a fresh registry per call, and with one registry handed two
 WorldStates in turn. The fault runs inject one fault per hard every-step
 assumption, plus a removed house, once inside a step (right after ageing,
 by wrapping that event) and once after `step()` returns; at every step
-`check_step` with a kept and with a fresh registry must return exactly the
+`check_step` with a kept and with a fresh registry, and the every-step
+entries of a third registry called one at a time, must return exactly the
 oracle's list, and every fault must be flagged. The same faults injected
 after `check_step` has evaluated a step must match the oracle at the next
 step. The direct writes of test_verification.py are compared the same
-way.
+way, and so are the hourly digest-chain configs, where most steps journal
+nothing, and steps with no write that check_step must not pass over.
 
 The lockstep runs step twin worlds from one seed, one with the live event
 kernels, which look a rate up only when the draw is below its ceiling, and
@@ -38,7 +40,8 @@ import pytest
 
 import oracle
 from conftest import DAILY, add_house, add_town, family_state
-from oracle import check_housing_kinship, kinship_roots
+from oracle import (check_housing_kinship, kinship_roots, marriage_eligible,
+                    reproducible_women)
 from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
@@ -65,6 +68,16 @@ FAULTS = 8   # injections per run, half moves and half links
 
 def kinship_check(registry):
     return next(a.check for a in registry if a.label == "a_housing_kinship")
+
+
+def every_step_entries(registry) -> list:
+    return [a.check for a in registry if a.scope == "every_step"]
+
+
+def one_at_a_time(entries, state, snaps) -> list:
+    """Each every-step entry called on its own, in registry order, as the
+    benchmark's traced run times them: no check_step, so no idle skip."""
+    return [v for check in entries for v in check(state, snaps)]
 
 
 class SeededRun:
@@ -280,6 +293,45 @@ def test_unlink_journals_the_person_it_strands():
         stranded = [v for v in expected if v.ids == (other.id,)
                     and "not symmetric" in v.detail]
         assert bool(stranded) == (now >= 5)
+
+
+@pytest.mark.parametrize("case", ["new_adult", "house_removed",
+                                  "after_a_gap", "another_state"])
+def test_step_with_no_write_is_checked_when_it_must_be(case):
+    """check_step calls no check only when its last call, at the previous
+    step of the same state, flagged nothing, nothing was journaled since,
+    no house went missing and nobody turns 18. The kept registry's call at
+    step 2 flags nothing and the clock is moved by hand, so no event runs
+    and nothing is journaled after it; each case then breaks one of the
+    other conditions, and check_step must report what the oracle does."""
+    state, _, (_, h1), (_, _, kid, single) = family_state()
+    if case == "new_adult":  # turns 18 at step 3; at step 0, not journaled
+        kid.age_steps = ADULT_YEARS * DAILY - 3
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    kept = build_registry()
+    for now in (1, 2):
+        state.time.step_index = now
+        snaps.freeze(state)
+        assert check_step(state, snaps, kept) == []
+    if case == "house_removed":
+        _drop_house(state, h1)
+    elif case == "after_a_gap":
+        leave_house(state, single)  # journaled at step 2, after its check
+        state.time.step_index += 1
+    elif case == "another_state":
+        state, _, _, (*_, single) = family_state()
+        leave_house(state, single)  # at step 0, not journaled
+        snaps = SnapshotStore()
+        snaps.freeze(state)
+        state.time.step_index = 2
+    state.time.step_index += 1
+    snaps.freeze(state)
+    expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+    assert state.journal.since(state.time.step_index - 1) == (set(), set())
+    assert {v.label for v in expected} == {
+        "a_adult_moves_out" if case == "new_adult" else "a_homeless"}
+    assert check_step(state, snaps, kept) == expected
 
 
 class _OffGrid:
@@ -501,6 +553,7 @@ def test_mutator_faults_match_oracle(monkeypatch, seed, order):
 
     monkeypatch.setattr(events, "ageing", ageing)
     kept = build_registry(order)
+    entries = every_step_entries(build_registry(order))
     flagged = set()
     for _ in range(STEPS):
         run.advance()
@@ -508,12 +561,41 @@ def test_mutator_faults_match_oracle(monkeypatch, seed, order):
         assert check_step(run.state, run.snaps, kept) == expected
         assert check_step(run.state, run.snaps,
                           build_registry(order)) == expected
+        assert one_at_a_time(entries, run.state, run.snaps) == expected
         flagged |= {name for name, key in run.injected
                     if any(v.label == MUTATOR_FAULTS[name][1] and key in v.ids
                            for v in expected)}
     assert not run.pending
     # every fault must show, or the comparison proves nothing
     assert flagged == set(MUTATOR_FAULTS)
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_hourly_chain_checks_match_oracle(seed, order):
+    """The hourly config of the per-step digest chains, where most steps
+    journal nothing: check_step with a kept registry and the every-step
+    entries called one at a time must match the oracle at every step."""
+    config = build_config({"initial_pop": "120", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    kept = build_registry(config.event_order)
+    entries = every_step_entries(build_registry(config.event_order))
+    idle = 0
+    for i in range(1, CHAIN_CLOCKS["hourly"] + 1):
+        step(state, ctx, snaps, rng, config.event_order)
+        expected = oracle.check_step(state, snaps, config.event_order)
+        assert check_step(state, snaps, kept) == expected
+        assert one_at_a_time(entries, state, snaps) == expected
+        idle += state.journal.since(i - 1) == (set(), set())
+    assert idle > CHAIN_CLOCKS["hourly"] // 2
 
 
 # the faults still flagged one step after they are written: a birth and an
@@ -691,7 +773,7 @@ def test_idle_steps_share_the_previous_columns():
 # The roster runs wrap WorldState.roster: after every read, the roster
 # must equal the full scan over everyone on record with its predicate, and
 # each event's roster the full scan the event made before rosters: the
-# oracle's _reproducible_women, the married-man scan of divorces, and
+# oracle's reproducible_women, the married-man scan of divorces, and
 # marriage_eligible, once the previous step's marriages are taken out.
 
 def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
@@ -705,7 +787,7 @@ def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
         persons = state.persons
         assert ids == [pid for pid, p in persons.items() if holds(state, p)]
         if holds is events._fertile_wife:
-            assert ids == [p.id for p in events._reproducible_women(state)]
+            assert ids == [p.id for p in reproducible_women(state)]
         elif holds is events._married_man:
             assert ids == [p.id for p in persons.values()
                            if p.partner is not None and p.gender == MALE
@@ -713,8 +795,7 @@ def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
         else:
             prev = snaps.before(state.time.step_index)
             assert [pid for pid in ids if pid not in prev.married] == \
-                [p.id for p in events.marriage_eligible(state, prev,
-                                                        single[holds])]
+                [p.id for p in marriage_eligible(state, prev, single[holds])]
         reads[holds] += 1
         return ids
 

@@ -11,12 +11,13 @@ from dataclasses import replace
 import pytest
 
 from conftest import add_house, add_person, add_town, family_state, make_state
+from oracle import marriage_eligible
 from demosim.cli import build_config
 from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, age_factor,
                             ageing, births, candidate_count, children_factor,
-                            deaths, divorces, geo_factor, marriage_eligible,
-                            marriage_weight, marriages, step,
-                            validate_event_order, weighted_pick)
+                            deaths, divorces, geo_factor, marriage_weight,
+                            marriages, step, validate_event_order,
+                            weighted_pick)
 from demosim.model import ADULT_YEARS, FEMALE, MALE, ConfigError, mark_dead
 from demosim.model import ModelParams
 from demosim.predicates import SnapshotStore
