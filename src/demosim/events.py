@@ -12,8 +12,9 @@ decides only whether the rate is read, never whether a draw is made, so the
 draw order is the same with or without it.
 
 Births, divorces and marriages visit rosters of the persons who can take
-part (WorldState.roster), kept from the change journal, so a roster sees
-what the journal sees: the contract of SnapshotStore.freeze.
+part (WorldState.roster), kept from the change window that the freeze and
+the checks read too (WorldState.changed_since). births flags the mother
+without a journal note: the window holds each journaled neonate's parents.
 """
 from __future__ import annotations
 
@@ -214,7 +215,6 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
         if home is not None:  # a homeless mother's neonate is homeless too
             move_person(state, child, home)
         mother.gave_birth = True
-        state.journal.note(time.step_index, (mother.id,))
         outcome.born.append(child.id)
 
 

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 from .events import age_factor, candidate_count, find_bride
 from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
                     ModelParams, Person, SimTime, SimulationParams, WorldState)
-from .space import DensityMap, build_towns, find_or_create_empty_house, \
-    move_person, weighted_town
+from .space import DensityMap, build_towns, create_house, move_person, \
+    weighted_town
 
 
 @dataclass(slots=True)
@@ -134,8 +134,8 @@ def assign_parents(state: WorldState,
 def assign_housing(state: WorldState, rng: random.Random) -> int:
     """House each family unit together: a couple with their children, a
     single adult alone, a parentless child alone. Towns are drawn by density
-    weight per unit; every unit lands in an empty (here: always fresh) house.
-    Returns the number of houses created."""
+    weight per unit; every unit gets a fresh house, as none is ever empty
+    here. Returns the number of houses created."""
     came_of_age = state.time.born_years_ago(ADULT_YEARS)
     towns = [state.towns[tid] for tid in sorted(state.towns)]
     for p in state.persons.values():
@@ -150,8 +150,7 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
             unit = [p]
         else:
             continue  # children with parents move with the father's unit
-        town = weighted_town(towns, rng)
-        house = find_or_create_empty_house(state, town, rng)
+        house = create_house(state, weighted_town(towns, rng), rng)
         for q in unit:
             move_person(state, q, house)
     return len(state.houses)

@@ -251,20 +251,19 @@ class Town:
 class Journal:
     """The ids of the persons whose standing a WorldState mutator changed
     (a person created, moved, housed out, linked, unlinked, marked dead or
-    given a new age, a mother flagged by births, a partner a link displaced
-    or an unlink stranded), and of the houses built, keyed by the step
-    index each write is made at. A house whose occupant set grew holds a
-    journaled person: only moving a person in adds an occupant.
+    given a new age, a partner a link displaced or an unlink stranded), and
+    of the houses built, keyed by the step index each write is made at.
+    Only a move adds an occupant and only births adds a child or flags a
+    mother, so a grown house or parent has a journaled occupant or child.
 
     It holds the writes of the newest step written at and of the step
-    written at before it, and forgets older ones. `since(step)` answers
-    with every id written at `step` or later, or None when writes at or
-    after `step` may have been forgotten; the reader then sweeps the whole
-    state instead. Step 0 counts as forgotten from the start, so the writes
-    that build a world at step 0 are never recorded."""
+    written at before it, and forgets older ones. `since(step)`, read by
+    WorldState.changed_since alone, answers with every id written at
+    `step` or later, or None when writes at or after `step` may have been
+    forgotten. `writes` counts the notes. Step 0 counts as forgotten from
+    the start, so the writes that build a world there are never recorded."""
 
-    __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older")
-    _NOTHING = (frozenset(), frozenset())  # shared, so immutable
+    __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older", "writes")
 
     def __init__(self) -> None:
         self._forgotten = 0  # the newest step whose writes were dropped
@@ -273,11 +272,13 @@ class Journal:
         self._houses: set[int] = set()
         # the step written at before it, and its writes
         self._older: tuple[int, set[int], set[int]] = (0, set(), set())
+        self.writes = 0
 
     def note(self, step: int, persons: Iterable[int] = (),
              houses: Iterable[int] = ()) -> None:
         if step <= self._forgotten:
             return
+        self.writes += 1
         if step != self._step:
             # max: still sound should a hand-built state's clock go back
             self._forgotten = max(self._forgotten, self._older[0])
@@ -287,19 +288,17 @@ class Journal:
         self._houses.update(houses)
 
     def since(self, step: int | None) -> tuple[set[int], set[int]] | None:
-        """The person ids and house ids written at `step` or later, which
-        the checks and SnapshotStore.freeze read; None when `step` is None
-        or this journal cannot tell, and a freeze then copies everyone.
-        When nothing was written, one shared pair of empty frozensets."""
+        """The person ids and house ids written at `step` or later, in new
+        sets; None when `step` is None or this journal cannot tell."""
         if step is None or step <= self._forgotten:
             return None
-        written = [(p, h) for at, p, h in (self._older, (
-            self._step, self._persons, self._houses))
-                   if at >= step and (p or h)]
-        if not written:
-            return self._NOTHING
-        persons, houses = zip(*written)
-        return set().union(*persons), set().union(*houses)
+        persons, houses = set(), set()
+        for at, p, h in (self._older, (self._step, self._persons,
+                                       self._houses)):
+            if at >= step:
+                persons |= p
+                houses |= h
+        return persons, houses
 
 
 @dataclass(slots=True)
@@ -314,9 +313,11 @@ class WorldState:
     _born: dict[int, list[int]] = field(default_factory=dict, init=False,
                                         repr=False)
     _filed: int = field(default=0, init=False, repr=False)
-    # holds -> (step last read at, roster), and (step, clock_turned there)
+    # holds -> (step last read at, roster)
     _rosters: dict = field(default_factory=dict, init=False, repr=False)
-    _turned: tuple = field(default=(None, ()), init=False, repr=False)
+    # changed_since's (step, journal writes) key, and its (near, far)
+    # answers there: for a reader at that step and at the one before
+    _changed: tuple = field(default=(None, None), init=False, repr=False)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:
@@ -356,39 +357,49 @@ class WorldState:
             turned.update(q for q in (p.mother, p.father) if q is not None)
         return turned
 
+    def changed_since(self, step: int | None) -> tuple | None:
+        """What a reader that last read this state at `step` must look at
+        again: the persons and houses journaled since the previous step,
+        the parents, partner and house of each such person, and, once the
+        clock has moved past `step`, clock_turned. None when `step` is
+        neither this step nor the previous one, or when the journal cannot
+        tell; the reader then reads everyone. Kept until the clock moves or
+        the journal is written, so readers must not change the sets."""
+        now, persons = self.time.step_index, self.persons
+        if step not in (now - 1, now):
+            return None
+        if self._changed[0] != (now, self.journal.writes):
+            answers = near = self.journal.since(now - 1)
+            if near is not None:
+                pids, hids = near
+                for p in [*filter(None, map(persons.get, pids))]:
+                    pids.update(q for q in (p.mother, p.father, p.partner)
+                                if q in persons)
+                    hids.add(p.house)
+                hids.discard(None)
+                answers = near, (pids | self.clock_turned(), hids)
+            self._changed = ((now, self.journal.writes), answers)
+        return self._changed[1] and self._changed[1][now - step]
+
     def roster(self, holds: Callable[[WorldState, Person], bool]) -> list[int]:
         """The ascending ids of the persons on record for whom
         holds(state, person) is true; holds reads only the live state and
-        the clock. If this roster was last read at this step or the one
-        before and the journal knows what was written since the previous
-        step, only the journaled persons, their parents (a child added to a
-        parent's children is journaled, the parent need not be) and, at the
-        first read in a step, clock_turned are evaluated again; else
-        everyone. So a roster sees what the journal sees, as
-        SnapshotStore.freeze does. Callers must not change the list."""
-        now, persons = self.time.step_index, self.persons
+        the clock. Only the persons in changed_since(the step this roster
+        was last read at) are evaluated again, or everyone when that is
+        None. So a roster sees what a freeze and the checks see. Callers
+        must not change the list."""
+        persons = self.persons
         read_at, ids = self._rosters.get(holds, (None, None))
-        written = self.journal.since(now - 1)
-        if read_at not in (now - 1, now) or written is None:
+        changed = self.changed_since(read_at)
+        if changed is None:
             ids = [pid for pid, p in persons.items() if holds(self, p)]
         else:
-            again = set(written[0])
-            for p in filter(None, map(persons.get, written[0])):
-                again.update((p.mother, p.father))
-            if read_at != now:
-                if self._turned[0] != now:
-                    self._turned = (now, self.clock_turned())
-                again.update(self._turned[1])
-            again.discard(None)
-            for pid in again:
+            for pid in changed[0]:
                 p, i = persons.get(pid), bisect.bisect_left(ids, pid)
-                there = i < len(ids) and ids[i] == pid
-                if p is not None and holds(self, p):
-                    if not there:
-                        ids.insert(i, pid)
-                elif there:
-                    del ids[i]
-        self._rosters[holds] = (now, ids)
+                there = ids[i:i + 1] == [pid]
+                if there != bool(p and holds(self, p)):  # add or drop
+                    ids[i:i + there] = [] if there else [pid]
+        self._rosters[holds] = (self.time.step_index, ids)
         return ids
 
     def allocate_house_id(self) -> int:

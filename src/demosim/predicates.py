@@ -88,13 +88,12 @@ class SnapshotStore:
         self._state: WorldState | None = None
 
     def freeze(self, state: WorldState) -> Snapshot:
-        """Built on the newest snapshot; a full copy on the first freeze,
-        for another state, after the clock went back, or when the journal
-        cannot tell what changed since."""
+        """Built on the newest snapshot, patched for the persons in
+        state.changed_since(its step); a full copy on the first freeze, for
+        another state, or when that window is None."""
         base = self._snaps[-1] if self._snaps else None
-        written = (state.journal.since(base.step_index) if base is not None
-                   and state is self._state
-                   and base.step_index <= state.time.step_index else None)
+        written = (state.changed_since(base.step_index)
+                   if base is not None and state is self._state else None)
         self._state = state
         self._snaps.append(Snapshot(state, base, written and written[0]))
         return self._snaps[-1]

@@ -161,32 +161,24 @@ class _Window:
         return follows
 
     def read(self, state: WorldState, label: str, step: int) -> tuple | None:
-        """The ids journaled (model.Journal) at `step` or later if the check
-        `label` was served at the previous step, as they hold every write
-        since its last evaluation; else None, and the check sweeps."""
+        """The window state.changed_since(step) if the check `label` was
+        served at the previous step, as it holds every write since its last
+        evaluation; else None, and the check sweeps."""
         self.moved(state)
         self.served.add(label)
-        return state.journal.since(step) if label in self.before else None
+        return state.changed_since(step) if label in self.before else None
 
 
-def _reach(state: WorldState, written: tuple[set[int], set[int]],
-           flagged: tuple[set[int], set[int]]) -> tuple[list[Person],
-                                                     list[House]]:
+def _reach(state: WorldState, changed: tuple,
+           flagged: tuple) -> tuple[list[Person], list[House]]:
     """The persons and houses a structural rule re-examines, ascending id
     (the order they are on record in, as ids are allocated in ascending
-    order): those journaled, the partner and house of each journaled
-    person, and those flagged at the last evaluation."""
+    order): those in the window, which holds the partner and house of each
+    journaled person, and those flagged at the last evaluation."""
     persons, houses = state.persons, state.houses
-    # copies: the journal's pair may be its shared empty one
-    pids, hids = {*written[0], *flagged[0]}, {*written[1], *flagged[1]}
-    for pid in written[0]:
-        p = persons[pid]
-        if p.partner in persons:
-            pids.add(p.partner)
-        hids.add(p.house)
-    return ([persons[pid] for pid in sorted(pids)],
-            [houses[hid] for hid in sorted(hid for hid in hids
-                                           if hid in houses)])
+    return ([persons[pid] for pid in sorted(changed[0] | flagged[0])],
+            [houses[hid] for hid in sorted(changed[1] | flagged[1])
+             if hid in houses])
 
 
 def _structural(label: str, rule, window: _Window) -> Assumption:
@@ -218,8 +210,8 @@ def _step_change(label: str, body, window: _Window, note="") -> Assumption:
     """Every-step entry for a check that compares the state with the
     previous snapshot: body(state, prev, changed) looks for step changes
     only among `changed`, ascending id. Unless the check sweeps, those are
-    the persons journaled at the snapshot's step or later: any other's
-    alive, partner, house, birth step and birth flag are as frozen. Each
+    the persons in changed_since(the snapshot's step): any other's alive,
+    partner, house, birth step and birth flag are as frozen. Each
     body tests every condition against the snapshot, so a person in
     `changed` who did not change adds nothing."""
 
@@ -288,7 +280,7 @@ def _married_gives_birth(state: WorldState, prev: Snapshot,
                          changed) -> list[Violation]:
     """Each neonate has a flagged, partnered mother under the age limit and
     shares her house, and each flagged person in `changed` has a neonate:
-    births journals the mother it flags."""
+    the mother births flags is in the window as her neonate's parent."""
     out = []
     spy = state.time.steps_per_year
     now = state.time.step_index
@@ -653,13 +645,12 @@ def check_step(state: WorldState, snaps: SnapshotStore,
                registry: Registry | None = None) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
     run; none does when the last call, at the previous step, flagged
-    nothing, nothing was journaled since and nobody turns ADULT_YEARS (the
-    one clock cohort a check reads). A fresh registry sweeps everyone."""
+    nothing and state.changed_since(that step) is empty: nothing journaled
+    since and nobody the clock turned. A fresh registry sweeps everyone."""
     registry = build_registry() if registry is None else registry
-    window, time = registry.window, state.time
-    if (window.quiet and window.moved(state)
-            and state.journal.since(time.step_index - 1) == (set(), set())
-            and not state.born_at(time.born_years_ago(ADULT_YEARS))):
+    window = registry.window
+    if (window.quiet and window.moved(state) and state.changed_since(
+            state.time.step_index - 1) == (set(), set())):
         window.served, window.quiet = set(window.before), True
         return []
     out: list[Violation] = []

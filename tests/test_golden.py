@@ -1,6 +1,7 @@
 """Golden trajectories: the final state digest and the sha256 of
-timeseries.csv for a few short configs, pinned so that any change to the
-RNG draw order, a rate or a rule that shifts a run shows up here.
+timeseries.csv for a few short configs, the digest right after init, and
+per-step digest chains, pinned so that any change to the RNG draw order, a
+rate or a rule that shifts a run shows up here.
 
 A change that alters a trajectory on purpose must say so and re-pin these
 values. The two `smoke` pins equal the seed 1 and seed 2 replicates pinned
@@ -75,6 +76,26 @@ def test_golden_trajectory(name):
     assert result.digest == digest
     assert hashlib.sha256(
         result.timeseries.to_csv().encode()).hexdigest() == series_sha256
+
+
+# state_digest right after init_world with seed 1, for the init_20k and
+# daily_decade configs of bench/bench.py: init alone, whose draws every run
+# starts from
+INIT_GOLDEN = {
+    "init_20k": ({"initial_pop": "20000", "delta_t": "monthly",
+                  "t0": "2020", "t_final": "2021"}, "a22e531fb52a3d50"),
+    "daily_decade": ({"initial_pop": "1000", "delta_t": "daily",
+                      "t0": "2020", "t_final": "2030"}, "60b2ce4338590071"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT_GOLDEN))
+def test_golden_init(name):
+    pairs, digest = INIT_GOLDEN[name]
+    config = build_config(dict(pairs, seed="1"))
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, random.Random(1))
+    assert state_digest(state) == digest
 
 
 # Per-step chains: the state digest after every step of a fault-free run,

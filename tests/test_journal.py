@@ -1,9 +1,12 @@
-"""The change journal and its writers.
+"""The change journal, its writers and its one reader.
 
-The every-step checks read what changed from the journal, so a write that
-bypasses the journaled mutators goes unseen by them. The writer test walks
-the package's source and fails on any write to a field those checks read,
-or to the person and house records, outside the mutators that journal it.
+The rosters, the snapshot freeze and the every-step checks read what
+changed from WorldState.changed_since, which alone reads the journal, so a
+write that bypasses the journaled mutators goes unseen by them. The writer
+test walks the package's source and fails on any write to a field those
+readers read, or to the person and house records, outside the mutators
+that journal it; the reader test fails on any other caller of
+Journal.since.
 """
 from __future__ import annotations
 
@@ -13,17 +16,22 @@ from pathlib import Path
 
 from conftest import add_house, add_person, add_town, make_state
 from demosim.cli import build_config
+from demosim.events import step
 from demosim.initialization import init_world
 from demosim.model import (FEMALE, Journal, link_partners, mark_dead,
                            unlink_partners)
+from demosim.predicates import SnapshotStore
+from demosim.rates import RateContext
 from demosim.space import create_house, leave_house, move_person
+from demosim.verification import build_registry, check_step
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
 
-# fields the every-step checks and the birth-step index read: an assignment
-# to one, or a mutating call on one of the two containers, is a write
+# fields the every-step checks, the rosters and the birth-step index read
+# (children: the birth spacing of events._fertile_wife): an assignment to
+# one, or a mutating call on one of the containers, is a write
 FIELDS = {"alive", "partner", "house", "ever_partners", "occupants",
-          "born_step", "died_step", "gave_birth"}
+          "born_step", "died_step", "gave_birth", "children"}
 # the person and house records: an item write or a mutating call adds or
 # drops one
 RECORDS = {"persons", "houses"}
@@ -35,16 +43,19 @@ JOURNALED = {("model", "WorldState.add_person"), ("model", "link_partners"),
              ("model", "unlink_partners"), ("model", "mark_dead"),
              ("space", "create_house"), ("space", "move_person"),
              ("space", "leave_house"),
-             # journals the mother it flags
-             ("events", "births"),
              # journals the person whose birth step it moves
              ("model", "Person.age_steps"),
              # the frozen copy writes its own fields of the same names
              ("predicates", "Snapshot.__init__")}
-# writes no check needs journaled: ageing only clears a flag, which is never
-# a fault; a birth step is written at step 0, before WorldState.born_at files
-# the person
-UNJOURNALED = {("events", "ageing"), ("initialization", "init_world")}
+# writes no reader needs journaled: ageing only clears a flag, which is
+# never a fault; births adds the neonate to both parents' children and flags
+# the mother, and add_person journals the neonate, whose parents
+# WorldState.changed_since brings into every window; init_world and
+# assign_parents write at step 0, which the journal forgets, and init_world
+# before WorldState.born_at files anyone
+UNJOURNALED = {("events", "ageing"), ("events", "births"),
+               ("initialization", "init_world"),
+               ("initialization", "assign_parents")}
 
 
 class _Writes(ast.NodeVisitor):
@@ -181,3 +192,64 @@ def test_building_a_world_records_nothing():
     assert not (state.journal._persons or state.journal._houses)
     assert state.journal.since(0) is None
     assert state.journal.since(1) == (set(), set())
+
+
+class _SinceCalls(ast.NodeVisitor):
+    """Collects the qualified function name of every `.since(...)` call."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def _enter(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node) -> None:
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "since":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_changed_since_is_the_one_reader_of_the_journal():
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        finder = _SinceCalls()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers.extend((path.stem, name) for name in finder.found)
+    assert callers == [("model", "WorldState.changed_since")]
+
+
+def test_window_is_computed_once_per_step(monkeypatch):
+    """The rosters, the freeze and the checks of a step share one
+    WorldState.changed_since answer, built again only after a journal
+    write: over a seed-1 hourly stretch, Journal.since runs at most once a
+    step, plus once for each step that journaled anything."""
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    registry = build_registry()
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    real, calls = Journal.since, []
+
+    def since(journal, at):
+        calls.append(at)
+        return real(journal, at)
+
+    monkeypatch.setattr(Journal, "since", since)
+    steps, busy = 24 * 120, 0
+    for _ in range(steps):
+        outcome = step(state, ctx, snaps, rng)
+        assert check_step(state, snaps, registry) == []
+        # every journal write comes with an entry in the step's outcome
+        busy += any((outcome.born, outcome.died, outcome.married,
+                     outcome.divorced, outcome.adults_moved))
+    assert busy > 0
+    assert len(calls) <= steps + busy
