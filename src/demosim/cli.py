@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 
 from .engine import RunConfig, resolve_seed, run, run_batch
 from .events import DEFAULT_EVENT_ORDER
+from .initialization import town_population_targets
 from .model import (AssumptionFailure, ConfigError, DataFormatError,
                     ModelData, ModelParams, SimulationError,
                     SimulationParams)
@@ -236,6 +237,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 1
     for key in sorted(config.config_echo):
         print(f"{key} = {config.config_echo[key]}")
+    built = sum(town_population_targets(config.model.initial_pop,
+                                        config.density).values())
+    print(f"initial_pop builds {built} persons (per-town ceil)")
     return 0
 
 

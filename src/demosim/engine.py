@@ -21,9 +21,8 @@ from datetime import datetime, timezone
 
 from .events import DEFAULT_EVENT_ORDER, step, validate_event_order
 from .initialization import InitReport, init_world
-from .model import (MALE, AssumptionFailure, IntegrityError,
-                    ModelData, ModelParams, SimulationParams, WorldState,
-                    validate_world)
+from .model import (AssumptionFailure, IntegrityError, ModelData,
+                    ModelParams, SimulationParams, WorldState, validate_world)
 from .predicates import SnapshotStore
 from .rates import RateContext
 from .space import DensityMap, build_towns
@@ -69,15 +68,10 @@ class TimeSeries:
     def append(self, state: WorldState, step_index: int, births: int,
                deaths: int, marriages: int, divorces: int,
                violations: int) -> None:
-        # a full recount, one pass: the conservation check in run() compares
-        # consecutive rows, so a count kept by the events would prove nothing
-        alive = males = born_sum = 0
-        for p in state.persons.values():
-            if p.alive:
-                alive += 1
-                born_sum += p.born_step
-                if p.gender == MALE:
-                    males += 1
+        # the conservation check in run() compares consecutive rows, so the
+        # counts are kept by the person writes (WorldState.census), not by
+        # the events: a death no event reports still moves them
+        alive, males, born_sum = state.census()
         spy = state.time.steps_per_year
         # each living person's age is now - born_step: the same integer sum
         age_sum = alive * state.time.step_index - born_sum

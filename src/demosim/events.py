@@ -13,8 +13,10 @@ draw order is the same with or without it.
 
 Births, divorces and marriages visit rosters of the persons who can take
 part (WorldState.roster), kept from the change window that the freeze and
-the checks read too (WorldState.changed_since). births flags the mother
-without a journal note: the window holds each journaled neonate's parents.
+the checks read too (WorldState.changed_since). births adds the neonate to
+the parents' children without a journal note, and ageing clears the
+mother's flag without one: the window holds each journaled neonate's
+parents. The flag births sets is journaled by CountedPerson.
 """
 from __future__ import annotations
 
@@ -136,15 +138,17 @@ def _move_to_own_empty_house(state: WorldState, person: Person,
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """Ages follow the clock, so none is written. Clears the gave_birth
-    flags births set at the previous step. Alive persons born exactly 18
-    years ago move alone to an empty house in their town, except an orphan
-    who is the oldest alive sibling (they keep the family house). Draws:
-    only the house selection for each mover, in ascending id order."""
+    flags births set at the previous step, past CountedPerson's journal
+    note: a cleared flag is never a fault, and a note would only keep the
+    next step from being idle. Alive persons born exactly 18 years ago
+    move alone to an empty house in their town, except an orphan who is
+    the oldest alive sibling (they keep the family house). Draws: only the
+    house selection for each mover, in ascending id order."""
     now, persons = state.time.step_index, state.persons
     for pid in state.born_at(now - 1):
         mother = persons.get(persons[pid].mother)
         if mother is not None:
-            mother.gave_birth = False
+            object.__setattr__(mother, "gave_birth", False)
     for pid in state.born_at(state.time.born_years_ago(ADULT_YEARS)):
         p = persons[pid]
         if not p.alive or is_orphan_oldest_sibling(

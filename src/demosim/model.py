@@ -224,6 +224,30 @@ class Person:
             self.journal.note(self.time.step_index, (self.id,))
 
 
+# the fields the census reads
+_CENSUS_FIELDS = frozenset(("alive", "gender", "born_step"))
+
+
+class CountedPerson(Person):
+    """A Person whose writes keep the census on its journal current and
+    journal a write to gave_birth, so a direct write is counted and seen
+    like an event's. WorldState.keep_census switches persons to it, not
+    the constructor: this __setattr__ would slow every field that Person()
+    and init_world write."""
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _CENSUS_FIELDS:
+            journal = self.journal
+            journal.count(self, -1)
+            object.__setattr__(self, name, value)
+            journal.count(self, 1)
+        else:
+            object.__setattr__(self, name, value)
+            if name == "gave_birth":
+                self.journal.note(self.time.step_index, (self.id,))
+
+
 @dataclass(slots=True)
 class House:
     id: int
@@ -251,19 +275,25 @@ class Town:
 class Journal:
     """The ids of the persons whose standing a WorldState mutator changed
     (a person created, moved, housed out, linked, unlinked, marked dead or
-    given a new age, a partner a link displaced or an unlink stranded), and
-    of the houses built, keyed by the step index each write is made at.
-    Only a move adds an occupant and only births adds a child or flags a
-    mother, so a grown house or parent has a journaled occupant or child.
+    given a new age, a partner a link displaced or an unlink stranded) or
+    whose gave_birth flag a CountedPerson write set, and of the houses
+    built, keyed by the step index each write is made at. Only a move adds
+    an occupant and only births adds a child, so a grown house or parent
+    has a journaled occupant or child.
 
     It holds the writes of the newest step written at and of the step
     written at before it, and forgets older ones. `since(step)`, read by
     WorldState.changed_since alone, answers with every id written at
     `step` or later, or None when writes at or after `step` may have been
     forgotten. `writes` counts the notes. Step 0 counts as forgotten from
-    the start, so the writes that build a world there are never recorded."""
+    the start, so the writes that build a world there are never recorded.
 
-    __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older", "writes")
+    It also holds the state's census once WorldState.keep_census has taken
+    it: the living, the living males and the sum of the living's birth
+    steps, which CountedPerson writes keep current."""
+
+    __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older",
+                 "writes", "living", "males", "born_sum")
 
     def __init__(self) -> None:
         self._forgotten = 0  # the newest step whose writes were dropped
@@ -273,6 +303,15 @@ class Journal:
         # the step written at before it, and its writes
         self._older: tuple[int, set[int], set[int]] = (0, set(), set())
         self.writes = 0
+        self.living = self.males = self.born_sum = 0
+
+    def count(self, p: Person, sign: int) -> None:
+        """Add (sign 1) or take away (sign -1) p's share of the census."""
+        if p.alive:
+            self.living += sign
+            self.born_sum += sign * p.born_step
+            if p.gender == MALE:
+                self.males += sign
 
     def note(self, step: int, persons: Iterable[int] = (),
              houses: Iterable[int] = ()) -> None:
@@ -318,6 +357,8 @@ class WorldState:
     # changed_since's (step, journal writes) key, and its (near, far)
     # answers there: for a reader at that step and at the one before
     _changed: tuple = field(default=(None, None), init=False, repr=False)
+    # whether every person is a CountedPerson (keep_census)
+    _counted: bool = field(default=False, init=False, repr=False)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:
@@ -329,9 +370,32 @@ class WorldState:
         person = Person(id=pid, gender=gender, born_step=born_step,
                         time=self.time, father=father, mother=mother,
                         cohorts=self._born, journal=self.journal)
+        if self._counted:
+            self.journal.count(person, 1)
+            person.__class__ = CountedPerson
         self.persons[pid] = person
         self.journal.note(self.time.step_index, (pid,))
         return person
+
+    def keep_census(self) -> None:
+        """Count everyone on record once and switch them to CountedPerson,
+        whose writes keep the count from then on, as add_person does for
+        each person added after. Called at the first census or freeze, so
+        the writes that build a world run unhooked."""
+        if not self._counted:
+            journal = self.journal
+            journal.living = journal.males = journal.born_sum = 0
+            for p in self.persons.values():
+                journal.count(p, 1)
+                p.__class__ = CountedPerson
+            self._counted = True
+
+    def census(self) -> tuple[int, int, int]:
+        """The living, the living males and the sum of the living's birth
+        steps, kept by the person writes: no pass over everyone on record."""
+        self.keep_census()
+        journal = self.journal
+        return journal.living, journal.males, journal.born_sum
 
     def born_at(self, step: int) -> list[int]:
         """The ids of the persons born at `step`, ascending. Each person is

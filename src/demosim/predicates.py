@@ -29,13 +29,13 @@ class Snapshot:
     `married` is the key view of `partner`; an age is given back by the
     step index and the birth and death steps (see pre). A previous town or
     location is read from the live house with the frozen id (old_house). A
-    person whose alive, partner or house differs from the snapshot was
-    journaled at its step index or later. So given `written`, those ids
-    since `base`'s step, the alive, partner and house columns are `base`'s
-    own, shared read-only; one is copied once and patched only where a
-    written person differs (path copying, Driscoll et al. 1989). Without
-    it (see SnapshotStore.freeze) everyone is patched onto empty columns.
-    gave_birth is one scan: tests set it directly, which no journal sees."""
+    person whose alive, partner, house or gave_birth differs from the
+    snapshot was journaled at its step index or later (CountedPerson
+    journals a direct gave_birth write). So given `written`, those ids
+    since `base`'s step, the columns are `base`'s own, shared read-only;
+    one is copied once and patched only where a written person differs
+    (path copying, Driscoll et al. 1989). Without it (see
+    SnapshotStore.freeze) everyone is patched onto empty columns."""
 
     __slots__ = ("step_index", "known", "alive", "partner", "house",
                  "gave_birth")
@@ -45,19 +45,21 @@ class Snapshot:
         persons = state.persons
         self.step_index = state.time.step_index
         self.known = range(state.next_person_id)
-        self.gave_birth = {p.id for p in persons.values() if p.gave_birth}
         if written is None:  # everyone, onto empty columns
-            base = SimpleNamespace(alive=set(), partner={}, house={})
+            base = SimpleNamespace(alive=set(), partner={}, house={},
+                                   gave_birth=set())
             written = persons
         alive, partner, house = base.alive, base.partner, base.house
+        gave_birth = base.gave_birth
         for pid in written:
             p = persons.get(pid)
-            if (pid in alive) != bool(p and p.alive):
-                alive = set(alive) if alive is base.alive else alive
-                alive ^= {pid}
+            alive = _flip(alive, base.alive, pid, bool(p and p.alive))
+            gave_birth = _flip(gave_birth, base.gave_birth, pid,
+                               bool(p and p.gave_birth))
             partner = _patch(partner, base.partner, pid, p and p.partner)
             house = _patch(house, base.house, pid, p and p.house)
         self.alive, self.partner, self.house = alive, partner, house
+        self.gave_birth = gave_birth
 
     @property
     def married(self):
@@ -67,6 +69,14 @@ class Snapshot:
         """The live house the person lived in at this step; None when they
         had none or it is gone."""
         return state.houses.get(self.house.get(pid))
+
+
+def _flip(column: set, shared: set, pid: int, member: bool) -> set:
+    """Make pid a member or not, copying the column if shared."""
+    if (pid in column) != member:
+        column = set(column) if column is shared else column
+        column ^= {pid}
+    return column
 
 
 def _patch(column: dict, shared: dict, pid: int, value) -> dict:
@@ -90,7 +100,9 @@ class SnapshotStore:
     def freeze(self, state: WorldState) -> Snapshot:
         """Built on the newest snapshot, patched for the persons in
         state.changed_since(its step); a full copy on the first freeze, for
-        another state, or when that window is None."""
+        another state, or when that window is None. The state keeps its
+        census from then on, so a write to gave_birth is journaled."""
+        state.keep_census()
         base = self._snaps[-1] if self._snaps else None
         written = (state.changed_since(base.step_index)
                    if base is not None and state is self._state else None)

@@ -645,12 +645,14 @@ def check_step(state: WorldState, snaps: SnapshotStore,
                registry: Registry | None = None) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
     run; none does when the last call, at the previous step, flagged
-    nothing and state.changed_since(that step) is empty: nothing journaled
-    since and nobody the clock turned. A fresh registry sweeps everyone."""
+    nothing, state.changed_since(this step) is empty (nothing journaled
+    since the step before it) and nobody turns ADULT_YEARS, the one clock
+    cohort a check reads. A fresh registry sweeps everyone."""
     registry = build_registry() if registry is None else registry
-    window = registry.window
-    if (window.quiet and window.moved(state) and state.changed_since(
-            state.time.step_index - 1) == (set(), set())):
+    window, time = registry.window, state.time
+    if (window.quiet and window.moved(state)
+            and state.changed_since(time.step_index) == (set(), set())
+            and not state.born_at(time.born_years_ago(ADULT_YEARS))):
         window.served, window.quiet = set(window.before), True
         return []
     out: list[Violation] = []

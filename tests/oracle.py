@@ -24,6 +24,10 @@ shared the columns no journaled person changed: a full copy of every
 column, which the lockstep snapshot test compares each freeze with.
 `SpaceSets` and `space_changes` are the retrospective space checks as they
 were before the space digest stopped hashing: frozenset diffs.
+
+`census` is the recount `TimeSeries.append` made at every step before the
+person writes kept its counts: one pass over everyone on record, which the
+lockstep census test compares `WorldState.census` with.
 """
 from __future__ import annotations
 
@@ -623,6 +627,21 @@ class FullSnapshot:
                         if p.partner is not None}
         self.house = {p.id: p.house for p in persons if p.house is not None}
         self.gave_birth = {p.id for p in persons if p.gave_birth}
+
+
+# --------------------------------------------------------------- census
+
+def census(state: WorldState) -> tuple[int, int, int]:
+    """The living, the living males and the sum of the living's birth
+    steps, recounted over everyone on record."""
+    alive = males = born_sum = 0
+    for p in state.persons.values():
+        if p.alive:
+            alive += 1
+            born_sum += p.born_step
+            if p.gender == MALE:
+                males += 1
+    return alive, males, born_sum
 
 
 # ---------------------------------------------------------- space digest

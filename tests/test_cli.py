@@ -160,6 +160,9 @@ def test_main_validate_ok(tmp_path, capsys):
     assert rc == 0
     assert "t_final = 2030" in stdout
     assert "initial_pop = 10000" in stdout
+    # the per-town ceil formula of C3 over the default density map
+    assert stdout.splitlines()[-1] == \
+        "initial_pop builds 4457 persons (per-town ceil)"
 
 
 def test_main_validate_broken_fertility(tmp_path, capsys):

@@ -25,10 +25,12 @@ both must hold the same RNG state and the same state digest.
 
 The snapshot runs compare every freeze, which shares the columns no
 journaled person changed, with the oracle's full copy, under the fault
-runs and on the digest-chain configs; the roster runs compare every read
-of an eligibility roster with the full scans, on the same runs; the
-space-check cases compare the retrospective checks with the oracle's
-frozenset diff.
+runs and on the digest-chain configs; the census runs compare the counts the
+person writes keep, and each freeze's gave_birth column, with the
+oracle's recount, on the same runs and on a hand-built state written
+directly; the roster runs compare every read of an eligibility roster
+with the full scans, on the same runs; the space-check cases compare the
+retrospective checks with the oracle's frozenset diff.
 """
 from __future__ import annotations
 
@@ -768,6 +770,90 @@ def test_idle_steps_share_the_previous_columns():
         assert new.partner is old.partner
         assert new.house is old.house
     assert idle > 2500 and busy > 3
+
+
+# The census runs compare, after every step, the counts the person writes
+# keep (WorldState.census) with the oracle's recount over everyone on
+# record, and each freeze's gave_birth column with the oracle's full copy.
+
+class CensusStore(SnapshotStore):
+    """A store that checks the gave_birth column of each freeze."""
+
+    def freeze(self, state):
+        snap = super().freeze(state)
+        assert snap.gave_birth == oracle.FullSnapshot(state).gave_birth
+        return snap
+
+
+@pytest.mark.parametrize("seed,order", FAULT_RUNS)
+def test_census_matches_recount_under_faults(monkeypatch, seed, order):
+    """The fault runs, whose resurrection writes `alive` directly."""
+    run = FaultRun(seed, order)
+    run.snaps = CensusStore()
+    run.snaps.freeze(run.state)
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    for _ in range(STEPS):
+        run.advance()
+        assert run.state.census() == oracle.census(run.state)
+    assert not run.pending
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_census_matches_recount_on_chain_configs(seed, clock, order):
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = CensusStore()
+    snaps.freeze(state)
+    for _ in range(CHAIN_CLOCKS[clock]):
+        step(state, ctx, snaps, rng, config.event_order)
+        assert state.census() == oracle.census(state)
+
+
+def test_census_follows_direct_writes():
+    """A hand-built state written directly after its first freeze, as
+    tests and faults do: alive, gender, age and gave_birth, on persons on
+    record then and on persons added after."""
+    rng = random.Random(7)
+    state = WorldState()
+    town = add_town(state)
+    home = add_house(state, town)
+    for _ in range(40):
+        age = rng.randrange(80 * DAILY)
+        move_person(state, state.add_person(rng.choice((MALE, FEMALE)), age,
+                                            -age), home)
+    snaps = CensusStore()
+    snaps.freeze(state)
+    written = Counter()
+    for i in range(1, 30):
+        state.time.step_index = i
+        if rng.random() < 0.5:
+            state.add_person(rng.choice((MALE, FEMALE)), 0, i)
+        for p in rng.sample(list(state.persons.values()), 6):
+            field = rng.choice(("alive", "gender", "age_steps",
+                                "gave_birth"))
+            written[field] += 1
+            value = {"alive": not p.alive,
+                     "gender": FEMALE if p.gender == MALE else MALE,
+                     "age_steps": rng.randrange(80 * DAILY),
+                     "gave_birth": not p.gave_birth}[field]
+            setattr(p, field, value)
+        assert state.census() == oracle.census(state)
+        snaps.freeze(state)
+    assert min(written.values()) > 10
 
 
 # The roster runs wrap WorldState.roster: after every read, the roster

@@ -4,13 +4,14 @@ from __future__ import annotations
 import math
 import random
 
+import oracle
 from conftest import add_person, make_state
 from demosim.initialization import (assign_genders, assign_parents,
                                     draw_gender, init_partnerships,
                                     init_world, sample_age,
                                     town_population_targets)
-from demosim.model import (ADULT_YEARS, FEMALE, MALE, ModelParams,
-                           SimulationParams, validate_world)
+from demosim.model import (ADULT_YEARS, FEMALE, MALE, CountedPerson,
+                           ModelParams, SimulationParams, validate_world)
 from demosim.rates import default_model_data
 from demosim.space import DensityMap
 
@@ -192,3 +193,25 @@ def test_init_world_zero_pop():
     assert len(state.persons) == 0
     assert len(state.towns) == 48
     assert validate_world(state) == []
+
+
+def test_building_a_world_runs_no_census_hook():
+    """init_world's writes stay plain attribute writes: no person is a
+    CountedPerson until the first census or freeze, which counts them in
+    one pass. The benchmark's copy of init_world writes gender and birth
+    step after add_person; a census after that equals the recount."""
+    state, _ = small_world(pop=300, seed=1)
+    assert state.persons
+    assert not any(isinstance(p, CountedPerson)
+                   for p in state.persons.values())
+    state = make_state()
+    rng = random.Random(1)
+    persons = [state.add_person(gender="", age_steps=0, born_step=0)
+               for _ in range(60)]
+    assign_genders(persons, rng)
+    for p in persons:
+        p.age_steps = sample_age(rng, state.time.steps_per_year)
+        p.born_step = -p.age_steps
+    assert not any(isinstance(p, CountedPerson) for p in persons)
+    assert state.census() == oracle.census(state)
+    assert all(isinstance(p, CountedPerson) for p in persons)

@@ -48,8 +48,9 @@ JOURNALED = {("model", "WorldState.add_person"), ("model", "link_partners"),
              # the frozen copy writes its own fields of the same names
              ("predicates", "Snapshot.__init__")}
 # writes no reader needs journaled: ageing only clears a flag, which is
-# never a fault; births adds the neonate to both parents' children and flags
-# the mother, and add_person journals the neonate, whose parents
+# never a fault, past CountedPerson's note; births adds the neonate to both
+# parents' children (its flag on the mother CountedPerson journals), and
+# add_person journals the neonate, whose parents
 # WorldState.changed_since brings into every window; init_world and
 # assign_parents write at step 0, which the journal forgets, and init_world
 # before WorldState.born_at files anyone
@@ -110,7 +111,10 @@ class _Writes(ast.NodeVisitor):
                 and isinstance(func.value, ast.Attribute)
                 and func.value.attr in FIELDS | RECORDS):
             self._hit(node, func.value.attr)
-        if (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+        # setattr and delattr, and object.__setattr__, which writes past
+        # the hook of a CountedPerson
+        if ((isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+             or isinstance(func, ast.Attribute) and func.attr == "__setattr__")
                 and len(node.args) > 1
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value in FIELDS):
