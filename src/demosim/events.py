@@ -13,10 +13,10 @@ draw order is the same with or without it.
 
 Births, divorces and marriages visit rosters of the persons who can take
 part (WorldState.roster), kept from the change window that the freeze and
-the checks read too (WorldState.changed_since). births adds the neonate to
-the parents' children without a journal note, and ageing clears the
-mother's flag without one: the window holds each journaled neonate's
-parents. The flag births sets is journaled by CountedPerson.
+the checks read too (WorldState.changed_since). CountedPerson journals
+every person write but ageing's, which clears the mother's flag past it;
+births adds the neonate to the parents' children, which no write names:
+the window holds each journaled neonate's parents.
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """Domain types shared by every other module: persons, houses, towns, time,
 parameters, the error hierarchy, the per-step change journal and the
-partnership and death mutators that write it, the structural rules that
-both validate_world and the every-step assumption checks apply, and the
-orphan stay-home rule that ageing applies and its check replays."""
+person write hook that keeps it, the partnership and death mutators, the
+structural rules that both validate_world and the every-step assumption
+checks apply, and the orphan stay-home rule that ageing applies and its
+check replays."""
 from __future__ import annotations
 
 import bisect
@@ -200,7 +201,7 @@ class Person:
     gave_birth: bool = False
     # the birth-step index of the person's state (WorldState.born_at)
     cohorts: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    # the change journal of the person's state, which the age setter writes
+    # the change journal of the person's state, which CountedPerson writes
     journal: Journal | None = field(default=None, repr=False)
 
     @property
@@ -213,15 +214,12 @@ class Person:
     @age_steps.setter
     def age_steps(self, steps: int) -> None:
         """Move the birth step, and the person's entry in the birth-step
-        index once born_at has filed them, and journal the person: a new
-        age can change what every roster and check holds of them."""
+        index once born_at has filed them."""
         filed = self.cohorts.get(self.born_step, ())
         self.born_step += self.age_steps - steps
         if self.id in filed:
             filed.remove(self.id)
             bisect.insort(self.cohorts.setdefault(self.born_step, []), self.id)
-        if self.journal is not None:
-            self.journal.note(self.time.step_index, (self.id,))
 
 
 # the fields the census reads
@@ -229,23 +227,28 @@ _CENSUS_FIELDS = frozenset(("alive", "gender", "born_step"))
 
 
 class CountedPerson(Person):
-    """A Person whose writes keep the census on its journal current and
-    journal a write to gave_birth, so a direct write is counted and seen
-    like an event's. WorldState.keep_census switches persons to it, not
-    the constructor: this __setattr__ would slow every field that Person()
-    and init_world write."""
+    """A Person whose every attribute write is journaled, with the old
+    partner on a partner write and the old house on a house write, and
+    keeps the census on its journal current. WorldState.keep_census
+    switches persons to it, not the constructor: this __setattr__ would
+    slow every field that Person() and init_world write."""
     __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
+        journal, persons, houses = self.journal, (self.id,), ()
+        # the old partner's link no longer points back, and the old
+        # house's occupant set may still list the person
+        if name == "partner" and self.partner is not None:
+            persons = (self.id, self.partner)
+        elif name == "house" and self.house is not None:
+            houses = (self.house,)
         if name in _CENSUS_FIELDS:
-            journal = self.journal
             journal.count(self, -1)
             object.__setattr__(self, name, value)
             journal.count(self, 1)
         else:
             object.__setattr__(self, name, value)
-            if name == "gave_birth":
-                self.journal.note(self.time.step_index, (self.id,))
+        journal.note(self.time.step_index, persons, houses)
 
 
 @dataclass(slots=True)
@@ -273,13 +276,12 @@ class Town:
 
 
 class Journal:
-    """The ids of the persons whose standing a WorldState mutator changed
-    (a person created, moved, housed out, linked, unlinked, marked dead or
-    given a new age, a partner a link displaced or an unlink stranded) or
-    whose gave_birth flag a CountedPerson write set, and of the houses
-    built, keyed by the step index each write is made at. Only a move adds
-    an occupant and only births adds a child, so a grown house or parent
-    has a journaled occupant or child.
+    """The ids of the persons added or written (every CountedPerson
+    attribute write, with the old partner of a partner write) and of the
+    houses built or left (the old house of a house write), keyed by the
+    step index each write is made at. Only a move adds an occupant and
+    only births adds a child, so a grown house or parent has a journaled
+    occupant or child.
 
     It holds the writes of the newest step written at and of the step
     written at before it, and forgets older ones. `since(step)`, read by
@@ -379,9 +381,9 @@ class WorldState:
 
     def keep_census(self) -> None:
         """Count everyone on record once and switch them to CountedPerson,
-        whose writes keep the count from then on, as add_person does for
-        each person added after. Called at the first census or freeze, so
-        the writes that build a world run unhooked."""
+        whose writes keep the count and the journal from then on, as
+        add_person does for each person added after. Called at the first
+        census or changed_since, so building a world runs unhooked."""
         if not self._counted:
             journal = self.journal
             journal.living = journal.males = journal.born_sum = 0
@@ -427,8 +429,10 @@ class WorldState:
         the parents, partner and house of each such person, and, once the
         clock has moved past `step`, clock_turned. None when `step` is
         neither this step nor the previous one, or when the journal cannot
-        tell; the reader then reads everyone. Kept until the clock moves or
-        the journal is written, so readers must not change the sets."""
+        tell; the reader then reads everyone. The first call starts
+        keep_census. Kept until the clock moves or the journal is written,
+        so readers must not change the sets."""
+        self.keep_census()
         now, persons = self.time.step_index, self.persons
         if step not in (now - 1, now):
             return None
@@ -473,28 +477,20 @@ class WorldState:
 
 
 def link_partners(state: WorldState, a: Person, b: Person) -> None:
-    """Partner a and b and append each to the other's history. A partner
-    either had before is displaced: their link no longer points back, so
-    they are journaled too."""
-    displaced = [p.partner for p in (a, b) if p.partner is not None]
+    """Partner a and b and append each to the other's history."""
     a.partner = b.id
     b.partner = a.id
     a.ever_partners.append(b.id)
     b.ever_partners.append(a.id)
-    state.journal.note(state.time.step_index, (a.id, b.id, *displaced))
 
 
 def unlink_partners(state: WorldState, person: Person) -> None:
-    """Clear the partnership on both sides; no-op for a single person. A
-    third person the other side pointed at is stranded, so journaled."""
+    """Clear the partnership on both sides; no-op for a single person."""
     if person.partner is None:
         return
     other = state.persons[person.partner]
-    stranded = () if other.partner in (None, person.id) else (other.partner,)
     other.partner = None
     person.partner = None
-    state.journal.note(state.time.step_index,
-                       (person.id, other.id, *stranded))
 
 
 def mark_dead(state: WorldState, person: Person) -> None:
@@ -502,7 +498,6 @@ def mark_dead(state: WorldState, person: Person) -> None:
     and widowing the partner are separate writes (deaths makes both first)."""
     person.alive = False
     person.died_step = state.time.step_index
-    state.journal.note(state.time.step_index, (person.id,))
 
 
 def is_orphan_oldest_sibling(state: WorldState, p: Person,

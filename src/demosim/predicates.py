@@ -30,8 +30,8 @@ class Snapshot:
     step index and the birth and death steps (see pre). A previous town or
     location is read from the live house with the frozen id (old_house). A
     person whose alive, partner, house or gave_birth differs from the
-    snapshot was journaled at its step index or later (CountedPerson
-    journals a direct gave_birth write). So given `written`, those ids
+    snapshot was written at its step index or later, and so journaled
+    (CountedPerson journals every write). So given `written`, those ids
     since `base`'s step, the columns are `base`'s own, shared read-only;
     one is copied once and patched only where a written person differs
     (path copying, Driscoll et al. 1989). Without it (see
@@ -100,12 +100,11 @@ class SnapshotStore:
     def freeze(self, state: WorldState) -> Snapshot:
         """Built on the newest snapshot, patched for the persons in
         state.changed_since(its step); a full copy on the first freeze, for
-        another state, or when that window is None. The state keeps its
-        census from then on, so a write to gave_birth is journaled."""
-        state.keep_census()
-        base = self._snaps[-1] if self._snaps else None
-        written = (state.changed_since(base.step_index)
-                   if base is not None and state is self._state else None)
+        another state (changed_since(None), which starts the state's
+        journaling writes), or when that window is None."""
+        base = (self._snaps[-1] if self._snaps and state is self._state
+                else None)
+        written = state.changed_since(base and base.step_index)
         self._state = state
         self._snaps.append(Snapshot(state, base, written and written[0]))
         return self._snaps[-1]

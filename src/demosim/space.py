@@ -92,7 +92,7 @@ def manhattan(town_a: Town, town_b: Town) -> int:
 
 def create_house(state: WorldState, town: Town, rng: random.Random) -> House:
     """New empty house in `town` at uniform integer coordinates; x drawn
-    before y."""
+    before y. Journaled here: no person write names a new house."""
     x = rng.randint(*HOUSE_COORD_BOUNDS)
     y = rng.randint(*HOUSE_COORD_BOUNDS)
     house = House(id=state.allocate_house_id(), town=town.id, local_xy=(x, y))
@@ -141,8 +141,7 @@ def weighted_town(towns: list[Town], rng: random.Random) -> Town:
 
 
 def move_person(state: WorldState, person: Person, house: House) -> None:
-    """Re-house a person, keeping both occupant sets consistent. The
-    leave_house call journals the person."""
+    """Re-house a person, keeping both occupant sets consistent."""
     leave_house(state, person)
     person.house = house.id
     house.occupants.add(person.id)
@@ -153,4 +152,3 @@ def leave_house(state: WorldState, person: Person) -> None:
     if person.house is not None and person.house in state.houses:
         state.houses[person.house].occupants.discard(person.id)
     person.house = None
-    state.journal.note(state.time.step_index, (person.id,))

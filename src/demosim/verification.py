@@ -161,12 +161,14 @@ class _Window:
         return follows
 
     def read(self, state: WorldState, label: str, step: int) -> tuple | None:
-        """The window state.changed_since(step) if the check `label` was
-        served at the previous step, as it holds every write since its last
+        """The window state.changed_since(step), read always (so a first
+        read starts the journaling writes), if the check `label` was served
+        at the previous step, as it holds every write since its last
         evaluation; else None, and the check sweeps."""
         self.moved(state)
         self.served.add(label)
-        return state.changed_since(step) if label in self.before else None
+        window = state.changed_since(step)
+        return window if label in self.before else None
 
 
 def _reach(state: WorldState, changed: tuple,
@@ -210,18 +212,23 @@ def _step_change(label: str, body, window: _Window, note="") -> Assumption:
     """Every-step entry for a check that compares the state with the
     previous snapshot: body(state, prev, changed) looks for step changes
     only among `changed`, ascending id. Unless the check sweeps, those are
-    the persons in changed_since(the snapshot's step): any other's alive,
-    partner, house, birth step and birth flag are as frozen. Each
-    body tests every condition against the snapshot, so a person in
-    `changed` who did not change adds nothing."""
+    the persons in changed_since(the snapshot's step), as any other's
+    alive, partner, house, birth step and birth flag are as frozen, and
+    those its last evaluation named, as a gave_birth flag with no neonate
+    stays a fault until cleared. A body tests every other condition
+    against the snapshot, so a person who did not change adds nothing."""
+    named: set[int] = set()
 
     def check(state: WorldState, snaps) -> list[Violation]:
+        nonlocal named
         prev = snaps.before(state.time.step_index)
         written = window.read(state, label, prev.step_index)
         persons = state.persons
         changed = (persons.values() if written is None
-                   else [persons[pid] for pid in sorted(written[0])])
-        return body(state, prev, changed)
+                   else [persons[pid] for pid in sorted(written[0] | named)])
+        out = body(state, prev, changed)
+        named = {pid for v in out for pid in v.ids}
+        return out
 
     return Assumption(label, "every_step", check, note=note)
 

@@ -29,8 +29,11 @@ runs and on the digest-chain configs; the census runs compare the counts the
 person writes keep, and each freeze's gave_birth column, with the
 oracle's recount, on the same runs and on a hand-built state written
 directly; the roster runs compare every read of an eligibility roster
-with the full scans, on the same runs; the space-check cases compare the
-retrospective checks with the oracle's frozenset diff.
+with the full scans, on the same runs; the direct-write runs write each
+person field past every mutator and compare the checks, both snapshots,
+the rosters and the census with the oracle at every step; the
+space-check cases compare the retrospective checks with the oracle's
+frozenset diff.
 """
 from __future__ import annotations
 
@@ -516,24 +519,26 @@ FAULT_RUNS = [
 
 
 class FaultRun(SeededRun):
-    """A warn-mode run that injects every fault of MUTATOR_FAULTS twice:
-    right after ageing and after step() returns. Each injection has a
-    seeded step; one that finds no target there is retried at the next."""
+    """A warn-mode run that injects every fault of `table` (by default
+    MUTATOR_FAULTS) once at each of `timings` (by default right after
+    ageing and after step() returns). Each injection has a seeded step;
+    one that finds no target there is retried at the next."""
 
-    def __init__(self, seed: int, order: tuple[str, ...]) -> None:
+    def __init__(self, seed: int, order: tuple[str, ...],
+                 table=MUTATOR_FAULTS, timings=("inside", "after")) -> None:
         super().__init__(seed, order)
+        self.table = table
         steps = self.faults.sample(range(2, STEPS - 20),
-                                   2 * len(MUTATOR_FAULTS))
+                                   len(timings) * len(table))
         self.pending = [(at, when, name) for (name, when), at in zip(
-            [(n, w) for n in MUTATOR_FAULTS for w in ("inside", "after")],
-            steps)]
+            [(n, w) for n in table for w in timings], steps)]
         self.injected: list[tuple[str, int]] = []  # (fault, id) this step
 
     def inject(self, when: str) -> None:
         now = self.state.time.step_index
         for fault in [f for f in self.pending
                       if f[0] <= now and f[1] == when]:
-            key = MUTATOR_FAULTS[fault[2]][0](self)
+            key = self.table[fault[2]][0](self)
             if key is not None:
                 self.pending.remove(fault)
                 self.injected.append((fault[2], key))
@@ -989,6 +994,114 @@ def test_age_setter_keeps_rosters_current():
     state.time.step_index += 1
     assert state.roster(holds) == [
         pid for pid, p in state.persons.items() if holds(state, p)] == []
+
+
+# The direct-write runs write person fields past every mutator, as a test
+# or a buggy event might, once after step() and once after that step's
+# check_step. Each write returns the id its violation must name: the
+# written person, or the old partner whose link no longer points back.
+
+def _married(run) -> list:
+    return [p for p in _adults(run.state) if p.partner is not None]
+
+
+def _write_dead(run):
+    """Dead, but still housed and partnered."""
+    p = run.faults.choice(_adults(run.state))
+    p.alive = False
+    return p.id
+
+
+def _write_unhoused(run):
+    """No house, but still listed by the house left."""
+    p = run.faults.choice(_adults(run.state))
+    p.house = None
+    return p.id
+
+
+def _write_rehoused(run):
+    """Another house's id: not listed there, still listed by the house
+    left, whose stale occupant names the person."""
+    p = run.faults.choice(_adults(run.state))
+    p.house = run.faults.choice([h for h in run.state.houses if h != p.house])
+    return p.id
+
+
+def _write_stolen_partner(run):
+    """A married person points at the partner of another of their gender."""
+    married = _married(run)
+    p = run.faults.choice(married)
+    rivals = [q for q in married
+              if q.gender == p.gender and q.partner != p.partner]
+    if not rivals:
+        return None
+    old, p.partner = p.partner, run.faults.choice(rivals).partner
+    return old
+
+
+def _write_cleared_partner(run):
+    p = run.faults.choice(_married(run))
+    old, p.partner = p.partner, None
+    return old
+
+
+def _write_birth_flag(run):
+    """A flag with no neonate, which no event clears."""
+    p = run.faults.choice(_adults(run.state, gender=FEMALE,
+                                  gave_birth=False))
+    p.gave_birth = True
+    return p.id
+
+
+def _write_minor_age(run):
+    """A married adult made a minor by the age setter."""
+    p = run.faults.choice(_married(run))
+    p.age_steps = (ADULT_YEARS - 1) * run.state.time.steps_per_year
+    return p.id
+
+
+# write -> (injection, the label that must flag it at its step)
+PERSON_WRITES = {
+    "dead": (_write_dead, "a_dead_no_house"),
+    "unhoused": (_write_unhoused, "a_homeless"),
+    "rehoused": (_write_rehoused, "a_dead_no_house"),
+    "stolen_partner": (_write_stolen_partner, "a_p_marriage_age"),
+    "cleared_partner": (_write_cleared_partner, "a_p_marriage_age"),
+    "birth_flag": (_write_birth_flag, "a_p_married_gives_birth"),
+    "minor_age": (_write_minor_age, "a_p_marriage_age"),
+}
+
+
+@pytest.mark.parametrize("seed", (3, 5))
+def test_direct_person_writes_match_oracle(monkeypatch, seed):
+    """After the first freeze every person write is journaled, with the
+    old partner and the old house: at every step a kept registry and a
+    fresh one return the oracle's list, both snapshots equal the oracle's
+    full copies, every roster read equals the oracle's scan and the
+    census its recount."""
+    run = FaultRun(seed, DEFAULT_EVENT_ORDER, PERSON_WRITES,
+                   ("after", "checked"))
+    run.snaps = CheckedStore()
+    run.snaps.freeze(run.state)
+    reads = check_rosters(monkeypatch, run.snaps)
+    kept, flagged = build_registry(), set()
+    for _ in range(STEPS):
+        run.advance()
+        now = run.state.time.step_index
+        expected = oracle.check_step(run.state, run.snaps,
+                                     DEFAULT_EVENT_ORDER)
+        assert check_step(run.state, run.snaps, kept) == expected
+        assert check_step(run.state, run.snaps, build_registry()) == expected
+        run.snaps.assert_matches(now)
+        assert run.state.census() == oracle.census(run.state)
+        flagged |= {name for name, key in run.injected
+                    if any(v.label == PERSON_WRITES[name][1] and key in v.ids
+                           for v in expected)}
+        run.inject("checked")
+    assert not run.pending
+    # every write must show, or the comparison proves nothing
+    assert flagged == set(PERSON_WRITES)
+    assert sorted(reads.values()) == [STEPS] * 4
 
 
 def _drop_house(state, house):

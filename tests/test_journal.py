@@ -1,12 +1,15 @@
 """The change journal, its writers and its one reader.
 
 The rosters, the snapshot freeze and the every-step checks read what
-changed from WorldState.changed_since, which alone reads the journal, so a
-write that bypasses the journaled mutators goes unseen by them. The writer
-test walks the package's source and fails on any write to a field those
-readers read, or to the person and house records, outside the mutators
-that journal it; the reader test fails on any other caller of
-Journal.since.
+changed from WorldState.changed_since, which alone reads the journal.
+Once it has been called, every attribute write to a person is journaled
+by CountedPerson's write hook, so only a write the hook cannot see goes
+unseen by them: a change to a container, an item write to the person or
+house records, or a write past the hook. The writer test walks the
+package's source and fails on any such write outside the functions that
+journal it; the note test fails on any other caller of Journal.note than
+the hook and the two that add records, and the reader test on any other
+caller of Journal.since.
 """
 from __future__ import annotations
 
@@ -27,11 +30,15 @@ from demosim.verification import build_registry, check_step
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
 
-# fields the every-step checks, the rosters and the birth-step index read
-# (children: the birth spacing of events._fertile_wife): an assignment to
-# one, or a mutating call on one of the containers, is a write
-FIELDS = {"alive", "partner", "house", "ever_partners", "occupants",
-          "born_step", "died_step", "gave_birth", "children"}
+# the person fields the every-step checks, the rosters and the birth-step
+# index read (children: the birth spacing of events._fertile_wife): the
+# hook journals an assignment to one, but not a write past it
+# (object.__setattr__, setattr or delattr with the field's name)
+FIELDS = {"alive", "partner", "house", "ever_partners", "born_step",
+          "died_step", "gave_birth", "children"}
+# containers the readers read: the hook sees no mutating call or item
+# write on one, nor an assignment to a house's occupants
+CONTAINERS = {"occupants", "children", "ever_partners"}
 # the person and house records: an item write or a mutating call adds or
 # drops one
 RECORDS = {"persons", "houses"}
@@ -39,23 +46,19 @@ MUTATING_CALLS = {"add", "append", "clear", "difference_update", "discard",
                   "extend", "insert", "intersection_update", "pop",
                   "popitem", "remove", "reverse", "setdefault", "sort",
                   "symmetric_difference_update", "update"}
+# add_person and create_house journal the record they add; the others
+# change an occupant set or a partner history only beside a hooked write
+# to the person (a move or leave: the person and the house left; a link:
+# both partners)
 JOURNALED = {("model", "WorldState.add_person"), ("model", "link_partners"),
-             ("model", "unlink_partners"), ("model", "mark_dead"),
              ("space", "create_house"), ("space", "move_person"),
-             ("space", "leave_house"),
-             # journals the person whose birth step it moves
-             ("model", "Person.age_steps"),
-             # the frozen copy writes its own fields of the same names
-             ("predicates", "Snapshot.__init__")}
+             ("space", "leave_house")}
 # writes no reader needs journaled: ageing only clears a flag, which is
-# never a fault, past CountedPerson's note; births adds the neonate to both
-# parents' children (its flag on the mother CountedPerson journals), and
-# add_person journals the neonate, whose parents
-# WorldState.changed_since brings into every window; init_world and
-# assign_parents write at step 0, which the journal forgets, and init_world
-# before WorldState.born_at files anyone
+# never a fault, past the hook; births adds the neonate to both parents'
+# children, and add_person journals the neonate, whose parents
+# WorldState.changed_since brings into every window; assign_parents
+# writes at step 0, which the journal forgets
 UNJOURNALED = {("events", "ageing"), ("events", "births"),
-               ("initialization", "init_world"),
                ("initialization", "assign_parents")}
 
 
@@ -82,11 +85,11 @@ class _Writes(ast.NodeVisitor):
                 self._target(elt)
         elif isinstance(node, ast.Starred):
             self._target(node.value)
-        elif isinstance(node, ast.Attribute) and node.attr in FIELDS:
+        elif isinstance(node, ast.Attribute) and node.attr == "occupants":
             self._hit(node, node.attr)
         elif (isinstance(node, ast.Subscript)
               and isinstance(node.value, ast.Attribute)
-              and node.value.attr in FIELDS | RECORDS):
+              and node.value.attr in CONTAINERS | RECORDS):
             self._hit(node, node.value.attr)
 
     def visit_Assign(self, node) -> None:
@@ -109,10 +112,10 @@ class _Writes(ast.NodeVisitor):
         func = node.func
         if (isinstance(func, ast.Attribute) and func.attr in MUTATING_CALLS
                 and isinstance(func.value, ast.Attribute)
-                and func.value.attr in FIELDS | RECORDS):
+                and func.value.attr in CONTAINERS | RECORDS):
             self._hit(node, func.value.attr)
         # setattr and delattr, and object.__setattr__, which writes past
-        # the hook of a CountedPerson
+        # the hook
         if ((isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
              or isinstance(func, ast.Attribute) and func.attr == "__setattr__")
                 and len(node.args) > 1
@@ -136,7 +139,7 @@ def test_only_journaled_mutators_write_checked_fields():
     writes = package_writes()
     stray = [w for w in writes
              if (w[0], w[1]) not in JOURNALED | UNJOURNALED]
-    assert stray == [], "writes outside the journaled mutators"
+    assert stray == [], "writes the hook cannot see, outside the mutators"
     # each mutator still writes, so the lists cannot outlive the code
     assert {(w[0], w[1]) for w in writes} == JOURNALED | UNJOURNALED
 
@@ -149,21 +152,29 @@ def test_mutators_journal_what_they_change():
     wife = add_person(state, age_years=30, gender=FEMALE)
     other = add_person(state, age_years=30, gender=FEMALE)
     state.time.step_index = 1
+    # the first read starts the hook: nothing is journaled before it
+    assert state.changed_since(None) is None
     assert state.journal.since(1) == (set(), set())
     move_person(state, man, h0)
     assert state.journal.since(1) == ({man.id}, set())
-    state.time.step_index = 2
-    link_partners(state, man, wife)
-    link_partners(state, man, other)  # displaces the wife
-    unlink_partners(state, man)
-    move_person(state, man, h1)
-    leave_house(state, man)
-    mark_dead(state, man)
-    built = create_house(state, town, random.Random(1))
-    assert state.journal.since(2) == ({man.id, wife.id, other.id},
-                                      {built.id})
-    assert state.journal.since(1) == ({man.id, wife.id, other.id},
-                                      {built.id})
+
+    def written(now, write, *args):
+        state.time.step_index = now
+        write(state, *args)
+        return state.journal.since(now)
+
+    everyone = {man.id, wife.id, other.id}
+    assert written(2, link_partners, man, wife) == ({man.id, wife.id}, set())
+    # displaces the wife, who still points at him
+    assert written(3, link_partners, man, other) == (everyone, set())
+    # strands the other woman, whom he still points at
+    assert written(4, unlink_partners, wife) == (everyone, set())
+    # the house left is journaled too
+    assert written(5, move_person, man, h1) == ({man.id}, {h0.id})
+    assert written(6, leave_house, man) == ({man.id}, {h1.id})
+    assert written(7, mark_dead, man) == ({man.id}, set())
+    built = state.next_house_id
+    assert written(8, create_house, town, random.Random(1)) == (set(), {built})
 
 
 def test_journal_keeps_two_steps_of_writes():
@@ -198,10 +209,12 @@ def test_building_a_world_records_nothing():
     assert state.journal.since(1) == (set(), set())
 
 
-class _SinceCalls(ast.NodeVisitor):
-    """Collects the qualified function name of every `.since(...)` call."""
+class _Calls(ast.NodeVisitor):
+    """Collects the qualified function name of every `.<method>(...)`
+    call."""
 
-    def __init__(self) -> None:
+    def __init__(self, method: str) -> None:
+        self.method = method
         self.scope: list[str] = []
         self.found: list[str] = []
 
@@ -213,18 +226,32 @@ class _SinceCalls(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Call(self, node) -> None:
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "since":
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr == self.method):
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
 
-def test_changed_since_is_the_one_reader_of_the_journal():
+def package_callers(method: str) -> list[tuple[str, str]]:
+    """(module, function) for every `.<method>(...)` call in the package."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
-        finder = _SinceCalls()
+        finder = _Calls(method)
         finder.visit(ast.parse(path.read_text(encoding="utf-8")))
         callers.extend((path.stem, name) for name in finder.found)
-    assert callers == [("model", "WorldState.changed_since")]
+    return callers
+
+
+def test_changed_since_is_the_one_reader_of_the_journal():
+    assert package_callers("since") == [("model", "WorldState.changed_since")]
+
+
+def test_the_write_hook_and_the_record_adders_write_the_journal():
+    """Every person write is journaled by CountedPerson.__setattr__, so
+    only the two functions that add a record note anything else."""
+    assert sorted(package_callers("note")) == [
+        ("model", "CountedPerson.__setattr__"),
+        ("model", "WorldState.add_person"), ("space", "create_house")]
 
 
 def test_window_is_computed_once_per_step(monkeypatch):
