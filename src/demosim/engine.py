@@ -64,6 +64,33 @@ class RunConfig:
 @dataclass(slots=True)
 class TimeSeries:
     rows: list[tuple] = field(default_factory=list)
+    # the ids of the empty houses at the last append, and where it was
+    # made: the state, its step and its count of allocated ids with no house
+    _empty: set[int] = field(default_factory=set, init=False, repr=False,
+                             compare=False)
+    _at: tuple = field(default=(None, None, None), init=False, repr=False,
+                       compare=False)
+
+    def _empty_houses(self, state: WorldState) -> int:
+        """The houses with no occupant. Only the houses in the change
+        window since the last append are tested again (the window holds
+        each house built, left or moved into); every house when that
+        append was made elsewhere, or a house went missing since."""
+        houses, (at_state, at_step, lost) = state.houses, self._at
+        now_lost = state.next_house_id - len(houses)
+        changed = (state.changed_since(at_step)
+                   if at_state is state and lost == now_lost else None)
+        if changed is None:
+            self._empty = {hid for hid, h in houses.items() if not h.occupants}
+        else:
+            for hid in changed[1]:
+                h = houses.get(hid)
+                if h is not None and not h.occupants:
+                    self._empty.add(hid)
+                else:
+                    self._empty.discard(hid)
+        self._at = (state, state.time.step_index, now_lost)
+        return len(self._empty)
 
     def append(self, state: WorldState, step_index: int, births: int,
                deaths: int, marriages: int, divorces: int,
@@ -76,7 +103,7 @@ class TimeSeries:
         # each living person's age is now - born_step: the same integer sum
         age_sum = alive * state.time.step_index - born_sum
         mean_age = age_sum / alive / spy if alive else 0.0
-        empty = sum(1 for h in state.houses.values() if not h.occupants)
+        empty = self._empty_houses(state)
         self.rows.append((
             step_index,
             state.time.t0_year + step_index // spy,

@@ -644,6 +644,11 @@ def census(state: WorldState) -> tuple[int, int, int]:
     return alive, males, born_sum
 
 
+def houses_empty(state: WorldState) -> int:
+    """The houses with no occupant, recounted over every house."""
+    return sum(1 for h in state.houses.values() if not h.occupants)
+
+
 # ---------------------------------------------------------- space digest
 
 class SpaceSets(NamedTuple):

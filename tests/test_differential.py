@@ -21,14 +21,18 @@ nothing, and steps with no write that check_step must not pass over.
 The lockstep runs step twin worlds from one seed, one with the live event
 kernels, which look a rate up only when the draw is below its ceiling, and
 one with the oracle's kernels, which look up every rate: after every step
-both must hold the same RNG state and the same state digest.
+both must hold the same RNG state and the same state digest. The death
+screen run makes living men 130 years old mid-run: any draw kills them,
+but a screen still bounded by the old oldest birth step passes over most
+draws; it compares the dead and the RNG state the same way.
 
 The snapshot runs compare every freeze, which shares the columns no
 journaled person changed, with the oracle's full copy, under the fault
 runs and on the digest-chain configs; the census runs compare the counts the
 person writes keep, and each freeze's gave_birth column, with the
 oracle's recount, on the same runs and on a hand-built state written
-directly; the roster runs compare every read of an eligibility roster
+directly, and so do the empty-house runs the time series' houses_empty;
+the roster runs compare every read of an eligibility roster
 with the full scans, on the same runs; the direct-write runs write each
 person field past every mutator and compare the checks, both snapshots,
 the rosters and the census with the oracle at every step; the
@@ -51,7 +55,7 @@ from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
 from demosim.cli import build_config
-from demosim.engine import state_digest
+from demosim.engine import TIMESERIES_HEADER, TimeSeries, state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
@@ -680,6 +684,46 @@ def test_screened_kernels_match_oracle_in_lockstep(seed, clock, order):
         assert events_seen > 0
 
 
+def test_age_setter_lowers_the_death_screen():
+    """Living men made 130 years old by the age setter mid-run, on a
+    monthly clock where their band is death_ceiling, 1: each dies at their
+    next draw, which the screen passes over unless its bound on the oldest
+    birth step is lowered when the roster reads them again. Twin worlds
+    stepped by the live kernels and by the oracle's, whose deaths reads
+    every rate, must hold the same dead and the same RNG state."""
+    config = build_config({"initial_pop": "120", "delta_t": "monthly",
+                           "t0": "2020", "t_final": "2100", "seed": "1"})
+    spy = config.sim.steps_per_year
+    twins = []
+    for rates, stepper in ((RateContext, step), (oracle.MemoRates,
+                                                 oracle.step)):
+        rng = random.Random(1)
+        state, _ = init_world(config.model, config.sim, config.data,
+                              config.density, rng)
+        snaps = SnapshotStore()
+        snaps.freeze(state)
+        twins.append((stepper, state, rates(config.model, config.data, spy),
+                      snaps, rng))
+    ctx = twins[0][2]
+    assert ctx.death_band(MALE, 130) == ctx.death_ceiling == 1.0
+    aged = []
+    for i in range(1, 61):
+        if i % 12 in (4, 9):  # away from the screen's yearly refresh
+            pid = min(pid for pid, p in twins[0][1].persons.items()
+                      if p.alive and p.gender == MALE
+                      and p.age_steps < 100 * spy)
+            for _, state, *_ in twins:
+                state.persons[pid].age_steps = 130 * spy
+            aged.append(pid)
+        for stepper, state, ctx, snaps, rng in twins:
+            stepper(state, ctx, snaps, rng, DEFAULT_EVENT_ORDER)
+        (_, live, *_, live_rng), (_, frozen, *_, frozen_rng) = twins
+        assert live_rng.getstate() == frozen_rng.getstate()
+        assert {pid for pid, p in live.persons.items() if not p.alive} == \
+            {pid for pid, p in frozen.persons.items() if not p.alive}
+    assert aged and not any(live.persons[pid].alive for pid in aged)
+
+
 # The lockstep snapshot runs freeze, at every step, both the store's
 # snapshot, which shares the columns no journaled person changed, and the
 # oracle's full copy; after every step the store's newest and previous
@@ -828,6 +872,82 @@ def test_census_matches_recount_on_chain_configs(seed, clock, order):
         assert state.census() == oracle.census(state)
 
 
+# The empty-house runs append a time-series row after every step and
+# compare its houses_empty, kept from the change window, with the
+# oracle's recount over every house.
+
+_EMPTY = TIMESERIES_HEADER.index("houses_empty")
+
+
+@pytest.mark.parametrize("seed,order", FAULT_RUNS)
+def test_houses_empty_matches_recount_under_faults(monkeypatch, seed, order):
+    """The fault runs, whose removed house leaves no journal write."""
+    run = FaultRun(seed, order)
+    series = TimeSeries()
+    series.append(run.state, 0, 0, 0, 0, 0, 0)
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    for i in range(1, STEPS + 1):
+        run.advance()
+        series.append(run.state, i, 0, 0, 0, 0, 0)
+        assert series.rows[-1][_EMPTY] == oracle.houses_empty(run.state)
+    assert not run.pending
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_houses_empty_matches_recount_on_chain_configs(seed, clock, order):
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    series = TimeSeries()
+    series.append(state, 0, 0, 0, 0, 0, 0)
+    for i in range(1, CHAIN_CLOCKS[clock] + 1):
+        step(state, ctx, snaps, rng, config.event_order)
+        series.append(state, i, 0, 0, 0, 0, 0)
+        assert series.rows[-1][_EMPTY] == oracle.houses_empty(state)
+
+
+def test_one_series_handed_two_states():
+    """A series appended from another state recounts, so two runs
+    appended in turn to one series each match the oracle."""
+    runs = [SeededRun(seed, DEFAULT_EVENT_ORDER) for seed in SEEDS[:2]]
+    series = TimeSeries()
+    for i in range(1, STEPS // 4):
+        for run in runs:
+            run.advance()
+            series.append(run.state, i, 0, 0, 0, 0, 0)
+            assert series.rows[-1][_EMPTY] == oracle.houses_empty(run.state)
+
+
+def test_houses_empty_after_an_empty_house_is_dropped():
+    """No write journals a dropped house; the lost-house count makes the
+    next row recount."""
+    state, town, _, _ = family_state()
+    empty = add_house(state, town, xy=(3, 3))
+    series = TimeSeries()
+    for now in range(3):
+        state.time.step_index = now
+        if now == 2:
+            _drop_house(state, empty)
+        series.append(state, now, 0, 0, 0, 0, 0)
+        assert series.rows[-1][_EMPTY] == oracle.houses_empty(state)
+    assert [row[_EMPTY] for row in series.rows] == [1, 1, 0]
+
+
 def test_census_follows_direct_writes():
     """A hand-built state written directly after its first freeze, as
     tests and faults do: alive, gender, age and gave_birth, on persons on
@@ -864,7 +984,8 @@ def test_census_follows_direct_writes():
 # The roster runs wrap WorldState.roster: after every read, the roster
 # must equal the full scan over everyone on record with its predicate, and
 # each event's roster the full scan the event made before rosters: the
-# oracle's reproducible_women, the married-man scan of divorces, and
+# oracle's reproducible_women, the married-man scan of divorces, the scan
+# of the living past their birth step of the oracle's deaths, and
 # marriage_eligible, once the previous step's marriages are taken out.
 
 def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
@@ -883,6 +1004,9 @@ def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
             assert ids == [p.id for p in persons.values()
                            if p.partner is not None and p.gender == MALE
                            and p.alive]
+        elif holds is events._mortal:
+            assert ids == [p.id for p in persons.values()
+                           if p.alive and p.age_steps > 0]
         else:
             prev = snaps.before(state.time.step_index)
             assert [pid for pid in ids if pid not in prev.married] == \
@@ -897,7 +1021,7 @@ def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
 @pytest.mark.parametrize("seed,order", FAULT_RUNS)
 def test_rosters_match_full_scans_under_faults(monkeypatch, seed, order):
     """Faults injected after ageing and after the step, as in
-    test_mutator_faults_match_oracle; each of the four event rosters is
+    test_mutator_faults_match_oracle; each of the five event rosters is
     read once a step, so every read after step 1 refreshes from the
     journal."""
     run = FaultRun(seed, order)
@@ -912,7 +1036,7 @@ def test_rosters_match_full_scans_under_faults(monkeypatch, seed, order):
     for _ in range(STEPS):
         run.advance()
     assert not run.pending
-    assert sorted(reads.values()) == [STEPS] * 4
+    assert sorted(reads.values()) == [STEPS] * 5
 
 
 @pytest.mark.parametrize("order", CHAIN_ORDERS)
@@ -934,7 +1058,7 @@ def test_rosters_match_full_scans_on_chain_configs(monkeypatch, seed, clock,
     reads = check_rosters(monkeypatch, snaps)
     for _ in range(CHAIN_CLOCKS[clock]):
         step(state, ctx, snaps, rng, config.event_order)
-    assert sorted(reads.values()) == [CHAIN_CLOCKS[clock]] * 4
+    assert sorted(reads.values()) == [CHAIN_CLOCKS[clock]] * 5
 
 
 def test_idle_roster_refresh_evaluates_nobody():
@@ -1101,7 +1225,7 @@ def test_direct_person_writes_match_oracle(monkeypatch, seed):
     assert not run.pending
     # every write must show, or the comparison proves nothing
     assert flagged == set(PERSON_WRITES)
-    assert sorted(reads.values()) == [STEPS] * 4
+    assert sorted(reads.values()) == [STEPS] * 5
 
 
 def _drop_house(state, house):

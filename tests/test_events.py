@@ -5,21 +5,24 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
 
 from conftest import add_house, add_person, add_town, family_state, make_state
+import oracle
 from oracle import marriage_eligible
 from demosim.cli import build_config
-from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, age_factor,
-                            ageing, births, candidate_count, children_factor,
-                            deaths, divorces, geo_factor, marriage_weight,
-                            marriages, step, validate_event_order,
-                            weighted_pick)
-from demosim.model import ADULT_YEARS, FEMALE, MALE, ConfigError, mark_dead
-from demosim.model import ModelParams
+from demosim.engine import state_digest
+from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, _Uniforms,
+                            age_factor, ageing, births, candidate_count,
+                            children_factor, deaths, divorces, geo_factor,
+                            marriage_weight, marriages, step,
+                            validate_event_order, weighted_pick)
+from demosim.model import (ADULT_YEARS, FEMALE, MALE, ConfigError,
+                           FertilityTable, ModelParams, link_partners,
+                           mark_dead)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.verification import build_registry
@@ -427,3 +430,149 @@ def test_bad_order_rejected_before_the_first_step():
         replace(config, event_order=("deaths", "ageing"))
     with pytest.raises(ConfigError):
         build_registry(("deaths", "ageing"))
+
+
+# _Uniforms: a step's draws of one event from one getrandbits call
+
+class CountingRandom(random.Random):
+    """Overrides random() but not getrandbits(), as ScriptedRandom does."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+class WordsRandom(random.Random):
+    """Overrides getrandbits(), which random() never reads."""
+
+    def getrandbits(self, k):
+        raise AssertionError("getrandbits must not be called")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 540])
+def test_uniforms_are_the_random_calls(n):
+    rng, ref = random.Random(11), random.Random(11)
+    drawn = _Uniforms(rng, n, 1.0)
+    assert [drawn.at(i) for i in range(n)] == [ref.random() for _ in range(n)]
+    assert rng.getstate() == ref.getstate()
+    assert drawn.at(n) == ref.random()  # past the batch: rng.random()
+    assert drawn.at(n + 1) == ref.random()
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("below", [0.0, 1 / 256, 0.01, 0.3, 0.5, 1.0])
+def test_uniforms_pass_over_only_top_bytes_at_or_above(below):
+    """next() and hits() visit exactly the draws whose top byte,
+    floor(256 u), is below 256 x below, so every draw below `below` among
+    them; past the batch next() visits every index."""
+    n = 540
+    source = random.Random(5)
+    values = [source.random() for _ in range(n)]
+    drawn = _Uniforms(random.Random(5), n, below)
+    visited, i = [], drawn.next(0)
+    while i < n:
+        visited.append(i)
+        i = drawn.next(i + 1)
+    assert visited == [k for k, u in enumerate(values)
+                       if math.floor(256 * u) < 256 * below]
+    assert {k for k, u in enumerate(values) if u < below} <= set(visited)
+    assert (drawn.next(n), drawn.next(n + 3)) == (n, n + 3)
+    assert list(_Uniforms(random.Random(5), n, below).hits()) == [
+        (k, values[k]) for k in visited]
+
+
+@pytest.mark.parametrize("cls", [CountingRandom, WordsRandom])
+def test_uniforms_serve_an_overridden_class_through_random(cls):
+    """Random.__init_subclass__ serves _randbelow through an overridden
+    random(); _Uniforms does the same, and never calls an overridden
+    getrandbits(), whose words random() does not read."""
+    rng, ref = cls(3), random.Random(3)
+    drawn = _Uniforms(rng, 4, 0.0)
+    assert [drawn.next(j) for j in range(4)] == [0, 1, 2, 3]
+    assert [drawn.at(i) for i in range(4)] == [ref.random() for _ in range(4)]
+    assert rng.getstate() == ref.getstate()
+    if cls is CountingRandom:
+        assert rng.calls == 4
+
+
+def test_deaths_and_births_draw_through_an_overridden_random():
+    state, *_ = family_state()
+    twin, *_ = family_state()
+    rng, ref = CountingRandom(2), random.Random(2)
+    snaps, ref_snaps = SnapshotStore(), SnapshotStore()
+    snaps.freeze(state)
+    ref_snaps.freeze(twin)
+    for _ in range(30):
+        step(state, ctx365(), snaps, rng)
+        step(twin, ctx365(), ref_snaps, ref)
+    assert rng.getstate() == ref.getstate()
+    assert state_digest(state) == state_digest(twin)
+    # 4 death draws, 1 birth draw and 1 divorce draw a step at least
+    assert rng.calls >= 30 * 6
+
+
+def _wives_state(spy: int = 12):
+    """Four couples, the wives aged 20, 30, 20 and 30 at ascending ids."""
+    state = make_state(spy=spy)
+    town = add_town(state)
+    for age in (20.5, 30.5, 20.5, 30.5):
+        house = add_house(state, town)
+        man = add_person(state, MALE, age + 2, house)
+        woman = add_person(state, FEMALE, age, house)
+        link_partners(state, man, woman)
+    return state
+
+
+def _fertility(by_age: dict[int, float]) -> RateContext:
+    """A monthly context whose fertility is by_age, else 0."""
+    table = FertilityTable(rows=tuple((by_age.get(age, 0.0),)
+                                      for age in range(17, 52)),
+                           age_offset=17, year_offset=2020)
+    data = replace(default_model_data(), fertility=table)
+    return RateContext(ModelParams(), data, 12)
+
+
+def _births_twins(ctx, seed):
+    """births and the oracle's births on twin states from one seed."""
+    out = []
+    for kernel in (births, oracle.births):
+        state, rng, outcome = _wives_state(), random.Random(seed), \
+            StepOutcome(0)
+        kernel(state, ctx, rng, outcome)
+        out.append((state, rng, outcome))
+    return out
+
+
+def test_births_hit_the_last_index_and_draw_past_the_batch():
+    """Wives with fertility p_step 1, 0, 1, 0 draw indices 0 (a birth, its
+    gender at 1), 2, then 3, the last of the batch of four (a birth, its
+    gender past it) and 5, past it: two births in one batch, both
+    matching the oracle's kernel, gender and RNG state included."""
+    ctx = _fertility({20: 1 - 1e-9})
+    assert ctx.fertility_ceiling == 1.0
+    for seed in range(5):
+        (live, rng, outcome), (frozen, ref, expected) = _births_twins(ctx,
+                                                                       seed)
+        assert outcome.born == expected.born == [8, 9]
+        assert [live.persons[c].mother for c in outcome.born] == [1, 5]
+        assert rng.getstate() == ref.getstate()
+        assert state_digest(live) == state_digest(frozen)
+
+
+def test_screened_births_match_the_oracle():
+    """Rates of about 0.25 and 0.13 a step, so the screen passes over
+    about three draws in four by their top byte."""
+    ctx = _fertility({20: 0.95, 30: 0.8})
+    born = Counter()
+    for seed in range(60):
+        (live, rng, outcome), (frozen, ref, expected) = _births_twins(ctx,
+                                                                       seed)
+        assert outcome.born == expected.born
+        assert rng.getstate() == ref.getstate()
+        assert state_digest(live) == state_digest(frozen)
+        born[len(outcome.born)] += 1
+    assert born[0] and born[1] and born[2]
