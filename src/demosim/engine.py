@@ -65,22 +65,30 @@ class RunConfig:
 class TimeSeries:
     rows: list[tuple] = field(default_factory=list)
     # the ids of the empty houses at the last append, and where it was
-    # made: the state, its step and its count of allocated ids with no house
+    # made: the state, its step, its next house id and its count of
+    # allocated ids with no house
     _empty: set[int] = field(default_factory=set, init=False, repr=False,
                              compare=False)
-    _at: tuple = field(default=(None, None, None), init=False, repr=False,
-                       compare=False)
+    _at: tuple = field(default=(None, None, None, None), init=False,
+                       repr=False, compare=False)
 
     def _empty_houses(self, state: WorldState) -> int:
         """The houses with no occupant. Only the houses in the change
         window since the last append are tested again (the window holds
-        each house built, left or moved into); every house when that
-        append was made elsewhere, or a house went missing since."""
-        houses, (at_state, at_step, lost) = state.houses, self._at
-        now_lost = state.next_house_id - len(houses)
-        changed = (state.changed_since(at_step)
-                   if at_state is state and lost == now_lost else None)
-        if changed is None:
+        each house built, left or moved into). Every house is tested when
+        that append was made elsewhere, or when a direct write, which no
+        window holds, may have changed which houses are on record: a
+        house went missing, one is on record under an id not yet
+        allocated, or one allocated since is not in the window."""
+        houses, (at_state, at_step, at_next, lost) = state.houses, self._at
+        now_next = state.next_house_id
+        now_lost = now_next - len(houses)
+        # read every time: the first read starts the journal that later
+        # windows are taken from
+        changed = state.changed_since(at_step)
+        if (changed is None or at_state is not state or lost != now_lost
+                or next(reversed(houses), -1) >= now_next
+                or not changed[1].issuperset(range(at_next, now_next))):
             self._empty = {hid for hid, h in houses.items() if not h.occupants}
         else:
             for hid in changed[1]:
@@ -89,7 +97,7 @@ class TimeSeries:
                     self._empty.add(hid)
                 else:
                     self._empty.discard(hid)
-        self._at = (state, state.time.step_index, now_lost)
+        self._at = (state, state.time.step_index, now_next, now_lost)
         return len(self._empty)
 
     def append(self, state: WorldState, step_index: int, births: int,

@@ -11,13 +11,14 @@ person's gender and whole year of age (RateContext.death_band). A screen
 decides only whether the rate is read, never whether a draw is made, so the
 draw order is the same with or without it.
 
-Deaths and births draw a step's uniforms with one getrandbits call
-(_Uniforms), which yields the doubles and leaves the generator exactly as
-one random() call per draw would, and rebuild only the draws whose top
-byte can fall below the event's threshold. Divorces and marriages draw
-one random() at a time: a hit there draws a variable number of words
-through randrange and sample, so a batch drawn ahead of it could not be
-handed back.
+Deaths draws a step's uniforms with one getrandbits call (_Uniforms),
+which yields the doubles and leaves the generator exactly as one random()
+call per draw would, and rebuilds only the draws whose top byte can fall
+below its threshold. The other events draw one random() at a time:
+births' roster is too short for a batch to pay for its fixed cost, and a
+hit in divorces or marriages draws a variable number of words through
+randrange and sample, so a batch drawn ahead of it could not be handed
+back.
 
 Every event visits a roster of the persons who can take part
 (WorldState.roster), kept from the change window that the freeze and the
@@ -153,33 +154,27 @@ _WORDS = struct.Struct("<II")
 _MT = random.Random
 # translate tables for the screen: entry k marks the top bytes below k
 _SCREENS = [b"\1" * k + b"\0" * (256 - k) for k in range(257)]
-# a screen that passes more draws than this share costs more than it saves
-# over one random() call per draw (measured on 800 draws)
-_SPARSE = 0.1
-
-
-def _serves_words(rng: random.Random) -> bool:
-    """Whether rng.random() reads the Mersenne Twister words getrandbits()
-    returns: not when rng's class overrides either. Random.__init_subclass__
-    serves _randbelow through an overridden random() by the same rule, and
-    random() never reads an overridden getrandbits()."""
-    cls = type(rng)
-    return cls.random is _MT.random and cls.getrandbits is _MT.getrandbits
 
 
 class _Uniforms:
     """What successive rng.random() calls would return, read by index:
     indices below n come from one getrandbits(64 n) call, which leaves rng
     as n random() calls would, and each index from n on from rng.random()
-    when it is read, so those are read once each, in turn. next(j) and
-    hits() pass over the indices below n whose top byte puts the draw at
-    or above `below`. Unless _serves_words(rng), n is 0: every index is
-    read through rng.random()."""
+    when it is read, so those are read once each, in turn. next(j) passes
+    over the indices below n whose top byte puts the draw at or above
+    `below`. When rng's class overrides random() or getrandbits(), n is
+    0: every index is read through rng.random()."""
 
     __slots__ = ("_rng", "_n", "_buf", "_low")
 
     def __init__(self, rng: random.Random, n: int, below: float) -> None:
-        if not _serves_words(rng):
+        # rng.random() reads the words getrandbits() returns only when the
+        # class overrides neither: Random.__init_subclass__ serves
+        # _randbelow through an overridden random() by the same rule, and
+        # random() never reads an overridden getrandbits()
+        cls = type(rng)
+        if (cls.random is not _MT.random
+                or cls.getrandbits is not _MT.getrandbits):
             n = 0
         self._rng, self._n = rng, n
         self._buf = (rng.getrandbits(64 * n) if n else 0).to_bytes(
@@ -200,15 +195,6 @@ class _Uniforms:
             a, b = _WORDS.unpack_from(self._buf, 8 * i)
             return ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992
         return self._rng.random()
-
-    def hits(self):
-        """(i, draw i) for each index below n whose draw can be below
-        `below`, ascending."""
-        low = self._low
-        i = low.find(1)
-        while i >= 0:
-            yield i, self.at(i)
-            i = low.find(1, i + 1)
 
 
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -243,13 +229,14 @@ def _death_threshold(state: WorldState, ctx: RateContext,
                      mortal: list[int]) -> float:
     """A bound on the death_band of everyone on the deaths roster: the
     larger of the two genders' bands at the age of the oldest of them.
-    Read from a lower bound on their birth steps (WorldState.death_bound),
-    lowered for every person in the window the roster reads again, as the
-    age setter and a revival journal the person, and refreshed from the
-    roster when its band year goes stale (the oldest may have died)."""
+    Read from a lower bound on their birth steps, kept in WorldState.kept
+    as (the step it was read at, the bound, its band year), lowered for
+    every person in the window the roster reads again, as the age setter
+    and a revival journal the person, and refreshed from the roster when
+    its band year goes stale (the oldest may have died)."""
     now, persons = state.time.step_index, state.persons
     spy = ctx.steps_per_year
-    read_at, low, year = state.death_bound
+    read_at, low, year = state.kept.get(_death_threshold, (None, 0, 0))
     changed = state.changed_since(read_at)
     if changed is not None:
         for pid in changed[0]:
@@ -259,24 +246,22 @@ def _death_threshold(state: WorldState, ctx: RateContext,
     if changed is None or (now - low) // spy != year:
         low = min((persons[pid].born_step for pid in mortal), default=now)
         year = (now - low) // spy
-    state.death_bound = (now, low, year)
+    state.kept[_death_threshold] = (now, low, year)
     return max(ctx.death_band(MALE, year), ctx.death_band(FEMALE, year))
 
 
 def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(death p_step) draw per alive non-neonate, ascending id,
-    all drawn at once (_Uniforms) while the screen is sparse. A draw whose
-    top byte can fall below _death_threshold (or death_ceiling, where that
-    is at most 1/256) is rebuilt and tested against death_ceiling, then
-    the person's year band (death_band), then death_p_step; each bounds
-    the next, so u < all three exactly when u < death_p_step. When the
-    threshold is _SPARSE or more, or rng's class overrides its words, each
-    person draws one random() instead, tested the same way. Dying persons
-    stay on record (kinship intact, age frozen) but leave their house and
-    widow their partner. Visits the roster of the living born before this
-    step (WorldState.roster): a death changes only the dying person's
-    `alive`, so the roster read before the first draw holds who draws."""
+    all from one _Uniforms. A draw whose top byte can fall below
+    _death_threshold (or death_ceiling, where that is at most 1/256) is
+    rebuilt and tested against death_ceiling, then the person's year band
+    (death_band), then death_p_step; each bounds the next, so u < all
+    three exactly when u < death_p_step. Dying persons stay on record
+    (kinship intact, age frozen) but leave their house and widow their
+    partner. Visits the roster of the living born before this step
+    (WorldState.roster): a death changes only the dying person's `alive`,
+    so the roster read before the first draw holds who draws."""
     persons, death_p_step = state.persons, ctx.death_p_step
     band, ceiling = ctx.death_band, ctx.death_ceiling
     now, spy = state.time.step_index, ctx.steps_per_year
@@ -285,18 +270,18 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
     # lower threshold passes fewer draws, so no bound is kept
     below = (ceiling if 256 * ceiling <= 1
              else _death_threshold(state, ctx, mortal))
-    if below < _SPARSE and _serves_words(rng):
-        draws = _Uniforms(rng, len(mortal), below).hits()
-    else:
-        draws = zip(range(len(mortal)), iter(rng.random, None))
-    for i, u in draws:
+    drawn = _Uniforms(rng, len(mortal), below)
+    i = drawn.next(0)
+    while i < len(mortal):
         p = persons[mortal[i]]
-        if (u < ceiling and u < band(p.gender, (now - p.born_step) // spy)
+        if ((u := drawn.at(i)) < ceiling
+                and u < band(p.gender, (now - p.born_step) // spy)
                 and u < death_p_step(p)):
             unlink_partners(state, p)
             leave_house(state, p)
             mark_dead(state, p)
             outcome.died.append(p.id)
+        i = drawn.next(i + 1)
 
 
 def _fertile_wife(state: WorldState, p: Person) -> bool:
@@ -315,40 +300,29 @@ def _fertile_wife(state: WorldState, p: Person) -> bool:
 def births(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(fertility p_step) draw per reproducible woman, ascending
-    id; on success one gender draw, the next uniform. All come from one
-    _Uniforms of a draw per woman: the k-th woman draws index k plus the
-    births before her, and a gender draw past the last index comes from
-    rng.random(). Only a draw whose top byte can fall below
-    fertility_ceiling is rebuilt. The neonate starts in the mother's house
+    id; on success one gender draw. The neonate starts in the mother's house
     with both parent links set. Visits only the roster of reproducible
     women (WorldState.roster), so no other woman's children are walked."""
-    fertility_p_step, time = ctx.fertility_p_step, state.time
+    draw, fertility_p_step, time = rng.random, ctx.fertility_p_step, state.time
     ceiling, persons = ctx.fertility_ceiling, state.persons
-    wives = state.roster(_fertile_wife)
-    drawn = _Uniforms(rng, len(wives), ceiling)
-    born = 0
-    i = drawn.next(0)
-    while i - born < len(wives):
-        mother = persons[wives[i - born]]
-        if ((u := drawn.at(i)) < ceiling
-                and u < fertility_p_step(mother, time)):
-            if mother.partner is None:
-                raise IntegrityError(
-                    f"reproducible woman p{mother.id} has no partner")
-            father = persons[mother.partner]
-            i, born = i + 1, born + 1
-            gender = MALE if drawn.at(i) < 0.5 else FEMALE
-            child = state.add_person(gender, age_steps=0,
-                                     born_step=time.step_index,
-                                     father=father.id, mother=mother.id)
-            father.children.add(child.id)
-            mother.children.add(child.id)
-            home = state.houses.get(mother.house)
-            if home is not None:  # a homeless mother's neonate is homeless too
-                move_person(state, child, home)
-            mother.gave_birth = True
-            outcome.born.append(child.id)
-        i = drawn.next(i + 1)
+    for pid in state.roster(_fertile_wife):
+        u = draw()
+        if u >= ceiling or u >= fertility_p_step(mother := persons[pid], time):
+            continue
+        if mother.partner is None:
+            raise IntegrityError(f"reproducible woman p{mother.id} has no partner")
+        father = persons[mother.partner]
+        gender = MALE if draw() < 0.5 else FEMALE
+        child = state.add_person(gender, age_steps=0,
+                                 born_step=time.step_index,
+                                 father=father.id, mother=mother.id)
+        father.children.add(child.id)
+        mother.children.add(child.id)
+        home = state.houses.get(mother.house)
+        if home is not None:  # a homeless mother's neonate is homeless too
+            move_person(state, child, home)
+        mother.gave_birth = True
+        outcome.born.append(child.id)
 
 
 def _married_man(state: WorldState, p: Person) -> bool:

@@ -356,9 +356,10 @@ class WorldState:
     _filed: int = field(default=0, init=False, repr=False)
     # holds -> (step last read at, roster)
     _rosters: dict = field(default_factory=dict, init=False, repr=False)
-    # events.deaths' screen: the step it last read at, a lower bound on the
-    # birth steps of its roster then, and the band year of that bound
-    death_bound: tuple = field(default=(None, 0, 0), init=False, repr=False)
+    # what an event function carries from one step to the next for this
+    # state, under a key of its own; WorldState never reads it
+    kept: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
     # changed_since's (step, journal writes) key, and its (near, far)
     # answers there: for a reader at that step and at the one before
     _changed: tuple = field(default=(None, None), init=False, repr=False)

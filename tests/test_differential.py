@@ -933,19 +933,52 @@ def test_one_series_handed_two_states():
             assert series.rows[-1][_EMPTY] == oracle.houses_empty(run.state)
 
 
-def test_houses_empty_after_an_empty_house_is_dropped():
-    """No write journals a dropped house; the lost-house count makes the
-    next row recount."""
-    state, town, _, _ = family_state()
+# direct writes to the houses on record, which no window holds -> the empty
+# houses after them (family_state, whose two houses are occupied, and one
+# empty house)
+HOUSE_WRITES = {
+    "dropped": (lambda s, t, h0, empty: _drop_house(s, empty), 0),
+    "replaced_unallocated": (lambda s, t, h0, empty: _replace_house(s, h0),
+                             2),
+    "added": (lambda s, t, h0, empty: add_house(s, t, xy=(4, 4)), 2),
+    "dropped_and_added": (lambda s, t, h0, empty: (
+        _drop_house(s, h0), add_house(s, t, xy=(4, 4))), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOUSE_WRITES))
+def test_houses_empty_after_a_direct_house_write(case):
+    """A house dropped, added or replaced by a direct write between two
+    rows makes the next row recount: a house went missing, one is on
+    record under an id not yet allocated, or one allocated since is not
+    in the window."""
+    state, town, (h0, _), _ = family_state()
     empty = add_house(state, town, xy=(3, 3))
+    write, after = HOUSE_WRITES[case]
     series = TimeSeries()
     for now in range(3):
         state.time.step_index = now
         if now == 2:
-            _drop_house(state, empty)
+            write(state, town, h0, empty)
         series.append(state, now, 0, 0, 0, 0, 0)
         assert series.rows[-1][_EMPTY] == oracle.houses_empty(state)
-    assert [row[_EMPTY] for row in series.rows] == [1, 1, 0]
+    assert [row[_EMPTY] for row in series.rows] == [1, 1, after]
+
+
+def test_houses_empty_when_the_first_row_is_past_step_0():
+    """The first row starts the journal, so a move made at the step of a
+    first row past step 0, on a state nothing else has read, is in the
+    window of the next row."""
+    state, town, _, (_, _, kid, _) = family_state()
+    empty = add_house(state, town, xy=(3, 3))
+    series = TimeSeries()
+    state.time.step_index = 1
+    series.append(state, 1, 0, 0, 0, 0, 0)
+    move_person(state, kid, empty)
+    state.time.step_index = 2
+    series.append(state, 2, 0, 0, 0, 0, 0)
+    assert [row[_EMPTY] for row in series.rows] == [1, 0]
+    assert series.rows[-1][_EMPTY] == oracle.houses_empty(state)
 
 
 def test_census_follows_direct_writes():

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
 from conftest import add_house, add_person, add_town, family_state, make_state
-import oracle
 from oracle import marriage_eligible
 from demosim.cli import build_config
 from demosim.engine import state_digest
@@ -21,8 +20,7 @@ from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, _Uniforms,
                             marriage_weight, marriages, step,
                             validate_event_order, weighted_pick)
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ConfigError,
-                           FertilityTable, ModelParams, link_partners,
-                           mark_dead)
+                           ModelParams, mark_dead)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.verification import build_registry
@@ -466,9 +464,10 @@ def test_uniforms_are_the_random_calls(n):
 
 @pytest.mark.parametrize("below", [0.0, 1 / 256, 0.01, 0.3, 0.5, 1.0])
 def test_uniforms_pass_over_only_top_bytes_at_or_above(below):
-    """next() and hits() visit exactly the draws whose top byte,
-    floor(256 u), is below 256 x below, so every draw below `below` among
-    them; past the batch next() visits every index."""
+    """next() visits exactly the draws whose top byte, floor(256 u), is
+    below 256 x below, so every draw below `below` among them, and at()
+    reads each as random() gave it; past the batch next() visits every
+    index."""
     n = 540
     source = random.Random(5)
     values = [source.random() for _ in range(n)]
@@ -481,8 +480,7 @@ def test_uniforms_pass_over_only_top_bytes_at_or_above(below):
                        if math.floor(256 * u) < 256 * below]
     assert {k for k, u in enumerate(values) if u < below} <= set(visited)
     assert (drawn.next(n), drawn.next(n + 3)) == (n, n + 3)
-    assert list(_Uniforms(random.Random(5), n, below).hits()) == [
-        (k, values[k]) for k in visited]
+    assert [drawn.at(k) for k in visited] == [values[k] for k in visited]
 
 
 @pytest.mark.parametrize("cls", [CountingRandom, WordsRandom])
@@ -513,66 +511,3 @@ def test_deaths_and_births_draw_through_an_overridden_random():
     assert state_digest(state) == state_digest(twin)
     # 4 death draws, 1 birth draw and 1 divorce draw a step at least
     assert rng.calls >= 30 * 6
-
-
-def _wives_state(spy: int = 12):
-    """Four couples, the wives aged 20, 30, 20 and 30 at ascending ids."""
-    state = make_state(spy=spy)
-    town = add_town(state)
-    for age in (20.5, 30.5, 20.5, 30.5):
-        house = add_house(state, town)
-        man = add_person(state, MALE, age + 2, house)
-        woman = add_person(state, FEMALE, age, house)
-        link_partners(state, man, woman)
-    return state
-
-
-def _fertility(by_age: dict[int, float]) -> RateContext:
-    """A monthly context whose fertility is by_age, else 0."""
-    table = FertilityTable(rows=tuple((by_age.get(age, 0.0),)
-                                      for age in range(17, 52)),
-                           age_offset=17, year_offset=2020)
-    data = replace(default_model_data(), fertility=table)
-    return RateContext(ModelParams(), data, 12)
-
-
-def _births_twins(ctx, seed):
-    """births and the oracle's births on twin states from one seed."""
-    out = []
-    for kernel in (births, oracle.births):
-        state, rng, outcome = _wives_state(), random.Random(seed), \
-            StepOutcome(0)
-        kernel(state, ctx, rng, outcome)
-        out.append((state, rng, outcome))
-    return out
-
-
-def test_births_hit_the_last_index_and_draw_past_the_batch():
-    """Wives with fertility p_step 1, 0, 1, 0 draw indices 0 (a birth, its
-    gender at 1), 2, then 3, the last of the batch of four (a birth, its
-    gender past it) and 5, past it: two births in one batch, both
-    matching the oracle's kernel, gender and RNG state included."""
-    ctx = _fertility({20: 1 - 1e-9})
-    assert ctx.fertility_ceiling == 1.0
-    for seed in range(5):
-        (live, rng, outcome), (frozen, ref, expected) = _births_twins(ctx,
-                                                                       seed)
-        assert outcome.born == expected.born == [8, 9]
-        assert [live.persons[c].mother for c in outcome.born] == [1, 5]
-        assert rng.getstate() == ref.getstate()
-        assert state_digest(live) == state_digest(frozen)
-
-
-def test_screened_births_match_the_oracle():
-    """Rates of about 0.25 and 0.13 a step, so the screen passes over
-    about three draws in four by their top byte."""
-    ctx = _fertility({20: 0.95, 30: 0.8})
-    born = Counter()
-    for seed in range(60):
-        (live, rng, outcome), (frozen, ref, expected) = _births_twins(ctx,
-                                                                       seed)
-        assert outcome.born == expected.born
-        assert rng.getstate() == ref.getstate()
-        assert state_digest(live) == state_digest(frozen)
-        born[len(outcome.born)] += 1
-    assert born[0] and born[1] and born[2]
