@@ -1,14 +1,14 @@
 """Domain types shared by every other module: persons, houses, towns, time,
 parameters, the error hierarchy, the per-step change journal and the
-person write hook that keeps it, the partnership and death mutators, the
-structural rules that both validate_world and the every-step assumption
-checks apply, and the orphan stay-home rule that ageing applies and its
-check replays."""
+person and house record write hooks that keep it, the partnership and
+death mutators, the structural rules that both validate_world and the
+every-step assumption checks apply, and the orphan stay-home rule that
+ageing applies and its check replays."""
 from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, MutableMapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -250,6 +250,11 @@ class CountedPerson(Person):
             object.__setattr__(self, name, value)
         journal.note(self.time.step_index, persons, houses)
 
+    def __setstate__(self, state: tuple) -> None:
+        # a copy sets its slots past the hook, whose inputs are not set yet
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
 
 @dataclass(slots=True)
 class House:
@@ -268,6 +273,7 @@ class Town:
     grid_xy: tuple[int, int]
     density: float
     houses: set[int] = field(default_factory=set)
+    __setstate__ = CountedPerson.__setstate__
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
@@ -275,13 +281,48 @@ class Town:
             self.entry = (self.id, self.grid_xy, self.density)
 
 
+class HouseRecords(dict, MutableMapping):
+    """A state's house records by id. Every write journals the house id and
+    the occupants of the record it replaces or drops, at the clock's step."""
+    __slots__ = ("journal", "time")
+    # MutableMapping's: they write through __setitem__, __delitem__, popitem
+    pop, setdefault = MutableMapping.pop, MutableMapping.setdefault
+    update, clear = MutableMapping.update, MutableMapping.clear
+
+    def __init__(self, houses, journal: Journal, time: SimTime) -> None:
+        super().__init__(houses)
+        self.journal, self.time = journal, time
+
+    def __reduce__(self):  # a copy or unpickle restores past the hook
+        return type(self), (dict(self), self.journal, self.time)
+
+    def _note(self, hid: int, old: House | None) -> None:
+        self.journal.note(self.time.step_index,
+                          () if old is None else old.occupants, (hid,))
+
+    def __setitem__(self, hid: int, house: House) -> None:
+        self._note(hid, self.get(hid))
+        dict.__setitem__(self, hid, house)
+
+    def __delitem__(self, hid: int) -> None:
+        self._note(hid, dict.pop(self, hid))
+
+    def popitem(self) -> tuple[int, House]:
+        hid, house = dict.popitem(self)
+        self._note(hid, house)
+        return hid, house
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
 class Journal:
-    """The ids of the persons added or written (every CountedPerson
-    attribute write, with the old partner of a partner write) and of the
-    houses built or left (the old house of a house write), keyed by the
-    step index each write is made at. Only a move adds an occupant and
-    only births adds a child, so a grown house or parent has a journaled
-    occupant or child.
+    """The ids of the persons and houses written, keyed by the step each
+    write is made at: each person added, each CountedPerson attribute
+    write with the old partner or house, and each HouseRecords write with
+    the old record's occupants. Only a move adds an occupant and only
+    births adds a child, so a grown house or parent has a journaled one.
 
     It holds the writes of the newest step written at and of the step
     written at before it, and forgets older ones. `since(step)`, read by
@@ -365,6 +406,9 @@ class WorldState:
     _changed: tuple = field(default=(None, None), init=False, repr=False)
     # whether every person is a CountedPerson (keep_census)
     _counted: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.houses = HouseRecords(self.houses, self.journal, self.time)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:

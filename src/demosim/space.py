@@ -92,13 +92,12 @@ def manhattan(town_a: Town, town_b: Town) -> int:
 
 def create_house(state: WorldState, town: Town, rng: random.Random) -> House:
     """New empty house in `town` at uniform integer coordinates; x drawn
-    before y. Journaled here: no person write names a new house."""
+    before y. The house records journal it."""
     x = rng.randint(*HOUSE_COORD_BOUNDS)
     y = rng.randint(*HOUSE_COORD_BOUNDS)
     house = House(id=state.allocate_house_id(), town=town.id, local_xy=(x, y))
     state.houses[house.id] = house
     town.houses.add(house.id)
-    state.journal.note(state.time.step_index, houses=(house.id,))
     return house
 
 

@@ -141,21 +141,19 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 class _Window:
     """Where a registry's hard every-step checks were last evaluated (the
-    state, the step index and the count of allocated house ids with no
-    house), the checks served there and at the step before, and whether
-    check_step's last call there flagged nothing."""
+    state and the step index), the checks served there and at the step
+    before, and whether check_step's last call there flagged nothing."""
 
     def __init__(self) -> None:
         self.state = self.at = None
         self.served, self.before, self.quiet = set(), set(), False
 
     def moved(self, state: WorldState) -> bool:
-        """Move to the state's step; True when that is the next step on the
-        same state with no house lost."""
-        at = (state.time.step_index, state.next_house_id - len(state.houses))
+        """Move to the state's step; True if it follows on the same state."""
+        at = state.time.step_index
         if state is self.state and at == self.at:
             return False
-        follows = state is self.state and at == (self.at[0] + 1, self.at[1])
+        follows = state is self.state and at == self.at + 1
         self.before, self.served = self.served if follows else set(), set()
         self.state, self.at, self.quiet = state, at, False
         return follows
@@ -176,7 +174,8 @@ def _reach(state: WorldState, changed: tuple,
     """The persons and houses a structural rule re-examines, ascending id
     (the order they are on record in, as ids are allocated in ascending
     order): those in the window, which holds the partner and house of each
-    journaled person, and those flagged at the last evaluation."""
+    journaled person and the old occupants of each house record written,
+    and those flagged at the last evaluation; a dropped house is skipped."""
     persons, houses = state.persons, state.houses
     return ([persons[pid] for pid in sorted(changed[0] | flagged[0])],
             [houses[hid] for hid in sorted(changed[1] | flagged[1])

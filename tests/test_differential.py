@@ -8,11 +8,12 @@ runs inject an unrelated adult moved into an occupied house
 exactly the oracle's Violation list, with the registry kept for the whole
 run, with a fresh registry per call, and with one registry handed two
 WorldStates in turn. The fault runs inject one fault per hard every-step
-assumption, plus a removed house, once inside a step (right after ageing,
-by wrapping that event) and once after `step()` returns; at every step
-`check_step` with a kept and with a fresh registry, and the every-step
-entries of a third registry called one at a time, must return exactly the
-oracle's list, and every fault must be flagged. The same faults injected
+assumption, plus a removed and an overwritten house, once inside a step
+(right after ageing, by wrapping that event) and once after `step()`
+returns; at every step `check_step` with a kept and with a fresh
+registry, and the every-step entries of a third registry called one at a
+time, must return exactly the oracle's list, and every fault must be
+flagged. The same faults injected
 after `check_step` has evaluated a step must match the oracle at the next
 step. The direct writes of test_verification.py are compared the same
 way, and so are the hourly digest-chain configs, where most steps journal
@@ -308,11 +309,12 @@ def test_unlink_journals_the_person_it_strands():
                                   "after_a_gap", "another_state"])
 def test_step_with_no_write_is_checked_when_it_must_be(case):
     """check_step calls no check only when its last call, at the previous
-    step of the same state, flagged nothing, nothing was journaled since,
-    no house went missing and nobody turns 18. The kept registry's call at
-    step 2 flags nothing and the clock is moved by hand, so no event runs
-    and nothing is journaled after it; each case then breaks one of the
-    other conditions, and check_step must report what the oracle does."""
+    step of the same state, flagged nothing, nothing was journaled since
+    and nobody turns 18. The kept registry's call at step 2 flags nothing
+    and the clock is moved by hand, so no event runs and nothing is
+    journaled after it; each case then breaks one of the conditions (a
+    dropped house is journaled with its occupant), and check_step must
+    report what the oracle does."""
     state, _, (_, h1), (_, _, kid, single) = family_state()
     if case == "new_adult":  # turns 18 at step 3; at step 0, not journaled
         kid.age_steps = ADULT_YEARS * DAILY - 3
@@ -337,7 +339,8 @@ def test_step_with_no_write_is_checked_when_it_must_be(case):
     state.time.step_index += 1
     snaps.freeze(state)
     expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
-    assert state.journal.since(state.time.step_index - 1) == (set(), set())
+    assert state.journal.since(state.time.step_index - 1) == (
+        ({single.id}, {h1.id}) if case == "house_removed" else (set(), set()))
     assert {v.label for v in expected} == {
         "a_adult_moves_out" if case == "new_adult" else "a_homeless"}
     assert check_step(state, snaps, kept) == expected
@@ -500,6 +503,17 @@ def _removed_house(run):
     return min(house.occupants)
 
 
+def _overwritten_house(run):
+    """An occupied house's record replaced under its own id, off the
+    grid: no mutator writes a house record."""
+    state = run.state
+    old = run.faults.choice([h for h in state.houses.values()
+                             if h.occupants])
+    state.houses[old.id] = House(id=old.id, town=old.town, local_xy=(0, 0),
+                                 occupants=set(old.occupants))
+    return old.id
+
+
 # fault -> (injection, the label that must flag it)
 MUTATOR_FAULTS = {
     "off_grid_house": (_off_grid_house, "a_s_house_xy_bounds"),
@@ -514,6 +528,7 @@ MUTATOR_FAULTS = {
     "divorce_stays": (_divorce_stays, "a_divorce_male_moves"),
     "unmerged_marriage": (_unmerged_marriage, "a_marriage_housing"),
     "removed_house": (_removed_house, "a_homeless"),
+    "overwritten_house": (_overwritten_house, "a_s_house_xy_bounds"),
 }
 FAULT_SEEDS = (5, 6)
 # seed 22 with births first removes a house that a marriage merges into
@@ -881,7 +896,8 @@ _EMPTY = TIMESERIES_HEADER.index("houses_empty")
 
 @pytest.mark.parametrize("seed,order", FAULT_RUNS)
 def test_houses_empty_matches_recount_under_faults(monkeypatch, seed, order):
-    """The fault runs, whose removed house leaves no journal write."""
+    """The fault runs, whose removed and overwritten houses the house
+    records journal."""
     run = FaultRun(seed, order)
     series = TimeSeries()
     series.append(run.state, 0, 0, 0, 0, 0, 0)
@@ -933,13 +949,15 @@ def test_one_series_handed_two_states():
             assert series.rows[-1][_EMPTY] == oracle.houses_empty(run.state)
 
 
-# direct writes to the houses on record, which no window holds -> the empty
-# houses after them (family_state, whose two houses are occupied, and one
-# empty house)
+# direct writes to the houses on record, which the house records journal
+# -> the empty houses after them (family_state, whose two houses are
+# occupied, and one empty house)
 HOUSE_WRITES = {
     "dropped": (lambda s, t, h0, empty: _drop_house(s, empty), 0),
     "replaced_unallocated": (lambda s, t, h0, empty: _replace_house(s, h0),
                              2),
+    "overwritten": (lambda s, t, h0, empty: s.houses.update(
+        {h0.id: House(id=h0.id, town=t.id, local_xy=h0.local_xy)}), 2),
     "added": (lambda s, t, h0, empty: add_house(s, t, xy=(4, 4)), 2),
     "dropped_and_added": (lambda s, t, h0, empty: (
         _drop_house(s, h0), add_house(s, t, xy=(4, 4))), 2),
@@ -948,10 +966,8 @@ HOUSE_WRITES = {
 
 @pytest.mark.parametrize("case", sorted(HOUSE_WRITES))
 def test_houses_empty_after_a_direct_house_write(case):
-    """A house dropped, added or replaced by a direct write between two
-    rows makes the next row recount: a house went missing, one is on
-    record under an id not yet allocated, or one allocated since is not
-    in the window."""
+    """A house dropped, added, replaced or overwritten by a direct write
+    between two rows is in the next row's window, which tests it again."""
     state, town, (h0, _), _ = family_state()
     empty = add_house(state, town, xy=(3, 3))
     write, after = HOUSE_WRITES[case]
@@ -1268,7 +1284,7 @@ def _drop_house(state, house):
 
 def _replace_house(state, house):
     """Drop a house and insert one under the next id without allocating
-    it, so the lost-house count, next_house_id - len(houses), holds."""
+    it, so the count of houses and the next house id stay as they were."""
     _drop_house(state, house)
     hid = state.next_house_id
     state.houses[hid] = House(id=hid, town=house.town, local_xy=(3, 3))

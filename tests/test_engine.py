@@ -2,8 +2,10 @@
 failure handling, and batch mode."""
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 
 import pytest
 
@@ -12,8 +14,8 @@ from demosim.engine import (RunConfig, TimeSeries, TIMESERIES_HEADER,
                             resolve_seed, run, run_batch, state_digest,
                             violations_csv)
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, AssumptionFailure,
-                           IntegrityError, ModelParams, SimulationParams,
-                           link_partners)
+                           CountedPerson, HouseRecords, IntegrityError,
+                           ModelParams, SimulationParams, link_partners)
 from demosim.rates import default_model_data
 from demosim.space import DensityMap
 from demosim.verification import Violation
@@ -140,6 +142,35 @@ def test_run_batch_seeds_and_isolation(tmp_path):
     # replicate 0 must match a plain run with the same seed
     solo = run(config(pop=80, seed=100))
     assert solo.digest == results[0].digest
+
+
+@pytest.mark.parametrize("copy_state", [
+    copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))],
+    ids=["deepcopy", "pickle"])
+def test_run_state_copies_with_its_hooks(copy_state):
+    """A run's state copies and round-trips through pickle: same digest,
+    and a write to the copy lands in the copy's journal, not the
+    original's."""
+    state = run(RunConfig(
+        sim=SimulationParams(t0=2020, t_final=2022, delta_t="monthly",
+                             seed=1),
+        model=ModelParams(initial_pop=300), data=default_model_data(),
+        density=DensityMap.default())).state
+    twin = copy_state(state)
+    assert state_digest(twin) == state_digest(state)
+    person = next(p for p in twin.persons.values() if p.alive)
+    assert type(person) is CountedPerson and type(twin.houses) is HouseRecords
+    assert person.time is twin.time is twin.houses.time
+    assert person.journal is twin.journal is twin.houses.journal
+    writes = state.journal.writes
+    twin.time.step_index += 1
+    now = twin.time.step_index
+    person.gave_birth = True
+    house = twin.houses.pop(person.house)
+    assert twin.journal.since(now) == ({person.id, *house.occupants},
+                                       {house.id})
+    assert state.journal.writes == writes
+    assert state.time.step_index == now - 1
 
 
 def test_run_batch_rejects_zero():

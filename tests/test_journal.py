@@ -3,13 +3,14 @@
 The rosters, the snapshot freeze and the every-step checks read what
 changed from WorldState.changed_since, which alone reads the journal.
 Once it has been called, every attribute write to a person is journaled
-by CountedPerson's write hook, so only a write the hook cannot see goes
-unseen by them: a change to a container, an item write to the person or
-house records, or a write past the hook. The writer test walks the
-package's source and fails on any such write outside the functions that
-journal it; the note test fails on any other caller of Journal.note than
-the hook and the two that add records, and the reader test on any other
-caller of Journal.since.
+by CountedPerson's write hook, and every write to the house records, at
+any time, by HouseRecords', so only a write the hooks cannot see goes
+unseen by them: a change to a container, an item write to the person
+records, or a write past a hook. The writer test walks the package's
+source and fails on any such write outside the functions that journal
+it; the note test fails on any other caller of Journal.note than the two
+hooks and add_person, and the reader test on any other caller of
+Journal.since.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from conftest import add_house, add_person, add_town, make_state
 from demosim.cli import build_config
 from demosim.events import step
 from demosim.initialization import init_world
-from demosim.model import (FEMALE, Journal, link_partners, mark_dead,
-                           unlink_partners)
+from demosim.model import (FEMALE, House, Journal, link_partners,
+                           mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
 from demosim.space import create_house, leave_house, move_person
@@ -39,20 +40,21 @@ FIELDS = {"alive", "partner", "house", "ever_partners", "born_step",
 # containers the readers read: the hook sees no mutating call or item
 # write on one, nor an assignment to a house's occupants
 CONTAINERS = {"occupants", "children", "ever_partners"}
-# the person and house records: an item write or a mutating call adds or
-# drops one
-RECORDS = {"persons", "houses"}
+# the person records: an item write or a mutating call adds or drops one
+# (the house records journal their own item writes)
+RECORDS = {"persons"}
 MUTATING_CALLS = {"add", "append", "clear", "difference_update", "discard",
                   "extend", "insert", "intersection_update", "pop",
                   "popitem", "remove", "reverse", "setdefault", "sort",
                   "symmetric_difference_update", "update"}
-# add_person and create_house journal the record they add; the others
-# change an occupant set or a partner history only beside a hooked write
-# to the person (a move or leave: the person and the house left; a link:
-# both partners)
+# dict's own writers, which called on the house records write past their
+# hook
+DICT_WRITES = MUTATING_CALLS | {"__setitem__", "__delitem__", "__ior__"}
+# add_person journals the record it adds; the others change an occupant
+# set or a partner history only beside a hooked write to the person (a
+# move or leave: the person and the house left; a link: both partners)
 JOURNALED = {("model", "WorldState.add_person"), ("model", "link_partners"),
-             ("space", "create_house"), ("space", "move_person"),
-             ("space", "leave_house")}
+             ("space", "move_person"), ("space", "leave_house")}
 # writes no reader needs journaled: ageing only clears a flag, which is
 # never a fault, past the hook; births adds the neonate to both parents'
 # children, and add_person journals the neonate, whose parents
@@ -122,6 +124,13 @@ class _Writes(ast.NodeVisitor):
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value in FIELDS):
             self._hit(node, node.args[1].value)
+        # dict.__setitem__(state.houses, ...) and the like
+        if (isinstance(func, ast.Attribute) and func.attr in DICT_WRITES
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "dict" and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "houses"):
+            self._hit(node, "houses")
         self.generic_visit(node)
 
 
@@ -160,7 +169,10 @@ def test_mutators_journal_what_they_change():
 
     def written(now, write, *args):
         state.time.step_index = now
-        write(state, *args)
+        if isinstance(write, str):  # a method of the house records
+            getattr(state.houses, write)(*args)
+        else:
+            write(state, *args)
         return state.journal.since(now)
 
     everyone = {man.id, wife.id, other.id}
@@ -175,6 +187,37 @@ def test_mutators_journal_what_they_change():
     assert written(7, mark_dead, man) == ({man.id}, set())
     built = state.next_house_id
     assert written(8, create_house, town, random.Random(1)) == (set(), {built})
+
+    # each write to the house records journals the ids it adds, replaces
+    # or drops, and the occupants of the record it replaces or drops
+    move_person(state, wife, h0)
+    move_person(state, other, h1)
+    a, b = built + 1, built + 2
+
+    def record(hid, *occupants):
+        return House(id=hid, town=town.id, local_xy=(1, 1),
+                     occupants=set(occupants))
+
+    houses = state.houses
+    assert written(9, "__setitem__", h0.id, record(h0.id)) == (
+        {wife.id}, {h0.id})
+    assert written(10, "__setitem__", a, record(a)) == (set(), {a})
+    assert written(11, "__delitem__", h1.id) == ({other.id}, {h1.id})
+    assert written(12, "pop", a) == (set(), {a})
+    assert written(13, "pop", a, None) == (set(), set())
+    assert written(14, "popitem") == (set(), {built})
+    assert written(15, "setdefault", h1.id, record(h1.id, other.id)) == (
+        set(), {h1.id})
+    assert written(16, "setdefault", h1.id, record(h1.id)) == (set(), set())
+    assert written(17, "update", [(a, record(a))]) == (set(), {a})
+    assert written(18, "__ior__", {b: record(b)}) == (set(), {b})
+    assert written(19, "clear") == ({other.id}, {h0.id, h1.id, a, b})
+    assert houses == {}
+    houses[a] = record(a, other.id)
+    # a read journals nothing
+    assert written(20, lambda s: (s.houses.get(a), s.houses[a], a in s.houses,
+                                  len(s.houses), list(s.houses))) == (
+        set(), set())
 
 
 def test_journal_keeps_two_steps_of_writes():
@@ -247,11 +290,12 @@ def test_changed_since_is_the_one_reader_of_the_journal():
 
 
 def test_the_write_hook_and_the_record_adders_write_the_journal():
-    """Every person write is journaled by CountedPerson.__setattr__, so
-    only the two functions that add a record note anything else."""
+    """Every person write is journaled by CountedPerson.__setattr__ and
+    every house record write by HouseRecords, so only add_person, which
+    adds a person record, notes anything else."""
     assert sorted(package_callers("note")) == [
         ("model", "CountedPerson.__setattr__"),
-        ("model", "WorldState.add_person"), ("space", "create_house")]
+        ("model", "HouseRecords._note"), ("model", "WorldState.add_person")]
 
 
 def test_window_is_computed_once_per_step(monkeypatch):
