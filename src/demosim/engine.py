@@ -61,33 +61,28 @@ class RunConfig:
         build_towns(self.density)
 
 
+def _empty_houses(state: WorldState) -> int:
+    """The houses with no occupant, kept in state.kept as (the step they
+    were counted at, their ids): only the houses in the change window since
+    that step (each house written, left or moved into) are tested again, or
+    every house when the window cannot tell."""
+    houses = state.houses
+    at, empty = state.kept.get(_empty_houses, (None, None))
+    changed = state.changed_since(at)
+    if changed is None:
+        empty = {hid for hid, h in houses.items() if not h.occupants}
+    else:
+        empty -= changed[1]
+        empty |= {hid for hid in changed[1]
+                  if hid in houses and not houses[hid].occupants}
+    state.kept[_empty_houses] = (state.time.step_index, empty)
+    return len(empty)
+
+
 @dataclass(slots=True)
 class TimeSeries:
+    """The rows of timeseries.csv, from counts kept on the state."""
     rows: list[tuple] = field(default_factory=list)
-    # the ids of the empty houses at the last append, and its state and step
-    _empty: set[int] = field(default_factory=set, init=False, repr=False,
-                             compare=False)
-    _at: tuple = field(default=(None, None), init=False, repr=False,
-                       compare=False)
-
-    def _empty_houses(self, state: WorldState) -> int:
-        """The houses with no occupant: only those in the change window
-        since the last append (each house written, left or moved into) are
-        tested again, or every house when that append was made elsewhere
-        or the window cannot tell."""
-        houses, (at_state, at_step) = state.houses, self._at
-        # read every time: the first read starts the journal that later
-        # windows are taken from
-        changed = state.changed_since(at_step)
-        if changed is None or at_state is not state:
-            self._empty = {hid for hid, h in houses.items() if not h.occupants}
-        else:
-            self._empty -= changed[1]
-            self._empty |= {hid for hid in changed[1]
-                            if hid in houses and not houses[hid].occupants}
-        self._at = (state, state.time.step_index)
-        return len(self._empty)
-
     def append(self, state: WorldState, step_index: int, births: int,
                deaths: int, marriages: int, divorces: int,
                violations: int) -> None:
@@ -99,7 +94,7 @@ class TimeSeries:
         # each living person's age is now - born_step: the same integer sum
         age_sum = alive * state.time.step_index - born_sum
         mean_age = age_sum / alive / spy if alive else 0.0
-        empty = self._empty_houses(state)
+        empty = _empty_houses(state)
         self.rows.append((
             step_index,
             state.time.t0_year + step_index // spy,

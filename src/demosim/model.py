@@ -395,14 +395,13 @@ class WorldState:
     _born: dict[int, list[int]] = field(default_factory=dict, init=False,
                                         repr=False)
     _filed: int = field(default=0, init=False, repr=False)
-    # holds -> (step last read at, roster)
-    _rosters: dict = field(default_factory=dict, init=False, repr=False)
-    # what an event function carries from one step to the next for this
-    # state, under a key of its own; WorldState never reads it
+    # what each incremental reader (a roster, the deaths screen, the
+    # empty-house count, a hard check) carries from one step to the next
+    # for this state, under a key of its own: the step it last read at,
+    # which it hands changed_since, and its data
     kept: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
-    # changed_since's (step, journal writes) key, and its (near, far)
-    # answers there: for a reader at that step and at the one before
+    # changed_since's (step, journal writes) key and its answer there
     _changed: tuple = field(default=(None, None), init=False, repr=False)
     # whether every person is a CountedPerson (keep_census)
     _counted: bool = field(default=False, init=False, repr=False)
@@ -474,38 +473,38 @@ class WorldState:
     def changed_since(self, step: int | None) -> tuple | None:
         """What a reader that last read this state at `step` must look at
         again: the persons and houses journaled since the previous step,
-        the parents, partner and house of each such person, and, once the
-        clock has moved past `step`, clock_turned. None when `step` is
-        neither this step nor the previous one, or when the journal cannot
-        tell; the reader then reads everyone. The first call starts
-        keep_census. Kept until the clock moves or the journal is written,
-        so readers must not change the sets."""
+        the parents, partner and house of each such person, and
+        clock_turned. One answer for `step` this step or the previous one;
+        None for any other, or when the journal cannot tell, and the reader
+        then reads everyone. The first call starts keep_census. Kept until
+        the clock moves or the journal is written, so readers must not
+        change the sets."""
         self.keep_census()
         now, persons = self.time.step_index, self.persons
         if step not in (now - 1, now):
             return None
         if self._changed[0] != (now, self.journal.writes):
-            answers = near = self.journal.since(now - 1)
-            if near is not None:
-                pids, hids = near
+            window = self.journal.since(now - 1)
+            if window is not None:
+                pids, hids = window
                 for p in [*filter(None, map(persons.get, pids))]:
                     pids.update(q for q in (p.mother, p.father, p.partner)
                                 if q in persons)
                     hids.add(p.house)
                 hids.discard(None)
-                answers = near, (pids | self.clock_turned(), hids)
-            self._changed = ((now, self.journal.writes), answers)
-        return self._changed[1] and self._changed[1][now - step]
+                pids |= self.clock_turned()
+            self._changed = ((now, self.journal.writes), window)
+        return self._changed[1]
 
     def roster(self, holds: Callable[[WorldState, Person], bool]) -> list[int]:
         """The ascending ids of the persons on record for whom
         holds(state, person) is true; holds reads only the live state and
-        the clock. Only the persons in changed_since(the step this roster
-        was last read at) are evaluated again, or everyone when that is
-        None. So a roster sees what a freeze and the checks see. Callers
-        must not change the list."""
+        the clock. Kept in `kept` under holds, with the step it was read
+        at: only the persons in changed_since(that step) are evaluated
+        again, or everyone when that is None. So a roster sees what a
+        freeze and the checks see. Callers must not change the list."""
         persons = self.persons
-        read_at, ids = self._rosters.get(holds, (None, None))
+        read_at, ids = self.kept.get(holds, (None, None))
         changed = self.changed_since(read_at)
         if changed is None:
             ids = [pid for pid, p in persons.items() if holds(self, p)]
@@ -515,7 +514,7 @@ class WorldState:
                 there = ids[i:i + 1] == [pid]
                 if there != bool(p and holds(self, p)):  # add or drop
                     ids[i:i + there] = [] if there else [pid]
-        self._rosters[holds] = (self.time.step_index, ids)
+        self.kept[holds] = (self.time.step_index, ids)
         return ids
 
     def allocate_house_id(self) -> int:

@@ -7,9 +7,9 @@ retrospective space checks against a digest of the previous step's id sets.
 Statistical assumptions (uniformity, gender ratio, weighted selection) keep
 registry entries but no per-step check; they are covered by seeded
 distribution tests in the test suite. Checks are read-only by contract:
-they never mutate the state. A registry keeps its own bookkeeping across
-steps, a change window (_Window) and the kinship rule's union-find
-(KinshipIndex), so build_registry builds fresh checks per run.
+they never mutate the world. What they carry from step to step is kept
+on the state (WorldState.kept), so a registry holds none of it and a fresh
+one reads a state from where the last check of it left off.
 """
 from __future__ import annotations
 
@@ -139,34 +139,17 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 # ------------------------------------------------------------- every step
 
-class _Window:
-    """Where a registry's hard every-step checks were last evaluated (the
-    state and the step index), the checks served there and at the step
-    before, and whether check_step's last call there flagged nothing."""
-
-    def __init__(self) -> None:
-        self.state = self.at = None
-        self.served, self.before, self.quiet = set(), set(), False
-
-    def moved(self, state: WorldState) -> bool:
-        """Move to the state's step; True if it follows on the same state."""
-        at = state.time.step_index
-        if state is self.state and at == self.at:
-            return False
-        follows = state is self.state and at == self.at + 1
-        self.before, self.served = self.served if follows else set(), set()
-        self.state, self.at, self.quiet = state, at, False
-        return follows
-
-    def read(self, state: WorldState, label: str, step: int) -> tuple | None:
-        """The window state.changed_since(step), read always (so a first
-        read starts the journaling writes), if the check `label` was served
-        at the previous step, as it holds every write since its last
-        evaluation; else None, and the check sweeps."""
-        self.moved(state)
-        self.served.add(label)
-        window = state.changed_since(step)
-        return window if label in self.before else None
+def _position(state: WorldState, label: str) -> tuple:
+    """The step the hard check `label` last read the state at and what it
+    flagged there, its (step, flagged) in state.kept; (None, None) without
+    one, and the check sweeps. A check that read within check_step's last
+    quiet run reads from the run's last step: no step after the run's
+    first journaled anything."""
+    at, flagged = state.kept.get(label, (None, None))
+    first, last, _ = state.kept.get(check_step, (None, None, None))
+    if at is not None and first is not None and first <= at < last:
+        at = last
+    return at, flagged
 
 
 def _reach(state: WorldState, changed: tuple,
@@ -182,51 +165,54 @@ def _reach(state: WorldState, changed: tuple,
              if hid in houses])
 
 
-def _structural(label: str, rule, window: _Window) -> Assumption:
+def _structural(label: str, rule) -> Assumption:
     """Every-step entry for a structural rule: one of model.py, which
     validate_world applies too, or the kinship rule. Its check reports one
     Violation per fault. Unless it sweeps, it examines only what _reach
-    returns: any other record passed at the last evaluation, and no mutator
-    has touched it or its partner or house since. Re-examining what it
-    flagged keeps a fault that persists reported in warn mode."""
-    flagged: tuple[set[int], set[int]] = (set(), set())
+    returns from changed_since(its _position): any other record passed at
+    the last evaluation, and no mutator has touched it or its partner or
+    house since. Re-examining what it flagged keeps a fault that persists
+    reported in warn mode."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
-        nonlocal flagged
-        written = window.read(state, label, state.time.step_index - 1)
+        at, flagged = _position(state, label)
+        written = state.changed_since(at)
         if written is None:
             persons, houses = state.persons.values(), state.houses.values()
         else:
             persons, houses = _reach(state, written, flagged)
         faults = rule(state, persons, houses)
-        flagged = ({f.ids[0] for f in faults if f.house is None},
-                   {f.house for f in faults if f.house is not None})
+        state.kept[label] = (state.time.step_index, (
+            {f.ids[0] for f in faults if f.house is None},
+            {f.house for f in faults if f.house is not None}))
         return [Violation(label, state.time.step_index, f.ids, f.message)
                 for f in faults]
 
     return Assumption(label, "every_step", check)
 
 
-def _step_change(label: str, body, window: _Window, note="") -> Assumption:
+def _step_change(label: str, body, note="") -> Assumption:
     """Every-step entry for a check that compares the state with the
     previous snapshot: body(state, prev, changed) looks for step changes
     only among `changed`, ascending id. Unless the check sweeps, those are
-    the persons in changed_since(the snapshot's step), as any other's
-    alive, partner, house, birth step and birth flag are as frozen, and
-    those its last evaluation named, as a gave_birth flag with no neonate
-    stays a fault until cleared. A body tests every other condition
-    against the snapshot, so a person who did not change adds nothing."""
-    named: set[int] = set()
+    the persons in changed_since(the earlier of its _position and the
+    snapshot's step), as any other's alive, partner, house, birth step and
+    birth flag are as frozen, and those its last evaluation named, as a
+    gave_birth flag with no neonate stays a fault until cleared. A body
+    tests every other condition against the snapshot, so a person who did
+    not change adds nothing."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
-        nonlocal named
         prev = snaps.before(state.time.step_index)
-        written = window.read(state, label, prev.step_index)
+        at, named = _position(state, label)
+        written = state.changed_since(
+            None if at is None else min(at, prev.step_index))
         persons = state.persons
         changed = (persons.values() if written is None
                    else [persons[pid] for pid in sorted(written[0] | named)])
         out = body(state, prev, changed)
-        named = {pid for v in out for pid in v.ids}
+        state.kept[label] = (state.time.step_index,
+                             {pid for v in out for pid in v.ids})
         return out
 
     return Assumption(label, "every_step", check, note=note)
@@ -390,34 +376,27 @@ class KinshipIndex:
         return False
 
 
-def _kinship_faults():
+def _kinship_faults(state: WorldState, persons: Iterable[Person],
+                    houses: Iterable[House]) -> list[Fault]:
     """Structural rule for a_housing_kinship: co-occupants must be mutually
     reachable through parent/child and (possibly historic) partnership
     links: the pairwise kin list closed under chains, with dead relatives
     as valid intermediates.
 
-    The rule keeps one KinshipIndex for the WorldState it last saw, and
-    starts a fresh one when handed another. It syncs the index from the
-    persons it is handed and proves the houses it is handed: a house that
-    gained an occupant holds a journaled person, and one that passed and
-    gained nobody passes still. After a rebuild it proves every house."""
-    index = indexed = None
-
-    def rule(state: WorldState, persons: Iterable[Person],
-             houses: Iterable[House]) -> list[Fault]:
-        nonlocal index, indexed
-        if state is not indexed:
-            index, indexed = KinshipIndex(), state
-        if index.sync(state, persons):
-            houses = state.houses.values()
-        find = index.find
-        return [Fault(tuple(sorted(h.occupants)),
-                      f"house {h.id} mixes unrelated persons", h.id)
-                for h in houses
-                if len(h.occupants) > 1
-                and len({find(pid) for pid in h.occupants}) > 1]
-
-    return rule
+    The state's KinshipIndex is kept in state.kept[KinshipIndex]. The rule
+    syncs it from the persons it is handed and proves the houses it is
+    handed: a house that gained an occupant holds a journaled person, and
+    one that passed and gained nobody passes still. After a rebuild it
+    proves every house."""
+    index = state.kept.setdefault(KinshipIndex, KinshipIndex())
+    if index.sync(state, persons):
+        houses = state.houses.values()
+    find = index.find
+    return [Fault(tuple(sorted(h.occupants)),
+                  f"house {h.id} mixes unrelated persons", h.id)
+            for h in houses
+            if len(h.occupants) > 1
+            and len({find(pid) for pid in h.occupants}) > 1]
 
 
 def _move_out_violations(label: str, who: str, state: WorldState,
@@ -583,19 +562,13 @@ def _marriage_housing(event_order: tuple[str, ...]):
 
 # ----------------------------------------------------------- registry
 
-class Registry(tuple):
-    """One run's assumptions, and the window their hard checks share."""
-    window: _Window
-
-
-def build_registry(event_order=DEFAULT_EVENT_ORDER) -> Registry:
-    """All labeled assumptions, built for one run: the marriage-housing
-    check follows the event order, the hard every-step checks share one
-    change window and the kinship rule keeps its own index. Statistical and
-    vacuous entries carry no-op runtime checks so the registry still
-    enumerates them; check_step does not call them."""
-    w = _Window()
-    registry = Registry((
+def build_registry(event_order=DEFAULT_EVENT_ORDER
+                   ) -> tuple[Assumption, ...]:
+    """All labeled assumptions, built for one event order: the
+    marriage-housing check follows it. Statistical and vacuous entries
+    carry no-op runtime checks so the registry still enumerates them;
+    check_step does not call them."""
+    return (
         Assumption("a0_adults_no_parents", "initial", _check_adults_no_parents),
         Assumption("a0_parents_alive", "initial", _check_parents_alive),
         Assumption("a0_siblings_age_free", "initial", _noop, kind="vacuous",
@@ -610,7 +583,7 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> Registry:
         Assumption("a_s_dynamic_houses_per_town", "every_step", _noop,
                    kind="vacuous",
                    note="per-town house counts may grow freely"),
-        _structural("a_s_house_xy_bounds", house_xy_faults, w),
+        _structural("a_s_house_xy_bounds", house_xy_faults),
         Assumption("a_s_uniform_house_locations", "every_step", _noop,
                    kind="statistical", note="covered by offline uniformity tests"),
         Assumption("a_s_empty_house_selection", "every_step", _noop,
@@ -619,22 +592,20 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER) -> Registry:
                    kind="statistical", note="covered by offline frequency tests"),
         Assumption("a_p_gender_ratio", "every_step", _noop, kind="statistical",
                    note="covered by offline binomial tests"),
-        _structural("a_p_marriage_age", partnership_faults, w),
-        _step_change("a_p_married_gives_birth", _married_gives_birth, w),
-        _step_change("a_p_no_adoption", _no_adoption, w,
+        _structural("a_p_marriage_age", partnership_faults),
+        _step_change("a_p_married_gives_birth", _married_gives_birth),
+        _step_change("a_p_no_adoption", _no_adoption,
                      note="runtime face is no-resurrection; parent-link "
                           "immutability is structural and unit-tested"),
-        _structural("a_homeless", residence_faults, w),
+        _structural("a_homeless", residence_faults),
         Assumption("a_arbitrary_occupants", "every_step", _noop, kind="vacuous",
                    note="houses have no occupancy cap; nothing to check"),
-        _structural("a_housing_kinship", _kinship_faults(), w),
-        _step_change("a_adult_moves_out", _adult_moves_out, w),
-        _structural("a_dead_no_house", dead_residence_faults, w),
-        _step_change("a_divorce_male_moves", _divorce_male_moves, w),
-        _step_change("a_marriage_housing", _marriage_housing(event_order), w),
-    ))
-    registry.window = w
-    return registry
+        _structural("a_housing_kinship", _kinship_faults),
+        _step_change("a_adult_moves_out", _adult_moves_out),
+        _structural("a_dead_no_house", dead_residence_faults),
+        _step_change("a_divorce_male_moves", _divorce_male_moves),
+        _step_change("a_marriage_housing", _marriage_housing(event_order)),
+    )
 
 
 def check_initial(state: WorldState,
@@ -648,24 +619,29 @@ def check_initial(state: WorldState,
 
 
 def check_step(state: WorldState, snaps: SnapshotStore,
-               registry: Registry | None = None) -> list[Violation]:
+               registry: tuple[Assumption, ...] | None = None
+               ) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
-    run; none does when the last call, at the previous step, flagged
-    nothing, state.changed_since(this step) is empty (nothing journaled
-    since the step before it) and nobody turns ADULT_YEARS, the one clock
-    cohort a check reads. A fresh registry sweeps everyone."""
+    run, each from its _position on the state. None runs when the last
+    call, at the previous step and with the same hard checks, flagged
+    nothing and changed_since(this step) is empty. The first and last step
+    of that quiet run and its checks' labels are kept in
+    state.kept[check_step]."""
     registry = build_registry() if registry is None else registry
-    window, time = registry.window, state.time
-    if (window.quiet and window.moved(state)
-            and state.changed_since(time.step_index) == (set(), set())
-            and not state.born_at(time.born_years_ago(ADULT_YEARS))):
-        window.served, window.quiet = set(window.before), True
+    now, kept = state.time.step_index, state.kept
+    hard = [a for a in registry
+            if a.scope == "every_step" and a.kind == "hard"]
+    labels = [a.label for a in hard]
+    first, last, ran = kept.get(check_step, (None, None, None))
+    if (last == now - 1 and ran == labels
+            and state.changed_since(now) == (set(), set())):
+        kept[check_step] = (first, now, ran)
         return []
-    out: list[Violation] = []
-    for a in registry:
-        if a.scope == "every_step" and a.kind == "hard":
-            out.extend(a.check(state, snaps))
-    window.quiet = not out
+    out = [v for a in hard for v in a.check(state, snaps)]
+    if out:
+        kept.pop(check_step, None)
+    else:
+        kept[check_step] = (now, now, labels)
     return out
 
 
