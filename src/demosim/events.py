@@ -358,7 +358,17 @@ def _single_adult(gender: str, state: WorldState, p: Person) -> bool:
             and (gender == FEMALE or p.born_step != came_of_age))
 
 
-_SINGLE_ADULT = {g: partial(_single_adult, g) for g in (MALE, FEMALE)}
+# the roster keys: module functions, which pickle and deepcopy keep as
+# themselves, so a copied state's rosters stay under them in state.kept
+def _single_man(state: WorldState, p: Person) -> bool:
+    return _single_adult(MALE, state, p)
+
+
+def _single_woman(state: WorldState, p: Person) -> bool:
+    return _single_adult(FEMALE, state, p)
+
+
+_SINGLE_ADULT = {MALE: _single_man, FEMALE: _single_woman}
 
 
 def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:

@@ -396,13 +396,16 @@ class WorldState:
                                         repr=False)
     _filed: int = field(default=0, init=False, repr=False)
     # what each incremental reader (a roster, the deaths screen, the
-    # empty-house count, a hard check) carries from one step to the next
-    # for this state, under a key of its own: the step it last read at,
-    # which it hands changed_since, and its data
+    # empty-house count, a hard check, the kinship index, check_step)
+    # carries from one step to the next for this state, under a key of its
+    # own: the step it last read at, which it hands changed_since, and its
+    # data
     kept: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
-    # changed_since's (step, journal writes) key and its answer there
-    _changed: tuple = field(default=(None, None), init=False, repr=False)
+    # changed_since's (step, journal writes) key, its answer there and the
+    # first step of the quiet run that answer reaches back to
+    _changed: tuple = field(default=((None, None), None, None), init=False,
+                            repr=False)
     # whether every person is a CountedPerson (keep_census)
     _counted: bool = field(default=False, init=False, repr=False)
 
@@ -474,16 +477,22 @@ class WorldState:
         """What a reader that last read this state at `step` must look at
         again: the persons and houses journaled since the previous step,
         the parents, partner and house of each such person, and
-        clock_turned. One answer for `step` this step or the previous one;
-        None for any other, or when the journal cannot tell, and the reader
-        then reads everyone. The first call starts keep_census. Kept until
-        the clock moves or the journal is written, so readers must not
-        change the sets."""
+        clock_turned. One answer for any `step` from `calm` to now, where
+        `calm` is the previous step, or where it was at the previous step
+        when the answer last computed there was empty: each answer of that
+        quiet run was computed after the clock left the step before it, so
+        from `calm` on nothing was journaled before the previous step and
+        no cohort turned before this one. None for any other `step`, or
+        when the journal cannot tell, and the reader then reads everyone.
+        The first call starts keep_census. Kept until the clock moves or the
+        journal is written, so readers must not change the sets."""
         self.keep_census()
         now, persons = self.time.step_index, self.persons
-        if step not in (now - 1, now):
-            return None
-        if self._changed[0] != (now, self.journal.writes):
+        (at, writes), window, calm = self._changed
+        if (at, writes) != (now, self.journal.writes):
+            if at != now:
+                calm = (calm if at == now - 1 and window == (set(), set())
+                        else now - 1)
             window = self.journal.since(now - 1)
             if window is not None:
                 pids, hids = window
@@ -493,8 +502,8 @@ class WorldState:
                     hids.add(p.house)
                 hids.discard(None)
                 pids |= self.clock_turned()
-            self._changed = ((now, self.journal.writes), window)
-        return self._changed[1]
+            self._changed = ((now, self.journal.writes), window, calm)
+        return window if step is not None and calm <= step <= now else None
 
     def roster(self, holds: Callable[[WorldState, Person], bool]) -> list[int]:
         """The ascending ids of the persons on record for whom

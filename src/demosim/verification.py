@@ -139,19 +139,6 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
 
 # ------------------------------------------------------------- every step
 
-def _position(state: WorldState, label: str) -> tuple:
-    """The step the hard check `label` last read the state at and what it
-    flagged there, its (step, flagged) in state.kept; (None, None) without
-    one, and the check sweeps. A check that read within check_step's last
-    quiet run reads from the run's last step: no step after the run's
-    first journaled anything."""
-    at, flagged = state.kept.get(label, (None, None))
-    first, last, _ = state.kept.get(check_step, (None, None, None))
-    if at is not None and first is not None and first <= at < last:
-        at = last
-    return at, flagged
-
-
 def _reach(state: WorldState, changed: tuple,
            flagged: tuple) -> tuple[list[Person], list[House]]:
     """The persons and houses a structural rule re-examines, ascending id
@@ -168,14 +155,14 @@ def _reach(state: WorldState, changed: tuple,
 def _structural(label: str, rule) -> Assumption:
     """Every-step entry for a structural rule: one of model.py, which
     validate_world applies too, or the kinship rule. Its check reports one
-    Violation per fault. Unless it sweeps, it examines only what _reach
-    returns from changed_since(its _position): any other record passed at
-    the last evaluation, and no mutator has touched it or its partner or
-    house since. Re-examining what it flagged keeps a fault that persists
-    reported in warn mode."""
+    Violation per fault. It keeps (step, flagged) in state.kept[label].
+    Unless changed_since(that step) is None and it sweeps, it examines only
+    what _reach returns: any other record passed at the last evaluation,
+    and nothing has touched it or its partner or house since. Re-examining
+    what it flagged keeps a fault that persists reported in warn mode."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
-        at, flagged = _position(state, label)
+        at, flagged = state.kept.get(label, (None, None))
         written = state.changed_since(at)
         if written is None:
             persons, houses = state.persons.values(), state.houses.values()
@@ -194,17 +181,17 @@ def _structural(label: str, rule) -> Assumption:
 def _step_change(label: str, body, note="") -> Assumption:
     """Every-step entry for a check that compares the state with the
     previous snapshot: body(state, prev, changed) looks for step changes
-    only among `changed`, ascending id. Unless the check sweeps, those are
-    the persons in changed_since(the earlier of its _position and the
-    snapshot's step), as any other's alive, partner, house, birth step and
-    birth flag are as frozen, and those its last evaluation named, as a
-    gave_birth flag with no neonate stays a fault until cleared. A body
-    tests every other condition against the snapshot, so a person who did
-    not change adds nothing."""
+    only among `changed`, ascending id. It keeps (step, named) in
+    state.kept[label]. Unless the check sweeps, `changed` holds the persons
+    in changed_since(the earlier of that step and the snapshot's), as any
+    other's alive, partner, house, birth step and birth flag are as frozen,
+    and those it named, as a gave_birth flag with no neonate stays a fault
+    until cleared. A body tests every other condition against the snapshot,
+    so a person who did not change adds nothing."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
         prev = snaps.before(state.time.step_index)
-        at, named = _position(state, label)
+        at, named = state.kept.get(label, (None, None))
         written = state.changed_since(
             None if at is None else min(at, prev.step_index))
         persons = state.persons
@@ -319,10 +306,10 @@ class KinshipIndex:
     index exact by absorbing what is new among the persons it is handed,
     which must include every person created or linked since the last sync:
     the parent links of persons seen for the first time, and the partner
-    entries appended since. A partner list that shrank, a write the model
-    never makes, rebuilds the index from every person on record, and `sync`
-    returns True: only then can a component have split. A parent link
-    rewritten after creation is not seen.
+    entries appended since. It returns True, and absorbs no further, when
+    a partner list shrank, a write the model never makes: only then can a
+    component have split, and the index must be built again. A parent link
+    rewritten after creation is seen only by an index built afresh.
     """
 
     __slots__ = ("_parent", "_absorbed")
@@ -346,8 +333,8 @@ class KinshipIndex:
         if ra != rb:
             self._parent[rb] = ra
 
-    def sync(self, state: WorldState, persons: Iterable[Person]) -> bool:
-        """Absorb what is new in `persons`; True when it had to rebuild."""
+    def sync(self, persons: Iterable[Person]) -> bool:
+        """Absorb what is new in `persons`; True when a partner list shrank."""
         parent, absorbed = self._parent, self._absorbed
         fresh, grown = [], []
         for p in persons:
@@ -358,9 +345,6 @@ class KinshipIndex:
                 parent.setdefault(p.id, p.id)
                 fresh.append(p)
             elif seen > len(p.ever_partners):
-                parent.clear()
-                absorbed.clear()
-                self.sync(state, state.persons.values())
                 return True
             else:
                 grown.append(p)
@@ -383,14 +367,19 @@ def _kinship_faults(state: WorldState, persons: Iterable[Person],
     links: the pairwise kin list closed under chains, with dead relatives
     as valid intermediates.
 
-    The state's KinshipIndex is kept in state.kept[KinshipIndex]. The rule
-    syncs it from the persons it is handed and proves the houses it is
-    handed: a house that gained an occupant holds a journaled person, and
-    one that passed and gained nobody passes still. After a rebuild it
-    proves every house."""
-    index = state.kept.setdefault(KinshipIndex, KinshipIndex())
-    if index.sync(state, persons):
+    The state's KinshipIndex is a reader like any other, kept as (step,
+    index) in state.kept[KinshipIndex]. The rule syncs it from the persons
+    it is handed and proves the houses it is handed: a house that gained an
+    occupant holds a journaled person, and one that passed and gained
+    nobody passes still. When changed_since(its step) is None, or sync
+    finds a partner list that shrank, it builds the index afresh from
+    everyone on record and proves every house."""
+    at, index = state.kept.get(KinshipIndex, (None, None))
+    if state.changed_since(at) is None or index.sync(persons):
+        index = KinshipIndex()
+        index.sync(state.persons.values())
         houses = state.houses.values()
+    state.kept[KinshipIndex] = (state.time.step_index, index)
     find = index.find
     return [Fault(tuple(sorted(h.occupants)),
                   f"house {h.id} mixes unrelated persons", h.id)
@@ -622,26 +611,23 @@ def check_step(state: WorldState, snaps: SnapshotStore,
                registry: tuple[Assumption, ...] | None = None
                ) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
-    run, each from its _position on the state. None runs when the last
-    call, at the previous step and with the same hard checks, flagged
-    nothing and changed_since(this step) is empty. The first and last step
-    of that quiet run and its checks' labels are kept in
-    state.kept[check_step]."""
+    run, each from where it last read the state. None runs when the last
+    call that ran them, with the same hard checks (by label), flagged
+    nothing and changed_since(its step) is empty. That call's step and
+    labels are kept in state.kept[check_step]; a call that runs no check
+    writes nothing."""
     registry = build_registry() if registry is None else registry
-    now, kept = state.time.step_index, state.kept
     hard = [a for a in registry
             if a.scope == "every_step" and a.kind == "hard"]
     labels = [a.label for a in hard]
-    first, last, ran = kept.get(check_step, (None, None, None))
-    if (last == now - 1 and ran == labels
-            and state.changed_since(now) == (set(), set())):
-        kept[check_step] = (first, now, ran)
+    at, ran = state.kept.get(check_step, (None, None))
+    if ran == labels and state.changed_since(at) == (set(), set()):
         return []
     out = [v for a in hard for v in a.check(state, snaps)]
     if out:
-        kept.pop(check_step, None)
+        state.kept.pop(check_step, None)
     else:
-        kept[check_step] = (now, now, labels)
+        state.kept[check_step] = (state.time.step_index, labels)
     return out
 
 

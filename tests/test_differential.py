@@ -38,7 +38,9 @@ with the full scans, on the same runs; the direct-write runs write each
 person field past every mutator and compare the checks, both snapshots,
 the rosters and the census with the oracle at every step; the
 space-check cases compare the retrospective checks with the oracle's
-frozenset diff.
+frozenset diff. The reaching-window runs check, on the fault runs and the
+chain configs, that every changed_since answer for an earlier step holds
+every id journaled since that step and every clock cohort after it.
 """
 from __future__ import annotations
 
@@ -60,8 +62,8 @@ from demosim.engine import TIMESERIES_HEADER, TimeSeries, state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                           House, ModelParams, WorldState, link_partners,
-                           mark_dead, unlink_partners)
+                           House, Journal, ModelParams, WorldState,
+                           link_partners, mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.space import create_house, leave_house, move_person
@@ -219,6 +221,27 @@ def test_state_with_the_same_ids_gets_its_own_index():
     assert expected and shared(second, None) == expected
 
 
+def test_rewritten_parent_link_is_seen_after_a_gap():
+    """A check after a gap builds its kinship index afresh, so the kid's
+    parent links, cleared by hand after the check at step 1, no longer join
+    it to the parents it lives with, and check_step reports the house as
+    the oracle does. The model never rewrites a parent link."""
+    state, _, _, (dad, mum, kid, _single) = family_state()
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    state.time.step_index = 1
+    snaps.freeze(state)
+    assert check_step(state, snaps) == []
+    kid.father = kid.mother = None
+    dad.children.clear()
+    mum.children.clear()
+    state.time.step_index = 5
+    snaps.freeze(state)
+    expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+    assert "a_housing_kinship" in {v.label for v in expected}
+    assert check_step(state, snaps) == expected
+
+
 def _unrelated_cohabitants(state, houses, persons):
     (h0, h1), (*_rest, single) = houses, persons
     h1.occupants.discard(single.id)
@@ -279,6 +302,28 @@ def test_direct_writes_match_oracle(case):
     for write in DIRECT_WRITES[case]:
         write(state, houses, persons)
         assert kept(state, snaps) == check_housing_kinship(state, snaps)
+
+
+def test_partner_list_shrunk_in_the_window_rebuilds_the_index():
+    """Past step 1 the kept kinship check syncs only the window. The link
+    written at step 2 is absorbed from it; at step 3 the lists shrink back
+    and she is journaled by a write of her own, so sync reports the shrunk
+    list and the rule builds its index afresh: the violation is back, as
+    the oracle reports it."""
+    state, _, houses, persons = family_state()
+    single = persons[-1]
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    kept = kinship_check(build_registry())
+    writes = {2: _cohabitant_linked_by_write, 3: _partner_lists_shrunk}
+    for now in (1, 2, 3):
+        state.time.step_index = now
+        if now in writes:
+            writes[now](state, houses, persons)
+        single.house = single.house  # journaled; the lists are not
+        expected = check_housing_kinship(state, snaps)
+        assert kept(state, snaps) == expected
+        assert bool(expected) == (now == 3)
 
 
 def test_unlink_journals_the_person_it_strands():
@@ -935,6 +980,89 @@ def test_houses_empty_matches_recount_on_chain_configs(seed, clock, order):
         step(state, ctx, snaps, rng, config.event_order)
         series.append(state, i, 0, 0, 0, 0, 0)
         assert series.rows[-1][_EMPTY] == oracle.houses_empty(state)
+
+
+# The reaching-window runs record, at every step, the ids of each
+# journal note with the step it is made at, and clock_turned(); then, for
+# every earlier step k that changed_since answers, the answer must hold
+# every id noted at k or later and every clock cohort of k + 1 to now.
+
+class NoteLog:
+    """Records every Journal.note with its step, and each step's clock
+    cohorts, and checks each changed_since answer against them."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.noted: dict[int, tuple[set, set]] = {}
+        self.turned: dict[int, set] = {}
+        real = Journal.note
+
+        def note(journal, at, persons=(), houses=()):
+            persons, houses = list(persons), list(houses)
+            ids = self.noted.setdefault(at, (set(), set()))
+            ids[0].update(persons)
+            ids[1].update(houses)
+            real(journal, at, persons, houses)
+
+        monkeypatch.setattr(Journal, "note", note)
+
+    def assert_reaches(self, state: WorldState) -> int:
+        """Check every step the answer reaches back to; return how many."""
+        now = state.time.step_index
+        self.turned[now] = state.clock_turned()
+        persons, houses, reached = set(), set(), 0
+        for k in range(now, -1, -1):
+            noted = self.noted.get(k, ((), ()))
+            persons.update(noted[0])
+            houses.update(noted[1])
+            window = state.changed_since(k)
+            if window is not None:
+                assert persons <= window[0] and houses <= window[1], k
+                reached += 1
+            persons |= self.turned[k] if k in self.turned else set()
+        return reached
+
+
+@pytest.mark.parametrize("seed,order", FAULT_RUNS)
+def test_window_reaches_back_soundly_under_faults(monkeypatch, seed, order):
+    run = FaultRun(seed, order)
+    log = NoteLog(monkeypatch)
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    for _ in range(STEPS):
+        run.advance()
+        log.assert_reaches(run.state)
+    assert not run.pending
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_window_reaches_back_soundly_on_chain_configs(monkeypatch, seed,
+                                                      clock, order):
+    """Where most steps journal nothing, the answer reaches back over
+    quiet runs of more than a step."""
+    config = build_config({"initial_pop": "120", "delta_t": clock,
+                           "t0": "2020", "t_final": "2100",
+                           "seed": str(seed), "event_order": order,
+                           **CHAIN_RUNS[seed]})
+    log = NoteLog(monkeypatch)
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    deepest = 0
+    for _ in range(CHAIN_CLOCKS[clock]):
+        step(state, ctx, snaps, rng, config.event_order)
+        deepest = max(deepest, log.assert_reaches(state))
+    if clock == "hourly":
+        assert deepest > 2
 
 
 def test_one_series_handed_two_states():

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import pickle
+import random
 
 import pytest
 
@@ -13,10 +14,12 @@ import demosim.engine as engine
 from demosim.engine import (RunConfig, TimeSeries, TIMESERIES_HEADER,
                             resolve_seed, run, run_batch, state_digest,
                             violations_csv)
+from demosim.events import step
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, AssumptionFailure,
                            CountedPerson, HouseRecords, IntegrityError,
                            ModelParams, SimulationParams, link_partners)
-from demosim.rates import default_model_data
+from demosim.predicates import SnapshotStore
+from demosim.rates import RateContext, default_model_data
 from demosim.space import DensityMap
 from demosim.verification import Violation
 
@@ -150,12 +153,15 @@ def test_run_batch_seeds_and_isolation(tmp_path):
 def test_run_state_copies_with_its_hooks(copy_state):
     """A run's state copies and round-trips through pickle: same digest,
     and a write to the copy lands in the copy's journal, not the
-    original's."""
-    state = run(RunConfig(
+    original's. After a step on each, the copy's readers have found what
+    it kept under the same keys as the original's: its kept data is the
+    same size, with no key of the copy's own."""
+    cfg = RunConfig(
         sim=SimulationParams(t0=2020, t_final=2022, delta_t="monthly",
                              seed=1),
         model=ModelParams(initial_pop=300), data=default_model_data(),
-        density=DensityMap.default())).state
+        density=DensityMap.default())
+    state = run(cfg).state
     twin = copy_state(state)
     assert state_digest(twin) == state_digest(state)
     person = next(p for p in twin.persons.values() if p.alive)
@@ -171,6 +177,15 @@ def test_run_state_copies_with_its_hooks(copy_state):
                                        {house.id})
     assert state.journal.writes == writes
     assert state.time.step_index == now - 1
+    twin = copy_state(state)
+    ctx = RateContext(cfg.model, cfg.data, cfg.sim.steps_per_year)
+    for stepped in (state, twin):
+        snaps = SnapshotStore()
+        snaps.freeze(stepped)
+        step(stepped, ctx, snaps, random.Random(1))
+    assert len(twin.kept) == len(state.kept)
+    assert all(key in state.kept for key in twin.kept
+               if not isinstance(key, str))
 
 
 def test_run_batch_rejects_zero():

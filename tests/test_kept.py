@@ -1,13 +1,16 @@
 """What the hard every-step checks keep on the state they read.
 
 Each hard check keeps the step it last read a state at, and what it
-flagged there, in WorldState.kept under its label; check_step keeps its
-last quiet run there too. So any registry reads a state from where the
-last check of it left off: a fresh registry on a state checked at the
-previous step hands its rules only the change window. A check with no
-position that a window reaches back to sweeps everyone on record, after a
-gap or when it has never read the state, and flags what no journal shows.
-What is kept stays bounded however many registries read the state.
+flagged there, in WorldState.kept under its label; check_step keeps there
+the step and labels of its last call that ran them. So any registry reads
+a state from where the last check of it left off: a fresh registry on a
+state checked at the previous step hands its rules only the change
+window, and a reader that checks only every so many steps runs no check
+when the window reaches back over a quiet run to its last call. A check
+with no position that a window reaches back to sweeps everyone on record,
+after a gap that was not quiet or when it has never read the state, and
+flags what no journal shows. What is kept stays bounded
+however many registries read the state.
 """
 from __future__ import annotations
 
@@ -150,6 +153,34 @@ def test_check_without_a_position_sweeps_after_a_quiet_call(monkeypatch):
     assert check_step(state, snaps, full) == expected
     assert seen == {label: [sorted(state.persons) if label in sweeping
                             else []] for label in HARD}
+
+
+def test_sparse_reader_reads_the_quiet_run(monkeypatch):
+    """check_step with a kept registry at every 24th step of a seed-1
+    hourly_year run, stepped by hand: each result is the oracle's, and no
+    check runs on most calls, since nothing was journaled and no cohort
+    turned since the last call that ran the checks."""
+    seen = handed(monkeypatch)
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    registry = build_registry()
+    calls = idle = 0
+    for i in range(1, 8761):
+        step(state, ctx, snaps, rng)
+        if i % 24:
+            continue
+        seen.clear()
+        assert check_step(state, snaps, registry) == oracle.check_step(
+            state, snaps, DEFAULT_EVENT_ORDER)
+        calls += 1
+        idle += not seen
+    assert calls == 365 and idle >= 300, idle
 
 
 def test_kept_stays_bounded():
