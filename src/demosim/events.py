@@ -6,15 +6,15 @@ the event function. All draws come from the single run RNG stream. A
 Bernoulli event draws for every eligible person and reads the person's rate
 only when the draw is below the event's ceiling in RateContext, which no
 rate of that event exceeds; a draw at or above it cannot fire. Deaths
-screen a draw below the ceiling once more, against the band ceiling of the
-person's gender and whole year of age (RateContext.death_band). A screen
-decides only whether the rate is read, never whether a draw is made, so the
-draw order is the same with or without it.
+test a draw against the band ceiling of the person's gender and whole year
+of age instead (RateContext.death_band), which is at most the event's
+ceiling. A screen decides only whether the rate is read, never whether a
+draw is made, so the draw order is the same with or without it.
 
-Deaths draws a step's uniforms with one getrandbits call (_Uniforms),
-which yields the doubles and leaves the generator exactly as one random()
-call per draw would, and rebuilds only the draws whose top byte can fall
-below its threshold. The other events draw one random() at a time:
+Deaths draws a step's uniforms with one getrandbits call (_screened),
+which leaves the generator exactly as one random() call per draw would,
+and rebuilds and yields only the draws whose top byte can fall below its
+threshold. The other events draw one random() at a time:
 births' roster is too short for a batch to pay for its fixed cost, and a
 hit in divorces or marriages draws a variable number of words through
 randrange and sample, so a batch drawn ahead of it could not be handed
@@ -156,45 +156,29 @@ _MT = random.Random
 _SCREENS = [b"\1" * k + b"\0" * (256 - k) for k in range(257)]
 
 
-class _Uniforms:
-    """What successive rng.random() calls would return, read by index:
-    indices below n come from one getrandbits(64 n) call, which leaves rng
-    as n random() calls would, and each index from n on from rng.random()
-    when it is read, so those are read once each, in turn. next(j) passes
-    over the indices below n whose top byte puts the draw at or above
-    `below`. When rng's class overrides random() or getrandbits(), n is
-    0: every index is read through rng.random()."""
-
-    __slots__ = ("_rng", "_n", "_buf", "_low")
-
-    def __init__(self, rng: random.Random, n: int, below: float) -> None:
-        # rng.random() reads the words getrandbits() returns only when the
-        # class overrides neither: Random.__init_subclass__ serves
-        # _randbelow through an overridden random() by the same rule, and
-        # random() never reads an overridden getrandbits()
-        cls = type(rng)
-        if (cls.random is not _MT.random
-                or cls.getrandbits is not _MT.getrandbits):
-            n = 0
-        self._rng, self._n = rng, n
-        self._buf = (rng.getrandbits(64 * n) if n else 0).to_bytes(
-            8 * n, "little")
-        # 1 for each draw whose top byte c has c < 256 below, else 0
-        self._low = self._buf[3::8].translate(
-            _SCREENS[min(256, math.ceil(256 * below))])
-
-    def next(self, j: int) -> int:
-        """The first index from j whose draw can be below `below`; past
-        the batch, j itself."""
-        i = self._low.find(1, j)
-        return i if i >= 0 else max(j, self._n)
-
-    def at(self, i: int) -> float:
-        """The draw at index i; from n on, read each index once, in turn."""
-        if i < self._n:
-            a, b = _WORDS.unpack_from(self._buf, 8 * i)
-            return ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992
-        return self._rng.random()
+def _screened(rng: random.Random, n: int, below: float):
+    """(i, u) for each of n successive rng.random() draws u, in turn, whose
+    top byte can put it below `below`; the others are passed over. The n
+    draws come from one getrandbits(64 n) call, which leaves rng as n
+    random() calls would. When rng's class overrides random() or
+    getrandbits(), each draw is read through rng.random() and yielded."""
+    # rng.random() reads the words getrandbits() returns only when the
+    # class overrides neither: Random.__init_subclass__ serves _randbelow
+    # through an overridden random() by the same rule, and random() never
+    # reads an overridden getrandbits()
+    cls = type(rng)
+    if cls.random is not _MT.random or cls.getrandbits is not _MT.getrandbits:
+        for i in range(n):
+            yield i, rng.random()
+        return
+    buf = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    # 1 for each draw whose top byte c has c < 256 below, else 0
+    low = buf[3::8].translate(_SCREENS[min(256, math.ceil(256 * below))])
+    i = low.find(1)
+    while i >= 0:
+        a, b = _WORDS.unpack_from(buf, 8 * i)
+        yield i, ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992
+        i = low.find(1, i + 1)
 
 
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -231,9 +215,9 @@ def _death_threshold(state: WorldState, ctx: RateContext,
     larger of the two genders' bands at the age of the oldest of them.
     Read from a lower bound on their birth steps, kept in WorldState.kept
     as (the step it was read at, the bound, its band year), lowered for
-    every person in the window the roster reads again, as the age setter
-    and a revival journal the person, and refreshed from the roster when
-    its band year goes stale (the oldest may have died)."""
+    every person in the window the roster reads again, as a birth-step
+    write and a revival journal the person, and refreshed from the roster
+    when its band year goes stale (the oldest may have died)."""
     now, persons = state.time.step_index, state.persons
     spy = ctx.steps_per_year
     read_at, low, year = state.kept.get(_death_threshold, (None, 0, 0))
@@ -253,13 +237,13 @@ def _death_threshold(state: WorldState, ctx: RateContext,
 def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
            outcome: StepOutcome) -> None:
     """One Bernoulli(death p_step) draw per alive non-neonate, ascending id,
-    all from one _Uniforms. A draw whose top byte can fall below
+    all read through _screened: only a draw whose top byte can fall below
     _death_threshold (or death_ceiling, where that is at most 1/256) is
-    rebuilt and tested against death_ceiling, then the person's year band
-    (death_band), then death_p_step; each bounds the next, so u < all
-    three exactly when u < death_p_step. Dying persons stay on record
-    (kinship intact, age frozen) but leave their house and widow their
-    partner. Visits the roster of the living born before this step
+    read, then tested against the person's year band (death_band), which
+    is at most death_ceiling, and then death_p_step; each bounds the next,
+    so a draw passes both exactly when u < death_p_step. Dying persons stay
+    on record (kinship intact, age frozen) but leave their house and widow
+    their partner. Visits the roster of the living born before this step
     (WorldState.roster): a death changes only the dying person's `alive`,
     so the roster read before the first draw holds who draws."""
     persons, death_p_step = state.persons, ctx.death_p_step
@@ -270,18 +254,14 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
     # lower threshold passes fewer draws, so no bound is kept
     below = (ceiling if 256 * ceiling <= 1
              else _death_threshold(state, ctx, mortal))
-    drawn = _Uniforms(rng, len(mortal), below)
-    i = drawn.next(0)
-    while i < len(mortal):
+    for i, u in _screened(rng, len(mortal), below):
         p = persons[mortal[i]]
-        if ((u := drawn.at(i)) < ceiling
-                and u < band(p.gender, (now - p.born_step) // spy)
+        if (u < band(p.gender, (now - p.born_step) // spy)
                 and u < death_p_step(p)):
             unlink_partners(state, p)
             leave_house(state, p)
             mark_dead(state, p)
             outcome.died.append(p.id)
-        i = drawn.next(i + 1)
 
 
 def _fertile_wife(state: WorldState, p: Person) -> bool:

@@ -213,13 +213,8 @@ class Person:
 
     @age_steps.setter
     def age_steps(self, steps: int) -> None:
-        """Move the birth step, and the person's entry in the birth-step
-        index once born_at has filed them."""
-        filed = self.cohorts.get(self.born_step, ())
+        """Move the birth step; a CountedPerson's write refiles the person."""
         self.born_step += self.age_steps - steps
-        if self.id in filed:
-            filed.remove(self.id)
-            bisect.insort(self.cohorts.setdefault(self.born_step, []), self.id)
 
 
 # the fields the census reads
@@ -228,10 +223,11 @@ _CENSUS_FIELDS = frozenset(("alive", "gender", "born_step"))
 
 class CountedPerson(Person):
     """A Person whose every attribute write is journaled, with the old
-    partner on a partner write and the old house on a house write, and
-    keeps the census on its journal current. WorldState.keep_census
-    switches persons to it, not the constructor: this __setattr__ would
-    slow every field that Person() and init_world write."""
+    partner on a partner write and the old house on a house write, keeps
+    the census on its journal current and refiles the person in the
+    birth-step index on a born_step write. WorldState.keep_census switches
+    persons to it, and files them, not the constructor: this __setattr__
+    would slow every field that Person() and init_world write."""
     __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
@@ -244,6 +240,9 @@ class CountedPerson(Person):
             houses = (self.house,)
         if name in _CENSUS_FIELDS:
             journal.count(self, -1)
+            if name == "born_step":
+                self.cohorts[self.born_step].remove(self.id)
+                bisect.insort(self.cohorts.setdefault(value, []), self.id)
             object.__setattr__(self, name, value)
             journal.count(self, 1)
         else:
@@ -394,12 +393,11 @@ class WorldState:
     journal: Journal = field(default_factory=Journal)
     _born: dict[int, list[int]] = field(default_factory=dict, init=False,
                                         repr=False)
-    _filed: int = field(default=0, init=False, repr=False)
     # what each incremental reader (a roster, the deaths screen, the
-    # empty-house count, a hard check, the kinship index, check_step)
-    # carries from one step to the next for this state, under a key of its
-    # own: the step it last read at, which it hands changed_since, and its
-    # data
+    # empty-house count, a hard check, check_step) carries from one step to
+    # the next for this state, under a key of its own: the step it last
+    # read at, which it hands changed_since, and its data; the kinship
+    # index, synced by its check's rule, is kept bare
     kept: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
     # changed_since's (step, journal writes) key, its answer there and the
@@ -424,21 +422,24 @@ class WorldState:
                         cohorts=self._born, journal=self.journal)
         if self._counted:
             self.journal.count(person, 1)
+            self._born.setdefault(born_step, []).append(pid)
             person.__class__ = CountedPerson
         self.persons[pid] = person
         self.journal.note(self.time.step_index, (pid,))
         return person
 
     def keep_census(self) -> None:
-        """Count everyone on record once and switch them to CountedPerson,
-        whose writes keep the count and the journal from then on, as
-        add_person does for each person added after. Called at the first
-        census or changed_since, so building a world runs unhooked."""
+        """Count everyone on record once, file them in the birth-step index
+        and switch them to CountedPerson, whose writes keep the count, the
+        index and the journal from then on, as add_person does for each
+        person added after. Called at the first census, changed_since or
+        born_at, so building a world runs unhooked."""
         if not self._counted:
-            journal = self.journal
+            journal, born = self.journal, self._born
             journal.living = journal.males = journal.born_sum = 0
             for p in self.persons.values():
                 journal.count(p, 1)
+                born.setdefault(p.born_step, []).append(p.id)
                 p.__class__ = CountedPerson
             self._counted = True
 
@@ -450,14 +451,12 @@ class WorldState:
         return journal.living, journal.males, journal.born_sum
 
     def born_at(self, step: int) -> list[int]:
-        """The ids of the persons born at `step`, ascending. Each person is
-        filed at the first call after they are added (ids only grow) and
-        refiled by the age setter."""
-        born = self._born
-        for pid in range(self._filed, self.next_person_id):
-            born.setdefault(self.persons[pid].born_step, []).append(pid)
-        self._filed = self.next_person_id
-        return born.get(step, [])
+        """The ids of the persons born at `step`, ascending, from the index
+        that keep_census builds, which the first call starts: add_person
+        files each person added after it (ids only grow), and a
+        CountedPerson's born_step write refiles them."""
+        self.keep_census()
+        return self._born.get(step, [])
 
     def clock_turned(self) -> set[int]:
         """The persons whose standing the clock alone may flip at this step:

@@ -173,10 +173,10 @@ class RateContext:
     other three the largest entry of their table. An event kernel draws
     u first and looks the rate up only when u < ceiling, since u >= ceiling
     already means u >= the rate: the same decision from the same draw.
-    Deaths screen a draw below that ceiling once more, against death_band,
-    the ceiling of the person's gender and whole year of age; only a draw
-    below both reads death_p_step. This is thinning under a
-    piecewise-constant majorant (Lewis and Shedler 1979).
+    Deaths test a draw against death_band instead, the ceiling of the
+    person's gender and whole year of age, which is clamped to the deaths
+    ceiling; only a draw below it reads death_p_step. This is thinning
+    under a piecewise-constant majorant (Lewis and Shedler 1979).
     """
 
     def __init__(self, params: ModelParams, data: ModelData, steps_per_year: int):

@@ -301,23 +301,22 @@ class KinshipIndex:
     parent link and every historic partnership, with dead persons as
     connectors (Tarjan 1975).
 
-    Components only ever merge, because parent links are set once when a
-    person is created and `ever_partners` only grows. So `sync` keeps the
-    index exact by absorbing what is new among the persons it is handed,
-    which must include every person created or linked since the last sync:
-    the parent links of persons seen for the first time, and the partner
-    entries appended since. It returns True, and absorbs no further, when
-    a partner list shrank, a write the model never makes: only then can a
-    component have split, and the index must be built again. A parent link
-    rewritten after creation is seen only by an index built afresh.
+    `sync` keeps the index exact as long as it is handed every person
+    written since the last sync. It keeps, for each person absorbed, their
+    parent links and the number of their partner entries unioned, and
+    unions what is new: the links of a person seen for the first time and
+    the partner entries appended since. It returns True, and absorbs no
+    further, when a parent link differs from the absorbed one or a partner
+    list shrank, writes the model never makes: only then can a component
+    have split, and the index must be built again.
     """
 
     __slots__ = ("_parent", "_absorbed")
 
     def __init__(self) -> None:
         self._parent: dict[int, int] = {}
-        # person id -> number of its ever_partners entries already unioned
-        self._absorbed: dict[int, int] = {}
+        # person id -> (father, mother, ever_partners entries unioned)
+        self._absorbed: dict[int, tuple] = {}
 
     def find(self, x: int) -> int:
         parent = self._parent
@@ -329,34 +328,30 @@ class KinshipIndex:
         return root
 
     def _union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
+        ra = self.find(self._parent.setdefault(a, a))
+        rb = self.find(self._parent.setdefault(b, b))
         if ra != rb:
             self._parent[rb] = ra
 
     def sync(self, persons: Iterable[Person]) -> bool:
-        """Absorb what is new in `persons`; True when a partner list shrank."""
-        parent, absorbed = self._parent, self._absorbed
-        fresh, grown = [], []
+        """Absorb what is new in `persons`; True when a parent link differs
+        from the absorbed one or a partner list shrank."""
+        absorbed, union = self._absorbed, self._union
         for p in persons:
+            links = (p.father, p.mother, len(p.ever_partners))
             seen = absorbed.get(p.id)
-            if seen == len(p.ever_partners):
+            if seen == links:
                 continue
             if seen is None:
-                parent.setdefault(p.id, p.id)
-                fresh.append(p)
-            elif seen > len(p.ever_partners):
+                self._parent.setdefault(p.id, p.id)
+                for kin in links[:2]:
+                    if kin is not None:
+                        union(p.id, kin)
+            elif seen[:2] != links[:2] or seen[2] > links[2]:
                 return True
-            else:
-                grown.append(p)
-        # every new person has an entry now, so links can be unioned
-        for p in fresh:
-            for kin in (p.father, p.mother):
-                if kin is not None:
-                    self._union(p.id, kin)
-        for p in fresh + grown:
-            for ex in p.ever_partners[absorbed.get(p.id, 0):]:
-                self._union(p.id, ex)
-            absorbed[p.id] = len(p.ever_partners)
+            for ex in p.ever_partners[seen[2] if seen else 0:]:
+                union(p.id, ex)
+            absorbed[p.id] = links
         return False
 
 
@@ -367,19 +362,20 @@ def _kinship_faults(state: WorldState, persons: Iterable[Person],
     links: the pairwise kin list closed under chains, with dead relatives
     as valid intermediates.
 
-    The state's KinshipIndex is a reader like any other, kept as (step,
-    index) in state.kept[KinshipIndex]. The rule syncs it from the persons
-    it is handed and proves the houses it is handed: a house that gained an
-    occupant holds a journaled person, and one that passed and gained
-    nobody passes still. When changed_since(its step) is None, or sync
-    finds a partner list that shrank, it builds the index afresh from
-    everyone on record and proves every house."""
-    at, index = state.kept.get(KinshipIndex, (None, None))
-    if state.changed_since(at) is None or index.sync(persons):
-        index = KinshipIndex()
+    The state's KinshipIndex is kept bare in state.kept[KinshipIndex]. The
+    rule syncs it from the persons it is handed and proves the houses it
+    is handed: a house that gained an occupant holds a journaled person,
+    and one that passed and gained nobody passes still. It needs no step
+    of its own: _structural hands it everyone written since its last call,
+    which was the index's last sync, or everyone on a sweep. When there is
+    no index yet, or sync reports a changed parent link or a shrunk
+    partner list, it builds the index afresh from everyone on record and
+    proves every house."""
+    index = state.kept.get(KinshipIndex)
+    if index is None or index.sync(persons):
+        index = state.kept[KinshipIndex] = KinshipIndex()
         index.sync(state.persons.values())
         houses = state.houses.values()
-    state.kept[KinshipIndex] = (state.time.step_index, index)
     find = index.find
     return [Fault(tuple(sorted(h.occupants)),
                   f"house {h.id} mixes unrelated persons", h.id)

@@ -36,11 +36,12 @@ directly, and so do the empty-house runs the time series' houses_empty;
 the roster runs compare every read of an eligibility roster
 with the full scans, on the same runs; the direct-write runs write each
 person field past every mutator and compare the checks, both snapshots,
-the rosters and the census with the oracle at every step; the
-space-check cases compare the retrospective checks with the oracle's
-frozenset diff. The reaching-window runs check, on the fault runs and the
-chain configs, that every changed_since answer for an earlier step holds
-every id journaled since that step and every clock cohort after it.
+the rosters and the census with the oracle at every step, and the
+index-write runs, which write a child's birth step or parent links, the
+checks; the space-check cases compare the retrospective checks with the
+oracle's frozenset diff. The reaching-window runs check, on the fault runs
+and the chain configs, that every changed_since answer for an earlier step
+holds every id journaled since that step and every clock cohort after it.
 """
 from __future__ import annotations
 
@@ -240,6 +241,49 @@ def test_rewritten_parent_link_is_seen_after_a_gap():
     expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
     assert "a_housing_kinship" in {v.label for v in expected}
     assert check_step(state, snaps) == expected
+
+
+def test_rewritten_parent_link_is_seen_in_the_window():
+    """The kinship index keeps each person's parent links by value, so the
+    kid's links, cleared by hand after the checks at steps 1 and 2, differ
+    from the absorbed ones when the window hands the kid over at step 3:
+    the index is built again and check_step reports the house as the
+    oracle does. The model never rewrites a parent link."""
+    state, _, _, (dad, mum, kid, _single) = family_state()
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    for now in (1, 2):
+        state.time.step_index = now
+        snaps.freeze(state)
+        assert check_step(state, snaps) == []
+    state.time.step_index = 3
+    kid.father = kid.mother = None
+    dad.children.clear()
+    mum.children.clear()
+    snaps.freeze(state)
+    expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+    assert "a_housing_kinship" in {v.label for v in expected}
+    assert check_step(state, snaps) == expected
+
+
+def test_birth_step_write_refiles_the_person():
+    """A born_step write past the age setter refiles the person in the
+    birth-step index, so the kid made exactly 18 by one at step 2 is among
+    the persons a_adult_moves_out reads there, and staying home is
+    reported as the oracle reports it."""
+    state, _, _, (_dad, _mum, kid, _single) = family_state()
+    snaps, kept = SnapshotStore(), build_registry()
+    snaps.freeze(state)
+    state.time.step_index = 1
+    snaps.freeze(state)
+    assert check_step(state, snaps, kept) == []
+    state.time.step_index = 2
+    kid.born_step = state.time.born_years_ago(ADULT_YEARS)
+    snaps.freeze(state)
+    expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+    assert any(v.label == "a_adult_moves_out" and v.ids == (kid.id,)
+               for v in expected)
+    assert check_step(state, snaps, kept) == expected
 
 
 def _unrelated_cohabitants(state, houses, persons):
@@ -1403,6 +1447,66 @@ def test_direct_person_writes_match_oracle(monkeypatch, seed):
     # every write must show, or the comparison proves nothing
     assert flagged == set(PERSON_WRITES)
     assert sorted(reads.values()) == [STEPS] * 5
+
+
+# The index-write runs write, in the same way, the fields that the
+# birth-step index and the kinship index file a person by.
+
+def _children_at_home(run) -> list:
+    """Living single minors who share their house with a live parent,
+    ascending id."""
+    state = run.state
+    persons, adult_born = state.persons, state.time.born_years_ago(ADULT_YEARS)
+    return [p for p in persons.values()
+            if p.alive and p.partner is None and p.born_step > adult_born
+            and p.house in state.houses
+            and any(q in persons and persons[q].alive
+                    and persons[q].house == p.house
+                    for q in (p.father, p.mother))]
+
+
+def _write_adult_birth_step(run):
+    """Exactly 18 now by a born_step write, so ageing passed them over."""
+    p = run.faults.choice(_children_at_home(run))
+    p.born_step = run.state.time.born_years_ago(ADULT_YEARS)
+    return p.id
+
+
+def _write_cleared_parents(run):
+    """No parent links, so no kin of the parent they live with."""
+    p = run.faults.choice(_children_at_home(run))
+    p.father = p.mother = None
+    return p.id
+
+
+# write -> (injection, the label that must flag it at its step)
+INDEX_WRITES = {
+    "adult_birth_step": (_write_adult_birth_step, "a_adult_moves_out"),
+    "cleared_parents": (_write_cleared_parents, "a_housing_kinship"),
+}
+
+
+@pytest.mark.parametrize("seed", (3, 5))
+def test_direct_index_writes_match_oracle(seed):
+    """A born_step or parent-link write past every mutator refiles the
+    person in the birth-step index or rebuilds the kinship index: at every
+    step a kept registry and a fresh one return the oracle's list."""
+    run = FaultRun(seed, DEFAULT_EVENT_ORDER, INDEX_WRITES,
+                   ("after", "checked"))
+    kept, flagged = build_registry(), set()
+    for _ in range(STEPS):
+        run.advance()
+        expected = oracle.check_step(run.state, run.snaps,
+                                     DEFAULT_EVENT_ORDER)
+        assert check_step(run.state, run.snaps, kept) == expected
+        assert check_step(run.state, run.snaps, build_registry()) == expected
+        flagged |= {name for name, key in run.injected
+                    if any(v.label == INDEX_WRITES[name][1] and key in v.ids
+                           for v in expected)}
+        run.inject("checked")
+    assert not run.pending
+    # every write must show, or the comparison proves nothing
+    assert flagged == set(INDEX_WRITES)
 
 
 def _drop_house(state, house):

@@ -14,7 +14,7 @@ from conftest import add_house, add_person, add_town, family_state, make_state
 from oracle import marriage_eligible
 from demosim.cli import build_config
 from demosim.engine import state_digest
-from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, _Uniforms,
+from demosim.events import (DEFAULT_EVENT_ORDER, StepOutcome, _screened,
                             age_factor, ageing, births, candidate_count,
                             children_factor, deaths, divorces, geo_factor,
                             marriage_weight, marriages, step,
@@ -430,7 +430,7 @@ def test_bad_order_rejected_before_the_first_step():
         build_registry(("deaths", "ageing"))
 
 
-# _Uniforms: a step's draws of one event from one getrandbits call
+# _screened: a step's draws of one event from one getrandbits call
 
 class CountingRandom(random.Random):
     """Overrides random() but not getrandbits(), as ScriptedRandom does."""
@@ -454,44 +454,36 @@ class WordsRandom(random.Random):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 540])
 def test_uniforms_are_the_random_calls(n):
     rng, ref = random.Random(11), random.Random(11)
-    drawn = _Uniforms(rng, n, 1.0)
-    assert [drawn.at(i) for i in range(n)] == [ref.random() for _ in range(n)]
-    assert rng.getstate() == ref.getstate()
-    assert drawn.at(n) == ref.random()  # past the batch: rng.random()
-    assert drawn.at(n + 1) == ref.random()
+    drawn = list(_screened(rng, n, 1.0))
+    assert drawn == [(i, ref.random()) for i in range(n)]
     assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("below", [0.0, 1 / 256, 0.01, 0.3, 0.5, 1.0])
 def test_uniforms_pass_over_only_top_bytes_at_or_above(below):
-    """next() visits exactly the draws whose top byte, floor(256 u), is
-    below 256 x below, so every draw below `below` among them, and at()
-    reads each as random() gave it; past the batch next() visits every
-    index."""
+    """_screened yields exactly the draws whose top byte, floor(256 u), is
+    below 256 x below, so every draw below `below` among them, each as
+    random() gave it."""
     n = 540
     source = random.Random(5)
     values = [source.random() for _ in range(n)]
-    drawn = _Uniforms(random.Random(5), n, below)
-    visited, i = [], drawn.next(0)
-    while i < n:
-        visited.append(i)
-        i = drawn.next(i + 1)
+    drawn = list(_screened(random.Random(5), n, below))
+    visited = [i for i, _ in drawn]
     assert visited == [k for k, u in enumerate(values)
                        if math.floor(256 * u) < 256 * below]
     assert {k for k, u in enumerate(values) if u < below} <= set(visited)
-    assert (drawn.next(n), drawn.next(n + 3)) == (n, n + 3)
-    assert [drawn.at(k) for k in visited] == [values[k] for k in visited]
+    assert [u for _, u in drawn] == [values[k] for k in visited]
 
 
 @pytest.mark.parametrize("cls", [CountingRandom, WordsRandom])
 def test_uniforms_serve_an_overridden_class_through_random(cls):
     """Random.__init_subclass__ serves _randbelow through an overridden
-    random(); _Uniforms does the same, and never calls an overridden
-    getrandbits(), whose words random() does not read."""
+    random(); _screened does the same, yielding every draw, and never
+    calls an overridden getrandbits(), whose words random() does not
+    read."""
     rng, ref = cls(3), random.Random(3)
-    drawn = _Uniforms(rng, 4, 0.0)
-    assert [drawn.next(j) for j in range(4)] == [0, 1, 2, 3]
-    assert [drawn.at(i) for i in range(4)] == [ref.random() for _ in range(4)]
+    drawn = list(_screened(rng, 4, 0.0))
+    assert drawn == [(i, ref.random()) for i in range(4)]
     assert rng.getstate() == ref.getstate()
     if cls is CountingRandom:
         assert rng.calls == 4
