@@ -237,6 +237,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 1
     for key in sorted(config.config_echo):
         print(f"{key} = {config.config_echo[key]}")
+    fert = config.data.fertility
+    print(f"fertility table covers ages {fert.age_offset}.."
+          f"{fert.age_offset + len(fert.rows) - 1}, years {fert.year_offset}.."
+          f"{fert.year_offset + len(fert.rows[0]) - 1}")
     built = sum(town_population_targets(config.model.initial_pop,
                                         config.density).values())
     print(f"initial_pop builds {built} persons (per-town ceil)")

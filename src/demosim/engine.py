@@ -55,7 +55,7 @@ class RunConfig:
             raise ValueError(
                 f"verification_mode must be warn or fail, "
                 f"got {self.verification_mode!r}")
-        # building the per-step rate tables rejects rates a run cannot use,
+        # building the rate context rejects rates a run cannot use,
         # and building the towns a density map with no inhabited cell
         RateContext(self.model, self.data, self.sim.steps_per_year)
         build_towns(self.density)

@@ -129,6 +129,10 @@ class ModelParams:
                      "male_age_death_rate"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        # a yearly probability on its own; only its sum with an age term is
+        # clamped, by design
+        if self.basic_death_rate >= 1:
+            raise ConfigError("basic_death_rate must be < 1")
         if self.female_age_scaling <= 0 or self.male_age_scaling <= 0:
             raise ConfigError("age scalings must be > 0")
         if not 0 <= self.start_married_ratio <= 1:

@@ -2,11 +2,11 @@
 
 All *_yearly functions return per-year probabilities; `instantaneous` turns
 them into per-step probabilities for a clock running n_per_year steps a year.
+RateContext composes the two on each lookup, so each formula is written once.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS,
@@ -91,23 +91,18 @@ def marriage_rate_yearly(decade: int, params: ModelParams,
             * data.male_marriage_modifier_by_decade[decade - 1])
 
 
-def fertility_cell(age: float, year: int,
-                   table: FertilityTable) -> tuple[int, int]:
-    """(row, column) of the cell for a floored age and a calendar year. The
-    year clamps to the table edges; an age outside the table means the
-    reproducibility precondition failed upstream, so that raises instead."""
+def fertility_rate_yearly(age: float, year: int,
+                          table: FertilityTable) -> float:
+    """The cell of a floored age and a calendar year. The year clamps to the
+    table edges; an age outside the table means the reproducibility
+    precondition failed upstream, so that raises instead."""
     row = int(age) - table.age_offset
     if not 0 <= row < len(table.rows):
         raise ValueError(f"age {age:.2f} outside fertility table (rows "
                          f"{table.age_offset}.."
                          f"{table.age_offset + len(table.rows) - 1})")
-    return row, min(max(year - table.year_offset, 0), len(table.rows[0]) - 1)
-
-
-def fertility_rate_yearly(age: float, year: int,
-                          table: FertilityTable) -> float:
-    row, col = fertility_cell(age, year, table)
-    return table.rows[row][col]
+    cells = table.rows[row]
+    return cells[min(max(year - table.year_offset, 0), len(cells) - 1)]
 
 
 def load_fertility_text(text: str) -> FertilityTable:
@@ -161,17 +156,17 @@ class _AgedStandIn(NamedTuple):
 
 
 class RateContext:
-    """Params + data + per-step probabilities for one run.
+    """Params + data + the clock rate of one run, with per-step lookups.
 
-    The clock rate is fixed, so each yearly rate has one per-step value. The
-    constructor converts every decade's divorce and marriage rate and every
-    fertility cell once, and raises ValueError for any rate a run cannot use.
-    Death rates are converted on each lookup; death_p_step keeps no state.
+    The constructor raises ValueError for any rate a run cannot use. Each
+    lookup converts its yearly formula with `instantaneous` on the spot, so
+    a lookup is the formula itself; only the death bands below are kept.
 
     Each event also has a ceiling that every one of its lookups is at or
     below: for deaths the converted clamp, MAX_YEARLY_RATE, and for the
-    other three the largest entry of their table. An event kernel draws
-    u first and looks the rate up only when u < ceiling, since u >= ceiling
+    other three the largest converted rate over the decades or the
+    fertility cells, which some lookup attains. An event kernel draws u
+    first and looks the rate up only when u < ceiling, since u >= ceiling
     already means u >= the rate: the same decision from the same draw.
     Deaths test a draw against death_band instead, the ceiling of the
     person's gender and whole year of age, which is clamped to the deaths
@@ -183,12 +178,10 @@ class RateContext:
         self.params = params
         self.data = data
         self.steps_per_year = steps_per_year
-        # the last age in steps of decades 1..15: bisect_left(bounds, age)
-        # is decade_index(age in years) - 1, without float division
-        self._decade_bounds = tuple(10 * k * steps_per_year
-                                    for k in range(1, 16))
-        self._divorce = self._decade_table("divorce", divorce_rate_yearly)
-        self._marriage = self._decade_table("marriage", marriage_rate_yearly)
+        self.divorce_ceiling = self._decade_ceiling("divorce",
+                                                    divorce_rate_yearly)
+        self.marriage_ceiling = self._decade_ceiling("marriage",
+                                                     marriage_rate_yearly)
         table = data.fertility
         first, last = table.age_offset, table.age_offset + len(table.rows) - 1
         if first > ADULT_YEARS or last < MOTHER_AGE_LIMIT_YEARS - 1:
@@ -196,27 +189,24 @@ class RateContext:
                              f"must cover {ADULT_YEARS}.."
                              f"{MOTHER_AGE_LIMIT_YEARS - 1}")
         # FertilityTable keeps its values in [0, 1), so each cell converts
-        self._fertility = tuple(
-            tuple(instantaneous(v, steps_per_year) for v in row)
-            for row in table.rows)
+        self.fertility_ceiling = max(instantaneous(v, steps_per_year)
+                                     for row in table.rows for v in row)
         self.death_ceiling = instantaneous(MAX_YEARLY_RATE, steps_per_year)
-        self.divorce_ceiling = max(self._divorce)
-        self.marriage_ceiling = max(self._marriage)
-        self.fertility_ceiling = max(map(max, self._fertility))
         # gender -> death_band of whole years 0, 1, ... up to the oldest
         # year looked up: one float per year at any clock rate
         self._death_bands: dict[str, list[float]] = {}
 
-    def _decade_table(self, name: str, formula) -> tuple[float, ...]:
-        """Per-step rate of decades 1..16, at index decade - 1."""
-        table = []
+    def _decade_ceiling(self, name: str, formula) -> float:
+        """The largest per-step rate over decades 1..16, taken after the
+        conversion so that some decade's lookup returns it exactly."""
+        rates = []
         for decade in range(1, 17):
             rate = formula(decade, self.params, self.data)
             if rate >= 1:
                 raise ValueError(f"yearly {name} rate in decade {decade} is "
                                  f"{rate}; base rate x modifier must be < 1")
-            table.append(instantaneous(rate, self.steps_per_year))
-        return tuple(table)
+            rates.append(instantaneous(rate, self.steps_per_year))
+        return max(rates)
 
     def death_p_step(self, person: Person) -> float:
         spy = self.steps_per_year
@@ -244,21 +234,16 @@ class RateContext:
         return bands[years]
 
     def divorce_p_step(self, man: Person) -> float:
-        return self._divorce[bisect_left(self._decade_bounds, man.age_steps)]
+        spy = self.steps_per_year
+        return instantaneous(divorce_rate_yearly(
+            decade_index(man.age_steps / spy), self.params, self.data), spy)
 
     def marriage_p_step(self, man: Person) -> float:
-        return self._marriage[bisect_left(self._decade_bounds, man.age_steps)]
+        spy = self.steps_per_year
+        return instantaneous(marriage_rate_yearly(
+            decade_index(man.age_steps / spy), self.params, self.data), spy)
 
     def fertility_p_step(self, woman: Person, time: SimTime) -> float:
-        """fertility_cell's row and column rule, read without float division
-        for ages inside the table; any other age goes through fertility_cell,
-        which raises its out-of-table error."""
-        table = self.data.fertility
-        row = woman.age_steps // self.steps_per_year - table.age_offset
-        if 0 <= row < len(self._fertility):
-            cells = self._fertility[row]
-            col = time.year - table.year_offset
-            return cells[0 if col < 0 else col if col < len(cells) else -1]
-        row, col = fertility_cell(woman.age_steps / self.steps_per_year,
-                                  time.year, table)
-        return self._fertility[row][col]
+        spy = self.steps_per_year
+        return instantaneous(fertility_rate_yearly(
+            woman.age_steps / spy, time.year, self.data.fertility), spy)

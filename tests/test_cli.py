@@ -160,9 +160,23 @@ def test_main_validate_ok(tmp_path, capsys):
     assert rc == 0
     assert "t_final = 2030" in stdout
     assert "initial_pop = 10000" in stdout
+    assert "fertility table covers ages 17..51, years 2020..2020" in \
+        stdout.splitlines()
     # the per-town ceil formula of C3 over the default density map
     assert stdout.splitlines()[-1] == \
         "initial_pop builds 4457 persons (per-town ceil)"
+
+
+def test_main_validate_reports_fertility_file_coverage(tmp_path, capsys):
+    fert = tmp_path / "fert.txt"
+    fert.write_text("age_offset=18 year_offset=2019\n"
+                    + "0.05, 0.04, 0.03\n" * 27)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"fertility_path = {fert}\n")
+    rc, stdout, _ = run_main(["validate", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert "fertility table covers ages 18..44, years 2019..2021" in \
+        stdout.splitlines()
 
 
 def test_main_validate_broken_fertility(tmp_path, capsys):
@@ -230,6 +244,9 @@ _BAD_RATE_INPUTS = {
                        "basic_death_rate must be finite"),
     "death_rate_inf": ({"basic_death_rate": "inf"},
                        "basic_death_rate must be finite"),
+    # a yearly probability of 1 or more kills everyone at the clamp
+    "death_rate_one": ({"basic_death_rate": "1.0"},
+                       "basic_death_rate must be < 1"),
     "female_scaling_nan": ({"female_age_scaling": "nan"},
                            "female_age_scaling must be finite"),
     "male_age_death_inf": ({"male_age_death_rate": "inf"},

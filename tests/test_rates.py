@@ -191,7 +191,7 @@ def test_load_fertility_text_errors():
 
 
 def test_rate_context_matches_direct_computation():
-    """Every table entry is exactly the converted formula: each decade's
+    """Every lookup is exactly the converted formula: each decade's
     divorce and marriage rate (mid-decade and one step either side of each
     decade bound), each fertility row one step either side of its first
     step and at it, for years below, inside and above a three-column table
@@ -340,8 +340,8 @@ def test_ceilings_bound_every_lookup(settings):
     at or above it cannot fire: deaths at every age step from 0 to 200
     years for both genders (every 7th step at the hourly clock), under the
     band of the age's whole year, itself at or below the death ceiling;
-    and every cell of the divorce, marriage and fertility tables. The
-    table ceilings are attained."""
+    and divorce and marriage at each decade's first and last step and
+    fertility at every cell. Those three ceilings are attained."""
     params = replace(ModelParams(), **settings)
     data = default_model_data()
     table = FertilityTable(
