@@ -3,13 +3,16 @@
 Every model assumption is registered under a stable label and evaluated as a
 Boolean condition over (current state, previous snapshot): initial-scope
 checks once after construction, every_step checks after each step, and the
-retrospective space checks against a digest of the previous step's id sets.
-Statistical assumptions (uniformity, gender ratio, weighted selection) keep
-registry entries but no per-step check; they are covered by seeded
-distribution tests in the test suite. Checks are read-only by contract:
-they never mutate the world. What they carry from step to step is kept
-on the state (WorldState.kept), so a registry holds none of it and a fresh
-one reads a state from where the last check of it left off.
+retrospective space checks against the previous step's SpaceDigest (its
+town entries and house ids). Each check is a rule that returns model.Faults
+and knows neither its label nor the step; the wrappers that build_registry
+hands the label (_initial, _structural, _step_change) name the faults as
+Violations. Statistical assumptions (uniformity, gender ratio, weighted
+selection) keep registry entries but no per-step check; they are covered by
+seeded distribution tests in the test suite. Checks are read-only by
+contract: they never mutate the world. What they carry from step to step is
+kept on the state (WorldState.kept), so a registry holds none of it and a
+fresh one reads a state from where the last check of it left off.
 """
 from __future__ import annotations
 
@@ -23,6 +26,10 @@ from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Fault, House,
                     residence_faults)
 from .predicates import Snapshot, SnapshotStore
 from .events import DEFAULT_EVENT_ORDER, validate_event_order
+
+# the labels of the retrospective space checks, which space_changes reports
+_STATIC_TOWNS = "a_s_static_towns"
+_HOUSE_PERSISTENCE = "a_s_house_persistence"
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,20 +66,32 @@ def _noop(state: WorldState, snaps) -> list[Violation]:
     return []
 
 
+def _one_fault(ids: list[int], message: str) -> list[Fault]:
+    """One fault naming every id in `ids`, or none when it is empty."""
+    return [Fault(tuple(ids), message)] if ids else []
+
+
 # ---------------------------------------------------------------- initial
 
-def _check_adults_no_parents(state: WorldState, snaps) -> list[Violation]:
+def _initial(label: str, rule) -> Assumption:
+    """Initial entry for rule(state), which returns the world's faults."""
+
+    def check(state: WorldState, snaps) -> list[Violation]:
+        return [Violation(label, state.time.step_index, f.ids, f.message)
+                for f in rule(state)]
+
+    return Assumption(label, "initial", check)
+
+
+def _adults_no_parents(state: WorldState) -> list[Fault]:
     came_of_age = state.time.born_years_ago(ADULT_YEARS)
-    bad = [p.id for p in state.persons.values()
-           if p.born_step <= came_of_age
-           and (p.father is not None or p.mother is not None)]
-    if not bad:
-        return []
-    return [Violation("a0_adults_no_parents", state.time.step_index, tuple(bad),
-                      "initial adults must carry no parent links")]
+    return _one_fault([p.id for p in state.persons.values()
+                       if p.born_step <= came_of_age
+                       and (p.father is not None or p.mother is not None)],
+                      "initial adults must carry no parent links")
 
 
-def _check_parents_alive(state: WorldState, snaps) -> list[Violation]:
+def _parents_alive(state: WorldState) -> list[Fault]:
     came_of_age = state.time.born_years_ago(ADULT_YEARS)
     bad = []
     for p in state.persons.values():
@@ -82,14 +101,11 @@ def _check_parents_alive(state: WorldState, snaps) -> list[Violation]:
             if parent_id is not None and not state.persons[parent_id].alive:
                 bad.append(p.id)
                 break
-    if not bad:
-        return []
-    return [Violation("a0_parents_alive", state.time.step_index, tuple(bad),
-                      "initial children must have alive parents "
-                      "(children without parent links pass vacuously)")]
+    return _one_fault(bad, "initial children must have alive parents "
+                           "(children without parent links pass vacuously)")
 
 
-def _check_family_together(state: WorldState, snaps) -> list[Violation]:
+def _family_together(state: WorldState) -> list[Fault]:
     """Initial houses hold exactly one family unit: a couple plus their
     children, or one single adult, or one parentless child."""
     out = []
@@ -100,80 +116,74 @@ def _check_family_together(state: WorldState, snaps) -> list[Violation]:
             continue
         couple = [p for p in occ if p.partner is not None]
         if couple:
-            ids = {p.id for p in occ}
             if len(couple) != 2 or couple[0].partner != couple[1].id:
-                out.append(Violation("a0_family_together", state.time.step_index,
-                                     tuple(sorted(ids)),
-                                     f"house {house.id}: partners split or mixed"))
+                out.append(Fault(tuple(p.id for p in occ),
+                                 f"house {house.id}: partners split or mixed"))
                 continue
             parents = {couple[0].id, couple[1].id}
             for p in occ:
                 if p.id in parents:
                     continue
                 if p.father not in parents or p.mother not in parents:
-                    out.append(Violation(
-                        "a0_family_together", state.time.step_index, (p.id,),
-                        f"house {house.id}: occupant p{p.id} is not a child "
-                        f"of the resident couple"))
+                    out.append(Fault((p.id,), f"house {house.id}: occupant "
+                                              f"p{p.id} is not a child of "
+                                              f"the resident couple"))
         elif len(occ) > 1:
-            out.append(Violation("a0_family_together", state.time.step_index,
-                                 tuple(p.id for p in occ),
-                                 f"house {house.id}: unpartnered co-residents"))
+            out.append(Fault(tuple(p.id for p in occ),
+                             f"house {house.id}: unpartnered co-residents"))
         elif occ[0].born_step > came_of_age and (occ[0].father is not None
                                                  or occ[0].mother is not None):
-            out.append(Violation("a0_family_together", state.time.step_index,
-                                 (occ[0].id,),
-                                 f"house {house.id}: child p{occ[0].id} housed "
-                                 f"away from its parents"))
+            out.append(Fault((occ[0].id,), f"house {house.id}: child "
+                                           f"p{occ[0].id} housed away from "
+                                           f"its parents"))
     # child side: children with parents must live with them
     for p in state.persons.values():
         if p.born_step <= came_of_age or p.father is None:
             continue
         father = state.persons[p.father]
         if p.house != father.house:
-            out.append(Violation("a0_family_together", state.time.step_index,
-                                 (p.id,),
-                                 f"child p{p.id} not housed with its parents"))
+            out.append(Fault((p.id,),
+                             f"child p{p.id} not housed with its parents"))
     return out
 
 
 # ------------------------------------------------------------- every step
 
-def _reach(state: WorldState, changed: tuple,
-           flagged: tuple) -> tuple[list[Person], list[House]]:
-    """The persons and houses a structural rule re-examines, ascending id
-    (the order they are on record in, as ids are allocated in ascending
-    order): those in the window, which holds the partner and house of each
-    journaled person and the old occupants of each house record written,
-    and those flagged at the last evaluation; a dropped house is skipped."""
-    persons, houses = state.persons, state.houses
-    return ([persons[pid] for pid in sorted(changed[0] | flagged[0])],
-            [houses[hid] for hid in sorted(changed[1] | flagged[1])
-             if hid in houses])
+def _named(label: str, state: WorldState,
+           faults: list[Fault]) -> list[Violation]:
+    """One Violation per fault, at this step. Keeps (step, named) in
+    state.kept[label], where named holds the persons the faults on a person
+    record named and the houses whose record broke the rest."""
+    now = state.time.step_index
+    state.kept[label] = (now, (
+        {pid for f in faults if f.house is None for pid in f.ids},
+        {f.house for f in faults if f.house is not None}))
+    return [Violation(label, now, f.ids, f.message) for f in faults]
 
 
 def _structural(label: str, rule) -> Assumption:
     """Every-step entry for a structural rule: one of model.py, which
-    validate_world applies too, or the kinship rule. Its check reports one
-    Violation per fault. It keeps (step, flagged) in state.kept[label].
-    Unless changed_since(that step) is None and it sweeps, it examines only
-    what _reach returns: any other record passed at the last evaluation,
-    and nothing has touched it or its partner or house since. Re-examining
-    what it flagged keeps a fault that persists reported in warn mode."""
+    validate_world applies too, or the kinship rule. Unless
+    changed_since(the step _named kept) is None and it sweeps, it hands the
+    rule, ascending id, the persons and houses in the window, which holds
+    the partner and house of each journaled person and the old occupants of
+    each house record written, and those named at the last evaluation; a
+    dropped house is skipped. Any other record passed at the last
+    evaluation, and nothing has touched it or its partner or house since.
+    Re-examining what it named keeps a fault that persists reported in warn
+    mode."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
-        at, flagged = state.kept.get(label, (None, None))
+        at, named = state.kept.get(label, (None, None))
         written = state.changed_since(at)
+        persons, houses = state.persons, state.houses
         if written is None:
-            persons, houses = state.persons.values(), state.houses.values()
+            persons, houses = persons.values(), houses.values()
         else:
-            persons, houses = _reach(state, written, flagged)
-        faults = rule(state, persons, houses)
-        state.kept[label] = (state.time.step_index, (
-            {f.ids[0] for f in faults if f.house is None},
-            {f.house for f in faults if f.house is not None}))
-        return [Violation(label, state.time.step_index, f.ids, f.message)
-                for f in faults]
+            persons = [persons[pid] for pid in sorted(written[0] | named[0])]
+            houses = [houses[hid] for hid in sorted(written[1] | named[1])
+                      if hid in houses]
+        return _named(label, state, rule(state, persons, houses))
 
     return Assumption(label, "every_step", check)
 
@@ -181,13 +191,13 @@ def _structural(label: str, rule) -> Assumption:
 def _step_change(label: str, body, note="") -> Assumption:
     """Every-step entry for a check that compares the state with the
     previous snapshot: body(state, prev, changed) looks for step changes
-    only among `changed`, ascending id. It keeps (step, named) in
-    state.kept[label]. Unless the check sweeps, `changed` holds the persons
-    in changed_since(the earlier of that step and the snapshot's), as any
-    other's alive, partner, house, birth step and birth flag are as frozen,
-    and those it named, as a gave_birth flag with no neonate stays a fault
-    until cleared. A body tests every other condition against the snapshot,
-    so a person who did not change adds nothing."""
+    only among `changed`, ascending id, and returns their faults. Unless the
+    check sweeps, `changed` holds the persons in changed_since(the earlier
+    of the step _named kept and the snapshot's), as any other's alive,
+    partner, house, birth step and birth flag are as frozen, and those it
+    named, as a gave_birth flag with no neonate stays a fault until cleared.
+    A body tests every other condition against the snapshot, so a person
+    who did not change adds nothing."""
 
     def check(state: WorldState, snaps) -> list[Violation]:
         prev = snaps.before(state.time.step_index)
@@ -195,12 +205,9 @@ def _step_change(label: str, body, note="") -> Assumption:
         written = state.changed_since(
             None if at is None else min(at, prev.step_index))
         persons = state.persons
-        changed = (persons.values() if written is None
-                   else [persons[pid] for pid in sorted(written[0] | named)])
-        out = body(state, prev, changed)
-        state.kept[label] = (state.time.step_index,
-                             {pid for v in out for pid in v.ids})
-        return out
+        changed = (persons.values() if written is None else
+                   [persons[pid] for pid in sorted(written[0] | named[0])])
+        return _named(label, state, body(state, prev, changed))
 
     return Assumption(label, "every_step", check, note=note)
 
@@ -243,56 +250,47 @@ def _just_married_couples(state: WorldState, prev: Snapshot,
 
 
 def _no_adoption(state: WorldState, prev: Snapshot,
-                 changed) -> list[Violation]:
+                 changed) -> list[Fault]:
     """Runtime face of the no-adoption assumption: nobody dead at the previous
     step is alive now. Parent links are immutable by construction (set only at
     creation), which unit tests pin; snapshots carry no parent attributes."""
-    bad = [p.id for p in changed
-           if p.alive and p.id in prev.known and p.id not in prev.alive]
-    if not bad:
-        return []
-    return [Violation("a_p_no_adoption", state.time.step_index, tuple(bad),
-                      "dead persons must stay dead")]
+    return _one_fault([p.id for p in changed if p.alive and p.id in prev.known
+                       and p.id not in prev.alive],
+                      "dead persons must stay dead")
 
 
 def _married_gives_birth(state: WorldState, prev: Snapshot,
-                         changed) -> list[Violation]:
+                         changed) -> list[Fault]:
     """Each neonate has a flagged, partnered mother under the age limit and
     shares her house, and each flagged person in `changed` has a neonate:
     the mother births flags is in the window as her neonate's parent."""
     out = []
-    spy = state.time.steps_per_year
-    now = state.time.step_index
+    limit = MOTHER_AGE_LIMIT_YEARS * state.time.steps_per_year
     mothers_with_neonate = set()
     for q in _born_now(state, changed):
         if q.father is None or q.mother is None:
-            out.append(Violation("a_p_married_gives_birth", now, (q.id,),
-                                 "neonate lacks a parent link"))
+            out.append(Fault((q.id,), "neonate lacks a parent link"))
             continue
         mother = state.persons[q.mother]
         mothers_with_neonate.add(mother.id)
         if not mother.gave_birth:
-            out.append(Violation("a_p_married_gives_birth", now,
-                                 (q.id, mother.id),
-                                 "mother not flagged for this birth"))
-        if mother.age_steps >= MOTHER_AGE_LIMIT_YEARS * spy:
-            out.append(Violation("a_p_married_gives_birth", now, (mother.id,),
-                                 f"mother aged {MOTHER_AGE_LIMIT_YEARS} or "
-                                 f"older at birth"))
+            out.append(Fault((q.id, mother.id),
+                             "mother not flagged for this birth"))
+        if mother.age_steps >= limit:
+            out.append(Fault((mother.id,), f"mother aged "
+                                           f"{MOTHER_AGE_LIMIT_YEARS} or "
+                                           f"older at birth"))
         father_ok = (mother.partner == q.father
                      or (mother.partner is None and mother.ever_partners
                          and mother.ever_partners[-1] == q.father))
         if not father_ok:
-            out.append(Violation("a_p_married_gives_birth", now,
-                                 (q.id, q.father),
-                                 "father is not the mother's partner at birth"))
+            out.append(Fault((q.id, q.father),
+                             "father is not the mother's partner at birth"))
         if mother.alive and q.house != mother.house:
-            out.append(Violation("a_p_married_gives_birth", now, (q.id,),
-                                 "neonate not housed with its mother"))
+            out.append(Fault((q.id,), "neonate not housed with its mother"))
     flagged = {p.id for p in changed if p.gave_birth}
-    for pid in sorted(flagged - mothers_with_neonate):
-        out.append(Violation("a_p_married_gives_birth", now, (pid,),
-                             "gave_birth flag without a neonate this step"))
+    out.extend(Fault((pid,), "gave_birth flag without a neonate this step")
+               for pid in sorted(flagged - mothers_with_neonate))
     return out
 
 
@@ -384,29 +382,23 @@ def _kinship_faults(state: WorldState, persons: Iterable[Person],
             and len({find(pid) for pid in h.occupants}) > 1]
 
 
-def _move_out_violations(label: str, who: str, state: WorldState,
-                         prev: Snapshot, p: Person) -> list[Violation]:
+def _move_out_faults(who: str, state: WorldState, prev: Snapshot,
+                     p: Person) -> list[Fault]:
     """The move-out rule shared by new adults and divorced males: alone in a
     house other than the previous one, in the previous town."""
-    house = state.houses.get(p.house) if p.house is not None else None
+    house = state.houses.get(p.house)
     if house is None:
         return []  # homeless check reports this
-    now = state.time.step_index
-    out = []
-    if house.occupants != {p.id}:
-        out.append(Violation(label, now, (p.id,), f"{who} must live alone"))
-    if p.house == prev.house.get(p.id):
-        out.append(Violation(label, now, (p.id,),
-                             f"{who} must leave the family house"))
     old = prev.old_house(p.id, state)
-    if old is None or house.town != old.town:
-        out.append(Violation(label, now, (p.id,),
-                             f"{who} must stay in the same town"))
-    return out
+    return [Fault((p.id,), f"{who} must {rule}") for rule, broken in (
+        ("live alone", house.occupants != {p.id}),
+        ("leave the family house", p.house == prev.house.get(p.id)),
+        ("stay in the same town", old is None or house.town != old.town))
+        if broken]
 
 
 def _adult_moves_out(state: WorldState, prev: Snapshot,
-                     changed) -> list[Violation]:
+                     changed) -> list[Fault]:
     turned_adult = _turned_adult(state, prev)
     if not turned_adult:
         return []
@@ -416,29 +408,22 @@ def _adult_moves_out(state: WorldState, prev: Snapshot,
     for p, stays_home in turned_adult:
         if not p.alive or p.id in just_married:
             continue  # housing of the just-married is the marriage check's
-        if stays_home:
-            if p.house != prev.house.get(p.id):
-                out.append(Violation("a_adult_moves_out",
-                                     state.time.step_index, (p.id,),
-                                     "oldest orphan sibling must keep the "
-                                     "family house"))
-        else:
-            out.extend(_move_out_violations("a_adult_moves_out",
-                                            "new adult", state, prev, p))
+        if not stays_home:
+            out.extend(_move_out_faults("new adult", state, prev, p))
+        elif p.house != prev.house.get(p.id):
+            out.append(Fault((p.id,), "oldest orphan sibling must keep the "
+                                      "family house"))
     return out
 
 
 def _divorce_male_moves(state: WorldState, prev: Snapshot,
-                        changed) -> list[Violation]:
+                        changed) -> list[Fault]:
     """Checks the move-out rule for this step's divorced males. A male whose
     ex died the same step is classified widowed and skipped: under orders
     where deaths follow divorces this misses the occasional real divorce
     (false negative) but never flags a legal state."""
-    out = []
-    for p in _divorced_males(state, prev, changed):
-        out.extend(_move_out_violations("a_divorce_male_moves",
-                                        "divorced male", state, prev, p))
-    return out
+    return [f for p in _divorced_males(state, prev, changed)
+            for f in _move_out_faults("divorced male", state, prev, p)]
 
 
 def _marriage_housing(event_order: tuple[str, ...]):
@@ -453,8 +438,7 @@ def _marriage_housing(event_order: tuple[str, ...]):
     else:
         pre_marriage = ()
 
-    def body(state: WorldState, prev: Snapshot, changed) -> list[Violation]:
-        now = state.time.step_index
+    def body(state: WorldState, prev: Snapshot, changed) -> list[Fault]:
         couples = _just_married_couples(state, prev, changed)
         if not couples:
             return []
@@ -500,13 +484,13 @@ def _marriage_housing(event_order: tuple[str, ...]):
                 for q in _divorced_males(state, prev, changed):
                     move(q.id, ("divorced", q.id))
 
-        out = []
+        out: list[Fault] = []
         merged: list[tuple[Person, Person, object]] = []
         for m, f in couples:
             sm, sf = slot_of.get(m.id), slot_of.get(f.id)
             if sm is None or sf is None:
-                out.append(Violation("a_marriage_housing", now, (m.id, f.id),
-                                     "spouse has no tracked household"))
+                out.append(Fault((m.id, f.id),
+                                 "spouse has no tracked household"))
                 continue
             if sm != sf:
                 if len(occ[sm]) >= len(occ[sf]):
@@ -522,24 +506,23 @@ def _marriage_housing(event_order: tuple[str, ...]):
         mask = {q.id for q in born_now} | died_now
         for m, f, target in merged:
             if not isinstance(target, int):
-                out.append(Violation("a_marriage_housing", now, (m.id, f.id),
-                                     "household merged into a fresh house, "
-                                     "which the move rule never produces"))
+                out.append(Fault((m.id, f.id),
+                                 "household merged into a fresh house, "
+                                 "which the move rule never produces"))
                 continue
             if m.house != target or f.house != target:
-                out.append(Violation(
-                    "a_marriage_housing", now, (m.id, f.id),
-                    f"couple expected in house {target}, found "
-                    f"m->{m.house} f->{f.house}"))
+                out.append(Fault((m.id, f.id),
+                                 f"couple expected in house {target}, found "
+                                 f"m->{m.house} f->{f.house}"))
                 continue
             if target not in state.houses:
                 continue  # a_homeless reports the dangling house refs
             expected = occ[target] - mask
             actual = set(state.houses[target].occupants) - mask
             if expected != actual:
-                out.append(Violation(
-                    "a_marriage_housing", now, tuple(sorted(expected ^ actual)),
-                    f"house {target} occupants diverge from the merge rule"))
+                out.append(Fault(tuple(sorted(expected ^ actual)),
+                                 f"house {target} occupants diverge from the "
+                                 f"merge rule"))
         return out
 
     return body
@@ -554,14 +537,14 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER
     carry no-op runtime checks so the registry still enumerates them;
     check_step does not call them."""
     return (
-        Assumption("a0_adults_no_parents", "initial", _check_adults_no_parents),
-        Assumption("a0_parents_alive", "initial", _check_parents_alive),
+        _initial("a0_adults_no_parents", _adults_no_parents),
+        _initial("a0_parents_alive", _parents_alive),
         Assumption("a0_siblings_age_free", "initial", _noop, kind="vacuous",
                    note="sibling age gaps are unrestricted; nothing to check"),
-        Assumption("a0_family_together", "initial", _check_family_together),
-        Assumption("a_s_static_towns", "retrospective", _noop,
+        _initial("a0_family_together", _family_together),
+        Assumption(_STATIC_TOWNS, "retrospective", _noop,
                    note="enforced by check_retrospective over space digests"),
-        Assumption("a_s_house_persistence", "retrospective", _noop,
+        Assumption(_HOUSE_PERSISTENCE, "retrospective", _noop,
                    note="enforced by check_retrospective over space digests"),
         Assumption("a_s_dynamic_space", "every_step", _noop, kind="vacuous",
                    note="the house set may grow; growth itself needs no check"),
@@ -638,13 +621,13 @@ def space_changes(before: SpaceDigest, after: SpaceDigest,
                if after.towns != before.towns else ())
     if changed:
         ids = tuple(sorted({entry[0] for entry in changed}))
-        out.append(Violation("a_s_static_towns", step_index, ids,
+        out.append(Violation(_STATIC_TOWNS, step_index, ids,
                              "town set or densities changed between steps"))
     kept = before.houses
     missing = (set(kept).difference(after.houses)
                if after.houses[:len(kept)] != kept else ())
     if missing:
-        out.append(Violation("a_s_house_persistence", step_index,
+        out.append(Violation(_HOUSE_PERSISTENCE, step_index,
                              tuple(sorted(missing)),
                              "houses disappeared between steps"))
     return out

@@ -10,12 +10,13 @@ in bench/pins.json.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 
 import pytest
 
 from demosim.cli import build_config
-from demosim.engine import run, state_digest
+from demosim.engine import TimeSeries, run, state_digest
 from demosim.events import step
 from demosim.initialization import init_world
 from demosim.model import validate_world
@@ -136,11 +137,15 @@ CHAINS = {
 }
 
 
+def chain_config(seed: int, clock: str, order: str):
+    return build_config({"initial_pop": "120", "delta_t": clock,
+                         "t0": "2020", "t_final": "2100",
+                         "seed": str(seed), "event_order": order,
+                         **CHAIN_RUNS[seed]})
+
+
 def digest_chain(seed: int, clock: str, order: str) -> str:
-    config = build_config({"initial_pop": "120", "delta_t": clock,
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, clock, order)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -164,3 +169,50 @@ def digest_chain(seed: int, clock: str, order: str) -> str:
 def test_per_step_digest_chain(seed, clock, order):
     assert digest_chain(seed, clock, order) == \
         CHAINS[seed, clock][CHAIN_ORDERS.index(order)]
+
+
+def steps_of(config, state, rng, snaps, count: int) -> list[tuple]:
+    """Step a run `count` times as run() does, with a fresh RateContext,
+    registry and TimeSeries: per step, the state digest, the check_step
+    result and the timeseries.csv row."""
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    registry = build_registry(config.event_order)
+    series = TimeSeries()
+    out = []
+    for _ in range(count):
+        outcome = step(state, ctx, snaps, rng, config.event_order)
+        found = check_step(state, snaps, registry)
+        series.append(state, state.time.step_index, outcome.births,
+                      outcome.deaths, outcome.marriages, outcome.divorces,
+                      len(found))
+        out.append((state_digest(state), found, series.rows[-1]))
+    return out
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_run_continues_from_a_pickled_copy(seed, clock, order):
+    """A run's future depends only on its state, RNG, snapshots and config:
+    a copy pickled a third of the way through a chain config follows the
+    original step for step. The original runs to the end before the copy
+    starts, so data a reader keeps anywhere but on the state (a module
+    global, say) differs between the two. On the hourly clock under the
+    default order the copy is taken on an idle step, ten steps into a quiet
+    run."""
+    config = chain_config(seed, clock, order)
+    rng = random.Random(seed)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    assert check_initial(state, build_registry(config.event_order)) == []
+    TimeSeries().append(state, 0, 0, 0, 0, 0, 0)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    k = CHAIN_CLOCKS[clock] // 3
+    steps_of(config, state, rng, snaps, k)
+    if clock == "hourly" and order == CHAIN_ORDERS[0]:
+        assert state.changed_since(k - 10) == (set(), set())
+    copy = pickle.dumps((state, rng, snaps))
+    rest = CHAIN_CLOCKS[clock] - k
+    original = steps_of(config, state, rng, snaps, rest)
+    assert steps_of(config, *pickle.loads(copy), rest) == original

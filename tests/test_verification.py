@@ -2,11 +2,15 @@
 deliberately broken fixtures."""
 from __future__ import annotations
 
+import ast
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from conftest import add_house, add_person, add_town, family_state, make_state
+from conftest import (add_house, add_person, add_town, family_state,
+                      make_state, marry)
 from demosim.engine import state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ModelParams,
@@ -73,7 +77,11 @@ def test_initial_adult_with_parent():
     parent = add_person(state, MALE, 60, h)
     grown = add_person(state, FEMALE, 30, h, father=parent.id)
     parent.children.add(grown.id)
-    assert "a0_adults_no_parents" in labels_of(check_initial(state))
+    assert check_initial(state) == [
+        Violation("a0_adults_no_parents", 0, (grown.id,),
+                  "initial adults must carry no parent links"),
+        Violation("a0_family_together", 0, (parent.id, grown.id),
+                  "house 0: unpartnered co-residents")]
 
 
 def test_initial_dead_parent():
@@ -84,7 +92,14 @@ def test_initial_dead_parent():
     dad.alive = False
     kid = add_person(state, FEMALE, 5, h, father=dad.id)
     dad.children.add(kid.id)
-    assert "a0_parents_alive" in labels_of(check_initial(state))
+    assert check_initial(state) == [
+        Violation("a0_parents_alive", 0, (kid.id,),
+                  "initial children must have alive parents "
+                  "(children without parent links pass vacuously)"),
+        Violation("a0_family_together", 0, (kid.id,),
+                  f"house 0: child p{kid.id} housed away from its parents"),
+        Violation("a0_family_together", 0, (kid.id,),
+                  f"child p{kid.id} not housed with its parents")]
 
 
 def test_initial_family_split_across_houses(family):
@@ -93,7 +108,11 @@ def test_initial_family_split_across_houses(family):
     h0.occupants.discard(kid.id)
     kid.house = h1.id
     h1.occupants.add(kid.id)
-    assert "a0_family_together" in labels_of(check_initial(state))
+    assert check_initial(state) == [
+        Violation("a0_family_together", 0, (kid.id, single.id),
+                  "house 1: unpartnered co-residents"),
+        Violation("a0_family_together", 0, (kid.id,),
+                  f"child p{kid.id} not housed with its parents")]
 
 
 def test_initial_couple_split_flagged(family):
@@ -103,7 +122,30 @@ def test_initial_couple_split_flagged(family):
     h0.occupants.add(single.id)
     mum.house = h1.id
     h1.occupants.add(mum.id)
-    assert "a0_family_together" in labels_of(check_initial(state))
+    assert check_initial(state) == [
+        Violation("a0_family_together", 0, (dad.id, kid.id, single.id),
+                  "house 0: partners split or mixed"),
+        Violation("a0_family_together", 0, (mum.id, single.id),
+                  "house 1: partners split or mixed")]
+
+
+def test_initial_lodger_with_couple_flagged():
+    """A house with a couple holds only their children: anyone else is
+    named alone, and the check reports the step it ran at."""
+    state = make_state(step_index=7)
+    town = add_town(state)
+    h = add_house(state, town)
+    dad = add_person(state, MALE, 40, h)
+    mum = add_person(state, FEMALE, 38, h)
+    marry(state, dad, mum)
+    kid = add_person(state, FEMALE, 10, h, father=dad.id, mother=mum.id)
+    dad.children.add(kid.id)
+    mum.children.add(kid.id)
+    lodger = add_person(state, MALE, 12, h)
+    assert check_initial(state) == [
+        Violation("a0_family_together", 7, (lodger.id,),
+                  f"house {h.id}: occupant p{lodger.id} is not a child of "
+                  f"the resident couple")]
 
 
 def test_step_checks_clean_after_real_step(family):
@@ -473,3 +515,19 @@ def test_violation_fields():
     v = Violation("a_homeless", 7, (3,), "alive person without a house")
     assert (v.label, v.step_index, v.ids, v.detail) == \
         ("a_homeless", 7, (3,), "alive person without a house")
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
+
+
+def test_each_label_is_written_once():
+    """Each assumption label is one string literal in the package, the one
+    the registry names its entry with; the checks never type it again."""
+    labels = {a.label for a in build_registry()}
+    written = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in labels:
+                written[node.value] += 1
+    assert {label: written[label] for label in labels} == \
+        dict.fromkeys(labels, 1)
