@@ -18,11 +18,13 @@ import random
 import secrets
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import itemgetter
 
 from .events import DEFAULT_EVENT_ORDER, step, validate_event_order
 from .initialization import InitReport, init_world
-from .model import (AssumptionFailure, IntegrityError, ModelData,
-                    ModelParams, SimulationParams, WorldState, validate_world)
+from .model import (EMPTY_WINDOW, AssumptionFailure, IntegrityError,
+                    ModelData, ModelParams, SimulationParams, WorldState,
+                    validate_world)
 from .predicates import SnapshotStore
 from .rates import RateContext
 from .space import DensityMap, build_towns
@@ -35,6 +37,9 @@ TIMESERIES_HEADER = ("step", "year", "alive", "males", "females", "births",
 
 
 _ALIVE = TIMESERIES_HEADER.index("alive")
+# the columns summary.json totals, by their index in a row
+_TOTALS = {name: TIMESERIES_HEADER.index(name) for name in (
+    "births", "deaths", "marriages", "divorces", "violations")}
 
 
 @dataclass(slots=True)
@@ -65,10 +70,13 @@ def _empty_houses(state: WorldState) -> int:
     """The houses with no occupant, kept in state.kept as (the step they
     were counted at, their ids): only the houses in the change window since
     that step (each house written, left or moved into) are tested again, or
-    every house when the window cannot tell."""
+    every house when the window cannot tell. On EMPTY_WINDOW the count
+    stands, and so does its step, which the window reaches back to."""
     houses = state.houses
     at, empty = state.kept.get(_empty_houses, (None, None))
     changed = state.changed_since(at)
+    if changed is EMPTY_WINDOW:
+        return len(empty)
     if changed is None:
         empty = {hid for hid, h in houses.items() if not h.occupants}
     else:
@@ -90,14 +98,15 @@ class TimeSeries:
         # counts are kept by the person writes (WorldState.census), not by
         # the events: a death no event reports still moves them
         alive, males, born_sum = state.census()
-        spy = state.time.steps_per_year
+        time = state.time
+        spy = time.steps_per_year
         # each living person's age is now - born_step: the same integer sum
-        age_sum = alive * state.time.step_index - born_sum
+        age_sum = alive * time.step_index - born_sum
         mean_age = age_sum / alive / spy if alive else 0.0
         empty = _empty_houses(state)
         self.rows.append((
             step_index,
-            state.time.t0_year + step_index // spy,
+            time.t0_year + step_index // spy,
             alive, males, alive - males,
             births, deaths, marriages, divorces,
             round(mean_age, 6),
@@ -217,10 +226,8 @@ def run(config: RunConfig) -> RunResult:
             "steps_planned": (sim.t_final - sim.t0) * spy,
             "aborted_on_violation": aborted,
             "final_digest": final_digest,
-            "totals": {name: sum(row[TIMESERIES_HEADER.index(name)]
-                                 for row in series.rows)
-                       for name in ("births", "deaths", "marriages",
-                                    "divorces", "violations")},
+            "totals": {name: sum(map(itemgetter(i), series.rows))
+                       for name, i in _TOTALS.items()},
             "final_alive": series.rows[-1][_ALIVE],
             "final_houses": len(state.houses),
             "init": report.to_dict(),
@@ -247,22 +254,23 @@ def run(config: RunConfig) -> RunResult:
     space_before = SpaceDigest.of(state)
 
     total_steps = (sim.t_final - sim.t0) * spy
+    order, append, rows = config.event_order, series.append, series.rows
     for i in range(1, total_steps + 1):
-        outcome = step(state, ctx, snaps, rng, config.event_order)
+        outcome = step(state, ctx, snaps, rng, order)
         step_violations = check_step(state, snaps, registry)
         space_after = SpaceDigest.of(state)
         step_violations.extend(space_changes(space_before, space_after, i))
         space_before = space_after
         all_violations.extend(step_violations)
-        series.append(state, i, outcome.births, outcome.deaths,
-                      outcome.marriages, outcome.divorces,
-                      len(step_violations))
+        births, deaths = len(outcome.born), len(outcome.died)
+        append(state, i, births, deaths, len(outcome.married),
+               len(outcome.divorced), len(step_violations))
         # checks do not mutate, so the last two rows bracket this step
-        delta = series.rows[-1][_ALIVE] - series.rows[-2][_ALIVE]
-        if delta != outcome.births - outcome.deaths:
+        delta = rows[-1][_ALIVE] - rows[-2][_ALIVE]
+        if delta != births - deaths:
             raise IntegrityError(
                 f"step {i}: alive delta {delta} != "
-                f"births {outcome.births} - deaths {outcome.deaths}")
+                f"births {births} - deaths {deaths}")
         if step_violations and config.verification_mode == "fail":
             fail(i)
 

@@ -11,10 +11,12 @@ of age instead (RateContext.death_band), which is at most the event's
 ceiling. A screen decides only whether the rate is read, never whether a
 draw is made, so the draw order is the same with or without it.
 
-Deaths draws a step's uniforms with one getrandbits call (_screened),
-which leaves the generator exactly as one random() call per draw would,
-and rebuilds and yields only the draws whose top byte can fall below its
-threshold. The other events draw one random() at a time:
+Deaths draws a step's uniforms through _screened: with one getrandbits
+call, which leaves the generator exactly as one random() call per draw
+would, rebuilding only the draws whose top byte can fall below its
+threshold, or, where the threshold passes every top byte, with one
+random() call per draw, which a batch would only slow. The other events
+draw one random() at a time:
 births' roster is too short for a batch to pay for its fixed cost, and a
 hit in divorces or marriages draws a variable number of words through
 randrange and sample, so a batch drawn ahead of it could not be handed
@@ -25,14 +27,17 @@ Every event visits a roster of the persons who can take part
 checks read too (WorldState.changed_since). CountedPerson journals every
 person write but ageing's, which clears the mother's flag past it; births
 adds the neonate to the parents' children, which no write names: the
-window holds each journaled neonate's parents.
+window holds each journaled neonate's parents. On a step with nothing in
+the window (model.EMPTY_WINDOW), the usual one on a fine clock, each
+roster read returns the kept list and deaths returns once its draws pass
+the screen, so such a step costs little more than its draws.
 """
 from __future__ import annotations
 
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -52,16 +57,22 @@ EVENT_NAMES = frozenset(DEFAULT_EVENT_ORDER)
 _MAX_WEIGHT_EXPONENT = 700.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class StepOutcome:
     """Per-step event audit: id lists per category; counts derive from them."""
     step_index: int
-    born: list[int] = field(default_factory=list)
-    died: list[int] = field(default_factory=list)
-    married: list[tuple[int, int]] = field(default_factory=list)
-    divorced: list[tuple[int, int]] = field(default_factory=list)
-    adults_moved: list[int] = field(default_factory=list)
-    houses_created: list[int] = field(default_factory=list)
+    born: list[int]
+    died: list[int]
+    married: list[tuple[int, int]]
+    divorced: list[tuple[int, int]]
+    adults_moved: list[int]
+    houses_created: list[int]
+
+    # by hand: the generated __init__ calls a factory for each list
+    def __init__(self, step_index: int) -> None:
+        self.step_index = step_index
+        self.born, self.died, self.married = [], [], []
+        self.divorced, self.adults_moved, self.houses_created = [], [], []
 
     @property
     def births(self) -> int:
@@ -153,32 +164,40 @@ def _move_to_own_empty_house(state: WorldState, person: Person,
 _WORDS = struct.Struct("<II")
 _MT = random.Random
 # translate tables for the screen: entry k marks the top bytes below k
-_SCREENS = [b"\1" * k + b"\0" * (256 - k) for k in range(257)]
+_SCREENS = [b"\1" * k + b"\0" * (256 - k) for k in range(256)]
 
 
 def _screened(rng: random.Random, n: int, below: float):
     """(i, u) for each of n successive rng.random() draws u, in turn, whose
     top byte can put it below `below`; the others are passed over. The n
     draws come from one getrandbits(64 n) call, which leaves rng as n
-    random() calls would. When rng's class overrides random() or
-    getrandbits(), each draw is read through rng.random() and yielded."""
+    random() calls would. Where the screen passes every top byte, or
+    rng's class overrides random() or getrandbits(), each draw is read
+    through rng.random() instead: a batch then saves nothing, or would
+    not give the overridden draws."""
     # rng.random() reads the words getrandbits() returns only when the
     # class overrides neither: Random.__init_subclass__ serves _randbelow
     # through an overridden random() by the same rule, and random() never
     # reads an overridden getrandbits()
+    k = math.ceil(256 * below)
     cls = type(rng)
-    if cls.random is not _MT.random or cls.getrandbits is not _MT.getrandbits:
-        for i in range(n):
-            yield i, rng.random()
-        return
+    if (k >= 256 or cls.random is not _MT.random
+            or cls.getrandbits is not _MT.getrandbits):
+        draw = rng.random
+        return [(i, draw()) for i in range(n)]
     buf = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
     # 1 for each draw whose top byte c has c < 256 below, else 0
-    low = buf[3::8].translate(_SCREENS[min(256, math.ceil(256 * below))])
+    low = buf[3::8].translate(_SCREENS[k])
     i = low.find(1)
+    if i < 0:
+        return ()
+    passed = []
     while i >= 0:
         a, b = _WORDS.unpack_from(buf, 8 * i)
-        yield i, ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992
+        passed.append((i, ((a >> 5) * 67108864 + (b >> 6))
+                       / 9007199254740992))
         i = low.find(1, i + 1)
+    return passed
 
 
 def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -246,15 +265,18 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
     their partner. Visits the roster of the living born before this step
     (WorldState.roster): a death changes only the dying person's `alive`,
     so the roster read before the first draw holds who draws."""
-    persons, death_p_step = state.persons, ctx.death_p_step
-    band, ceiling = ctx.death_band, ctx.death_ceiling
-    now, spy = state.time.step_index, ctx.steps_per_year
     mortal = state.roster(_mortal)
     # a screen passes whole top bytes: with the ceiling at most 1/256, no
     # lower threshold passes fewer draws, so no bound is kept
-    below = (ceiling if 256 * ceiling <= 1
-             else _death_threshold(state, ctx, mortal))
-    for i, u in _screened(rng, len(mortal), below):
+    below = ctx.death_ceiling
+    if 256 * below > 1:
+        below = _death_threshold(state, ctx, mortal)
+    passed = _screened(rng, len(mortal), below)
+    if not passed:
+        return
+    persons, death_p_step = state.persons, ctx.death_p_step
+    band, now, spy = ctx.death_band, state.time.step_index, ctx.steps_per_year
+    for i, u in passed:
         p = persons[mortal[i]]
         if (u < band(p.gender, (now - p.born_step) // spy)
                 and u < death_p_step(p)):
@@ -388,7 +410,6 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     males = state.roster(_SINGLE_ADULT[MALE])
     females = state.roster(_SINGLE_ADULT[FEMALE])
     pool = None
-    weight = partial(marriage_weight, state)
     draw, ceiling = rng.random, ctx.marriage_ceiling
     for pid in males:
         if (pid in married or (u := draw()) >= ceiling
@@ -397,6 +418,7 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
         if pool is None:
             pool = [persons[pid] for pid in females if pid not in married]
             n_cand = candidate_count(len(pool), ctx.params.max_num_marr_cand)
+            weight = partial(marriage_weight, state)
         bride = find_bride(state, man, pool, n_cand, weight, rng)
         if bride is None:
             continue
@@ -423,9 +445,10 @@ def step(state: WorldState, ctx: RateContext, snaps: SnapshotStore,
          rng: random.Random, event_order=DEFAULT_EVENT_ORDER) -> StepOutcome:
     """Advance the clock one step, apply the events in their validated order
     (ageing first), freeze the new snapshot, and return the merged outcome."""
-    state.time.step_index += 1
-    prev = snaps.before(state.time.step_index)
-    outcome = StepOutcome(step_index=state.time.step_index)
+    time = state.time
+    now = time.step_index = time.step_index + 1
+    prev = snaps.before(now)
+    outcome = StepOutcome(now)
     ageing(state, ctx, rng, outcome)
     for name in event_order[1:]:
         if name == "marriages":

@@ -320,6 +320,12 @@ class HouseRecords(dict, MutableMapping):
         return self
 
 
+# the change window of a step on which nothing was journaled and no clock
+# cohort turned: one answer, shared by every reader, which none can change
+EMPTY_WINDOW: tuple[frozenset[int], frozenset[int]] = (frozenset(),
+                                                        frozenset())
+
+
 class Journal:
     """The ids of the persons and houses written, keyed by the step each
     write is made at: each person added, each CountedPerson attribute
@@ -374,16 +380,24 @@ class Journal:
 
     def since(self, step: int | None) -> tuple[set[int], set[int]] | None:
         """The person ids and house ids written at `step` or later, in new
-        sets; None when `step` is None or this journal cannot tell."""
+        sets, or EMPTY_WINDOW, with no set built, when there are none;
+        None when `step` is None or this journal cannot tell."""
         if step is None or step <= self._forgotten:
             return None
-        persons, houses = set(), set()
-        for at, p, h in (self._older, (self._step, self._persons,
-                                       self._houses)):
-            if at >= step:
-                persons |= p
-                houses |= h
-        return persons, houses
+        if self._step < step:  # the newest step written at is older
+            return EMPTY_WINDOW
+        at, persons, houses = self._older
+        if at >= step:
+            persons, houses = persons | self._persons, houses | self._houses
+        else:
+            persons, houses = set(self._persons), set(self._houses)
+        return (persons, houses) if persons or houses else EMPTY_WINDOW
+
+    def wrote_at(self, step: int) -> bool:
+        """Whether anything was written at `step`, or may have been and
+        is forgotten."""
+        return step <= self._forgotten or step in (self._step,
+                                                   self._older[0])
 
 
 @dataclass(slots=True)
@@ -404,10 +418,12 @@ class WorldState:
     # index, synced by its check's rule, is kept bare
     kept: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
-    # changed_since's (step, journal writes) key, its answer there and the
-    # first step of the quiet run that answer reaches back to
-    _changed: tuple = field(default=((None, None), None, None), init=False,
-                            repr=False)
+    # changed_since's key (the step and the journal's writes), its answer
+    # there, the first step of the quiet run that answer reaches back to,
+    # and whether that step is quiet: nothing written at the step before
+    # it, and no cohort turned at it
+    _changed: tuple = field(default=(None, None, None, None, False),
+                            init=False, repr=False)
     # whether every person is a CountedPerson (keep_census)
     _counted: bool = field(default=False, init=False, repr=False)
 
@@ -467,11 +483,13 @@ class WorldState:
         those turning ADULT_YEARS, a step past it (men join the marriage
         pool then) or MOTHER_AGE_LIMIT_YEARS, and the parents of the
         children a step past their first birthday (the birth spacing)."""
-        time, persons = self.time, self.persons
-        adult = time.born_years_ago(ADULT_YEARS)
-        turned = {*self.born_at(adult), *self.born_at(adult - 1),
-                  *self.born_at(time.born_years_ago(MOTHER_AGE_LIMIT_YEARS))}
-        for pid in self.born_at(time.born_years_ago(1) - 1):
+        self.keep_census()
+        now, spy = self.time.step_index, self.time.steps_per_year
+        persons, cohort = self.persons, self._born.get
+        adult = now - ADULT_YEARS * spy
+        turned = {*cohort(adult, ()), *cohort(adult - 1, ()),
+                  *cohort(now - MOTHER_AGE_LIMIT_YEARS * spy, ())}
+        for pid in cohort(now - spy - 1, ()):
             p = persons[pid]
             turned.update(q for q in (p.mother, p.father) if q is not None)
         return turned
@@ -480,32 +498,39 @@ class WorldState:
         """What a reader that last read this state at `step` must look at
         again: the persons and houses journaled since the previous step,
         the parents, partner and house of each such person, and
-        clock_turned. One answer for any `step` from `calm` to now, where
-        `calm` is the previous step, or where it was at the previous step
-        when the answer last computed there was empty: each answer of that
-        quiet run was computed after the clock left the step before it, so
-        from `calm` on nothing was journaled before the previous step and
-        no cohort turned before this one. None for any other `step`, or
-        when the journal cannot tell, and the reader then reads everyone.
-        The first call starts keep_census. Kept until the clock moves or the
-        journal is written, so readers must not change the sets."""
-        self.keep_census()
-        now, persons = self.time.step_index, self.persons
-        (at, writes), window, calm = self._changed
-        if (at, writes) != (now, self.journal.writes):
+        clock_turned; EMPTY_WINDOW, shared and built once, when that is
+        nothing. One answer for any `step` from `calm` to now, where `calm`
+        is the previous step, or where it was at the previous step when
+        that step was quiet: nothing was journaled at the step before it
+        and no cohort turned at it. A reader at step k needs the writes
+        made from k on and the cohorts of the steps after k; the answer
+        holds those of the previous step and this one, and the quiet steps
+        from `calm` on add none. None for any other `step`, or when the
+        journal cannot tell, and the reader then reads everyone. The first
+        call starts keep_census. Kept until the clock moves or the journal
+        is written, so readers must not change the sets."""
+        at, writes, window, calm, quiet = self._changed
+        now, journal = self.time.step_index, self.journal
+        if at != now or writes != journal.writes:
+            self.keep_census()
             if at != now:
-                calm = (calm if at == now - 1 and window == (set(), set())
-                        else now - 1)
-            window = self.journal.since(now - 1)
-            if window is not None:
+                calm = calm if at == now - 1 and quiet else now - 1
+            window = journal.since(now - 1)
+            turned = self.clock_turned() if window is not None else ()
+            quiet = not (turned or journal.wrote_at(now - 1))
+            if window is EMPTY_WINDOW:
+                if turned:
+                    window = (turned, set())
+            elif window is not None:
+                persons = self.persons
                 pids, hids = window
                 for p in [*filter(None, map(persons.get, pids))]:
                     pids.update(q for q in (p.mother, p.father, p.partner)
                                 if q in persons)
                     hids.add(p.house)
                 hids.discard(None)
-                pids |= self.clock_turned()
-            self._changed = ((now, self.journal.writes), window, calm)
+                pids |= turned
+            self._changed = (now, journal.writes, window, calm, quiet)
         return window if step is not None and calm <= step <= now else None
 
     def roster(self, holds: Callable[[WorldState, Person], bool]) -> list[int]:
@@ -513,11 +538,15 @@ class WorldState:
         holds(state, person) is true; holds reads only the live state and
         the clock. Kept in `kept` under holds, with the step it was read
         at: only the persons in changed_since(that step) are evaluated
-        again, or everyone when that is None. So a roster sees what a
-        freeze and the checks see. Callers must not change the list."""
+        again, or everyone when that is None; on EMPTY_WINDOW the kept
+        list is returned as it is, and its step, which the window reaches
+        back to, stays. So a roster sees what a freeze and the checks see.
+        Callers must not change the list."""
         persons = self.persons
         read_at, ids = self.kept.get(holds, (None, None))
         changed = self.changed_since(read_at)
+        if changed is EMPTY_WINDOW:
+            return ids
         if changed is None:
             ids = [pid for pid, p in persons.items() if holds(self, p)]
         else:

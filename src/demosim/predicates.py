@@ -45,6 +45,11 @@ class Snapshot:
         persons = state.persons
         self.step_index = state.time.step_index
         self.known = range(state.next_person_id)
+        if written is not None and not written:  # nobody: share them all
+            self.alive, self.partner, self.house = (base.alive, base.partner,
+                                                    base.house)
+            self.gave_birth = base.gave_birth
+            return
         if written is None:  # everyone, onto empty columns
             base = SimpleNamespace(alive=set(), partner={}, house={},
                                    gave_birth=set())
@@ -119,7 +124,10 @@ class SnapshotStore:
 
     def before(self, step_index: int) -> Snapshot:
         """Newest snapshot strictly older than the given step."""
-        for snap in reversed(self._snaps):
+        snaps = self._snaps
+        if snaps and snaps[-1].step_index < step_index:  # the usual case
+            return snaps[-1]
+        for snap in reversed(snaps):
             if snap.step_index < step_index:
                 return snap
         raise MissingSnapshotError(

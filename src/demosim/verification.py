@@ -20,10 +20,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .model import (ADULT_YEARS, MALE, MOTHER_AGE_LIMIT_YEARS, Fault, House,
-                    Person, WorldState, dead_residence_faults, house_xy_faults,
-                    is_orphan_oldest_sibling, partnership_faults,
-                    residence_faults)
+from .model import (ADULT_YEARS, EMPTY_WINDOW, MALE, MOTHER_AGE_LIMIT_YEARS,
+                    Fault, House, Person, WorldState, dead_residence_faults,
+                    house_xy_faults, is_orphan_oldest_sibling,
+                    partnership_faults, residence_faults)
 from .predicates import Snapshot, SnapshotStore
 from .events import DEFAULT_EVENT_ORDER, validate_event_order
 
@@ -586,21 +586,40 @@ def check_initial(state: WorldState,
     return out
 
 
+# check_step's one-entry memo: (registry, its hard every-step entries, their
+# labels). run() hands every call one registry, so after its first step
+# every call hits; a call with another registry replaces the entry. A
+# registry is a tuple and cannot change, so the entry never goes stale;
+# holding it keeps the registry alive, and its id from being reused.
+_hard_memo: tuple = (None, (), ())
+
+
+def _hard_checks(registry: tuple[Assumption, ...]) -> tuple:
+    """(registry, its hard every-step entries in order, their labels)."""
+    global _hard_memo
+    if _hard_memo[0] is registry:
+        return _hard_memo
+    hard = tuple(a for a in registry
+                 if a.scope == "every_step" and a.kind == "hard")
+    entry = (registry, hard, tuple(a.label for a in hard))
+    if type(registry) is tuple:  # any other sequence may change: not kept
+        _hard_memo = entry
+    return entry
+
+
 def check_step(state: WorldState, snaps: SnapshotStore,
                registry: tuple[Assumption, ...] | None = None
                ) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
     run, each from where it last read the state. None runs when the last
     call that ran them, with the same hard checks (by label), flagged
-    nothing and changed_since(its step) is empty. That call's step and
-    labels are kept in state.kept[check_step]; a call that runs no check
-    writes nothing."""
+    nothing and changed_since(its step) is EMPTY_WINDOW. That call's step
+    and labels are kept in state.kept[check_step]; a call that runs no
+    check writes nothing."""
     registry = build_registry() if registry is None else registry
-    hard = [a for a in registry
-            if a.scope == "every_step" and a.kind == "hard"]
-    labels = [a.label for a in hard]
+    _, hard, labels = _hard_checks(registry)
     at, ran = state.kept.get(check_step, (None, None))
-    if ran == labels and state.changed_since(at) == (set(), set()):
+    if ran == labels and state.changed_since(at) is EMPTY_WINDOW:
         return []
     out = [v for a in hard for v in a.check(state, snaps)]
     if out:

@@ -475,6 +475,23 @@ def test_uniforms_pass_over_only_top_bytes_at_or_above(below):
     assert [u for _, u in drawn] == [values[k] for k in visited]
 
 
+@pytest.mark.parametrize("below", [255.5 / 256, 1.0, 1.5])
+def test_uniforms_at_full_pass_are_read_one_at_a_time(below):
+    """Where the screen passes every top byte, _screened reads each draw
+    through random(): it yields the random() values, leaves the generator
+    where they leave it, and makes no getrandbits() call."""
+    rng, ref = random.Random(7), random.Random(7)
+    words = []
+    rng.getrandbits = lambda k: words.append(k) or ref.getrandbits(k)
+    drawn = list(_screened(rng, 300, below))
+    assert drawn == [(i, ref.random()) for i in range(300)]
+    assert rng.getstate() == ref.getstate()
+    assert words == []
+    # a screen that passes over the top byte 255 batches them
+    _screened(rng, 300, 255 / 256)
+    assert words == [64 * 300]
+
+
 @pytest.mark.parametrize("cls", [CountingRandom, WordsRandom])
 def test_uniforms_serve_an_overridden_class_through_random(cls):
     """Random.__init_subclass__ serves _randbelow through an overridden

@@ -10,11 +10,13 @@ in bench/pins.json.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import random
 
 import pytest
 
+from demosim import events
 from demosim.cli import build_config
 from demosim.engine import TimeSeries, run, state_digest
 from demosim.events import step
@@ -66,6 +68,15 @@ GOLDEN = {
          "t_final": "2022", "seed": "8"},
         "8bdd6e7ffc5dc7fe",
         "b4e94f2ca05423e401a0662cc57aaa60f07efdb4b61a54fe6f71b7bd8dedea7c"),
+    # a frail population on a monthly clock: its deaths screen passes from
+    # 11 of the 256 top bytes to all of them, where each draw is read
+    # through random() (see test_frail_screen_passes_every_draw)
+    "frail_monthly": (
+        {"initial_pop": "1000", "delta_t": "monthly", "t0": "2020",
+         "t_final": "2040", "basic_death_rate": "0.02",
+         "female_age_scaling": "9", "seed": "7"},
+        "4904421a407b1fc7",
+        "ab63999e0c02d2a2edf2b1706e276c643d545554da72d7b4c3efd56332a39e33"),
 }
 
 
@@ -77,6 +88,24 @@ def test_golden_trajectory(name):
     assert result.digest == digest
     assert hashlib.sha256(
         result.timeseries.to_csv().encode()).hexdigest() == series_sha256
+
+
+def test_frail_screen_passes_every_draw(monkeypatch):
+    """The frail_monthly pin reaches the screen's every-draw path: the top
+    bytes its deaths screen passes run from 11 to all 256, which they are
+    at 62 of its 240 steps."""
+    passed = []
+    screened = events._screened
+
+    def recorded(rng, n, below):
+        passed.append(math.ceil(256 * below))
+        return screened(rng, n, below)
+
+    monkeypatch.setattr(events, "_screened", recorded)
+    result = run(build_config(GOLDEN["frail_monthly"][0]))
+    assert result.digest == GOLDEN["frail_monthly"][1]
+    assert (min(passed), max(passed), passed.count(256), len(passed)) == (
+        11, 256, 62, 240)
 
 
 # state_digest right after init_world with seed 1, for the init_20k and

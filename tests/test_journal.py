@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
 from pathlib import Path
 
-from conftest import add_house, add_person, add_town, make_state
+import pytest
+
+from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.cli import build_config
+from demosim.engine import TimeSeries
 from demosim.events import step
 from demosim.initialization import init_world
-from demosim.model import (FEMALE, House, Journal, link_partners,
-                           mark_dead, unlink_partners)
+from demosim.model import (EMPTY_WINDOW, FEMALE, House, Journal, WorldState,
+                           link_partners, mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
 from demosim.space import create_house, leave_house, move_person
@@ -328,3 +332,74 @@ def test_window_is_computed_once_per_step(monkeypatch):
                      outcome.divorced, outcome.adults_moved))
     assert busy > 0
     assert len(calls) <= steps + busy
+
+
+def test_a_quiet_step_shares_one_empty_window(monkeypatch):
+    """On a quiet step of a seed-1 hourly stretch (nothing journaled at
+    it or the step before, and no cohort turned), every reader of the step
+    (the five rosters, the freeze, check_step's idle test and the
+    empty-house count) gets the one EMPTY_WINDOW, and Journal.since
+    answers it itself, with no set built."""
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    registry, series = build_registry(), TimeSeries()
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    answers, journal_answers = [], []
+    real_changed, real_since = WorldState.changed_since, Journal.since
+
+    def changed_since(self, at):
+        window = real_changed(self, at)
+        answers.append((sys._getframe(1).f_code.co_name, window))
+        return window
+
+    def since(journal, at):
+        window = real_since(journal, at)
+        journal_answers.append(window)
+        return window
+
+    monkeypatch.setattr(WorldState, "changed_since", changed_since)
+    monkeypatch.setattr(Journal, "since", since)
+    quiet, wrote_before = 0, True
+    for i in range(1, 24 * 120 + 1):
+        answers.clear()
+        journal_answers.clear()
+        outcome = step(state, ctx, snaps, rng)
+        assert check_step(state, snaps, registry) == []
+        series.append(state, i, 0, 0, 0, 0, 0)
+        wrote = any((outcome.born, outcome.died, outcome.married,
+                     outcome.divorced, outcome.adults_moved))
+        if not (wrote or wrote_before or state.clock_turned()):
+            quiet += 1
+            assert [w for _, w in answers if w is not EMPTY_WINDOW] == []
+            assert sorted(name for name, _ in answers) == sorted(
+                ["roster"] * 5 + ["freeze", "check_step", "_empty_houses"])
+            assert journal_answers == [EMPTY_WINDOW]
+            assert journal_answers[0] is EMPTY_WINDOW
+        wrote_before = wrote
+    assert quiet > 2500
+
+
+def test_a_reader_cannot_change_the_shared_window():
+    """The empty window is shared by every reader of every state, so a
+    reader that tries to add to it raises instead of leaking ids into the
+    next reader's window."""
+    state, *_ = family_state()
+    state.time.step_index = 1
+    assert state.changed_since(None) is None  # starts the hook
+    state.time.step_index = 3
+    window = state.changed_since(2)
+    assert window is EMPTY_WINDOW
+    persons, houses = window
+    with pytest.raises(AttributeError):
+        persons.add(1)
+    with pytest.raises(AttributeError):
+        houses.update({1})
+    with pytest.raises(TypeError):
+        window[0] = {1}
+    assert window == (set(), set())
+    assert make_state().journal.since(1) is EMPTY_WINDOW

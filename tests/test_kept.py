@@ -15,6 +15,7 @@ however many registries read the state.
 from __future__ import annotations
 
 import random
+import sys
 from collections import defaultdict
 from dataclasses import replace
 
@@ -28,9 +29,10 @@ from demosim.cli import build_config
 from demosim.engine import TimeSeries
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
+from demosim.model import WorldState
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
-from demosim.verification import build_registry, check_step
+from demosim.verification import Assumption, build_registry, check_step
 
 # hard check -> the rule or step-change body it hands its persons to, and
 # the position of the persons among that callable's arguments
@@ -181,6 +183,83 @@ def test_sparse_reader_reads_the_quiet_run(monkeypatch):
         calls += 1
         idle += not seen
     assert calls == 365 and idle >= 300, idle
+
+
+def test_idle_test_compares_the_hard_labels():
+    """On a step where check_step with a kept registry runs no check, a
+    registry with one hard check fewer, or one more, still runs each of its
+    hard checks: the idle test compares the labels of the last call that
+    ran them, whichever registry check_step's memo holds. Each result is
+    the oracle's."""
+    config = build_config({"initial_pop": "200", "delta_t": "hourly",
+                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    ran = []
+
+    def counted(a):
+        def check(state, snaps):
+            ran.append(a.label)
+            return a.check(state, snaps)
+        return replace(a, check=check)
+
+    full = tuple(counted(a) if a.scope == "every_step" and a.kind == "hard"
+                 else a for a in build_registry())
+    fewer = tuple(a for a in full if a.label != "a_homeless")
+    more = (*full, counted(Assumption("a_extra", "every_step",
+                                      lambda state, snaps: [])))
+    idle = 0
+    for _ in range(200):
+        step(state, ctx, snaps, rng)
+        ran.clear()
+        expected = oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+        assert check_step(state, snaps, full) == expected
+        if ran:
+            continue
+        idle += 1
+        for registry, runs in ((fewer, sorted(set(HARD) - {"a_homeless"})),
+                               (full, HARD), (full, []),
+                               (more, [*HARD, "a_extra"]), (full, HARD)):
+            ran.clear()
+            assert check_step(state, snaps, registry) == expected
+            assert sorted(ran) == sorted(runs)
+    assert idle > 150
+
+
+@pytest.mark.parametrize("name", ["daily_decade", "hourly_year"])
+def test_rosters_read_the_window_after_the_first_step(monkeypatch, name):
+    """Stepped as run() steps them, the five rosters never read everyone
+    after step 1: a roster that returned its list on the empty window, and
+    so kept the step it read before, reads the window at the next step,
+    even after a write later in the step it returned at."""
+    params = IDLE_RUNS[name][0]
+    config = build_config({**params, "seed": "1"})
+    rng = random.Random(1)
+    state, _ = init_world(config.model, config.sim, config.data,
+                          config.density, rng)
+    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
+    registry, series = build_registry(), TimeSeries()
+    snaps = SnapshotStore()
+    snaps.freeze(state)
+    real, swept = WorldState.changed_since, []
+
+    def changed_since(self, at):
+        window = real(self, at)
+        if window is None and sys._getframe(1).f_code.co_name == "roster":
+            swept.append(self.time.step_index)
+        return window
+
+    monkeypatch.setattr(WorldState, "changed_since", changed_since)
+    for i in range(1, 1001):
+        outcome = step(state, ctx, snaps, rng)
+        assert check_step(state, snaps, registry) == []
+        series.append(state, i, len(outcome.born), len(outcome.died),
+                      len(outcome.married), len(outcome.divorced), 0)
+    assert swept == [1] * 5
 
 
 def test_kept_stays_bounded():
