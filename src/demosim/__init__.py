@@ -1,7 +1,7 @@
 """Discrete-time, fixed-step demographic simulation over a town grid, with
 snapshot-based temporal predicates and runtime assumption verification."""
-from .engine import (RunConfig, RunResult, TimeSeries, resolve_seed, run,
-                     run_batch, state_digest)
+from .engine import (Run, RunConfig, RunResult, TimeSeries, resolve_seed,
+                     run, run_batch, state_digest)
 from .events import (DEFAULT_EVENT_ORDER, StepOutcome, age_factor,
                      children_factor, geo_factor, marriage_weight, step)
 from .initialization import InitReport, init_world
@@ -27,7 +27,7 @@ __all__ = [
     "ConfigError", "DEFAULT_EVENT_ORDER", "DataFormatError", "DensityMap",
     "FEMALE", "FertilityTable", "GroupPredicate", "House", "InitReport",
     "IntegrityError", "MALE", "MissingSnapshotError", "ModelData",
-    "ModelParams", "Person", "RateContext", "RunConfig", "RunResult",
+    "ModelParams", "Person", "RateContext", "Run", "RunConfig", "RunResult",
     "SimTime", "SimulationError", "SimulationParams", "Snapshot",
     "SnapshotStore", "StepOutcome", "SubPopulation", "TimeSeries", "Town",
     "Violation", "WorldState", "age_factor", "build_registry", "build_towns",

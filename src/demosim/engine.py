@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 
-from .events import DEFAULT_EVENT_ORDER, step, validate_event_order
+from .events import (DEFAULT_EVENT_ORDER, StepOutcome, step,
+                     validate_event_order)
 from .initialization import InitReport, init_world
 from .model import (EMPTY_WINDOW, AssumptionFailure, IntegrityError,
                     ModelData, ModelParams, SimulationParams, WorldState,
@@ -94,7 +95,7 @@ class TimeSeries:
     def append(self, state: WorldState, step_index: int, births: int,
                deaths: int, marriages: int, divorces: int,
                violations: int) -> None:
-        # the conservation check in run() compares consecutive rows, so the
+        # Run.advance's conservation check compares consecutive rows, so the
         # counts are kept by the person writes (WorldState.census), not by
         # the events: a death no event reports still moves them
         alive, males, born_sum = state.census()
@@ -189,98 +190,112 @@ def write_artifacts(out_dir: str, series: TimeSeries,
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute one full run: init, initial checks, (t_final - t0) * N steps
-    of events + per-step checks + retrospective space checks.
+class Run:
+    """One run: Run(config) builds and checks the world (step 0), advance()
+    runs one step and finish() returns the RunResult. In fail mode the first
+    violating step raises AssumptionFailure after writing the artifacts so
+    far; warn mode records violations and goes on. A Run pickles and copies."""
 
-    In fail mode the first violating step aborts the run with
-    AssumptionFailure after writing the artifacts accumulated so far; warn
-    mode records violations and keeps going.
-    """
-    sim = config.sim
-    seed = resolve_seed(sim.seed)
-    rng = random.Random(seed)
-    spy = sim.steps_per_year
-    ctx = RateContext(config.model, config.data, spy)
-    registry = build_registry(config.event_order)
+    def __init__(self, config: RunConfig) -> None:
+        self.config, sim = config, config.sim
+        self.seed = resolve_seed(sim.seed)
+        self.rng = random.Random(self.seed)
+        self.ctx = RateContext(config.model, config.data, sim.steps_per_year)
+        self.registry = build_registry(config.event_order)
+        self.steps_planned = (sim.t_final - sim.t0) * sim.steps_per_year
+        self.state, self.init_report = init_world(
+            config.model, sim, config.data, config.density, self.rng)
+        if problems := validate_world(self.state):
+            raise IntegrityError(
+                f"initialization produced a broken world: {problems[:5]}")
+        self.series = TimeSeries()
+        self.violations = check_initial(self.state, self.registry)
+        self.series.append(self.state, 0, 0, 0, 0, 0, len(self.violations))
+        if self.violations and config.verification_mode == "fail":
+            self.fail()
+        self.snaps = SnapshotStore()
+        self.snaps.freeze(self.state)
+        self.space = SpaceDigest.of(self.state)
 
-    state, report = init_world(config.model, sim, config.data,
-                               config.density, rng)
-    problems = validate_world(state)
-    if problems:
-        raise IntegrityError(
-            f"initialization produced a broken world: {problems[:5]}")
+    def __getstate__(self) -> dict:
+        # a registry's checks are closures, which do not pickle; it keeps
+        # no state (WorldState.kept does), so a copy builds it again
+        return {**self.__dict__, "registry": None}
 
-    series = TimeSeries()
-    all_violations: list[Violation] = []
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, registry=build_registry(
+            state["config"].event_order))
 
-    def summarize(final_digest: str, completed_steps: int,
-                  aborted: bool) -> dict:
-        return {
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            "config": config.config_echo,
-            "seed": seed,
-            "event_order": list(config.event_order),
-            "verification_mode": config.verification_mode,
-            "steps_completed": completed_steps,
-            "steps_planned": (sim.t_final - sim.t0) * spy,
-            "aborted_on_violation": aborted,
-            "final_digest": final_digest,
-            "totals": {name: sum(map(itemgetter(i), series.rows))
-                       for name, i in _TOTALS.items()},
-            "final_alive": series.rows[-1][_ALIVE],
-            "final_houses": len(state.houses),
-            "init": report.to_dict(),
-        }
-
-    def fail(completed_steps: int) -> None:
-        if config.out_dir is not None:
-            write_artifacts(config.out_dir, series, all_violations,
-                            summarize(state_digest(state), completed_steps,
-                                      aborted=True))
-        first = all_violations[0]
-        raise AssumptionFailure(
-            f"{len(all_violations)} violation(s); first: {first.label} at "
-            f"step {first.step_index}: {first.detail}")
-
-    initial_violations = check_initial(state, registry)
-    all_violations.extend(initial_violations)
-    series.append(state, 0, 0, 0, 0, 0, len(initial_violations))
-    if initial_violations and config.verification_mode == "fail":
-        fail(0)
-
-    snaps = SnapshotStore()
-    snaps.freeze(state)
-    space_before = SpaceDigest.of(state)
-
-    total_steps = (sim.t_final - sim.t0) * spy
-    order, append, rows = config.event_order, series.append, series.rows
-    for i in range(1, total_steps + 1):
-        outcome = step(state, ctx, snaps, rng, order)
-        step_violations = check_step(state, snaps, registry)
-        space_after = SpaceDigest.of(state)
-        step_violations.extend(space_changes(space_before, space_after, i))
-        space_before = space_after
-        all_violations.extend(step_violations)
+    def advance(self) -> StepOutcome:
+        """One step: the events, the per-step and space checks, the
+        time-series row and the conservation check."""
+        state, snaps = self.state, self.snaps
+        outcome = step(state, self.ctx, snaps, self.rng,
+                       self.config.event_order)
+        i = outcome.step_index
+        found = check_step(state, snaps, self.registry)
+        before, self.space = self.space, SpaceDigest.of(state)
+        found.extend(space_changes(before, self.space, i))
+        self.violations.extend(found)
         births, deaths = len(outcome.born), len(outcome.died)
-        append(state, i, births, deaths, len(outcome.married),
-               len(outcome.divorced), len(step_violations))
+        rows = self.series.rows
+        self.series.append(state, i, births, deaths, len(outcome.married),
+                           len(outcome.divorced), len(found))
         # checks do not mutate, so the last two rows bracket this step
         delta = rows[-1][_ALIVE] - rows[-2][_ALIVE]
         if delta != births - deaths:
             raise IntegrityError(
                 f"step {i}: alive delta {delta} != "
                 f"births {births} - deaths {deaths}")
-        if step_violations and config.verification_mode == "fail":
-            fail(i)
+        if found and self.config.verification_mode == "fail":
+            self.fail()
+        return outcome
 
-    digest = state_digest(state)
-    summary = summarize(digest, total_steps, aborted=False)
-    if config.out_dir is not None:
-        write_artifacts(config.out_dir, series, all_violations, summary)
-    return RunResult(timeseries=series, digest=digest,
-                     violations=all_violations, state=state,
-                     init_report=report, seed=seed, summary=summary)
+    def summarize(self, aborted: bool) -> tuple[str, dict]:
+        """The digest and summary so far; writes the artifacts to an out_dir."""
+        config, rows = self.config, self.series.rows
+        digest = state_digest(self.state)
+        summary = {
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "config": config.config_echo,
+            "seed": self.seed,
+            "event_order": list(config.event_order),
+            "verification_mode": config.verification_mode,
+            "steps_completed": self.state.time.step_index,
+            "steps_planned": self.steps_planned,
+            "aborted_on_violation": aborted,
+            "final_digest": digest,
+            "totals": {name: sum(map(itemgetter(i), rows))
+                       for name, i in _TOTALS.items()},
+            "final_alive": rows[-1][_ALIVE],
+            "final_houses": len(self.state.houses),
+            "init": self.init_report.to_dict(),
+        }
+        if config.out_dir is not None:
+            write_artifacts(config.out_dir, self.series, self.violations,
+                            summary)
+        return digest, summary
+
+    def fail(self) -> None:
+        self.summarize(aborted=True)
+        first = self.violations[0]
+        raise AssumptionFailure(
+            f"{len(self.violations)} violation(s); first: {first.label} at "
+            f"step {first.step_index}: {first.detail}")
+
+    def finish(self) -> RunResult:
+        digest, summary = self.summarize(aborted=False)
+        return RunResult(self.series, digest, self.violations,
+                         self.state, self.init_report, self.seed, summary)
+
+
+def run(config: RunConfig) -> RunResult:
+    """Execute one full run: init, initial checks, (t_final - t0) * N steps
+    of events + per-step checks + retrospective space checks (see Run)."""
+    r = Run(config)
+    for _ in range(r.steps_planned):
+        r.advance()
+    return r.finish()
 
 
 def run_batch(config: RunConfig, replicates: int,

@@ -320,10 +320,17 @@ class HouseRecords(dict, MutableMapping):
         return self
 
 
+class _EmptyWindow(tuple):
+    """EMPTY_WINDOW's type: a copy or unpickle of it is EMPTY_WINDOW."""
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "EMPTY_WINDOW"
+
+
 # the change window of a step on which nothing was journaled and no clock
 # cohort turned: one answer, shared by every reader, which none can change
-EMPTY_WINDOW: tuple[frozenset[int], frozenset[int]] = (frozenset(),
-                                                        frozenset())
+EMPTY_WINDOW = _EmptyWindow((frozenset(), frozenset()))
 
 
 class Journal:

@@ -1,12 +1,13 @@
-"""Shared builders for hand-made worlds. Tests construct small states
-directly instead of going through initialization, so each test controls
-exactly what the world contains."""
+"""Shared builders for hand-made worlds, and the faults tests write into a
+run's world. Tests construct small states directly instead of going
+through initialization, so each test controls exactly what the world
+contains."""
 from __future__ import annotations
 
 import pytest
 
-from demosim.model import (FEMALE, MALE, House, Person, SimTime, Town,
-                           WorldState, link_partners)
+from demosim.model import (ADULT_YEARS, FEMALE, MALE, House, Person, SimTime,
+                           Town, WorldState, link_partners)
 
 DAILY = 365
 
@@ -66,6 +67,28 @@ def family_state():
     mum.children.add(kid.id)
     single = add_person(state, FEMALE, 27, h1)
     return state, town, (h0, h1), (dad, mum, kid, single)
+
+
+def marry_minor(state: WorldState) -> int:
+    """Link a single adult man to a single girl of 9 to 15 years, a
+    partnership no event makes; return the girl's id."""
+    spy = state.time.steps_per_year
+    single = [p for p in state.persons.values()
+              if p.alive and p.partner is None]
+    man = next(p for p in single
+               if p.gender == MALE and p.age_steps >= ADULT_YEARS * spy)
+    girl = next(p for p in single
+                if p.gender == FEMALE and 9 * spy <= p.age_steps < 16 * spy)
+    link_partners(state, man, girl)
+    return girl.id
+
+
+def demolish(state: WorldState) -> None:
+    """Drop every other occupied house, as no event does."""
+    occupied = sorted(h.id for h in state.houses.values() if h.occupants)
+    for hid in occupied[::2]:
+        house = state.houses.pop(hid)
+        state.towns[house.town].houses.discard(hid)
 
 
 @pytest.fixture

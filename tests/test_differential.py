@@ -55,7 +55,7 @@ import oracle
 from conftest import DAILY, add_house, add_town, family_state
 from oracle import (check_housing_kinship, kinship_roots, marriage_eligible,
                     reproducible_women)
-from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS
+from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS, chain_config
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
 from demosim.cli import build_config
@@ -691,10 +691,7 @@ def test_hourly_chain_checks_match_oracle(seed, order):
     """The hourly config of the per-step digest chains, where most steps
     journal nothing: check_step with a kept registry and the every-step
     entries called one at a time must match the oracle at every step."""
-    config = build_config({"initial_pop": "120", "delta_t": "hourly",
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, "hourly", order)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -885,10 +882,7 @@ def test_snapshots_match_full_copies_under_faults(monkeypatch, seed, order):
 @pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
 def test_snapshots_match_full_copies_on_chain_configs(seed, clock, order):
     """The fault-free configs of the per-step digest chains."""
-    config = build_config({"initial_pop": "120", "delta_t": clock,
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, clock, order)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -961,10 +955,7 @@ def test_census_matches_recount_under_faults(monkeypatch, seed, order):
 @pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
 @pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
 def test_census_matches_recount_on_chain_configs(seed, clock, order):
-    config = build_config({"initial_pop": "120", "delta_t": clock,
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, clock, order)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -1008,10 +999,7 @@ def test_houses_empty_matches_recount_under_faults(monkeypatch, seed, order):
 @pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
 @pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
 def test_houses_empty_matches_recount_on_chain_configs(seed, clock, order):
-    config = build_config({"initial_pop": "120", "delta_t": clock,
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, clock, order)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -1090,10 +1078,7 @@ def test_window_reaches_back_soundly_on_chain_configs(monkeypatch, seed,
                                                       clock, order):
     """Where most steps journal nothing, the answer reaches back over
     quiet runs of more than a step."""
-    config = build_config({"initial_pop": "120", "delta_t": clock,
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, clock, order)
     log = NoteLog(monkeypatch)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
@@ -1266,10 +1251,7 @@ def test_rosters_match_full_scans_under_faults(monkeypatch, seed, order):
 def test_rosters_match_full_scans_on_chain_configs(monkeypatch, seed, clock,
                                                    order):
     """The fault-free configs of the per-step digest chains."""
-    config = build_config({"initial_pop": "120", "delta_t": clock,
-                           "t0": "2020", "t_final": "2100",
-                           "seed": str(seed), "event_order": order,
-                           **CHAIN_RUNS[seed]})
+    config = chain_config(seed, clock, order)
     rng = random.Random(seed)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)

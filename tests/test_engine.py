@@ -10,22 +10,25 @@ import random
 
 import pytest
 
+from conftest import demolish, marry_minor
+from test_journal import package_callers
 import demosim.engine as engine
 from demosim.engine import (RunConfig, TimeSeries, TIMESERIES_HEADER,
                             resolve_seed, run, run_batch, state_digest,
                             violations_csv)
 from demosim.events import step
-from demosim.model import (ADULT_YEARS, FEMALE, MALE, AssumptionFailure,
-                           CountedPerson, HouseRecords, IntegrityError,
-                           ModelParams, SimulationParams, link_partners)
+from demosim.model import (AssumptionFailure, CountedPerson, HouseRecords,
+                           IntegrityError, ModelParams, SimulationParams)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.space import DensityMap
 from demosim.verification import Violation
 
 
-def config(pop=200, seed=7, t_final=2021, **kwargs) -> RunConfig:
-    return RunConfig(sim=SimulationParams(t0=2020, t_final=t_final, seed=seed),
+def config(pop=200, seed=7, t_final=2021, delta_t="daily",
+           **kwargs) -> RunConfig:
+    return RunConfig(sim=SimulationParams(t0=2020, t_final=t_final,
+                                          delta_t=delta_t, seed=seed),
                      model=ModelParams(initial_pop=pop),
                      data=default_model_data(),
                      density=DensityMap.default(), **kwargs)
@@ -156,11 +159,7 @@ def test_run_state_copies_with_its_hooks(copy_state):
     original's. After a step on each, the copy's readers have found what
     it kept under the same keys as the original's: its kept data is the
     same size, with no key of the copy's own."""
-    cfg = RunConfig(
-        sim=SimulationParams(t0=2020, t_final=2022, delta_t="monthly",
-                             seed=1),
-        model=ModelParams(initial_pop=300), data=default_model_data(),
-        density=DensityMap.default())
+    cfg = config(pop=300, seed=1, t_final=2022, delta_t="monthly")
     state = run(cfg).state
     twin = copy_state(state)
     assert state_digest(twin) == state_digest(state)
@@ -217,17 +216,13 @@ def test_homeless_persons_do_not_stop_warn_mode(monkeypatch):
     up) and flags a_homeless on every step from then on."""
     real_step = engine.step
 
-    def demolish(state, *args):
+    def demolishing(state, *args):
         outcome = real_step(state, *args)
         if state.time.step_index == 1:
-            occupied = sorted(h.id for h in state.houses.values()
-                              if h.occupants)
-            for hid in occupied[::2]:
-                house = state.houses.pop(hid)
-                state.towns[house.town].houses.discard(hid)
+            demolish(state)
         return outcome
 
-    monkeypatch.setattr(engine, "step", demolish)
+    monkeypatch.setattr(engine, "step", demolishing)
     result = run(config(pop=300, seed=3, verification_mode="warn"))
     assert result.summary["steps_completed"] == 365
     flagged = {v.step_index for v in result.violations
@@ -244,26 +239,15 @@ def test_married_minor_does_not_stop_warn_mode(monkeypatch):
     real_step = engine.step
     minors = []
 
-    def marry_minor(state, *args):
+    def marrying(state, *args):
         outcome = real_step(state, *args)
         if state.time.step_index == 2:
-            spy = state.time.steps_per_year
-            single = [p for p in state.persons.values()
-                      if p.alive and p.partner is None]
-            man = next(p for p in single if p.gender == MALE
-                       and p.age_steps >= ADULT_YEARS * spy)
-            girl = next(p for p in single if p.gender == FEMALE
-                        and 9 * spy <= p.age_steps < 16 * spy)
-            link_partners(state, man, girl)
-            minors.append(girl.id)
+            minors.append(marry_minor(state))
         return outcome
 
-    monkeypatch.setattr(engine, "step", marry_minor)
-    result = run(RunConfig(
-        sim=SimulationParams(t0=2020, t_final=2022, delta_t="monthly",
-                             seed=1),
-        model=ModelParams(initial_pop=300), data=default_model_data(),
-        density=DensityMap.default(), verification_mode="warn"))
+    monkeypatch.setattr(engine, "step", marrying)
+    result = run(config(pop=300, seed=1, t_final=2022, delta_t="monthly",
+                        verification_mode="warn"))
     assert result.summary["steps_completed"] == 24
     flagged = [v for v in result.violations
                if v.label == "a_p_marriage_age"]
@@ -288,3 +272,11 @@ def test_conservation_check_fires(monkeypatch, mode):
     monkeypatch.setattr(engine, "step", lose_one)
     with pytest.raises(IntegrityError, match="step 3: alive delta"):
         run(config(pop=100, seed=5, verification_mode=mode))
+
+
+def test_one_run_loop():
+    """Run.advance is the package's one caller of events.step, and
+    Run.__init__ its one maker of a SnapshotStore: no second copy of the
+    run loop grows in the package."""
+    assert package_callers("step") == [("engine", "Run.advance")]
+    assert package_callers("SnapshotStore") == [("engine", "Run.__init__")]

@@ -16,15 +16,11 @@ import random
 
 import pytest
 
+from conftest import demolish, marry_minor
 from demosim import events
 from demosim.cli import build_config
-from demosim.engine import TimeSeries, run, state_digest
-from demosim.events import step
+from demosim.engine import Run, run, state_digest, violations_csv
 from demosim.initialization import init_world
-from demosim.model import validate_world
-from demosim.predicates import SnapshotStore
-from demosim.rates import RateContext
-from demosim.verification import build_registry, check_initial, check_step
 
 _DECADE_MONTHLY = {"initial_pop": "300", "delta_t": "monthly",
                    "t0": "2020", "t_final": "2030"}
@@ -173,22 +169,23 @@ def chain_config(seed: int, clock: str, order: str):
                          **CHAIN_RUNS[seed]})
 
 
+def steps_of(run: Run, count: int) -> list[tuple]:
+    """Advance a run `count` steps: per step, the state digest and the
+    violations found at it."""
+    out = []
+    for _ in range(count):
+        found = len(run.violations)
+        run.advance()
+        out.append((state_digest(run.state), run.violations[found:]))
+    return out
+
+
 def digest_chain(seed: int, clock: str, order: str) -> str:
-    config = chain_config(seed, clock, order)
-    rng = random.Random(seed)
-    state, _ = init_world(config.model, config.sim, config.data,
-                          config.density, rng)
-    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
-    registry = build_registry(config.event_order)
-    assert validate_world(state) == []
-    assert check_initial(state, registry) == []
-    snaps = SnapshotStore()
-    snaps.freeze(state)
-    chain = hashlib.blake2b(state_digest(state).encode(), digest_size=8)
-    for _ in range(CHAIN_CLOCKS[clock]):
-        step(state, ctx, snaps, rng, config.event_order)
-        assert check_step(state, snaps, registry) == []
-        chain.update(state_digest(state).encode())
+    run = Run(chain_config(seed, clock, order))  # fail mode: no violation
+    chain = hashlib.blake2b(state_digest(run.state).encode(), digest_size=8)
+    for digest, _ in steps_of(run, CHAIN_CLOCKS[clock]):
+        chain.update(digest.encode())
+    assert run.violations == []
     return chain.hexdigest()
 
 
@@ -200,48 +197,45 @@ def test_per_step_digest_chain(seed, clock, order):
         CHAINS[seed, clock][CHAIN_ORDERS.index(order)]
 
 
-def steps_of(config, state, rng, snaps, count: int) -> list[tuple]:
-    """Step a run `count` times as run() does, with a fresh RateContext,
-    registry and TimeSeries: per step, the state digest, the check_step
-    result and the timeseries.csv row."""
-    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
-    registry = build_registry(config.event_order)
-    series = TimeSeries()
-    out = []
-    for _ in range(count):
-        outcome = step(state, ctx, snaps, rng, config.event_order)
-        found = check_step(state, snaps, registry)
-        series.append(state, state.time.step_index, outcome.births,
-                      outcome.deaths, outcome.marriages, outcome.divorces,
-                      len(found))
-        out.append((state_digest(state), found, series.rows[-1]))
-    return out
+def assert_continues(run: Run, count: int) -> None:
+    """A run's future depends only on what its Run holds: a pickled copy
+    follows the original for `count` steps, step for step, and writes the
+    same timeseries.csv and violations.csv. The original runs to the end
+    before the copy starts, so data a reader keeps anywhere but on the Run
+    (a module global, say) differs between the two."""
+    copy = pickle.dumps(run)
+    original = steps_of(run, count)
+    again = pickle.loads(copy)
+    assert steps_of(again, count) == original
+    assert again.series.to_csv() == run.series.to_csv()
+    assert violations_csv(again.violations) == violations_csv(run.violations)
 
 
 @pytest.mark.parametrize("order", CHAIN_ORDERS)
 @pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
 @pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
 def test_run_continues_from_a_pickled_copy(seed, clock, order):
-    """A run's future depends only on its state, RNG, snapshots and config:
-    a copy pickled a third of the way through a chain config follows the
-    original step for step. The original runs to the end before the copy
-    starts, so data a reader keeps anywhere but on the state (a module
-    global, say) differs between the two. On the hourly clock under the
-    default order the copy is taken on an idle step, ten steps into a quiet
-    run."""
-    config = chain_config(seed, clock, order)
-    rng = random.Random(seed)
-    state, _ = init_world(config.model, config.sim, config.data,
-                          config.density, rng)
-    assert check_initial(state, build_registry(config.event_order)) == []
-    TimeSeries().append(state, 0, 0, 0, 0, 0, 0)
-    snaps = SnapshotStore()
-    snaps.freeze(state)
+    """A copy pickled a third of the way through a chain config. On the
+    hourly clock under the default order it is taken on an idle step, ten
+    steps into a quiet run."""
+    run = Run(chain_config(seed, clock, order))
     k = CHAIN_CLOCKS[clock] // 3
-    steps_of(config, state, rng, snaps, k)
+    steps_of(run, k)
     if clock == "hourly" and order == CHAIN_ORDERS[0]:
-        assert state.changed_since(k - 10) == (set(), set())
-    copy = pickle.dumps((state, rng, snaps))
-    rest = CHAIN_CLOCKS[clock] - k
-    original = steps_of(config, state, rng, snaps, rest)
-    assert steps_of(config, *pickle.loads(copy), rest) == original
+        assert run.state.changed_since(k - 10) == (set(), set())
+    assert_continues(run, CHAIN_CLOCKS[clock] - k)
+
+
+@pytest.mark.parametrize("fault", [marry_minor, demolish])
+def test_faulty_run_continues_from_a_pickled_copy(fault):
+    """A warn-mode run with a fault written after step 2, pickled after
+    step 8 of 24: the copy finds the original's violations at every step
+    after it (a_p_marriage_age flags the married minor at each, and
+    a_homeless the occupants of the dropped houses)."""
+    run = Run(build_config(dict(_DECADE_MONTHLY, t_final="2022", seed="1",
+                                verification_mode="warn")))
+    steps_of(run, 2)
+    fault(run.state)
+    steps_of(run, 6)
+    assert run.violations
+    assert_continues(run, 16)

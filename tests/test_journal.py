@@ -23,15 +23,11 @@ import pytest
 
 from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.cli import build_config
-from demosim.engine import TimeSeries
-from demosim.events import step
+from demosim.engine import Run
 from demosim.initialization import init_world
 from demosim.model import (EMPTY_WINDOW, FEMALE, House, Journal, WorldState,
                            link_partners, mark_dead, unlink_partners)
-from demosim.predicates import SnapshotStore
-from demosim.rates import RateContext
 from demosim.space import create_house, leave_house, move_person
-from demosim.verification import build_registry, check_step
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
 
@@ -257,8 +253,8 @@ def test_building_a_world_records_nothing():
 
 
 class _Calls(ast.NodeVisitor):
-    """Collects the qualified function name of every `.<method>(...)`
-    call."""
+    """Collects the qualified function name of every `.<method>(...)` or
+    `<method>(...)` call."""
 
     def __init__(self, method: str) -> None:
         self.method = method
@@ -273,14 +269,15 @@ class _Calls(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Call(self, node) -> None:
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == self.method):
+        if self.method in (getattr(node.func, "attr", None),
+                           getattr(node.func, "id", None)):
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
 
 def package_callers(method: str) -> list[tuple[str, str]]:
-    """(module, function) for every `.<method>(...)` call in the package."""
+    """(module, function) for every `.<method>(...)` or `<method>(...)`
+    call in the package."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         finder = _Calls(method)
@@ -307,15 +304,8 @@ def test_window_is_computed_once_per_step(monkeypatch):
     WorldState.changed_since answer, built again only after a journal
     write: over a seed-1 hourly stretch, Journal.since runs at most once a
     step, plus once for each step that journaled anything."""
-    config = build_config({"initial_pop": "200", "delta_t": "hourly",
-                           "t0": "2020", "t_final": "2021", "seed": "1"})
-    rng = random.Random(1)
-    state, _ = init_world(config.model, config.sim, config.data,
-                          config.density, rng)
-    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
-    registry = build_registry()
-    snaps = SnapshotStore()
-    snaps.freeze(state)
+    run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
+                            "t0": "2020", "t_final": "2021", "seed": "1"}))
     real, calls = Journal.since, []
 
     def since(journal, at):
@@ -325,8 +315,7 @@ def test_window_is_computed_once_per_step(monkeypatch):
     monkeypatch.setattr(Journal, "since", since)
     steps, busy = 24 * 120, 0
     for _ in range(steps):
-        outcome = step(state, ctx, snaps, rng)
-        assert check_step(state, snaps, registry) == []
+        outcome = run.advance()  # fail mode: no violation
         # every journal write comes with an entry in the step's outcome
         busy += any((outcome.born, outcome.died, outcome.married,
                      outcome.divorced, outcome.adults_moved))
@@ -340,15 +329,8 @@ def test_a_quiet_step_shares_one_empty_window(monkeypatch):
     (the five rosters, the freeze, check_step's idle test and the
     empty-house count) gets the one EMPTY_WINDOW, and Journal.since
     answers it itself, with no set built."""
-    config = build_config({"initial_pop": "200", "delta_t": "hourly",
-                           "t0": "2020", "t_final": "2021", "seed": "1"})
-    rng = random.Random(1)
-    state, _ = init_world(config.model, config.sim, config.data,
-                          config.density, rng)
-    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
-    registry, series = build_registry(), TimeSeries()
-    snaps = SnapshotStore()
-    snaps.freeze(state)
+    run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
+                            "t0": "2020", "t_final": "2021", "seed": "1"}))
     answers, journal_answers = [], []
     real_changed, real_since = WorldState.changed_since, Journal.since
 
@@ -365,15 +347,13 @@ def test_a_quiet_step_shares_one_empty_window(monkeypatch):
     monkeypatch.setattr(WorldState, "changed_since", changed_since)
     monkeypatch.setattr(Journal, "since", since)
     quiet, wrote_before = 0, True
-    for i in range(1, 24 * 120 + 1):
+    for _ in range(24 * 120):
         answers.clear()
         journal_answers.clear()
-        outcome = step(state, ctx, snaps, rng)
-        assert check_step(state, snaps, registry) == []
-        series.append(state, i, 0, 0, 0, 0, 0)
+        outcome = run.advance()  # fail mode: no violation
         wrote = any((outcome.born, outcome.died, outcome.married,
                      outcome.divorced, outcome.adults_moved))
-        if not (wrote or wrote_before or state.clock_turned()):
+        if not (wrote or wrote_before or run.state.clock_turned()):
             quiet += 1
             assert [w for _, w in answers if w is not EMPTY_WINDOW] == []
             assert sorted(name for name, _ in answers) == sorted(

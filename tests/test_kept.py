@@ -14,6 +14,8 @@ however many registries read the state.
 """
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 from collections import defaultdict
@@ -26,10 +28,10 @@ from conftest import family_state
 from test_differential import SeededRun, every_step_entries, one_at_a_time
 from demosim import engine, verification
 from demosim.cli import build_config
-from demosim.engine import TimeSeries
+from demosim.engine import Run, TimeSeries
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
-from demosim.model import WorldState
+from demosim.model import EMPTY_WINDOW, WorldState
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext
 from demosim.verification import Assumption, build_registry, check_step
@@ -74,6 +76,18 @@ def handed(monkeypatch) -> defaultdict:
     monkeypatch.setattr(verification, "_marriage_housing", lambda order: wrap(
         "a_marriage_housing", factory(order), 2))
     return seen
+
+
+def counted(a: Assumption, ran: list) -> Assumption:
+    """A hard every-step check that adds its label to `ran` at each call;
+    any other entry as it is."""
+    if a.scope != "every_step" or a.kind != "hard":
+        return a
+
+    def check(state, snaps):
+        ran.append(a.label)
+        return a.check(state, snaps)
+    return replace(a, check=check)
 
 
 def test_fresh_registry_reads_the_window(monkeypatch):
@@ -163,8 +177,7 @@ def test_sparse_reader_reads_the_quiet_run(monkeypatch):
     check runs on most calls, since nothing was journaled and no cohort
     turned since the last call that ran the checks."""
     seen = handed(monkeypatch)
-    config = build_config({"initial_pop": "200", "delta_t": "hourly",
-                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    config = build_config({**IDLE_RUNS["hourly_year"][0], "seed": "1"})
     rng = random.Random(1)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -191,8 +204,7 @@ def test_idle_test_compares_the_hard_labels():
     hard checks: the idle test compares the labels of the last call that
     ran them, whichever registry check_step's memo holds. Each result is
     the oracle's."""
-    config = build_config({"initial_pop": "200", "delta_t": "hourly",
-                           "t0": "2020", "t_final": "2021", "seed": "1"})
+    config = build_config({**IDLE_RUNS["hourly_year"][0], "seed": "1"})
     rng = random.Random(1)
     state, _ = init_world(config.model, config.sim, config.data,
                           config.density, rng)
@@ -200,18 +212,10 @@ def test_idle_test_compares_the_hard_labels():
     snaps = SnapshotStore()
     snaps.freeze(state)
     ran = []
-
-    def counted(a):
-        def check(state, snaps):
-            ran.append(a.label)
-            return a.check(state, snaps)
-        return replace(a, check=check)
-
-    full = tuple(counted(a) if a.scope == "every_step" and a.kind == "hard"
-                 else a for a in build_registry())
+    full = tuple(counted(a, ran) for a in build_registry())
     fewer = tuple(a for a in full if a.label != "a_homeless")
     more = (*full, counted(Assumption("a_extra", "every_step",
-                                      lambda state, snaps: [])))
+                                      lambda state, snaps: []), ran))
     idle = 0
     for _ in range(200):
         step(state, ctx, snaps, rng)
@@ -232,19 +236,11 @@ def test_idle_test_compares_the_hard_labels():
 
 @pytest.mark.parametrize("name", ["daily_decade", "hourly_year"])
 def test_rosters_read_the_window_after_the_first_step(monkeypatch, name):
-    """Stepped as run() steps them, the five rosters never read everyone
-    after step 1: a roster that returned its list on the empty window, and
-    so kept the step it read before, reads the window at the next step,
-    even after a write later in the step it returned at."""
-    params = IDLE_RUNS[name][0]
-    config = build_config({**params, "seed": "1"})
-    rng = random.Random(1)
-    state, _ = init_world(config.model, config.sim, config.data,
-                          config.density, rng)
-    ctx = RateContext(config.model, config.data, config.sim.steps_per_year)
-    registry, series = build_registry(), TimeSeries()
-    snaps = SnapshotStore()
-    snaps.freeze(state)
+    """Stepped by Run, the five rosters never read everyone after step 1:
+    a roster that returned its list on the empty window, and so kept the
+    step it read before, reads the window at the next step, even after a
+    write later in the step it returned at."""
+    run = Run(build_config({**IDLE_RUNS[name][0], "seed": "1"}))
     real, swept = WorldState.changed_since, []
 
     def changed_since(self, at):
@@ -254,12 +250,27 @@ def test_rosters_read_the_window_after_the_first_step(monkeypatch, name):
         return window
 
     monkeypatch.setattr(WorldState, "changed_since", changed_since)
-    for i in range(1, 1001):
-        outcome = step(state, ctx, snaps, rng)
-        assert check_step(state, snaps, registry) == []
-        series.append(state, i, len(outcome.born), len(outcome.died),
-                      len(outcome.married), len(outcome.divorced), 0)
+    for _ in range(1000):
+        run.advance()  # fail mode: no violation
     assert swept == [1] * 5
+
+
+@pytest.mark.parametrize("copied", [
+    copy.deepcopy, lambda run: pickle.loads(pickle.dumps(run))],
+    ids=["deepcopy", "pickle"])
+def test_a_copy_taken_on_an_idle_step_stays_idle(copied):
+    """A Run copied on an idle step of seed-1 hourly_year holds the shared
+    EMPTY_WINDOW, not an empty window of its own, so check_step runs no
+    check on the copy, as on the original."""
+    run = Run(build_config({**IDLE_RUNS["hourly_year"][0], "seed": "1"}))
+    for _ in range(40):
+        run.advance()
+    ran = []
+    registry = tuple(counted(a, ran) for a in build_registry())
+    for r in (run, copied(run)):
+        assert check_step(r.state, r.snaps, registry) == []
+        assert ran == []
+        assert r.state.changed_since(40) is EMPTY_WINDOW
 
 
 def test_kept_stays_bounded():
@@ -306,18 +317,9 @@ def test_idle_step_counts(monkeypatch, name):
     check_step runs no check: pinned like the digests, so a change that
     moves them says so."""
     params, digest, idle_steps = IDLE_RUNS[name]
-    ran = []
-    build = engine.build_registry
-
-    def counted(a):
-        def check(state, snaps):
-            ran.append(a.label)
-            return a.check(state, snaps)
-        return replace(a, check=check)
-
+    ran, build = [], engine.build_registry
     monkeypatch.setattr(engine, "build_registry", lambda order: tuple(
-        counted(a) if a.scope == "every_step" and a.kind == "hard" else a
-        for a in build(order)))
+        counted(a, ran) for a in build(order)))
     calls = []
 
     def check_step_counted(state, snaps, registry):
