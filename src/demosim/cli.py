@@ -152,71 +152,37 @@ def parse_config(path: str | None) -> RunConfig:
     return build_config(parse_config_lines(_read_text(path, ConfigError)))
 
 
-def _print_defaults() -> None:
-    print("# simulation defaults (embedded)")
-    sim = SimulationParams()
-    for key in _SIM_KEYS:
-        print(f"{key} = {getattr(sim, key)}")
-    print()
-    print("# model parameter defaults (embedded)")
-    model = ModelParams()
-    for key in sorted(_MODEL_KEYS):
-        print(f"{key} = {getattr(model, key)}")
-    print()
-    print("# divorce rate modifier by decade of age (embedded, 16 entries)")
-    print("divorce_modifiers = " + ",".join(repr(v) for v
-                                            in DEFAULT_DIVORCE_MODIFIERS))
-    print("# male marriage rate modifier by decade of age (embedded, 16 entries)")
-    print("marriage_modifiers = " + ",".join(repr(v) for v
-                                             in DEFAULT_MARRIAGE_MODIFIERS))
-    print()
-    fert = default_fertility()
-    print(f"# fertility table (embedded): ages {fert.age_offset}.."
-          f"{fert.age_offset + len(fert.rows) - 1}, "
-          f"constant across years, base year {fert.year_offset}")
-    print()
-    density = DensityMap.default()
-    nonzero = sum(1 for row in density.rows for v in row if v > 0)
-    print(f"# population density grid (embedded): "
-          f"{len(density.rows)}x{len(density.rows[0])}, {nonzero} towns")
-    for row in density.rows:
-        print(" ".join(f"{v:g}" for v in row))
-    print()
-    print("# event order (default)")
-    print("event_order = " + ",".join(DEFAULT_EVENT_ORDER))
+def _print_config(config: RunConfig) -> None:
+    """The effective settings, sorted, then the ages and years the
+    fertility table covers and the persons initial_pop builds."""
+    for key in sorted(config.config_echo):
+        print(f"{key} = {config.config_echo[key]}")
+    fert = config.data.fertility
+    print(f"fertility table covers ages {fert.age_offset}.."
+          f"{fert.age_offset + len(fert.rows) - 1}, years {fert.year_offset}.."
+          f"{fert.year_offset + len(fert.rows[0]) - 1}")
+    built = sum(town_population_targets(config.model.initial_pop,
+                                        config.density).values())
+    print(f"initial_pop builds {built} persons (per-town ceil)")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = parse_config(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 74
-    except (ConfigError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = parse_config(args.config)
     if args.out is not None:
         config.out_dir = args.out
         config.config_echo["out_dir"] = args.out
     if args.seed is not None:
         config.sim = replace(config.sim, seed=args.seed)
         config.config_echo["seed"] = args.seed
-    try:
-        if args.replicates > 1:
-            base = resolve_seed(config.sim.seed)
-            results = run_batch(config, args.replicates, base)
-            for r, res in enumerate(results):
-                print(f"replicate {r}: seed={res.seed} "
-                      f"alive={res.summary['final_alive']} "
-                      f"violations={len(res.violations)} digest={res.digest}")
-            return 0
-        result = run(config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 74
-    except AssumptionFailure as exc:
-        print(f"assumption failure: {exc}", file=sys.stderr)
-        return 2
+    if args.replicates > 1:
+        base = resolve_seed(config.sim.seed)
+        results = run_batch(config, args.replicates, base)
+        for r, res in enumerate(results):
+            print(f"replicate {r}: seed={res.seed} "
+                  f"alive={res.summary['final_alive']} "
+                  f"violations={len(res.violations)} digest={res.digest}")
+        return 0
+    result = run(config)
     print(f"steps={result.summary['steps_completed']} "
           f"seed={result.seed} alive={result.summary['final_alive']} "
           f"houses={result.summary['final_houses']} "
@@ -227,23 +193,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = parse_config(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 74
-    except (ConfigError, DataFormatError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
-    for key in sorted(config.config_echo):
-        print(f"{key} = {config.config_echo[key]}")
-    fert = config.data.fertility
-    print(f"fertility table covers ages {fert.age_offset}.."
-          f"{fert.age_offset + len(fert.rows) - 1}, years {fert.year_offset}.."
-          f"{fert.year_offset + len(fert.rows[0]) - 1}")
-    built = sum(town_population_targets(config.model.initial_pop,
-                                        config.density).values())
-    print(f"initial_pop builds {built} persons (per-town ceil)")
+    _print_config(parse_config(args.config))
+    return 0
+
+
+def _cmd_defaults(args: argparse.Namespace) -> int:
+    """validate's lines for the built-in config, then its density grid."""
+    _print_config(config := parse_config(None))
+    rows = config.density.rows
+    towns = sum(v > 0 for row in rows for v in row)
+    print(f"density grid {len(rows)}x{len(rows[0])}, {towns} towns")
+    for row in rows:
+        print(" ".join(f"{v:g}" for v in row))
     return 0
 
 
@@ -280,18 +241,24 @@ def main(argv: list[str] | None = None) -> int:
                            help="check config and data, print effective config")
     val_p.add_argument("--config", help="key = value config file")
 
-    sub.add_parser("defaults", help="print embedded defaults")
+    sub.add_parser("defaults", help="print the built-in config and grid")
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 64
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    _print_defaults()
-    return 0
+    try:
+        return {"run": _cmd_run, "validate": _cmd_validate,
+                "defaults": _cmd_defaults}[args.command](args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 74
+    except (ConfigError, DataFormatError) as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
+    except AssumptionFailure as exc:
+        print(f"assumption failure: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

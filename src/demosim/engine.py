@@ -301,14 +301,18 @@ def run(config: RunConfig) -> RunResult:
 def run_batch(config: RunConfig, replicates: int,
               base_seed: int) -> list[RunResult]:
     """Run independent replicates one after another, replicate r seeded
-    with base_seed + r; no state is shared between them."""
+    with base_seed + r; no state is shared between them. Each echoes its
+    own seed and directory where the config echo has those keys."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     results = []
     for r in range(replicates):
+        seed = base_seed + r
         out = (os.path.join(config.out_dir, f"replicate_{r:03d}")
                if config.out_dir is not None else None)
+        own = {"seed": seed, "out_dir": out or ""}
+        echo = {k: own.get(k, v) for k, v in config.config_echo.items()}
         results.append(run(replace(
-            config, sim=replace(config.sim, seed=base_seed + r),
-            out_dir=out)))
+            config, sim=replace(config.sim, seed=seed), out_dir=out,
+            config_echo=echo)))
     return results

@@ -242,9 +242,8 @@ def _death_threshold(state: WorldState, ctx: RateContext,
     read_at, low, year = state.kept.get(_death_threshold, (None, 0, 0))
     changed = state.changed_since(read_at)
     if changed is not None:
-        for pid in changed[0]:
-            p = persons.get(pid)
-            if p is not None and p.born_step < low and _mortal(state, p):
+        for p in map(persons.__getitem__, changed[0]):
+            if p.born_step < low and _mortal(state, p):
                 low = p.born_step
     if changed is None or (now - low) // spy != year:
         low = min((persons[pid].born_step for pid in mortal), default=now)

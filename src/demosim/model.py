@@ -503,10 +503,10 @@ class WorldState:
 
     def changed_since(self, step: int | None) -> tuple | None:
         """What a reader that last read this state at `step` must look at
-        again: the persons and houses journaled since the previous step,
-        the parents, partner and house of each such person, and
-        clock_turned; EMPTY_WINDOW, shared and built once, when that is
-        nothing. One answer for any `step` from `calm` to now, where `calm`
+        again: the persons on record and the houses journaled since the
+        previous step, the parents, partner and house of each such person,
+        and clock_turned; EMPTY_WINDOW, shared and built once, when that
+        is nothing. One answer for any `step` from `calm` to now, where `calm`
         is the previous step, or where it was at the previous step when
         that step was quiet: nothing was journaled at the step before it
         and no cohort turned at it. A reader at step k needs the writes
@@ -531,7 +531,8 @@ class WorldState:
             elif window is not None:
                 persons = self.persons
                 pids, hids = window
-                for p in [*filter(None, map(persons.get, pids))]:
+                pids.difference_update([q for q in pids if q not in persons])
+                for p in [persons[q] for q in pids]:
                     pids.update(q for q in (p.mother, p.father, p.partner)
                                 if q in persons)
                     hids.add(p.house)
@@ -558,9 +559,9 @@ class WorldState:
             ids = [pid for pid, p in persons.items() if holds(self, p)]
         else:
             for pid in changed[0]:
-                p, i = persons.get(pid), bisect.bisect_left(ids, pid)
+                i = bisect.bisect_left(ids, pid)
                 there = ids[i:i + 1] == [pid]
-                if there != bool(p and holds(self, p)):  # add or drop
+                if there != bool(holds(self, persons[pid])):  # add or drop
                     ids[i:i + there] = [] if there else [pid]
         self.kept[holds] = (self.time.step_index, ids)
         return ids

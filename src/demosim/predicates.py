@@ -32,9 +32,9 @@ class Snapshot:
     person whose alive, partner, house or gave_birth differs from the
     snapshot was written at its step index or later, and so journaled
     (CountedPerson journals every write). So given `written`, those ids
-    since `base`'s step, the columns are `base`'s own, shared read-only;
-    one is copied once and patched only where a written person differs
-    (path copying, Driscoll et al. 1989). Without it (see
+    since `base`'s step, all on record, the columns are `base`'s own,
+    shared read-only; one is copied once and patched only where a written
+    person differs (path copying, Driscoll et al. 1989). Without it (see
     SnapshotStore.freeze) everyone is patched onto empty columns."""
 
     __slots__ = ("step_index", "known", "alive", "partner", "house",
@@ -45,11 +45,6 @@ class Snapshot:
         persons = state.persons
         self.step_index = state.time.step_index
         self.known = range(state.next_person_id)
-        if written is not None and not written:  # nobody: share them all
-            self.alive, self.partner, self.house = (base.alive, base.partner,
-                                                    base.house)
-            self.gave_birth = base.gave_birth
-            return
         if written is None:  # everyone, onto empty columns
             base = SimpleNamespace(alive=set(), partner={}, house={},
                                    gave_birth=set())
@@ -57,12 +52,11 @@ class Snapshot:
         alive, partner, house = base.alive, base.partner, base.house
         gave_birth = base.gave_birth
         for pid in written:
-            p = persons.get(pid)
-            alive = _flip(alive, base.alive, pid, bool(p and p.alive))
-            gave_birth = _flip(gave_birth, base.gave_birth, pid,
-                               bool(p and p.gave_birth))
-            partner = _patch(partner, base.partner, pid, p and p.partner)
-            house = _patch(house, base.house, pid, p and p.house)
+            p = persons[pid]
+            alive = _flip(alive, base.alive, pid, p.alive)
+            gave_birth = _flip(gave_birth, base.gave_birth, pid, p.gave_birth)
+            partner = _patch(partner, base.partner, pid, p.partner)
+            house = _patch(house, base.house, pid, p.house)
         self.alive, self.partner, self.house = alive, partner, house
         self.gave_birth = gave_birth
 

@@ -1,14 +1,18 @@
 """Config parsing, subcommands, and exit codes."""
 from __future__ import annotations
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from demosim import cli
 from demosim.cli import (build_config, main, parse_config, parse_config_lines)
-from demosim.model import ConfigError
+from demosim.model import AssumptionFailure, ConfigError
 from demosim.rates import DEFAULT_DIVORCE_MODIFIERS
+from demosim.space import DensityMap
 
 
 def test_parse_lines_basics():
@@ -153,6 +157,32 @@ def test_main_replicates(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["replicate_000", "replicate_001"]
 
 
+def test_each_replicate_echo_reruns_it(tmp_path, capsys):
+    """Each replicate's summary echoes its own seed and directory: written
+    back as a config file, leaving out empty values, and run into another
+    directory, it reproduces that replicate's digest."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 5\ninitial_pop = 60\nt_final = 2021\n")
+    batch = tmp_path / "batch"
+    rc, _, _ = run_main(["run", "--config", str(cfg), "--seed", "7",
+                         "--replicates", "2", "--out", str(batch)], capsys)
+    assert rc == 0
+    for r in range(2):
+        out = batch / f"replicate_{r:03d}"
+        summary = json.loads((out / "summary.json").read_text())
+        echo = summary["config"]
+        assert echo["seed"] == summary["seed"] == 7 + r
+        assert echo["out_dir"] == str(out)
+        again = tmp_path / f"again_{r}.cfg"
+        again.write_text("".join(f"{key} = {value}\n"
+                                 for key, value in echo.items() if value != ""))
+        rc, stdout, _ = run_main(["run", "--config", str(again),
+                                  "--out", str(tmp_path / f"again_{r}")],
+                                 capsys)
+        assert rc == 0
+        assert f"digest={summary['final_digest']}" in stdout.split()
+
+
 def test_main_validate_ok(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\n")
@@ -223,6 +253,63 @@ def test_main_defaults_lists_vectors(capsys):
     assert f"divorce_modifiers = {expect}" in stdout
     assert "initial_pop = 10000" in stdout
     assert "48 towns" in stdout
+
+
+def test_main_defaults_is_validate_then_the_grid(capsys):
+    """defaults prints exactly what validate prints with no config, then
+    the density grid's size and town count and its rows."""
+    rc, validated, _ = run_main(["validate"], capsys)
+    assert rc == 0
+    rc, stdout, _ = run_main(["defaults"], capsys)
+    assert rc == 0
+    lines = stdout.splitlines()
+    head, grid = lines[:-13], lines[-12:]
+    assert head == validated.splitlines()
+    assert lines[-13] == "density grid 12x8, 48 towns"
+    assert [tuple(map(float, line.split())) for line in grid] == \
+        [tuple(row) for row in DensityMap.default().rows]
+
+
+def test_each_exit_code_has_its_prefix(tmp_path, capsys, monkeypatch):
+    """run and validate print one message prefix per exit code: `error:`
+    for I/O (74), `invalid:` for bad config or data (1) and `assumption
+    failure:` for a fail-mode abort (2)."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("t0 = twenty-twenty\n")
+    for command in ("validate", "run"):
+        rc, _, stderr = run_main([command, "--config", "/no/such.cfg"],
+                                 capsys)
+        assert (rc, stderr.split()[0]) == (74, "error:")
+        rc, _, stderr = run_main([command, "--config", str(bad)], capsys)
+        assert (rc, stderr.split()[0]) == (1, "invalid:")
+
+    def abort(config):
+        raise AssumptionFailure("a_homeless at step 3")
+
+    monkeypatch.setattr(cli, "run", abort)
+    rc, _, stderr = run_main(["run"], capsys)
+    assert (rc, stderr) == (2, "assumption failure: a_homeless at step 3\n")
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    """No function in cli.py but main has an except clause for an error
+    that main maps to an exit code, or for a class above one of them, so
+    each is mapped in one place."""
+    mapped = {"OSError", "ConfigError", "DataFormatError",
+              "AssumptionFailure", "SimulationError", "Exception",
+              "BaseException"}
+    catchers = set()
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ExceptHandler) and (
+                    node.type is None
+                    or mapped & {n.id for n in ast.walk(node.type)
+                                 if isinstance(n, ast.Name)}):
+                catchers.add(func.name)
+    assert catchers == {"main"}
 
 
 _BAD_RATE_INPUTS = {

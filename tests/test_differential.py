@@ -286,6 +286,25 @@ def test_birth_step_write_refiles_the_person():
     assert check_step(state, snaps, kept) == expected
 
 
+def test_dangling_partner_replaced_matches_oracle():
+    """A partner id with nobody on record, written by hand at step 2 and
+    cleared at step 4, where the write journals it as the old partner:
+    the window names only persons on record, so at every step check_step
+    reports what the oracle does and each freeze equals its full copy,
+    where the checks used to look the id up and raise KeyError."""
+    state, _, _, (*_, single) = family_state()
+    snaps, kept = CheckedStore(), build_registry()
+    snaps.freeze(state)
+    for now in range(1, 7):
+        state.time.step_index = now
+        if now in (2, 4):
+            single.partner = 999 if now == 2 else None
+        snaps.freeze(state)
+        snaps.assert_matches(now)
+        assert check_step(state, snaps, kept) == \
+            oracle.check_step(state, snaps, DEFAULT_EVENT_ORDER)
+
+
 def _unrelated_cohabitants(state, houses, persons):
     (h0, h1), (*_rest, single) = houses, persons
     h1.occupants.discard(single.id)
