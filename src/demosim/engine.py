@@ -29,8 +29,8 @@ from .model import (EMPTY_WINDOW, AssumptionFailure, IntegrityError,
 from .predicates import SnapshotStore
 from .rates import RateContext
 from .space import DensityMap, build_towns
-from .verification import (SpaceDigest, Violation, build_registry,
-                           check_initial, check_step, space_changes)
+from .verification import (Violation, build_registry, check_initial,
+                           check_space, check_step)
 
 TIMESERIES_HEADER = ("step", "year", "alive", "males", "females", "births",
                      "deaths", "marriages", "divorces", "mean_age_years",
@@ -215,7 +215,7 @@ class Run:
             self.fail()
         self.snaps = SnapshotStore()
         self.snaps.freeze(self.state)
-        self.space = SpaceDigest.of(self.state)
+        check_space(self.state)  # keeps the space step 1 is checked against
 
     def __getstate__(self) -> dict:
         # a registry's checks are closures, which do not pickle; it keeps
@@ -234,8 +234,7 @@ class Run:
                        self.config.event_order)
         i = outcome.step_index
         found = check_step(state, snaps, self.registry)
-        before, self.space = self.space, SpaceDigest.of(state)
-        found.extend(space_changes(before, self.space, i))
+        found.extend(check_space(state))
         self.violations.extend(found)
         births, deaths = len(outcome.born), len(outcome.died)
         rows = self.series.rows
@@ -255,9 +254,12 @@ class Run:
         """The digest and summary so far; writes the artifacts to an out_dir."""
         config, rows = self.config, self.series.rows
         digest = state_digest(self.state)
+        # the seed (drawn or not) and directory used, so the echo reruns it
+        own = {"seed": self.seed, "out_dir": config.out_dir or ""}
         summary = {
             "generated_at": datetime.now(timezone.utc).isoformat(),
-            "config": config.config_echo,
+            "config": {k: own.get(k, v)
+                       for k, v in config.config_echo.items()},
             "seed": self.seed,
             "event_order": list(config.event_order),
             "verification_mode": config.verification_mode,
@@ -291,7 +293,7 @@ class Run:
 
 def run(config: RunConfig) -> RunResult:
     """Execute one full run: init, initial checks, (t_final - t0) * N steps
-    of events + per-step checks + retrospective space checks (see Run)."""
+    of events + per-step checks + space checks from the journal (see Run)."""
     r = Run(config)
     for _ in range(r.steps_planned):
         r.advance()
@@ -302,7 +304,8 @@ def run_batch(config: RunConfig, replicates: int,
               base_seed: int) -> list[RunResult]:
     """Run independent replicates one after another, replicate r seeded
     with base_seed + r; no state is shared between them. Each echoes its
-    own seed and directory where the config echo has those keys."""
+    own seed and directory where the config echo has those keys (see
+    Run.summarize)."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     results = []
@@ -310,9 +313,6 @@ def run_batch(config: RunConfig, replicates: int,
         seed = base_seed + r
         out = (os.path.join(config.out_dir, f"replicate_{r:03d}")
                if config.out_dir is not None else None)
-        own = {"seed": seed, "out_dir": out or ""}
-        echo = {k: own.get(k, v) for k, v in config.config_echo.items()}
         results.append(run(replace(
-            config, sim=replace(config.sim, seed=seed), out_dir=out,
-            config_echo=echo)))
+            config, sim=replace(config.sim, seed=seed), out_dir=out)))
     return results

@@ -164,7 +164,7 @@ def init_world(params: ModelParams, sim: SimulationParams, data,
     spy = sim.steps_per_year
     state = WorldState(time=SimTime(step_index=0, t0_year=sim.t0,
                                     steps_per_year=spy))
-    state.towns = build_towns(density)
+    state.towns.update(build_towns(density))
     targets = town_population_targets(params.initial_pop, density)
     for tid in sorted(targets):
         for _ in range(targets[tid]):

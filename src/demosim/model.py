@@ -1,6 +1,6 @@
 """Domain types shared by every other module: persons, houses, towns, time,
 parameters, the error hierarchy, the per-step change journal and the
-person and house record write hooks that keep it, the partnership and
+person, house and town record write hooks that keep it, the partnership and
 death mutators, the structural rules that both validate_world and the
 every-step assumption checks apply, and the orphan stay-home rule that
 ageing applies and its check replays."""
@@ -269,9 +269,9 @@ class House:
 
 @dataclass(slots=True)
 class Town:
-    # (id, grid_xy, density) kept current for the space checks; first, so
-    # that __init__ sets it empty before the three fields it holds
-    entry: tuple = field(default=(), init=False, repr=False, compare=False)
+    # the journal its TownRecords hands it; first, so __init__ sets it first
+    journal: Journal | None = field(default=None, init=False, repr=False,
+                                    compare=False)
     id: int
     grid_xy: tuple[int, int]
     density: float
@@ -280,44 +280,66 @@ class Town:
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
-        if name == "density" or name in ("id", "grid_xy") and self.entry:
-            self.entry = (self.id, self.grid_xy, self.density)
+        if name in ("id", "grid_xy", "density") and self.journal:
+            self.journal.town_writes += 1
 
 
-class HouseRecords(dict, MutableMapping):
-    """A state's house records by id. Every write journals the house id and
-    the occupants of the record it replaces or drops, at the clock's step."""
-    __slots__ = ("journal", "time")
+class _Records(dict, MutableMapping):
+    """A dict whose every write calls _note(key, the record it replaces or
+    drops or None, the record it stores or None) first."""
+    __slots__ = ()
     # MutableMapping's: they write through __setitem__, __delitem__, popitem
     pop, setdefault = MutableMapping.pop, MutableMapping.setdefault
     update, clear = MutableMapping.update, MutableMapping.clear
+
+    def __reduce__(self):  # restores past the hook: records, then slots
+        return type(self), (dict(self), *[getattr(self, name)
+                                          for name in self.__slots__])
+
+    def __setitem__(self, key: int, record) -> None:
+        self._note(key, self.get(key), record)
+        dict.__setitem__(self, key, record)
+
+    def __delitem__(self, key: int) -> None:
+        self._note(key, dict.pop(self, key), None)
+
+    def popitem(self) -> tuple:
+        key, record = dict.popitem(self)
+        self._note(key, record, None)
+        return key, record
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
+class HouseRecords(_Records):
+    """A state's house records by id. Every write journals the house id and
+    the occupants of the record it replaces or drops, at the clock's step."""
+    __slots__ = ("journal", "time")
 
     def __init__(self, houses, journal: Journal, time: SimTime) -> None:
         super().__init__(houses)
         self.journal, self.time = journal, time
 
-    def __reduce__(self):  # a copy or unpickle restores past the hook
-        return type(self), (dict(self), self.journal, self.time)
-
-    def _note(self, hid: int, old: House | None) -> None:
+    def _note(self, hid: int, old: House | None, new: House | None) -> None:
         self.journal.note(self.time.step_index,
                           () if old is None else old.occupants, (hid,))
 
-    def __setitem__(self, hid: int, house: House) -> None:
-        self._note(hid, self.get(hid))
-        dict.__setitem__(self, hid, house)
 
-    def __delitem__(self, hid: int) -> None:
-        self._note(hid, dict.pop(self, hid))
+class TownRecords(_Records):
+    """A state's towns by id. Every write counts in journal.town_writes and
+    hands the town it stores the journal, where Town.__setattr__ counts."""
+    __slots__ = ("journal",)
 
-    def popitem(self) -> tuple[int, House]:
-        hid, house = dict.popitem(self)
-        self._note(hid, house)
-        return hid, house
+    def __init__(self, towns, journal: Journal) -> None:
+        self.journal = journal
+        self.update(towns)
 
-    def __ior__(self, other):
-        self.update(other)
-        return self
+    def _note(self, tid: int, old: Town | None, new: Town | None) -> None:
+        if new is not None:
+            new.journal = self.journal
+        self.journal.town_writes += 1
 
 
 class _EmptyWindow(tuple):
@@ -346,13 +368,14 @@ class Journal:
     `step` or later, or None when writes at or after `step` may have been
     forgotten. `writes` counts the notes. Step 0 counts as forgotten from
     the start, so the writes that build a world there are never recorded.
+    `town_writes` counts the writes TownRecords and Town make, at any step.
 
     It also holds the state's census once WorldState.keep_census has taken
     it: the living, the living males and the sum of the living's birth
     steps, which CountedPerson writes keep current."""
 
     __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older",
-                 "writes", "living", "males", "born_sum")
+                 "writes", "town_writes", "living", "males", "born_sum")
 
     def __init__(self) -> None:
         self._forgotten = 0  # the newest step whose writes were dropped
@@ -361,7 +384,7 @@ class Journal:
         self._houses: set[int] = set()
         # the step written at before it, and its writes
         self._older: tuple[int, set[int], set[int]] = (0, set(), set())
-        self.writes = 0
+        self.writes = self.town_writes = 0
         self.living = self.males = self.born_sum = 0
 
     def count(self, p: Person, sign: int) -> None:
@@ -436,6 +459,7 @@ class WorldState:
 
     def __post_init__(self) -> None:
         self.houses = HouseRecords(self.houses, self.journal, self.time)
+        self.towns = TownRecords(self.towns, self.journal)
 
     def add_person(self, gender: str, age_steps: int, born_step: int,
                    father: int | None = None, mother: int | None = None) -> Person:

@@ -3,16 +3,16 @@
 Every model assumption is registered under a stable label and evaluated as a
 Boolean condition over (current state, previous snapshot): initial-scope
 checks once after construction, every_step checks after each step, and the
-retrospective space checks against the previous step's SpaceDigest (its
-town entries and house ids). Each check is a rule that returns model.Faults
-and knows neither its label nor the step; the wrappers that build_registry
-hands the label (_initial, _structural, _step_change) name the faults as
-Violations. Statistical assumptions (uniformity, gender ratio, weighted
-selection) keep registry entries but no per-step check; they are covered by
-seeded distribution tests in the test suite. Checks are read-only by
-contract: they never mutate the world. What they carry from step to step is
-kept on the state (WorldState.kept), so a registry holds none of it and a
-fresh one reads a state from where the last check of it left off.
+retrospective space checks (check_space) from what the journal says was
+written since. Each check is a rule that returns model.Faults and knows
+neither its label nor the step; the wrappers that build_registry hands the
+label (_initial, _structural, _step_change) name the faults as Violations.
+Statistical assumptions (uniformity, gender ratio, weighted selection) keep
+registry entries but no per-step check; they are covered by seeded
+distribution tests in the test suite. Checks are read-only by contract: they
+never mutate the world. What they carry from step to step is kept on the
+state (WorldState.kept), so a registry holds none of it and a fresh one reads
+a state from where the last check of it left off.
 """
 from __future__ import annotations
 
@@ -50,15 +50,15 @@ class Assumption:
 
 
 class SpaceDigest(NamedTuple):
-    """Id-level fingerprint of the space for the retrospective checks: the
-    towns' (id, grid_xy, density) entries and the house ids, in the order
-    the state's dicts hold them, so built and compared without hashing."""
+    """Id-level fingerprint of the whole space for check_retrospective: the
+    towns' (id, grid_xy, density) entries and the house ids, in dict order."""
     towns: tuple
     houses: tuple
 
     @classmethod
     def of(cls, state: WorldState) -> SpaceDigest:
-        return cls(tuple([t.entry for t in state.towns.values()]),
+        return cls(tuple([(t.id, t.grid_xy, t.density)
+                          for t in state.towns.values()]),
                    tuple(state.houses))
 
 
@@ -543,9 +543,9 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER
                    note="sibling age gaps are unrestricted; nothing to check"),
         _initial("a0_family_together", _family_together),
         Assumption(_STATIC_TOWNS, "retrospective", _noop,
-                   note="enforced by check_retrospective over space digests"),
+                   note="enforced by check_space from the town writes"),
         Assumption(_HOUSE_PERSISTENCE, "retrospective", _noop,
-                   note="enforced by check_retrospective over space digests"),
+                   note="enforced by check_space from the journaled houses"),
         Assumption("a_s_dynamic_space", "every_step", _noop, kind="vacuous",
                    note="the house set may grow; growth itself needs no check"),
         Assumption("a_s_dynamic_houses_per_town", "every_step", _noop,
@@ -629,27 +629,27 @@ def check_step(state: WorldState, snaps: SnapshotStore,
     return out
 
 
-def space_changes(before: SpaceDigest, after: SpaceDigest,
-                  step_index: int) -> list[Violation]:
-    """Post-style space assumptions between two digests: the town set (with
-    densities) never changes; houses are never demolished. The sets are
-    compared only when the town entries differ, or when before's house ids
-    are not a prefix of after's (new houses come last in a dict)."""
+def _space_violations(moved, missing, step_index: int) -> list[Violation]:
+    """A step's space violations: town entries added or gone, houses gone."""
     out = []
-    changed = (set(before.towns) ^ set(after.towns)
-               if after.towns != before.towns else ())
-    if changed:
-        ids = tuple(sorted({entry[0] for entry in changed}))
+    if moved:
+        ids = tuple(sorted({entry[0] for entry in moved}))
         out.append(Violation(_STATIC_TOWNS, step_index, ids,
                              "town set or densities changed between steps"))
-    kept = before.houses
-    missing = (set(kept).difference(after.houses)
-               if after.houses[:len(kept)] != kept else ())
     if missing:
         out.append(Violation(_HOUSE_PERSISTENCE, step_index,
                              tuple(sorted(missing)),
                              "houses disappeared between steps"))
     return out
+
+
+def space_changes(before: SpaceDigest, after: SpaceDigest,
+                  step_index: int) -> list[Violation]:
+    """Post-style space assumptions between two digests: the town set (with
+    densities) never changes; houses are never demolished."""
+    return _space_violations(set(before.towns) ^ set(after.towns),
+                             set(before.houses).difference(after.houses),
+                             step_index)
 
 
 def check_retrospective(prev_digest: SpaceDigest,
@@ -658,3 +658,29 @@ def check_retrospective(prev_digest: SpaceDigest,
     digest of the previous step."""
     return space_changes(prev_digest, SpaceDigest.of(state),
                          state.time.step_index)
+
+
+def check_space(state: WorldState) -> list[Violation]:
+    """space_changes between the SpaceDigests of this call and the last,
+    from the town entries, built again only when town_writes moved, and
+    the house ids kept with the step: a kept house is missing when gone
+    and in changed_since(the step), or that is None. On EMPTY_WINDOW with
+    no town write it returns at once and keeps the step."""
+    at, counted, entries, ids = state.kept.get(check_space, (None,) * 4)
+    window, writes = state.changed_since(at), state.journal.town_writes
+    if window is EMPTY_WINDOW and writes == counted:
+        return []
+    moved = ()
+    if writes != counted:
+        before, entries = entries, {(t.id, t.grid_xy, t.density)
+                                    for t in state.towns.values()}
+        moved = () if before is None else before ^ entries
+    if window is None:
+        missing = () if ids is None else ids.difference(state.houses)
+        ids = set(state.houses)
+    else:  # EMPTY_WINDOW's sets are empty
+        missing = ids.intersection(window[1]).difference(state.houses)
+        ids -= missing
+        ids.update(hid for hid in window[1] if hid in state.houses)
+    state.kept[check_space] = (state.time.step_index, writes, entries, ids)
+    return _space_violations(moved, missing, state.time.step_index)

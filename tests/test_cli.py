@@ -420,3 +420,27 @@ def test_density_map_without_towns_exits_1(tmp_path, capsys):
         assert rc == 1
         assert "no positive cell" in stderr
         assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("seed_line", ["seed = random\n", ""],
+                         ids=["random", "unset"])
+def test_random_seed_echo_reruns_the_run(tmp_path, capsys, seed_line):
+    """A single run whose seed is drawn echoes the seed it drew, as
+    run_batch echoes each replicate's: written back as a config file,
+    leaving out empty values, the echo reproduces the run's digest."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{seed_line}initial_pop = 60\nt_final = 2021\n")
+    first = tmp_path / "first"
+    rc, _, _ = run_main(["run", "--config", str(cfg), "--out", str(first)],
+                        capsys)
+    assert rc == 0
+    summary = json.loads((first / "summary.json").read_text())
+    echo = summary["config"]
+    assert echo["seed"] == summary["seed"]
+    again = tmp_path / "again.cfg"
+    again.write_text("".join(f"{key} = {value}\n"
+                             for key, value in echo.items() if value != ""))
+    rc, stdout, _ = run_main(["run", "--config", str(again),
+                              "--out", str(tmp_path / "again")], capsys)
+    assert rc == 0
+    assert f"digest={summary['final_digest']}" in stdout.split()

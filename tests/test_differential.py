@@ -39,15 +39,24 @@ person field past every mutator and compare the checks, both snapshots,
 the rosters and the census with the oracle at every step, and the
 index-write runs, which write a child's birth step or parent links, the
 checks; the space-check cases compare the retrospective checks with the
-oracle's frozenset diff. The reaching-window runs check, on the fault runs
-and the chain configs, that every changed_since answer for an earlier step
-holds every id journaled since that step and every clock cohort after it.
+oracle's frozenset diff. The space lockstep runs compare check_space,
+which reads the journal and the town write count, with space_changes
+between the SpaceDigests of consecutive steps after every step: on the
+fault runs, on fault runs that write the space inside a step, after it
+and after the check, on the chain configs run by Run with space faults
+written between steps, and on the direct space writes, made at step 0,
+which the journal forgets, and at a later step. The reaching-window runs
+check, on the fault runs and the chain configs, that every changed_since
+answer for an earlier step holds every id journaled since that step and
+every clock cohort after it.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,17 +68,18 @@ from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS, chain_config
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
 from demosim.cli import build_config
-from demosim.engine import TIMESERIES_HEADER, TimeSeries, state_digest
+from demosim.engine import Run, TIMESERIES_HEADER, TimeSeries, state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                           House, Journal, ModelParams, WorldState,
+                           House, Journal, ModelParams, Town, WorldState,
                            link_partners, mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.space import create_house, leave_house, move_person
 from demosim.verification import (SpaceDigest, build_registry,
-                                  check_retrospective, check_step)
+                                  check_retrospective, check_space,
+                                  check_step, space_changes)
 
 ORDERS = (DEFAULT_EVENT_ORDER,
           ("ageing", "births", "deaths", "divorces", "marriages"),
@@ -1557,3 +1567,182 @@ def test_space_checks_match_set_diff(case):
     assert got == oracle.space_changes(sets_before,
                                        oracle.SpaceSets.of(state), 1)
     assert bool(got) == fires
+
+
+# The space lockstep: after every step, check_space, which reads the
+# journal and the town write count, must return what space_changes finds
+# between the SpaceDigests of this step and the last.
+
+SPACE_LABELS = {"a_s_static_towns", "a_s_house_persistence"}
+
+
+def _readd_town(state, town, house):
+    """Drop a town and add it back under its id as a new record with half
+    the density."""
+    old = state.towns.pop(town.id)
+    state.towns[old.id] = Town(id=old.id, grid_xy=old.grid_xy,
+                               density=old.density / 2, houses=old.houses)
+
+
+def _readd_house(state, town, house):
+    """Drop a house and add it back under its id as a new record."""
+    old = state.houses.pop(house.id)
+    state.houses[old.id] = House(id=old.id, town=old.town,
+                                 local_xy=old.local_xy,
+                                 occupants=old.occupants)
+
+
+LOCKSTEP_SPACE_WRITES = {**SPACE_WRITES,
+                         "town_readded": (_readd_town, True),
+                         "house_readded": (_readd_house, False)}
+
+
+@pytest.mark.parametrize("at", (0, 3))
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_SPACE_WRITES))
+def test_check_space_matches_the_digest_on_direct_writes(case, at):
+    """A space write made at step 0, which the journal forgets, so that
+    check_space compares every house it kept, and at step 3, where it reads
+    the window: either way it reports what space_changes reports, and
+    nothing again at the step after."""
+    state, town, (h0, _), _ = family_state()
+    add_town(state, grid_xy=(2, 2))
+    state.time.step_index = at
+    assert check_space(state) == []
+    before = SpaceDigest.of(state)
+    write, fires = LOCKSTEP_SPACE_WRITES[case]
+    write(state, town, h0)
+    state.time.step_index = at + 1
+    assert (state.changed_since(at) is None) == (at == 0)
+    got = check_space(state)
+    assert got == space_changes(before, SpaceDigest.of(state), at + 1)
+    assert bool(got) == fires
+    state.time.step_index = at + 2
+    assert check_space(state) == []
+
+
+def _halved_density(run):
+    town = run.faults.choice(list(run.state.towns.values()))
+    town.density /= 2
+    return town.id
+
+
+def _readded_town(run):
+    town = run.faults.choice(list(run.state.towns.values()))
+    _readd_town(run.state, town, None)
+    return town.id
+
+
+def _added_town(run):
+    towns = run.state.towns
+    tid = max(towns) + 1
+    towns[tid] = Town(id=tid, grid_xy=(20, tid), density=0.5)
+    return tid
+
+
+def _dropped_house(run):
+    state = run.state
+    house = state.houses.pop(run.faults.choice(sorted(state.houses)))
+    state.towns[house.town].houses.discard(house.id)
+    return house.id
+
+
+def _readded_house(run):
+    house = run.state.houses[run.faults.choice(sorted(run.state.houses))]
+    _readd_house(run.state, None, house)
+    return house.id
+
+
+# space fault -> (injection, the label that must flag it, or None when
+# no check may); each returns the id its violation names
+SPACE_FAULTS = {
+    "halved_density": (_halved_density, "a_s_static_towns"),
+    "readded_town": (_readded_town, "a_s_static_towns"),
+    "added_town": (_added_town, "a_s_static_towns"),
+    "dropped_house": (_dropped_house, "a_s_house_persistence"),
+    "readded_house": (_readded_house, None),
+}
+
+
+def space_lockstep(run, monkeypatch) -> tuple[set, list]:
+    """Step a FaultRun with its faults injected inside the step (right
+    after ageing), after step() returns and, at the timing "checked",
+    after check_space has read the step: after every step check_space must
+    return what space_changes finds between the digest its last call saw
+    and this step's. Returns the faults whose label named their id, and
+    every space violation found."""
+    real_ageing = events.ageing
+
+    def ageing(state, ctx, rng, outcome):
+        real_ageing(state, ctx, rng, outcome)
+        run.inject("inside")
+
+    monkeypatch.setattr(events, "ageing", ageing)
+    assert check_space(run.state) == []
+    flagged, found, before = set(), [], SpaceDigest.of(run.state)
+    for i in range(1, STEPS + 1):
+        written_after_check = run.injected
+        run.advance()
+        after = SpaceDigest.of(run.state)
+        expected = space_changes(before, after, i)
+        assert check_space(run.state) == expected
+        found.extend(expected)
+        flagged |= {name for name, key in written_after_check + run.injected
+                    if any(v.label == run.table[name][1] and key in v.ids
+                           for v in expected)}
+        run.inject("checked")
+        before = after
+    assert not run.pending
+    return flagged, found
+
+
+@pytest.mark.parametrize("seed,order", FAULT_RUNS)
+def test_check_space_matches_the_digest_under_faults(monkeypatch, seed,
+                                                     order):
+    """The fault runs, whose removed house, written inside a step and
+    after one, is the only space fault among them, and fault runs of the
+    space faults at each timing: every fault that drops a house or changes
+    a town must show."""
+    with monkeypatch.context() as patch:
+        _, found = space_lockstep(FaultRun(seed, order), patch)
+    assert [v.label for v in found] == ["a_s_house_persistence"] * 2
+    flagged, _ = space_lockstep(
+        FaultRun(seed, order, SPACE_FAULTS, ("inside", "after", "checked")),
+        monkeypatch)
+    assert flagged == {name for name, (_, label) in SPACE_FAULTS.items()
+                       if label}
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+@pytest.mark.parametrize("clock", sorted(CHAIN_CLOCKS))
+@pytest.mark.parametrize("seed", sorted(CHAIN_RUNS))
+def test_run_space_checks_match_the_digest_on_chain_configs(seed, clock,
+                                                            order):
+    """The chain configs stepped by Run in warn mode, with a space fault
+    written between two steps at seeded steps, most of them idle on the
+    hourly clock: the space violations Run.advance reports at each step
+    are what space_changes finds, and every fault shows."""
+    config = chain_config(seed, clock, order)
+    run = Run(replace(config, verification_mode="warn"))
+    faults = random.Random(f"space-{seed}-{clock}-{order}")
+    at = dict(zip(faults.sample(range(1, CHAIN_CLOCKS[clock]), 10),
+                  [name for name in SPACE_FAULTS for _ in range(2)]))
+    injector = SimpleNamespace(state=run.state, faults=faults)
+    before, flagged = SpaceDigest.of(run.state), set()
+    written = None
+    for i in range(1, CHAIN_CLOCKS[clock] + 1):
+        found = len(run.violations)
+        run.advance()
+        after = SpaceDigest.of(run.state)
+        expected = space_changes(before, after, i)
+        assert [v for v in run.violations[found:]
+                if v.label in SPACE_LABELS] == expected
+        if written is not None:
+            name, key = written
+            flagged |= {name for v in expected
+                        if v.label == SPACE_FAULTS[name][1] and key in v.ids}
+        written = None
+        if i in at:
+            written = (at[i], SPACE_FAULTS[at[i]][0](injector))
+        before = after
+    assert flagged == {name for name, (_, label) in SPACE_FAULTS.items()
+                       if label}

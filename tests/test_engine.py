@@ -18,10 +18,13 @@ from demosim.engine import (RunConfig, TimeSeries, TIMESERIES_HEADER,
                             violations_csv)
 from demosim.events import step
 from demosim.model import (AssumptionFailure, CountedPerson, HouseRecords,
-                           IntegrityError, ModelParams, SimulationParams)
+                           IntegrityError, ModelParams, SimulationParams,
+                           TownRecords)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.space import DensityMap
+from demosim import verification
+from demosim.cli import build_config
 from demosim.verification import Violation
 
 
@@ -165,8 +168,11 @@ def test_run_state_copies_with_its_hooks(copy_state):
     assert state_digest(twin) == state_digest(state)
     person = next(p for p in twin.persons.values() if p.alive)
     assert type(person) is CountedPerson and type(twin.houses) is HouseRecords
+    assert type(twin.towns) is TownRecords
     assert person.time is twin.time is twin.houses.time
     assert person.journal is twin.journal is twin.houses.journal
+    assert twin.towns.journal is twin.journal
+    assert all(t.journal is twin.journal for t in twin.towns.values())
     writes = state.journal.writes
     twin.time.step_index += 1
     now = twin.time.step_index
@@ -280,3 +286,21 @@ def test_one_run_loop():
     run loop grows in the package."""
     assert package_callers("step") == [("engine", "Run.advance")]
     assert package_callers("SnapshotStore") == [("engine", "Run.__init__")]
+
+
+def test_run_checks_the_space_without_a_digest(monkeypatch):
+    """Run.advance reads the space checks from the journal: a seed-1
+    hourly_year run steps 200 steps with the whole-space digest and its
+    comparison made to raise."""
+    def refuse(*args):
+        raise AssertionError("the space digest is built")
+
+    monkeypatch.setattr(verification.SpaceDigest, "of", refuse)
+    monkeypatch.setattr(verification, "space_changes", refuse)
+    monkeypatch.setattr(engine, "space_changes", refuse, raising=False)
+    r = engine.Run(build_config({"initial_pop": "200", "delta_t": "hourly",
+                                 "t0": "2020", "t_final": "2021",
+                                 "seed": "1"}))
+    for _ in range(200):
+        r.advance()  # fail mode: no violation
+    assert r.state.time.step_index == 200

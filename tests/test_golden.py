@@ -9,6 +9,7 @@ in bench/pins.json.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import pickle
@@ -21,6 +22,7 @@ from demosim import events
 from demosim.cli import build_config
 from demosim.engine import Run, run, state_digest, violations_csv
 from demosim.initialization import init_world
+from demosim.model import TownRecords
 
 _DECADE_MONTHLY = {"initial_pop": "300", "delta_t": "monthly",
                    "t0": "2020", "t_final": "2030"}
@@ -239,3 +241,32 @@ def test_faulty_run_continues_from_a_pickled_copy(fault):
     steps_of(run, 6)
     assert run.violations
     assert_continues(run, 16)
+
+
+def test_space_fault_after_a_pickled_copy():
+    """A warn-mode run pickled and deep-copied after step 8; then, in the
+    original and in each copy, the newest house is dropped and town 0's
+    density halved. All three report a_s_static_towns and
+    a_s_house_persistence at the next step, naming the same ids, and then
+    go on alike: the kept house ids, the TownRecords and each town's
+    journal reference survive pickle and copy.deepcopy."""
+    run = Run(build_config(dict(_DECADE_MONTHLY, t_final="2022", seed="1",
+                                verification_mode="warn")))
+    steps_of(run, 8)
+    runs = [run, pickle.loads(pickle.dumps(run)), copy.deepcopy(run)]
+    reports = []
+    for each in runs:
+        state = each.state
+        assert type(state.towns) is TownRecords
+        assert all(t.journal is state.journal for t in state.towns.values())
+        house = state.houses.pop(max(state.houses))
+        state.towns[house.town].houses.discard(house.id)
+        state.towns[0].density /= 2
+        reports.append(steps_of(each, 4))
+    assert reports[0] == reports[1] == reports[2]
+    (_, found), *after = reports[0]
+    assert [(v.label, v.ids) for v in found
+            if v.label.startswith("a_s_")] == [
+        ("a_s_static_towns", (0,)), ("a_s_house_persistence", (house.id,))]
+    assert not any(v.label.startswith("a_s_")
+                   for _, later in after for v in later)

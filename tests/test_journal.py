@@ -4,9 +4,11 @@ The rosters, the snapshot freeze and the every-step checks read what
 changed from WorldState.changed_since, which alone reads the journal.
 Once it has been called, every attribute write to a person is journaled
 by CountedPerson's write hook, and every write to the house records, at
-any time, by HouseRecords', so only a write the hooks cannot see goes
-unseen by them: a change to a container, an item write to the person
-records, or a write past a hook. The writer test walks the package's
+any time, by HouseRecords'. The space checks read the town writes, which
+TownRecords and Town's write hook count in Journal.town_writes. So only a
+write the hooks cannot see goes unseen by them: a change to a container,
+an item write to the person records, a rebinding of a state's house or
+town records, or a write past a hook. The writer test walks the package's
 source and fails on any such write outside the functions that journal
 it; the note test fails on any other caller of Journal.note than the two
 hooks and add_person, and the reader test on any other caller of
@@ -25,29 +27,34 @@ from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.cli import build_config
 from demosim.engine import Run
 from demosim.initialization import init_world
-from demosim.model import (EMPTY_WINDOW, FEMALE, House, Journal, WorldState,
-                           link_partners, mark_dead, unlink_partners)
+from demosim.model import (EMPTY_WINDOW, FEMALE, House, Journal, Town,
+                           WorldState, link_partners, mark_dead,
+                           unlink_partners)
 from demosim.space import create_house, leave_house, move_person
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
 
 # the person fields the every-step checks, the rosters and the birth-step
-# index read (children: the birth spacing of events._fertile_wife): the
-# hook journals an assignment to one, but not a write past it
-# (object.__setattr__, setattr or delattr with the field's name)
+# index read (children: the birth spacing of events._fertile_wife), and
+# the town fields the space checks read: the hooks journal or count an
+# assignment to one, but not a write past them (object.__setattr__,
+# setattr or delattr with the field's name)
 FIELDS = {"alive", "partner", "house", "ever_partners", "born_step",
-          "died_step", "gave_birth", "children"}
+          "died_step", "gave_birth", "children", "id", "grid_xy", "density"}
 # containers the readers read: the hook sees no mutating call or item
 # write on one, nor an assignment to a house's occupants
 CONTAINERS = {"occupants", "children", "ever_partners"}
 # the person records: an item write or a mutating call adds or drops one
-# (the house records journal their own item writes)
+# (the house and town records journal or count their own item writes)
 RECORDS = {"persons"}
+# a state's hooked records: binding a new dict to one drops its hook, and
+# dict's own writers called on one write past it
+HOOKED_RECORDS = {"houses", "towns"}
 MUTATING_CALLS = {"add", "append", "clear", "difference_update", "discard",
                   "extend", "insert", "intersection_update", "pop",
                   "popitem", "remove", "reverse", "setdefault", "sort",
                   "symmetric_difference_update", "update"}
-# dict's own writers, which called on the house records write past their
+# dict's own writers, which called on the hooked records write past their
 # hook
 DICT_WRITES = MUTATING_CALLS | {"__setitem__", "__delitem__", "__ior__"}
 # add_person journals the record it adds; the others change an occupant
@@ -62,6 +69,8 @@ JOURNALED = {("model", "WorldState.add_person"), ("model", "link_partners"),
 # writes at step 0, which the journal forgets
 UNJOURNALED = {("events", "ageing"), ("events", "births"),
                ("initialization", "assign_parents")}
+# the one binding of a state's records: it wraps them in their hooks
+WRAPS = {("model", "WorldState.__post_init__")}
 
 
 class _Writes(ast.NodeVisitor):
@@ -87,7 +96,8 @@ class _Writes(ast.NodeVisitor):
                 self._target(elt)
         elif isinstance(node, ast.Starred):
             self._target(node.value)
-        elif isinstance(node, ast.Attribute) and node.attr == "occupants":
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in HOOKED_RECORDS | {"occupants"}):
             self._hit(node, node.attr)
         elif (isinstance(node, ast.Subscript)
               and isinstance(node.value, ast.Attribute)
@@ -129,8 +139,8 @@ class _Writes(ast.NodeVisitor):
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "dict" and node.args
                 and isinstance(node.args[0], ast.Attribute)
-                and node.args[0].attr == "houses"):
-            self._hit(node, "houses")
+                and node.args[0].attr in HOOKED_RECORDS):
+            self._hit(node, node.args[0].attr)
         self.generic_visit(node)
 
 
@@ -146,11 +156,32 @@ def package_writes() -> list[tuple[str, str, int, str]]:
 
 def test_only_journaled_mutators_write_checked_fields():
     writes = package_writes()
-    stray = [w for w in writes
-             if (w[0], w[1]) not in JOURNALED | UNJOURNALED]
+    allowed = JOURNALED | UNJOURNALED | WRAPS
+    stray = [w for w in writes if (w[0], w[1]) not in allowed]
     assert stray == [], "writes the hook cannot see, outside the mutators"
     # each mutator still writes, so the lists cannot outlive the code
-    assert {(w[0], w[1]) for w in writes} == JOURNALED | UNJOURNALED
+    assert {(w[0], w[1]) for w in writes} == allowed
+
+
+def test_writes_past_the_town_hooks_are_found():
+    """A town field written past Town.__setattr__, a town record written
+    past TownRecords, and a state's records rebound to a new dict are
+    each one write the writer test flags: the space checks would not see
+    them, so none may stand in the package outside WRAPS. The two writes
+    through the hooks are not flagged."""
+    finder = _Writes()
+    finder.visit(ast.parse(
+        "def f(state, town):\n"
+        "    object.__setattr__(town, 'density', 0.9)\n"
+        "    setattr(town, 'grid_xy', (1, 1))\n"
+        "    dict.__setitem__(state.towns, 0, town)\n"
+        "    state.towns = build_towns(density)\n"
+        "    state.houses = {}\n"
+        "    town.density = 0.9\n"  # through the hook
+        "    state.towns[0] = town\n"))  # through the hook
+    assert finder.found == [("f", 2, "density"), ("f", 3, "grid_xy"),
+                            ("f", 4, "towns"), ("f", 5, "towns"),
+                            ("f", 6, "houses")]
 
 
 def test_mutators_journal_what_they_change():
@@ -218,6 +249,53 @@ def test_mutators_journal_what_they_change():
     assert written(20, lambda s: (s.houses.get(a), s.houses[a], a in s.houses,
                                   len(s.houses), list(s.houses))) == (
         set(), set())
+
+
+def test_town_writes_count_every_town_write():
+    """Each write to the town records counts once per town it adds,
+    replaces or drops, and hands each town it stores the journal, whose
+    Town.__setattr__ then counts each id, grid_xy or density write to it;
+    a read, a write to a town's house set and a write to a town outside
+    any records count nothing."""
+    state = make_state()
+    towns, journal = state.towns, state.journal
+    t0, t1 = add_town(state), add_town(state)
+    assert journal.town_writes == 2 and journal.writes == 0
+    assert t0.journal is t1.journal is journal
+
+    def counted(write, *args):
+        before = journal.town_writes
+        if isinstance(write, str):  # a method of the town records
+            getattr(towns, write)(*args)
+        else:
+            write(*args)
+        return journal.town_writes - before
+
+    loose = Town(id=5, grid_xy=(5, 5), density=0.5)
+    assert counted(setattr, loose, "density", 0.1) == 0
+    assert counted("__setitem__", 2, loose) == 1
+    assert loose.journal is journal
+    assert counted(setattr, loose, "density", 0.2) == 1
+    assert counted(setattr, t0, "id", 0) == 1
+    assert counted(setattr, t0, "grid_xy", (4, 4)) == 1
+    assert counted(setattr, t0, "houses", {1}) == 0
+    assert counted(t0.houses.add, 2) == 0
+    assert counted("__setitem__", 2, Town(id=2, grid_xy=(6, 6),
+                                          density=0.3)) == 1
+    assert counted("__delitem__", 2) == 1
+    assert counted("pop", 1) == 1
+    assert counted("pop", 1, None) == 0
+    assert counted("setdefault", 1, t1) == 1
+    assert counted("setdefault", 1, t1) == 0
+    assert counted("update", {2: loose, 3: Town(id=3, grid_xy=(7, 7),
+                                                density=0.3)}) == 2
+    assert counted("__ior__", {4: Town(id=4, grid_xy=(8, 8),
+                                       density=0.3)}) == 1
+    assert counted("popitem") == 1
+    assert counted(lambda: (towns.get(0), towns[0], 0 in towns, len(towns),
+                            list(towns))) == 0
+    assert counted("clear") == 4 and towns == {}
+    assert journal.writes == 0  # the town writes note nothing
 
 
 def test_journal_keeps_two_steps_of_writes():
@@ -326,9 +404,9 @@ def test_window_is_computed_once_per_step(monkeypatch):
 def test_a_quiet_step_shares_one_empty_window(monkeypatch):
     """On a quiet step of a seed-1 hourly stretch (nothing journaled at
     it or the step before, and no cohort turned), every reader of the step
-    (the five rosters, the freeze, check_step's idle test and the
-    empty-house count) gets the one EMPTY_WINDOW, and Journal.since
-    answers it itself, with no set built."""
+    (the five rosters, the freeze, check_step's idle test, the
+    empty-house count and the space checks) gets the one EMPTY_WINDOW,
+    and Journal.since answers it itself, with no set built."""
     run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
                             "t0": "2020", "t_final": "2021", "seed": "1"}))
     answers, journal_answers = [], []
@@ -357,7 +435,8 @@ def test_a_quiet_step_shares_one_empty_window(monkeypatch):
             quiet += 1
             assert [w for _, w in answers if w is not EMPTY_WINDOW] == []
             assert sorted(name for name, _ in answers) == sorted(
-                ["roster"] * 5 + ["freeze", "check_step", "_empty_houses"])
+                ["roster"] * 5 + ["freeze", "check_step", "_empty_houses",
+                                  "check_space"])
             assert journal_answers == [EMPTY_WINDOW]
             assert journal_answers[0] is EMPTY_WINDOW
         wrote_before = wrote
