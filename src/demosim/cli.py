@@ -170,10 +170,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if args.out is not None:
         config.out_dir = args.out
-        config.config_echo["out_dir"] = args.out
     if args.seed is not None:
         config.sim = replace(config.sim, seed=args.seed)
-        config.config_echo["seed"] = args.seed
     if args.replicates > 1:
         base = resolve_seed(config.sim.seed)
         results = run_batch(config, args.replicates, base)

@@ -217,15 +217,6 @@ class Run:
         self.snaps.freeze(self.state)
         check_space(self.state)  # keeps the space step 1 is checked against
 
-    def __getstate__(self) -> dict:
-        # a registry's checks are closures, which do not pickle; it keeps
-        # no state (WorldState.kept does), so a copy builds it again
-        return {**self.__dict__, "registry": None}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, registry=build_registry(
-            state["config"].event_order))
-
     def advance(self) -> StepOutcome:
         """One step: the events, the per-step and space checks, the
         time-series row and the conservation check."""

@@ -265,6 +265,24 @@ class House:
     town: int
     local_xy: tuple[int, int]
     occupants: set[int] = field(default_factory=set)
+    # the journal and clock its HouseRecords hands it
+    journal: Journal | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+    time: SimTime | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+
+class JournaledHouse(House):
+    """A House that journals itself and its occupants at its clock's step
+    before a town, local_xy or occupants write. HouseRecords, not House(),
+    makes a house one: this __setattr__ would slow every house built."""
+    __slots__ = ()
+    __setstate__ = CountedPerson.__setstate__
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("town", "local_xy", "occupants"):
+            self.journal.note(self.time.step_index, self.occupants, (self.id,))
+        object.__setattr__(self, name, value)
 
 
 @dataclass(slots=True)
@@ -286,26 +304,35 @@ class Town:
 
 class _Records(dict, MutableMapping):
     """A dict whose every write calls _note(key, the record it replaces or
-    drops or None, the record it stores or None) first."""
+    drops or None) first, and _hand(record) on each record it stores or
+    starts with. _Records(records, *its slots' values) is built past _note."""
     __slots__ = ()
     # MutableMapping's: they write through __setitem__, __delitem__, popitem
     pop, setdefault = MutableMapping.pop, MutableMapping.setdefault
     update, clear = MutableMapping.update, MutableMapping.clear
+
+    def __init__(self, records, *hook) -> None:
+        super().__init__(records)
+        for name, value in zip(self.__slots__, hook):
+            setattr(self, name, value)
+        for record in self.values():
+            self._hand(record)
 
     def __reduce__(self):  # restores past the hook: records, then slots
         return type(self), (dict(self), *[getattr(self, name)
                                           for name in self.__slots__])
 
     def __setitem__(self, key: int, record) -> None:
-        self._note(key, self.get(key), record)
+        self._note(key, self.get(key))
+        self._hand(record)
         dict.__setitem__(self, key, record)
 
     def __delitem__(self, key: int) -> None:
-        self._note(key, dict.pop(self, key), None)
+        self._note(key, dict.pop(self, key))
 
     def popitem(self) -> tuple:
         key, record = dict.popitem(self)
-        self._note(key, record, None)
+        self._note(key, record)
         return key, record
 
     def __ior__(self, other):
@@ -315,14 +342,15 @@ class _Records(dict, MutableMapping):
 
 class HouseRecords(_Records):
     """A state's house records by id. Every write journals the house id and
-    the occupants of the record it replaces or drops, at the clock's step."""
+    the occupants of the record it replaces or drops, at the clock's step;
+    a house stored is handed the journal and clock, as a JournaledHouse."""
     __slots__ = ("journal", "time")
 
-    def __init__(self, houses, journal: Journal, time: SimTime) -> None:
-        super().__init__(houses)
-        self.journal, self.time = journal, time
+    def _hand(self, house: House) -> None:
+        house.journal, house.time = self.journal, self.time
+        house.__class__ = JournaledHouse
 
-    def _note(self, hid: int, old: House | None, new: House | None) -> None:
+    def _note(self, hid: int, old: House | None) -> None:
         self.journal.note(self.time.step_index,
                           () if old is None else old.occupants, (hid,))
 
@@ -332,13 +360,10 @@ class TownRecords(_Records):
     hands the town it stores the journal, where Town.__setattr__ counts."""
     __slots__ = ("journal",)
 
-    def __init__(self, towns, journal: Journal) -> None:
-        self.journal = journal
-        self.update(towns)
+    def _hand(self, town: Town) -> None:
+        town.journal = self.journal
 
-    def _note(self, tid: int, old: Town | None, new: Town | None) -> None:
-        if new is not None:
-            new.journal = self.journal
+    def _note(self, tid: int, old: Town | None) -> None:
         self.journal.town_writes += 1
 
 

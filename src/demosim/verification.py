@@ -5,8 +5,9 @@ Boolean condition over (current state, previous snapshot): initial-scope
 checks once after construction, every_step checks after each step, and the
 retrospective space checks (check_space) from what the journal says was
 written since. Each check is a rule that returns model.Faults and knows
-neither its label nor the step; the wrappers that build_registry hands the
-label (_initial, _structural, _step_change) name the faults as Violations.
+neither its label nor the step; build_registry binds label and rule to
+a module-level check with functools.partial, which names the faults as
+Violations, so a registry is plain data that pickles and copies.
 Statistical assumptions (uniformity, gender ratio, weighted selection) keep
 registry entries but no per-step check; they are covered by seeded
 distribution tests in the test suite. Checks are read-only by contract: they
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .model import (ADULT_YEARS, EMPTY_WINDOW, MALE, MOTHER_AGE_LIMIT_YEARS,
@@ -73,14 +75,11 @@ def _one_fault(ids: list[int], message: str) -> list[Fault]:
 
 # ---------------------------------------------------------------- initial
 
-def _initial(label: str, rule) -> Assumption:
-    """Initial entry for rule(state), which returns the world's faults."""
-
-    def check(state: WorldState, snaps) -> list[Violation]:
-        return [Violation(label, state.time.step_index, f.ids, f.message)
-                for f in rule(state)]
-
-    return Assumption(label, "initial", check)
+def _initial_check(label: str, rule, state: WorldState,
+                   snaps) -> list[Violation]:
+    """The check of an initial entry: rule(state) returns the faults."""
+    return [Violation(label, state.time.step_index, f.ids, f.message)
+            for f in rule(state)]
 
 
 def _adults_no_parents(state: WorldState) -> list[Fault]:
@@ -161,9 +160,10 @@ def _named(label: str, state: WorldState,
     return [Violation(label, now, f.ids, f.message) for f in faults]
 
 
-def _structural(label: str, rule) -> Assumption:
-    """Every-step entry for a structural rule: one of model.py, which
-    validate_world applies too, or the kinship rule. Unless
+def _structural_check(label: str, rule, state: WorldState,
+                      snaps) -> list[Violation]:
+    """The check of an every-step entry for a structural rule: one of
+    model.py, which validate_world applies too, or the kinship rule. Unless
     changed_since(the step _named kept) is None and it sweeps, it hands the
     rule, ascending id, the persons and houses in the window, which holds
     the partner and house of each journaled person and the old occupants of
@@ -172,24 +172,21 @@ def _structural(label: str, rule) -> Assumption:
     evaluation, and nothing has touched it or its partner or house since.
     Re-examining what it named keeps a fault that persists reported in warn
     mode."""
-
-    def check(state: WorldState, snaps) -> list[Violation]:
-        at, named = state.kept.get(label, (None, None))
-        written = state.changed_since(at)
-        persons, houses = state.persons, state.houses
-        if written is None:
-            persons, houses = persons.values(), houses.values()
-        else:
-            persons = [persons[pid] for pid in sorted(written[0] | named[0])]
-            houses = [houses[hid] for hid in sorted(written[1] | named[1])
-                      if hid in houses]
-        return _named(label, state, rule(state, persons, houses))
-
-    return Assumption(label, "every_step", check)
+    at, named = state.kept.get(label, (None, None))
+    written = state.changed_since(at)
+    persons, houses = state.persons, state.houses
+    if written is None:
+        persons, houses = persons.values(), houses.values()
+    else:
+        persons = [persons[pid] for pid in sorted(written[0] | named[0])]
+        houses = [houses[hid] for hid in sorted(written[1] | named[1])
+                  if hid in houses]
+    return _named(label, state, rule(state, persons, houses))
 
 
-def _step_change(label: str, body, note="") -> Assumption:
-    """Every-step entry for a check that compares the state with the
+def _step_change_check(label: str, body, state: WorldState,
+                       snaps: SnapshotStore) -> list[Violation]:
+    """The check of an every-step entry that compares the state with the
     previous snapshot: body(state, prev, changed) looks for step changes
     only among `changed`, ascending id, and returns their faults. Unless the
     check sweeps, `changed` holds the persons in changed_since(the earlier
@@ -198,18 +195,14 @@ def _step_change(label: str, body, note="") -> Assumption:
     named, as a gave_birth flag with no neonate stays a fault until cleared.
     A body tests every other condition against the snapshot, so a person
     who did not change adds nothing."""
-
-    def check(state: WorldState, snaps) -> list[Violation]:
-        prev = snaps.before(state.time.step_index)
-        at, named = state.kept.get(label, (None, None))
-        written = state.changed_since(
-            None if at is None else min(at, prev.step_index))
-        persons = state.persons
-        changed = (persons.values() if written is None else
-                   [persons[pid] for pid in sorted(written[0] | named[0])])
-        return _named(label, state, body(state, prev, changed))
-
-    return Assumption(label, "every_step", check, note=note)
+    prev = snaps.before(state.time.step_index)
+    at, named = state.kept.get(label, (None, None))
+    written = state.changed_since(
+        None if at is None else min(at, prev.step_index))
+    persons = state.persons
+    changed = (persons.values() if written is None else
+               [persons[pid] for pid in sorted(written[0] | named[0])])
+    return _named(label, state, body(state, prev, changed))
 
 
 def _born_now(state: WorldState, changed) -> list[Person]:
@@ -428,107 +421,114 @@ def _divorce_male_moves(state: WorldState, prev: Snapshot,
 
 def _marriage_housing(event_order: tuple[str, ...]):
     """The marriage-housing rule depends on which events precede marriages in
-    the configured order, so the check is built per run. It replays the
-    step's occupancy from the previous snapshot (ageing moves, then the
-    pre-marriage events, then each merge in ascending groom id) and compares
-    the resulting households with the live state."""
+    the configured order, so the check is built per run: the body
+    _merge_replay with the events between ageing and marriages bound."""
     order = validate_event_order(event_order)
-    if "marriages" in order:
-        pre_marriage = order[1:order.index("marriages")]
-    else:
-        pre_marriage = ()
+    end = order.index("marriages") if "marriages" in order else 1
+    return partial(_merge_replay, order[1:end])
 
-    def body(state: WorldState, prev: Snapshot, changed) -> list[Fault]:
-        couples = _just_married_couples(state, prev, changed)
-        if not couples:
-            return []
 
-        slot_of: dict[int, object] = {}
-        occ: dict[object, set[int]] = {}
+def _merge_replay(pre_marriage: tuple[str, ...], state: WorldState,
+                  prev: Snapshot, changed) -> list[Fault]:
+    """Replays the step's occupancy from the previous snapshot (ageing
+    moves, then the `pre_marriage` events, then each merge in ascending
+    groom id) and compares the resulting households with the live state."""
+    couples = _just_married_couples(state, prev, changed)
+    if not couples:
+        return []
 
-        def move(pid: int, slot) -> None:
-            old = slot_of.get(pid)
-            if old is not None:
-                occ[old].discard(pid)
-            slot_of[pid] = slot
-            occ.setdefault(slot, set()).add(pid)
+    slot_of: dict[int, object] = {}
+    occ: dict[object, set[int]] = {}
 
-        def remove(pid: int) -> None:
-            old = slot_of.pop(pid, None)
-            if old is not None:
-                occ[old].discard(pid)
+    def move(pid: int, slot) -> None:
+        old = slot_of.get(pid)
+        if old is not None:
+            occ[old].discard(pid)
+        slot_of[pid] = slot
+        occ.setdefault(slot, set()).add(pid)
 
-        for pid in prev.alive & prev.house.keys():
-            move(pid, prev.house[pid])
+    def remove(pid: int) -> None:
+        old = slot_of.pop(pid, None)
+        if old is not None:
+            occ[old].discard(pid)
 
-        # ageing always runs first: replicate the 18-year move-outs
-        for p, stays_home in _turned_adult(state, prev):
-            if not p.alive:
-                remove(p.id)  # aged, possibly moved, then died
-            elif not stays_home:
-                move(p.id, ("new-adult", p.id))
+    for pid in prev.alive & prev.house.keys():
+        move(pid, prev.house[pid])
 
-        born_now = _born_now(state, changed)
-        died_now = {q.id for q in changed
-                    if not q.alive and q.id in prev.alive}
-        for name in pre_marriage:
-            if name == "deaths":
-                for pid in died_now:
-                    remove(pid)
-            elif name == "births":
-                for q in born_now:
-                    mom_slot = slot_of.get(q.mother)
-                    if mom_slot is not None:
-                        move(q.id, mom_slot)
-            elif name == "divorces":
-                for q in _divorced_males(state, prev, changed):
-                    move(q.id, ("divorced", q.id))
+    # ageing always runs first: replicate the 18-year move-outs
+    for p, stays_home in _turned_adult(state, prev):
+        if not p.alive:
+            remove(p.id)  # aged, possibly moved, then died
+        elif not stays_home:
+            move(p.id, ("new-adult", p.id))
 
-        out: list[Fault] = []
-        merged: list[tuple[Person, Person, object]] = []
-        for m, f in couples:
-            sm, sf = slot_of.get(m.id), slot_of.get(f.id)
-            if sm is None or sf is None:
-                out.append(Fault((m.id, f.id),
-                                 "spouse has no tracked household"))
-                continue
-            if sm != sf:
-                if len(occ[sm]) >= len(occ[sf]):
-                    target, source = sm, sf
-                else:
-                    target, source = sf, sm
-                for pid in sorted(occ[source]):
-                    move(pid, target)
+    born_now = _born_now(state, changed)
+    died_now = {q.id for q in changed if not q.alive and q.id in prev.alive}
+    for name in pre_marriage:
+        if name == "deaths":
+            for pid in died_now:
+                remove(pid)
+        elif name == "births":
+            for q in born_now:
+                mom_slot = slot_of.get(q.mother)
+                if mom_slot is not None:
+                    move(q.id, mom_slot)
+        elif name == "divorces":
+            for q in _divorced_males(state, prev, changed):
+                move(q.id, ("divorced", q.id))
+
+    out: list[Fault] = []
+    merged: list[tuple[Person, Person, object]] = []
+    for m, f in couples:
+        sm, sf = slot_of.get(m.id), slot_of.get(f.id)
+        if sm is None or sf is None:
+            out.append(Fault((m.id, f.id), "spouse has no tracked household"))
+            continue
+        if sm != sf:
+            if len(occ[sm]) >= len(occ[sf]):
+                target, source = sm, sf
             else:
-                target = sm
-            merged.append((m, f, target))
+                target, source = sf, sm
+            for pid in sorted(occ[source]):
+                move(pid, target)
+        else:
+            target = sm
+        merged.append((m, f, target))
 
-        mask = {q.id for q in born_now} | died_now
-        for m, f, target in merged:
-            if not isinstance(target, int):
-                out.append(Fault((m.id, f.id),
-                                 "household merged into a fresh house, "
-                                 "which the move rule never produces"))
-                continue
-            if m.house != target or f.house != target:
-                out.append(Fault((m.id, f.id),
-                                 f"couple expected in house {target}, found "
-                                 f"m->{m.house} f->{f.house}"))
-                continue
-            if target not in state.houses:
-                continue  # a_homeless reports the dangling house refs
-            expected = occ[target] - mask
-            actual = set(state.houses[target].occupants) - mask
-            if expected != actual:
-                out.append(Fault(tuple(sorted(expected ^ actual)),
-                                 f"house {target} occupants diverge from the "
-                                 f"merge rule"))
-        return out
-
-    return body
+    mask = {q.id for q in born_now} | died_now
+    for m, f, target in merged:
+        if not isinstance(target, int):
+            out.append(Fault((m.id, f.id),
+                             "household merged into a fresh house, "
+                             "which the move rule never produces"))
+            continue
+        if m.house != target or f.house != target:
+            out.append(Fault((m.id, f.id),
+                             f"couple expected in house {target}, found "
+                             f"m->{m.house} f->{f.house}"))
+            continue
+        if target not in state.houses:
+            continue  # a_homeless reports the dangling house refs
+        expected = occ[target] - mask
+        actual = set(state.houses[target].occupants) - mask
+        if expected != actual:
+            out.append(Fault(tuple(sorted(expected ^ actual)),
+                             f"house {target} occupants diverge from the "
+                             f"merge rule"))
+    return out
 
 
 # ----------------------------------------------------------- registry
+
+def _entry(scope: str, check, label: str, rule, note="") -> Assumption:
+    """The entry of `label` whose check is check(label, rule, state, snaps)."""
+    return Assumption(label, scope, partial(check, label, rule), note=note)
+
+
+_initial = partial(_entry, "initial", _initial_check)
+_structural = partial(_entry, "every_step", _structural_check)
+_step_change = partial(_entry, "every_step", _step_change_check)
+
 
 def build_registry(event_order=DEFAULT_EVENT_ORDER
                    ) -> tuple[Assumption, ...]:
@@ -586,25 +586,9 @@ def check_initial(state: WorldState,
     return out
 
 
-# check_step's one-entry memo: (registry, its hard every-step entries, their
-# labels). run() hands every call one registry, so after its first step
-# every call hits; a call with another registry replaces the entry. A
-# registry is a tuple and cannot change, so the entry never goes stale;
-# holding it keeps the registry alive, and its id from being reused.
-_hard_memo: tuple = (None, (), ())
-
-
-def _hard_checks(registry: tuple[Assumption, ...]) -> tuple:
-    """(registry, its hard every-step entries in order, their labels)."""
-    global _hard_memo
-    if _hard_memo[0] is registry:
-        return _hard_memo
-    hard = tuple(a for a in registry
-                 if a.scope == "every_step" and a.kind == "hard")
-    entry = (registry, hard, tuple(a.label for a in hard))
-    if type(registry) is tuple:  # any other sequence may change: not kept
-        _hard_memo = entry
-    return entry
+def _hard_labels(registry: tuple[Assumption, ...]) -> list[str]:
+    return [a.label for a in registry
+            if a.scope == "every_step" and a.kind == "hard"]
 
 
 def check_step(state: WorldState, snaps: SnapshotStore,
@@ -612,20 +596,21 @@ def check_step(state: WorldState, snaps: SnapshotStore,
                ) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
     run, each from where it last read the state. None runs when the last
-    call that ran them, with the same hard checks (by label), flagged
-    nothing and changed_since(its step) is EMPTY_WINDOW. That call's step
-    and labels are kept in state.kept[check_step]; a call that runs no
-    check writes nothing."""
+    call that ran them flagged nothing, changed_since(its step) is
+    EMPTY_WINDOW, and its registry is this one or has the same hard
+    checks (by label). That call's step and registry are kept in
+    state.kept[check_step]; a call that runs no check writes nothing."""
     registry = build_registry() if registry is None else registry
-    _, hard, labels = _hard_checks(registry)
     at, ran = state.kept.get(check_step, (None, None))
-    if ran == labels and state.changed_since(at) is EMPTY_WINDOW:
+    if state.changed_since(at) is EMPTY_WINDOW and (
+            ran is registry or _hard_labels(ran) == _hard_labels(registry)):
         return []
-    out = [v for a in hard for v in a.check(state, snaps)]
+    out = [v for a in registry if a.scope == "every_step" and a.kind == "hard"
+           for v in a.check(state, snaps)]
     if out:
         state.kept.pop(check_step, None)
     else:
-        state.kept[check_step] = (state.time.step_index, labels)
+        state.kept[check_step] = (state.time.step_index, registry)
     return out
 
 

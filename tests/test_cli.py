@@ -183,6 +183,22 @@ def test_each_replicate_echo_reruns_it(tmp_path, capsys):
         assert f"digest={summary['final_digest']}" in stdout.split()
 
 
+def test_seed_and_out_flags_reach_the_echo(tmp_path, capsys):
+    """--seed and --out override the config file's seed and out_dir, and
+    summary.json's config echo holds the values the run used."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"seed = 3\ninitial_pop = 60\nt_final = 2021\n"
+                   f"out_dir = {tmp_path / 'from_file'}\n")
+    out = tmp_path / "D"
+    rc, _, _ = run_main(["run", "--config", str(cfg), "--seed", "5",
+                         "--out", str(out)], capsys)
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["seed"] == summary["seed"] == 5
+    assert summary["config"]["out_dir"] == str(out)
+    assert not (tmp_path / "from_file").exists()
+
+
 def test_main_validate_ok(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\n")

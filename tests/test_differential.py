@@ -48,10 +48,15 @@ written between steps, and on the direct space writes, made at step 0,
 which the journal forgets, and at a later step. The reaching-window runs
 check, on the fault runs and the chain configs, that every changed_since
 answer for an earlier step holds every id journaled since that step and
-every clock cohort after it.
+every clock cohort after it. The house-field runs write a stored house's
+coordinates or occupant set after an idle hourly step, whose window is
+EMPTY_WINDOW, and compare the run's next step with the oracle; the
+pickled-registry runs check twin fault runs, one with a registry and one
+with its pickled copy, and compare the lists at every step.
 """
 from __future__ import annotations
 
+import pickle
 import random
 from collections import Counter, deque
 from dataclasses import replace
@@ -71,9 +76,10 @@ from demosim.cli import build_config
 from demosim.engine import Run, TIMESERIES_HEADER, TimeSeries, state_digest
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
-from demosim.model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                           House, Journal, ModelParams, Town, WorldState,
-                           link_partners, mark_dead, unlink_partners)
+from demosim.model import (ADULT_YEARS, EMPTY_WINDOW, FEMALE, MALE,
+                           MOTHER_AGE_LIMIT_YEARS, House, Journal,
+                           ModelParams, Town, WorldState, link_partners,
+                           mark_dead, unlink_partners)
 from demosim.predicates import SnapshotStore
 from demosim.rates import RateContext, default_model_data
 from demosim.space import create_house, leave_house, move_person
@@ -1518,6 +1524,57 @@ def test_direct_index_writes_match_oracle(seed):
     assert not run.pending
     # every write must show, or the comparison proves nothing
     assert flagged == set(INDEX_WRITES)
+
+
+# house field writes between two steps -> the label that must flag them
+HOUSE_FIELD_WRITES = {
+    "local_xy": (lambda h: setattr(h, "local_xy", (0, 0)),
+                 "a_s_house_xy_bounds"),
+    "occupants": (lambda h: setattr(h, "occupants", set()), "a_homeless"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOUSE_FIELD_WRITES))
+def test_house_field_write_after_an_idle_step_matches_oracle(case):
+    """A seed-1 hourly warn-mode Run is idle at step 40: its window is
+    EMPTY_WINDOW. A field of the lowest-id occupied house written then is
+    journaled by the house's hook, so the run's next step reports the
+    oracle's list, which flags the write."""
+    run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
+                            "t0": "2020", "t_final": "2021", "seed": "1",
+                            "verification_mode": "warn"}))
+    for _ in range(40):
+        run.advance()
+    assert run.state.changed_since(40) is EMPTY_WINDOW
+    house = min((h for h in run.state.houses.values() if h.occupants),
+                key=lambda h: h.id)
+    write, label = HOUSE_FIELD_WRITES[case]
+    write(house)
+    before = len(run.violations)
+    run.advance()
+    expected = oracle.check_step(run.state, run.snaps, DEFAULT_EVENT_ORDER)
+    assert any(v.label == label for v in expected)
+    assert run.violations[before:] == expected
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+def test_pickled_registry_checks_as_the_original(order):
+    """A registry is plain data: pickled and loaded back, it returns on a
+    warn-mode fault run, at every step, the list the original returns on
+    a twin of that run, and the faults show."""
+    order = tuple(order.split(","))
+    registry = build_registry(order)
+    loaded = pickle.loads(pickle.dumps(registry))
+    runs = [FaultRun(FAULT_SEEDS[0], order, timings=("after",))
+            for _ in range(2)]
+    found = 0
+    for _ in range(STEPS):
+        for run in runs:
+            run.advance()
+        got = check_step(runs[0].state, runs[0].snaps, registry)
+        assert check_step(runs[1].state, runs[1].snaps, loaded) == got
+        found += len(got)
+    assert found
 
 
 def _drop_house(state, house):

@@ -3,20 +3,23 @@
 The rosters, the snapshot freeze and the every-step checks read what
 changed from WorldState.changed_since, which alone reads the journal.
 Once it has been called, every attribute write to a person is journaled
-by CountedPerson's write hook, and every write to the house records, at
-any time, by HouseRecords'. The space checks read the town writes, which
-TownRecords and Town's write hook count in Journal.town_writes. So only a
-write the hooks cannot see goes unseen by them: a change to a container,
-an item write to the person records, a rebinding of a state's house or
-town records, or a write past a hook. The writer test walks the package's
-source and fails on any such write outside the functions that journal
-it; the note test fails on any other caller of Journal.note than the two
-hooks and add_person, and the reader test on any other caller of
-Journal.since.
+by CountedPerson's write hook; every write to the house records, at any
+time, by HouseRecords'; and every town, local_xy or occupants write to a
+stored house by JournaledHouse's. The space checks read the town writes,
+which TownRecords and Town's write hook count in Journal.town_writes. So
+only a write the hooks cannot see goes unseen by them: a change to a
+container, an item write to the person records, a rebinding of a state's
+house or town records, or a write past a hook. The writer test walks the
+package's source and fails on any such write outside the functions that
+journal it; the note test fails on any other caller of Journal.note than
+the three hooks and add_person, and the reader test on any other caller
+of Journal.since.
 """
 from __future__ import annotations
 
 import ast
+import copy
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -27,22 +30,24 @@ from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.cli import build_config
 from demosim.engine import Run
 from demosim.initialization import init_world
-from demosim.model import (EMPTY_WINDOW, FEMALE, House, Journal, Town,
-                           WorldState, link_partners, mark_dead,
-                           unlink_partners)
+from demosim.model import (EMPTY_WINDOW, FEMALE, House, JournaledHouse,
+                           Journal, Town, WorldState, link_partners,
+                           mark_dead, unlink_partners)
 from demosim.space import create_house, leave_house, move_person
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
 
 # the person fields the every-step checks, the rosters and the birth-step
-# index read (children: the birth spacing of events._fertile_wife), and
-# the town fields the space checks read: the hooks journal or count an
-# assignment to one, but not a write past them (object.__setattr__,
-# setattr or delattr with the field's name)
+# index read (children: the birth spacing of events._fertile_wife), the
+# house fields the checks read, and the town fields the space checks
+# read: the hooks journal or count an assignment to one, but not a write
+# past them (object.__setattr__, setattr or delattr with the field's name)
 FIELDS = {"alive", "partner", "house", "ever_partners", "born_step",
-          "died_step", "gave_birth", "children", "id", "grid_xy", "density"}
-# containers the readers read: the hook sees no mutating call or item
-# write on one, nor an assignment to a house's occupants
+          "died_step", "gave_birth", "children", "local_xy", "town",
+          "occupants", "id", "grid_xy", "density"}
+# containers the readers read: the hooks see no mutating call or item
+# write on one. An assignment to a stored house's occupants is journaled,
+# but flagged too: only the mutators change who lives where
 CONTAINERS = {"occupants", "children", "ever_partners"}
 # the person records: an item write or a mutating call adds or drops one
 # (the house and town records journal or count their own item writes)
@@ -182,6 +187,74 @@ def test_writes_past_the_town_hooks_are_found():
     assert finder.found == [("f", 2, "density"), ("f", 3, "grid_xy"),
                             ("f", 4, "towns"), ("f", 5, "towns"),
                             ("f", 6, "houses")]
+
+
+def test_writes_past_the_house_hook_are_found():
+    """A house field written past JournaledHouse.__setattr__ is one write
+    the writer test flags; the write through the hook is not."""
+    finder = _Writes()
+    finder.visit(ast.parse(
+        "def f(house):\n"
+        "    object.__setattr__(house, 'local_xy', (0, 0))\n"
+        "    setattr(house, 'town', 1)\n"
+        "    delattr(house, 'occupants')\n"
+        "    house.local_xy = (0, 0)\n"))  # through the hook
+    assert finder.found == [("f", 2, "local_xy"), ("f", 3, "town"),
+                            ("f", 4, "occupants")]
+
+
+def test_house_field_writes_are_journaled():
+    """A house the records store journals its id and its occupants at the
+    clock's step on a town, local_xy or occupants write; a write to any
+    other field, a change inside its occupant set and a write to a house
+    outside any records note nothing."""
+    state = make_state()
+    town = add_town(state)
+    house = add_house(state, town)
+    man = add_person(state, age_years=30, house=house)
+    assert type(house) is JournaledHouse
+    state.time.step_index = 1
+    state.changed_since(None)  # starts the person hook
+    journal = state.journal
+
+    def written(now, name, value, target=house):
+        state.time.step_index = now
+        before = journal.writes
+        setattr(target, name, value)
+        return journal.writes - before, journal.since(now)
+
+    assert written(2, "local_xy", (2, 2)) == (1, ({man.id}, {house.id}))
+    assert written(3, "town", town.id) == (1, ({man.id}, {house.id}))
+    assert written(4, "occupants", set()) == (1, ({man.id}, {house.id}))
+    assert written(5, "local_xy", (1, 1)) == (1, (set(), {house.id}))
+    assert written(6, "id", house.id) == (0, EMPTY_WINDOW)
+    loose = House(id=9, town=town.id, local_xy=(1, 1))
+    assert type(loose) is House
+    assert written(7, "local_xy", (0, 0), loose) == (0, EMPTY_WINDOW)
+    state.time.step_index = 8
+    house.occupants.add(man.id)
+    assert journal.since(8) is EMPTY_WINDOW
+
+
+@pytest.mark.parametrize("copied", [
+    copy.deepcopy, lambda run: pickle.loads(pickle.dumps(run))],
+    ids=["deepcopy", "pickle"])
+def test_a_copy_keeps_the_town_count_and_journals_its_own(copied):
+    """A copy of a seed-1 hourly Run after 5 steps restores its towns and
+    houses past their hooks: its town_writes is the original's, and a
+    house write on the copy is journaled in the copy's journal alone."""
+    run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
+                            "t0": "2020", "t_final": "2021", "seed": "1"}))
+    for _ in range(5):
+        run.advance()
+    twin = copied(run)
+    assert twin.state.journal.town_writes == run.state.journal.town_writes
+    house = min(twin.state.houses.values(), key=lambda h: h.id)
+    assert type(house) is JournaledHouse
+    assert house.journal is twin.state.journal
+    house.local_xy = house.local_xy
+    assert house.id in twin.state.journal.since(5)[1]
+    assert house.id not in run.state.journal.since(5)[1]
 
 
 def test_mutators_journal_what_they_change():
@@ -369,12 +442,15 @@ def test_changed_since_is_the_one_reader_of_the_journal():
 
 
 def test_the_write_hook_and_the_record_adders_write_the_journal():
-    """Every person write is journaled by CountedPerson.__setattr__ and
-    every house record write by HouseRecords, so only add_person, which
-    adds a person record, notes anything else."""
+    """Every person write is journaled by CountedPerson.__setattr__, every
+    house record write by HouseRecords and every house field write by
+    JournaledHouse.__setattr__, so only add_person, which adds a person
+    record, notes anything else."""
     assert sorted(package_callers("note")) == [
         ("model", "CountedPerson.__setattr__"),
-        ("model", "HouseRecords._note"), ("model", "WorldState.add_person")]
+        ("model", "HouseRecords._note"),
+        ("model", "JournaledHouse.__setattr__"),
+        ("model", "WorldState.add_person")]
 
 
 def test_window_is_computed_once_per_step(monkeypatch):

@@ -2,7 +2,7 @@
 
 Each hard check keeps the step it last read a state at, and what it
 flagged there, in WorldState.kept under its label; check_step keeps there
-the step and labels of its last call that ran them. So any registry reads
+the step and registry of its last call that ran them. So any registry reads
 a state from where the last check of it left off: a fresh registry on a
 state checked at the previous step hands its rules only the change
 window, and a reader that checks only every so many steps runs no check
@@ -10,16 +10,19 @@ when the window reaches back over a quiet run to its last call. A check
 with no position that a window reaches back to sweeps everyone on record,
 after a gap that was not quiet or when it has never read the state, and
 flags what no journal shows. What is kept stays bounded
-however many registries read the state.
+however many registries read the state, and nothing is kept in a module
+global.
 """
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 import random
 import sys
 from collections import defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -202,7 +205,7 @@ def test_idle_test_compares_the_hard_labels():
     """On a step where check_step with a kept registry runs no check, a
     registry with one hard check fewer, or one more, still runs each of its
     hard checks: the idle test compares the labels of the last call that
-    ran them, whichever registry check_step's memo holds. Each result is
+    ran them, whichever registry state.kept holds. Each result is
     the oracle's."""
     config = build_config({**IDLE_RUNS["hourly_year"][0], "seed": "1"})
     rng = random.Random(1)
@@ -333,3 +336,14 @@ def test_idle_step_counts(monkeypatch, name):
     assert result.digest == digest
     assert (sum(calls), len(calls)) == (idle_steps, result.summary[
         "steps_planned"])
+
+
+def test_the_package_keeps_nothing_in_a_module_global():
+    """No function in the package rebinds a module global: what a reader
+    carries from step to step is kept on the state it reads, which a copy
+    or a pickle carries along."""
+    package = Path(__file__).resolve().parent.parent / "src" / "demosim"
+    found = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []
