@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from typing import Callable
 
 from .engine import RunConfig, resolve_seed, run, run_batch
 from .events import DEFAULT_EVENT_ORDER
@@ -20,12 +21,72 @@ from .rates import (DEFAULT_DIVORCE_MODIFIERS, DEFAULT_MARRIAGE_MODIFIERS,
                     default_fertility, load_fertility_text)
 from .space import DensityMap
 
-_SIM_KEYS = ("t0", "t_final", "delta_t", "seed")
-_MODEL_KEYS = {f.name: f.type for f in fields(ModelParams)}
-_OTHER_KEYS = ("fertility_path", "density_path", "divorce_modifiers",
-               "marriage_modifiers", "event_order", "verification_mode",
-               "out_dir")
-KNOWN_KEYS = frozenset(_SIM_KEYS) | set(_MODEL_KEYS) | frozenset(_OTHER_KEYS)
+
+# parsers: (key, the text after "=") -> the key's value
+def _text(key: str, value: str) -> str:
+    return value
+
+
+def _number(kind: Callable[[str], object],
+            noun: str) -> Callable[[str, str], object]:
+    def parse(key: str, value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {noun}, got {value!r}") from None
+    return parse
+
+
+# argument types: argparse reports a ValueError from one as a usage error
+# that names the function
+def integer_or_random(value: str) -> int | str:
+    return value if value == "random" else int(value)
+
+
+def positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}")
+    return n
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+_seed = _number(integer_or_random, "an integer or random")
+
+
+def _floats(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_float(key, v.strip()) for v in value.split(","))
+
+
+def _names(key: str, value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(","))
+
+
+def _echo(value: object) -> object:
+    """A value as the echo holds it: a tuple as the comma list its parser
+    reads back."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+_SIM_PARSERS = {"t0": _int, "t_final": _int, "delta_t": _text, "seed": _seed}
+# key -> (its parser, its value when no line sets it), for every key a
+# config file may set. An empty path or out_dir is unset: the built-in
+# data, no artifacts
+_KEYS: dict[str, tuple[Callable[[str, str], object], object]] = {
+    **{f.name: (_SIM_PARSERS[f.name], f.default)
+       for f in fields(SimulationParams)},
+    **{f.name: (_int if f.type in (int, "int") else _float, f.default)
+       for f in fields(ModelParams)},
+    "fertility_path": (_text, ""),
+    "density_path": (_text, ""),
+    "divorce_modifiers": (_floats, DEFAULT_DIVORCE_MODIFIERS),
+    "marriage_modifiers": (_floats, DEFAULT_MARRIAGE_MODIFIERS),
+    "event_order": (_names, DEFAULT_EVENT_ORDER),
+    "verification_mode": (_text, "fail"),
+    "out_dir": (_text, ""),
+}
+KNOWN_KEYS = frozenset(_KEYS)
 
 
 def parse_config_lines(text: str) -> dict[str, str]:
@@ -47,24 +108,6 @@ def parse_config_lines(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _parse_vector(key: str, value: str) -> tuple[float, ...]:
-    return tuple(_parse_float(key, v.strip()) for v in value.split(","))
-
-
 def _read_text(path: str, error: type[SimulationError]) -> str:
     """The text of an input file; one that is not UTF-8 is bad input."""
     with open(path, encoding="utf-8") as fh:
@@ -75,72 +118,36 @@ def _read_text(path: str, error: type[SimulationError]) -> str:
                         f"{exc.start})") from None
 
 
+def _data_file(path: str, load: Callable[[str], object],
+               built_in: Callable[[], object]) -> object:
+    return load(_read_text(path, DataFormatError)) if path else built_in()
+
+
 def build_config(pairs: dict[str, str]) -> RunConfig:
-    """Resolve a parsed key/value map into a full RunConfig; missing keys
-    fall back to the embedded defaults."""
-    sim_kwargs: dict = {}
-    if "t0" in pairs:
-        sim_kwargs["t0"] = _parse_int("t0", pairs["t0"])
-    if "t_final" in pairs:
-        sim_kwargs["t_final"] = _parse_int("t_final", pairs["t_final"])
-    if "delta_t" in pairs:
-        v = pairs["delta_t"]
-        sim_kwargs["delta_t"] = (int(v) if v.isascii() and v.isdigit()
-                                 else v.lower())
-    if "seed" in pairs:
-        v = pairs["seed"]
-        sim_kwargs["seed"] = "random" if v == "random" else _parse_int("seed", v)
-    sim = SimulationParams(**sim_kwargs)
-
-    model_kwargs: dict = {}
-    for key, typ in _MODEL_KEYS.items():
-        if key in pairs:
-            parse = _parse_int if typ in (int, "int") else _parse_float
-            model_kwargs[key] = parse(key, pairs[key])
-    model = ModelParams(**model_kwargs)
-
-    if "fertility_path" in pairs:
-        fertility = load_fertility_text(
-            _read_text(pairs["fertility_path"], DataFormatError))
-    else:
-        fertility = default_fertility()
-    if "density_path" in pairs:
-        density = DensityMap.from_text(
-            _read_text(pairs["density_path"], DataFormatError))
-    else:
-        density = DensityMap.default()
-    divorce_mod = (_parse_vector("divorce_modifiers", pairs["divorce_modifiers"])
-                   if "divorce_modifiers" in pairs
-                   else DEFAULT_DIVORCE_MODIFIERS)
-    marriage_mod = (_parse_vector("marriage_modifiers",
-                                  pairs["marriage_modifiers"])
-                    if "marriage_modifiers" in pairs
-                    else DEFAULT_MARRIAGE_MODIFIERS)
-    data = ModelData(fertility=fertility,
-                     divorce_modifier_by_decade=divorce_mod,
-                     male_marriage_modifier_by_decade=marriage_mod)
-
-    event_order = (tuple(v.strip() for v in pairs["event_order"].split(","))
-                   if "event_order" in pairs else DEFAULT_EVENT_ORDER)
-    mode = pairs.get("verification_mode", "fail")
-    out_dir = pairs.get("out_dir")
-
-    echo = {
-        "t0": sim.t0, "t_final": sim.t_final, "delta_t": sim.delta_t,
-        "seed": sim.seed,
-        **{k: getattr(model, k) for k in _MODEL_KEYS},
-        "fertility_path": pairs.get("fertility_path", ""),
-        "density_path": pairs.get("density_path", ""),
-        "divorce_modifiers": ",".join(repr(v) for v in divorce_mod),
-        "marriage_modifiers": ",".join(repr(v) for v in marriage_mod),
-        "event_order": ",".join(event_order),
-        "verification_mode": mode,
-        "out_dir": out_dir or "",
-    }
+    """Resolve a parsed key/value map into a full RunConfig: each key is
+    parsed by its row of _KEYS, or takes the row's unset value, and every
+    key is echoed in config_echo."""
+    values = {key: parse(key, pairs[key]) if key in pairs else unset
+              for key, (parse, unset) in _KEYS.items()}
+    sim = SimulationParams(**{f.name: values[f.name]
+                              for f in fields(SimulationParams)})
+    values |= asdict(sim)  # delta_t as SimulationParams spells it
+    model = ModelParams(**{f.name: values[f.name]
+                           for f in fields(ModelParams)})
+    data = ModelData(
+        fertility=_data_file(values["fertility_path"], load_fertility_text,
+                             default_fertility),
+        divorce_modifier_by_decade=values["divorce_modifiers"],
+        male_marriage_modifier_by_decade=values["marriage_modifiers"])
+    density = _data_file(values["density_path"], DensityMap.from_text,
+                         DensityMap.default)
     try:
         return RunConfig(sim=sim, model=model, data=data, density=density,
-                         event_order=event_order, verification_mode=mode,
-                         out_dir=out_dir, config_echo=echo)
+                         event_order=values["event_order"],
+                         verification_mode=values["verification_mode"],
+                         out_dir=values["out_dir"],
+                         config_echo={key: _echo(value)
+                                      for key, value in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -168,10 +175,11 @@ def _print_config(config: RunConfig) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
+    # through replace, so RunConfig checks the flags' values as a file's
     if args.out is not None:
-        config.out_dir = args.out
+        config = replace(config, out_dir=args.out)
     if args.seed is not None:
-        config.sim = replace(config.sim, seed=args.seed)
+        config = replace(config, sim=replace(config.sim, seed=args.seed))
     if args.replicates > 1:
         base = resolve_seed(config.sim.seed)
         results = run_batch(config, args.replicates, base)
@@ -204,20 +212,6 @@ def _cmd_defaults(args: argparse.Namespace) -> int:
     for row in rows:
         print(" ".join(f"{v:g}" for v in row))
     return 0
-
-
-# argument types: argparse reports a ValueError from one as a usage error
-# that names the function
-def integer_or_random(value: str) -> int | str:
-    return value if value == "random" else int(value)
-
-
-def positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value!r}")
-    return n
 
 
 def main(argv: list[str] | None = None) -> int:

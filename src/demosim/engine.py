@@ -57,6 +57,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         validate_event_order(self.event_order)
+        # "" from a config file, --out or the API alike: no artifacts
+        self.out_dir = self.out_dir or None
         if self.verification_mode not in ("warn", "fail"):
             raise ValueError(
                 f"verification_mode must be warn or fail, "

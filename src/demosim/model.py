@@ -50,21 +50,21 @@ class AssumptionFailure(SimulationError):
     """A registered assumption was violated while running in fail mode."""
 
 
-def resolve_steps_per_year(delta_t: str | int) -> int:
-    """Map a clock-rate label (or explicit positive step count) to N per year."""
-    if isinstance(delta_t, bool):
-        raise ConfigError(f"bad delta_t: {delta_t!r}")
-    if isinstance(delta_t, int):
+def delta_t_spelling(delta_t: str | int) -> str | int:
+    """The one spelling of a clock rate, which SimulationParams keeps: a
+    STEPS_PER_YEAR label in lower case, or the int count of steps a year,
+    positive, which a string of digits also names."""
+    if isinstance(delta_t, int) and not isinstance(delta_t, bool):
         if delta_t <= 0:
             raise ConfigError(f"delta_t must be positive, got {delta_t}")
         return delta_t
     label = str(delta_t).strip().lower()
     if label in STEPS_PER_YEAR:
-        return STEPS_PER_YEAR[label]
+        return label
     # ASCII only: str.isdigit also accepts digits such as "²" that int()
     # rejects
-    if label.isascii() and label.isdigit() and int(label) > 0:
-        return int(label)
+    if label.isascii() and label.isdigit():
+        return delta_t_spelling(int(label))
     raise ConfigError(f"unknown delta_t {delta_t!r}; expected one of "
                       f"{sorted(STEPS_PER_YEAR)} or a positive integer")
 
@@ -95,11 +95,11 @@ class SimulationParams:
     def __post_init__(self) -> None:
         if self.t_final <= self.t0:
             raise ConfigError(f"t_final ({self.t_final}) must exceed t0 ({self.t0})")
-        resolve_steps_per_year(self.delta_t)
+        self.delta_t = delta_t_spelling(self.delta_t)
 
     @property
     def steps_per_year(self) -> int:
-        return resolve_steps_per_year(self.delta_t)
+        return STEPS_PER_YEAR.get(self.delta_t, self.delta_t)
 
 
 @dataclass(slots=True)
@@ -287,18 +287,24 @@ class JournaledHouse(House):
 
 @dataclass(slots=True)
 class Town:
-    # the journal its TownRecords hands it; first, so __init__ sets it first
-    journal: Journal | None = field(default=None, init=False, repr=False,
-                                    compare=False)
     id: int
     grid_xy: tuple[int, int]
     density: float
     houses: set[int] = field(default_factory=set)
+    # the journal its TownRecords hands it
+    journal: Journal | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+
+class JournaledTown(Town):
+    """A Town whose id, grid_xy and density writes count in town_writes.
+    TownRecords, not Town(), makes one, so building a Town runs no hook."""
+    __slots__ = ()
     __setstate__ = CountedPerson.__setstate__
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
-        if name in ("id", "grid_xy", "density") and self.journal:
+        if name in ("id", "grid_xy", "density"):
             self.journal.town_writes += 1
 
 
@@ -357,11 +363,12 @@ class HouseRecords(_Records):
 
 class TownRecords(_Records):
     """A state's towns by id. Every write counts in journal.town_writes and
-    hands the town it stores the journal, where Town.__setattr__ counts."""
+    hands the town it stores the journal, as a JournaledTown."""
     __slots__ = ("journal",)
 
     def _hand(self, town: Town) -> None:
         town.journal = self.journal
+        town.__class__ = JournaledTown
 
     def _note(self, tid: int, old: Town | None) -> None:
         self.journal.town_writes += 1
@@ -393,7 +400,7 @@ class Journal:
     `step` or later, or None when writes at or after `step` may have been
     forgotten. `writes` counts the notes. Step 0 counts as forgotten from
     the start, so the writes that build a world there are never recorded.
-    `town_writes` counts the writes TownRecords and Town make, at any step.
+    `town_writes` counts TownRecords' and JournaledTown's writes, any step.
 
     It also holds the state's census once WorldState.keep_census has taken
     it: the living, the living males and the sum of the living's birth

@@ -586,24 +586,18 @@ def check_initial(state: WorldState,
     return out
 
 
-def _hard_labels(registry: tuple[Assumption, ...]) -> list[str]:
-    return [a.label for a in registry
-            if a.scope == "every_step" and a.kind == "hard"]
-
-
 def check_step(state: WorldState, snaps: SnapshotStore,
                registry: tuple[Assumption, ...] | None = None
                ) -> list[Violation]:
     """The every-step violations, in registry order. Only the hard checks
     run, each from where it last read the state. None runs when the last
     call that ran them flagged nothing, changed_since(its step) is
-    EMPTY_WINDOW, and its registry is this one or has the same hard
-    checks (by label). That call's step and registry are kept in
-    state.kept[check_step]; a call that runs no check writes nothing."""
+    EMPTY_WINDOW, and its registry is this one. That call's step and
+    registry are kept in state.kept[check_step]; a call that runs no check
+    writes nothing."""
     registry = build_registry() if registry is None else registry
     at, ran = state.kept.get(check_step, (None, None))
-    if state.changed_since(at) is EMPTY_WINDOW and (
-            ran is registry or _hard_labels(ran) == _hard_labels(registry)):
+    if state.changed_since(at) is EMPTY_WINDOW and ran is registry:
         return []
     out = [v for a in registry if a.scope == "every_step" and a.kind == "hard"
            for v in a.check(state, snaps)]

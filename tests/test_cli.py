@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from demosim import cli
-from demosim.cli import (build_config, main, parse_config, parse_config_lines)
+from demosim.cli import (KNOWN_KEYS, build_config, main, parse_config,
+                         parse_config_lines)
+from demosim.engine import RunConfig, run
 from demosim.model import AssumptionFailure, ConfigError
 from demosim.rates import DEFAULT_DIVORCE_MODIFIERS
 from demosim.space import DensityMap
@@ -127,7 +131,7 @@ def test_main_run(tmp_path, capsys):
     assert "digest=" in stdout
     assert sorted(os.listdir(out)) == \
         ["summary.json", "timeseries.csv", "violations.csv"]
-    summary = json.load(open(out / "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 5
     assert summary["config"]["initial_pop"] == 120
 
@@ -157,10 +161,16 @@ def test_main_replicates(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["replicate_000", "replicate_001"]
 
 
+def echo_text(echo: dict) -> str:
+    """An echo written back as a config file, as written, empty values
+    included."""
+    return "".join(f"{key} = {value}\n" for key, value in echo.items())
+
+
 def test_each_replicate_echo_reruns_it(tmp_path, capsys):
     """Each replicate's summary echoes its own seed and directory: written
-    back as a config file, leaving out empty values, and run into another
-    directory, it reproduces that replicate's digest."""
+    back as a config file as it is, empty values included, and run into
+    another directory, it reproduces that replicate's digest."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 5\ninitial_pop = 60\nt_final = 2021\n")
     batch = tmp_path / "batch"
@@ -173,9 +183,9 @@ def test_each_replicate_echo_reruns_it(tmp_path, capsys):
         echo = summary["config"]
         assert echo["seed"] == summary["seed"] == 7 + r
         assert echo["out_dir"] == str(out)
+        assert echo["fertility_path"] == echo["density_path"] == ""
         again = tmp_path / f"again_{r}.cfg"
-        again.write_text("".join(f"{key} = {value}\n"
-                                 for key, value in echo.items() if value != ""))
+        again.write_text(echo_text(echo))
         rc, stdout, _ = run_main(["run", "--config", str(again),
                                   "--out", str(tmp_path / f"again_{r}")],
                                  capsys)
@@ -442,8 +452,8 @@ def test_density_map_without_towns_exits_1(tmp_path, capsys):
                          ids=["random", "unset"])
 def test_random_seed_echo_reruns_the_run(tmp_path, capsys, seed_line):
     """A single run whose seed is drawn echoes the seed it drew, as
-    run_batch echoes each replicate's: written back as a config file,
-    leaving out empty values, the echo reproduces the run's digest."""
+    run_batch echoes each replicate's: written back as a config file, as
+    it is, the echo reproduces the run's digest."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{seed_line}initial_pop = 60\nt_final = 2021\n")
     first = tmp_path / "first"
@@ -454,9 +464,92 @@ def test_random_seed_echo_reruns_the_run(tmp_path, capsys, seed_line):
     echo = summary["config"]
     assert echo["seed"] == summary["seed"]
     again = tmp_path / "again.cfg"
-    again.write_text("".join(f"{key} = {value}\n"
-                             for key, value in echo.items() if value != ""))
+    again.write_text(echo_text(echo))
     rc, stdout, _ = run_main(["run", "--config", str(again),
                               "--out", str(tmp_path / "again")], capsys)
     assert rc == 0
     assert f"digest={summary['final_digest']}" in stdout.split()
+
+
+def test_single_run_echo_reruns_as_written(tmp_path, capsys):
+    """A single run on the built-in data echoes its unset paths as empty
+    values. Its echo, written back as a config file as it is, runs into
+    the directory it names and reproduces the run's digest."""
+    cfg = tmp_path / "c.cfg"
+    first = tmp_path / "first"
+    cfg.write_text(f"seed = 5\ninitial_pop = 60\nt_final = 2021\n"
+                   f"out_dir = {first}\n")
+    rc, _, _ = run_main(["run", "--config", str(cfg)], capsys)
+    assert rc == 0
+    summary = json.loads((first / "summary.json").read_text())
+    echo = summary["config"]
+    assert echo["fertility_path"] == echo["density_path"] == ""
+    again = tmp_path / "again"
+    (tmp_path / "again.cfg").write_text(echo_text({**echo,
+                                                   "out_dir": again}))
+    rc, stdout, _ = run_main(["run", "--config", str(tmp_path / "again.cfg")],
+                             capsys)
+    assert rc == 0
+    assert f"digest={summary['final_digest']}" in stdout.split()
+    rerun = json.loads((again / "summary.json").read_text())
+    assert rerun["config"] == {**echo, "out_dir": str(again)}
+
+
+def test_an_empty_out_dir_writes_nothing(tmp_path, capsys, monkeypatch):
+    """An empty out_dir means no directory, whatever its source: a config
+    file's out_dir, --out (for a single run and for replicates) and
+    RunConfig(out_dir="") each run to the end and write nothing."""
+    monkeypatch.chdir(tmp_path)
+    pairs = {"seed": "5", "initial_pop": "40", "delta_t": "monthly",
+             "t_final": "2021"}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(echo_text({**pairs, "out_dir": ""}))
+    for argv in (["run", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--out", ""],
+                 ["run", "--config", str(cfg), "--out", "",
+                  "--replicates", "2"]):
+        rc, stdout, stderr = run_main(argv, capsys)
+        assert rc == 0, stderr
+        assert "artifacts written" not in stdout
+    built = build_config(pairs)
+    config = RunConfig(built.sim, built.model, built.data, built.density,
+                       out_dir="")
+    assert config.out_dir is None
+    assert run(config).summary["steps_completed"] == 12
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def bench_workloads() -> dict[str, dict[str, str]]:
+    """The config of each workload of bench/bench.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parents[1] / "bench" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return {name: w.config for name, w in module.WORKLOADS.items()}
+
+
+BENCH_WORKLOADS = bench_workloads()
+
+
+@pytest.mark.parametrize("name", ["built_in", "data_files",
+                                  *BENCH_WORKLOADS])
+def test_the_echo_rebuilds_its_config(tmp_path, name):
+    """The echo holds every known key, and rendered as text, as validate
+    prints it and a config file holds it, it builds the config it echoes:
+    for the built-in config, a config with its own fertility and density
+    files, and each benchmark workload's config."""
+    if name == "data_files":
+        (tmp_path / "fert.txt").write_text(fertility_text(18, 44, 0.3))
+        (tmp_path / "dens.txt").write_text(
+            "\n".join(" ".join(["0.5"] * 8) for _ in range(12)) + "\n")
+        pairs = {"fertility_path": str(tmp_path / "fert.txt"),
+                 "density_path": str(tmp_path / "dens.txt"),
+                 "divorce_modifiers": ",".join(["0.25"] * 16),
+                 "delta_t": "Weekly", "seed": "9", "out_dir": str(tmp_path)}
+    else:
+        pairs = BENCH_WORKLOADS.get(name, {})
+    config = build_config(pairs)
+    echo = config.config_echo
+    assert set(echo) == KNOWN_KEYS
+    assert build_config(parse_config_lines(echo_text(echo))) == config

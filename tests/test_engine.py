@@ -94,14 +94,14 @@ def test_digest_sensitivity():
 
 
 def test_run_writes_artifacts(tmp_path):
-    out = str(tmp_path / "arts")
-    result = run(config(pop=100, seed=2, out_dir=out))
+    out = tmp_path / "arts"
+    result = run(config(pop=100, seed=2, out_dir=str(out)))
     names = sorted(os.listdir(out))
     assert names == ["summary.json", "timeseries.csv", "violations.csv"]
-    text = open(os.path.join(out, "timeseries.csv")).read()
+    text = (out / "timeseries.csv").read_text()
     assert text.splitlines()[0] == ",".join(TIMESERIES_HEADER)
     assert len(text.splitlines()) == 367  # header + 366 rows
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 2
     assert summary["final_digest"] == result.digest
     assert summary["aborted_on_violation"] is False
@@ -114,13 +114,13 @@ def test_fail_mode_aborts_and_writes_partial(tmp_path, monkeypatch):
     planted = Violation("a_homeless", 0, (1,), "planted for the abort test")
     monkeypatch.setattr(engine, "check_initial",
                         lambda state, registry: [planted])
-    out = str(tmp_path / "failed")
+    out = tmp_path / "failed"
     with pytest.raises(AssumptionFailure):
-        run(config(pop=50, seed=4, out_dir=out, verification_mode="fail"))
-    summary = json.load(open(os.path.join(out, "summary.json")))
+        run(config(pop=50, seed=4, out_dir=str(out), verification_mode="fail"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["aborted_on_violation"] is True
     assert summary["steps_completed"] == 0
-    vio = open(os.path.join(out, "violations.csv")).read().splitlines()
+    vio = (out / "violations.csv").read_text().splitlines()
     assert vio[0] == "step,label,ids,detail"
     assert vio[1].startswith("0,a_homeless,1,")
 

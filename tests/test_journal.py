@@ -6,10 +6,10 @@ Once it has been called, every attribute write to a person is journaled
 by CountedPerson's write hook; every write to the house records, at any
 time, by HouseRecords'; and every town, local_xy or occupants write to a
 stored house by JournaledHouse's. The space checks read the town writes,
-which TownRecords and Town's write hook count in Journal.town_writes. So
-only a write the hooks cannot see goes unseen by them: a change to a
-container, an item write to the person records, a rebinding of a state's
-house or town records, or a write past a hook. The writer test walks the
+which TownRecords and JournaledTown's write hook count in
+Journal.town_writes. So only a write the hooks cannot see goes unseen by
+them: a change to a container, an item write to the person records, a
+rebinding of a state's house or town records, or a write past a hook. The writer test walks the
 package's source and fails on any such write outside the functions that
 journal it; the note test fails on any other caller of Journal.note than
 the three hooks and add_person, and the reader test on any other caller
@@ -31,8 +31,8 @@ from demosim.cli import build_config
 from demosim.engine import Run
 from demosim.initialization import init_world
 from demosim.model import (EMPTY_WINDOW, FEMALE, House, JournaledHouse,
-                           Journal, Town, WorldState, link_partners,
-                           mark_dead, unlink_partners)
+                           JournaledTown, Journal, Town, WorldState,
+                           link_partners, mark_dead, unlink_partners)
 from demosim.space import create_house, leave_house, move_person
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
@@ -169,11 +169,11 @@ def test_only_journaled_mutators_write_checked_fields():
 
 
 def test_writes_past_the_town_hooks_are_found():
-    """A town field written past Town.__setattr__, a town record written
-    past TownRecords, and a state's records rebound to a new dict are
-    each one write the writer test flags: the space checks would not see
-    them, so none may stand in the package outside WRAPS. The two writes
-    through the hooks are not flagged."""
+    """A town field written past JournaledTown.__setattr__, a town record
+    written past TownRecords, and a state's records rebound to a new dict
+    are each one write the writer test flags: the space checks would not
+    see them, so none may stand in the package outside WRAPS. The two
+    writes through the hooks are not flagged."""
     finder = _Writes()
     finder.visit(ast.parse(
         "def f(state, town):\n"
@@ -326,10 +326,10 @@ def test_mutators_journal_what_they_change():
 
 def test_town_writes_count_every_town_write():
     """Each write to the town records counts once per town it adds,
-    replaces or drops, and hands each town it stores the journal, whose
-    Town.__setattr__ then counts each id, grid_xy or density write to it;
-    a read, a write to a town's house set and a write to a town outside
-    any records count nothing."""
+    replaces or drops, and hands each town it stores the journal as a
+    JournaledTown, whose __setattr__ then counts each id, grid_xy or
+    density write to it; a read, a write to a town's house set and a write
+    to a town outside any records, a plain Town, count nothing."""
     state = make_state()
     towns, journal = state.towns, state.journal
     t0, t1 = add_town(state), add_town(state)
@@ -345,9 +345,10 @@ def test_town_writes_count_every_town_write():
         return journal.town_writes - before
 
     loose = Town(id=5, grid_xy=(5, 5), density=0.5)
+    assert type(loose) is Town
     assert counted(setattr, loose, "density", 0.1) == 0
     assert counted("__setitem__", 2, loose) == 1
-    assert loose.journal is journal
+    assert type(loose) is JournaledTown and loose.journal is journal
     assert counted(setattr, loose, "density", 0.2) == 1
     assert counted(setattr, t0, "id", 0) == 1
     assert counted(setattr, t0, "grid_xy", (4, 4)) == 1

@@ -201,11 +201,11 @@ def test_sparse_reader_reads_the_quiet_run(monkeypatch):
     assert calls == 365 and idle >= 300, idle
 
 
-def test_idle_test_compares_the_hard_labels():
+def test_another_registry_runs_its_hard_checks_on_an_idle_step():
     """On a step where check_step with a kept registry runs no check, a
-    registry with one hard check fewer, or one more, still runs each of its
-    hard checks: the idle test compares the labels of the last call that
-    ran them, whichever registry state.kept holds. Each result is
+    registry with one hard check fewer, one more, or the kept one after
+    another ran, still runs each of its hard checks: the idle test holds
+    only for the registry of the last call that ran them. Each result is
     the oracle's."""
     config = build_config({**IDLE_RUNS["hourly_year"][0], "seed": "1"})
     rng = random.Random(1)
@@ -263,16 +263,18 @@ def test_rosters_read_the_window_after_the_first_step(monkeypatch, name):
     ids=["deepcopy", "pickle"])
 def test_a_copy_taken_on_an_idle_step_stays_idle(copied):
     """A Run copied on an idle step of seed-1 hourly_year holds the shared
-    EMPTY_WINDOW, not an empty window of its own, so check_step runs no
-    check on the copy, as on the original."""
+    EMPTY_WINDOW, not an empty window of its own, and its own registry as
+    the kept one, so check_step with that registry runs no check on the
+    copy, as on the original: the step each hard check keeps in
+    state.kept does not move."""
     run = Run(build_config({**IDLE_RUNS["hourly_year"][0], "seed": "1"}))
     for _ in range(40):
         run.advance()
-    ran = []
-    registry = tuple(counted(a, ran) for a in build_registry())
     for r in (run, copied(run)):
-        assert check_step(r.state, r.snaps, registry) == []
-        assert ran == []
+        kept = {label: r.state.kept[label][0] for label in HARD}
+        assert max(kept.values()) < 40
+        assert check_step(r.state, r.snaps, r.registry) == []
+        assert {label: r.state.kept[label][0] for label in HARD} == kept
         assert r.state.changed_since(40) is EMPTY_WINDOW
 
 

@@ -8,24 +8,34 @@ from conftest import add_house, add_person, add_town, make_state, marry
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ConfigError,
                            DataFormatError, FertilityTable, ModelData,
                            ModelParams, SimTime, SimulationParams,
-                           link_partners, resolve_steps_per_year,
-                           unlink_partners, validate_world)
+                           link_partners, unlink_partners, validate_world)
 from demosim.predicates import is_adult
 
 
+def steps_per_year(delta_t) -> int:
+    return SimulationParams(delta_t=delta_t).steps_per_year
+
+
 def test_clock_labels():
-    assert resolve_steps_per_year("daily") == 365
-    assert resolve_steps_per_year("weekly") == 52
-    assert resolve_steps_per_year("monthly") == 12
-    assert resolve_steps_per_year("hourly") == 8760
-    assert resolve_steps_per_year(100) == 100
+    assert steps_per_year("daily") == 365
+    assert steps_per_year("weekly") == 52
+    assert steps_per_year("monthly") == 12
+    assert steps_per_year("hourly") == 8760
+    assert steps_per_year(100) == 100
 
 
 def test_clock_rejects_unknown_label():
-    with pytest.raises(ConfigError):
-        resolve_steps_per_year("fortnightly")
-    with pytest.raises(ConfigError):
-        resolve_steps_per_year(0)
+    for bad in ("fortnightly", 0, "0", "²", True):
+        with pytest.raises(ConfigError, match="delta_t"):
+            steps_per_year(bad)
+
+
+def test_simulation_params_keep_one_delta_t_spelling():
+    """A label in any case is kept in lower case, and a string of digits
+    as its count."""
+    assert SimulationParams(delta_t=" Weekly ").delta_t == "weekly"
+    assert SimulationParams(delta_t="0100").delta_t == 100
+    assert SimulationParams(delta_t=24).delta_t == 24
 
 
 def test_sim_time_year():
