@@ -352,7 +352,8 @@ def _single_adult(gender: str, state: WorldState, p: Person) -> bool:
     """A single adult of the gender, less males who turned exactly 18 this
     step. marriages also excludes those married at the previous step: that
     reads a snapshot, which each freeze replaces with no journal write, so a
-    roster cannot follow it. _SINGLE_ADULT holds each gender's roster key."""
+    roster cannot follow it. _single_man and _single_woman are the roster
+    keys."""
     came_of_age = state.time.born_years_ago(ADULT_YEARS)
     return (p.partner is None and p.gender == gender and p.alive
             and p.born_step <= came_of_age
@@ -367,9 +368,6 @@ def _single_man(state: WorldState, p: Person) -> bool:
 
 def _single_woman(state: WorldState, p: Person) -> bool:
     return _single_adult(FEMALE, state, p)
-
-
-_SINGLE_ADULT = {MALE: _single_man, FEMALE: _single_woman}
 
 
 def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:
@@ -406,8 +404,8 @@ def marriages(state: WorldState, ctx: RateContext, prev: Snapshot,
     start. Visits the rosters of single adult men and women
     (WorldState.roster), less those married at the previous step."""
     persons, married = state.persons, prev.married
-    males = state.roster(_SINGLE_ADULT[MALE])
-    females = state.roster(_SINGLE_ADULT[FEMALE])
+    males = state.roster(_single_man)
+    females = state.roster(_single_woman)
     pool = None
     draw, ceiling = rng.random, ctx.marriage_ceiling
     for pid in males:

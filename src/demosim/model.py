@@ -1,9 +1,9 @@
-"""Domain types shared by every other module: persons, houses, towns, time,
-parameters, the error hierarchy, the per-step change journal and the
-person, house and town record write hooks that keep it, the partnership and
-death mutators, the structural rules that both validate_world and the
-every-step assumption checks apply, and the orphan stay-home rule that
-ageing applies and its check replays."""
+"""Domain types shared by every other module: persons, frozen houses and
+towns, time, parameters, the error hierarchy, the per-step change journal
+and the person write hook and house and town records that keep it, the
+partnership and death mutators, the structural rules that both
+validate_world and the every-step assumption checks apply, and the orphan
+stay-home rule that ageing applies and its check replays."""
 from __future__ import annotations
 
 import bisect
@@ -95,6 +95,9 @@ class SimulationParams:
     def __post_init__(self) -> None:
         if self.t_final <= self.t0:
             raise ConfigError(f"t_final ({self.t_final}) must exceed t0 ({self.t0})")
+        # random.Random(-s) is the stream of random.Random(s)
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.delta_t = delta_t_spelling(self.delta_t)
 
     @property
@@ -259,59 +262,30 @@ class CountedPerson(Person):
             object.__setattr__(self, name, value)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class House:
+    """Never moves or changes town; only its occupant set changes, in
+    place. A changed house is a new record, which HouseRecords journals."""
     id: int
     town: int
     local_xy: tuple[int, int]
     occupants: set[int] = field(default_factory=set)
-    # the journal and clock its HouseRecords hands it
-    journal: Journal | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-    time: SimTime | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
 
-class JournaledHouse(House):
-    """A House that journals itself and its occupants at its clock's step
-    before a town, local_xy or occupants write. HouseRecords, not House(),
-    makes a house one: this __setattr__ would slow every house built."""
-    __slots__ = ()
-    __setstate__ = CountedPerson.__setstate__
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in ("town", "local_xy", "occupants"):
-            self.journal.note(self.time.step_index, self.occupants, (self.id,))
-        object.__setattr__(self, name, value)
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Town:
+    """Static (a_s_static_towns); only its house set changes, in place. A
+    changed town is a new record, which TownRecords counts."""
     id: int
     grid_xy: tuple[int, int]
     density: float
     houses: set[int] = field(default_factory=set)
-    # the journal its TownRecords hands it
-    journal: Journal | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-
-
-class JournaledTown(Town):
-    """A Town whose id, grid_xy and density writes count in town_writes.
-    TownRecords, not Town(), makes one, so building a Town runs no hook."""
-    __slots__ = ()
-    __setstate__ = CountedPerson.__setstate__
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in ("id", "grid_xy", "density"):
-            self.journal.town_writes += 1
 
 
 class _Records(dict, MutableMapping):
     """A dict whose every write calls _note(key, the record it replaces or
-    drops or None) first, and _hand(record) on each record it stores or
-    starts with. _Records(records, *its slots' values) is built past _note."""
+    drops or None) first. _Records(records, *its slots' values) is built
+    past _note."""
     __slots__ = ()
     # MutableMapping's: they write through __setitem__, __delitem__, popitem
     pop, setdefault = MutableMapping.pop, MutableMapping.setdefault
@@ -321,8 +295,6 @@ class _Records(dict, MutableMapping):
         super().__init__(records)
         for name, value in zip(self.__slots__, hook):
             setattr(self, name, value)
-        for record in self.values():
-            self._hand(record)
 
     def __reduce__(self):  # restores past the hook: records, then slots
         return type(self), (dict(self), *[getattr(self, name)
@@ -330,7 +302,6 @@ class _Records(dict, MutableMapping):
 
     def __setitem__(self, key: int, record) -> None:
         self._note(key, self.get(key))
-        self._hand(record)
         dict.__setitem__(self, key, record)
 
     def __delitem__(self, key: int) -> None:
@@ -348,13 +319,8 @@ class _Records(dict, MutableMapping):
 
 class HouseRecords(_Records):
     """A state's house records by id. Every write journals the house id and
-    the occupants of the record it replaces or drops, at the clock's step;
-    a house stored is handed the journal and clock, as a JournaledHouse."""
+    the occupants of the record it replaces or drops, at the clock's step."""
     __slots__ = ("journal", "time")
-
-    def _hand(self, house: House) -> None:
-        house.journal, house.time = self.journal, self.time
-        house.__class__ = JournaledHouse
 
     def _note(self, hid: int, old: House | None) -> None:
         self.journal.note(self.time.step_index,
@@ -362,13 +328,8 @@ class HouseRecords(_Records):
 
 
 class TownRecords(_Records):
-    """A state's towns by id. Every write counts in journal.town_writes and
-    hands the town it stores the journal, as a JournaledTown."""
+    """A state's towns by id. Every write counts in journal.town_writes."""
     __slots__ = ("journal",)
-
-    def _hand(self, town: Town) -> None:
-        town.journal = self.journal
-        town.__class__ = JournaledTown
 
     def _note(self, tid: int, old: Town | None) -> None:
         self.journal.town_writes += 1
@@ -400,7 +361,7 @@ class Journal:
     `step` or later, or None when writes at or after `step` may have been
     forgotten. `writes` counts the notes. Step 0 counts as forgotten from
     the start, so the writes that build a world there are never recorded.
-    `town_writes` counts TownRecords' and JournaledTown's writes, any step.
+    `town_writes` counts TownRecords' writes, any step.
 
     It also holds the state's census once WorldState.keep_census has taken
     it: the living, the living males and the sum of the living's birth

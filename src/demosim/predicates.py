@@ -3,9 +3,9 @@ and the temporal operators just/pre over a two-deep snapshot history.
 
 A snapshot freezes only the per-person values that later steps overwrite;
 previous town and coordinates are derived from the frozen house id, since
-houses never move or change town (a removed house reads as none). A freeze
-copies only the columns the journaled persons changed; snapshots share the
-rest, read-only (see Snapshot).
+houses never move or change town: House is a frozen record (a removed house
+reads as none). A freeze copies only the columns the journaled persons
+changed; snapshots share the rest, read-only (see Snapshot).
 
 The post-style assumptions have no forward-looking query here; the
 verification module checks them one step later against the stored snapshot.
@@ -226,7 +226,8 @@ def just(attr: str, state: WorldState, snaps: SnapshotStore,
 
 def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
     """Frozen previous-step value of one attribute. `town` and `location`
-    are read through the previous house id (houses never move once built)."""
+    are read through the previous house id (a House is frozen: it never
+    moves once built)."""
     prev = snaps.before(state.time.step_index)
     if pid not in prev.known:
         raise MissingSnapshotError(f"person {pid} unknown at step "

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,6 +148,44 @@ def test_main_run_seed_override(tmp_path, capsys):
     digest1 = out1.split("digest=")[1].split()[0]
     digest2 = out2.split("digest=")[1].split()[0]
     assert digest1 == digest2
+
+
+def test_a_negative_seed_is_invalid(tmp_path, capsys):
+    """A negative seed, from the config file or --seed, fails validate and
+    run with exit 1: replicates -1 and 1 of `--seed -1 --replicates 3`
+    would otherwise draw the same stream."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = -1\ninitial_pop = 40\nt_final = 2021\n")
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg)],
+                 ["run", "--seed", "-1", "--replicates", "3",
+                  "--out", str(tmp_path / "batch")]):
+        rc, stdout, stderr = run_main(argv, capsys)
+        assert (rc, stdout) == (1, "")
+        assert stderr == "invalid: seed must be >= 0, got -1\n"
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def test_the_module_runs_as_a_script(tmp_path):
+    """`python -m demosim.cli` runs main and exits with its code."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("t0 = twenty-twenty\n")
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text("seed = 1\ninitial_pop = 40\nt_final = 2021\n"
+                    "delta_t = monthly\n")
+
+    def script(*args):
+        return subprocess.run([sys.executable, "-m", "demosim.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+
+    done = script("validate", "--config", str(bad))
+    assert done.returncode == 1 and done.stderr.startswith("invalid:")
+    done = script("run", "--config", str(tiny))
+    assert done.returncode == 0 and "digest=" in done.stdout
 
 
 def test_main_replicates(tmp_path, capsys):

@@ -1233,7 +1233,7 @@ def check_rosters(monkeypatch, snaps: SnapshotStore) -> Counter:
     """Compare every roster read from now on; returns the reads per
     predicate."""
     real, reads = WorldState.roster, Counter()
-    single = {events._SINGLE_ADULT[g]: g for g in (MALE, FEMALE)}
+    single = {events._single_man: MALE, events._single_woman: FEMALE}
 
     def roster(state, holds):
         ids = real(state, holds)
@@ -1350,7 +1350,7 @@ def test_age_setter_keeps_rosters_current():
     snaps.freeze(state)
     for _ in range(2):
         step(state, ctx, snaps, rng, ("ageing", "marriages"))
-    holds = events._SINGLE_ADULT[FEMALE]
+    holds = events._single_woman
     assert state.roster(holds) == [single.id]
     single.age_steps = 17 * DAILY
     state.time.step_index += 1
@@ -1526,20 +1526,27 @@ def test_direct_index_writes_match_oracle(seed):
     assert flagged == set(INDEX_WRITES)
 
 
-# house field writes between two steps -> the label that must flag them
+def _rehouse(state, house, **changes):
+    """Store a copy of a house with the changed fields under its id."""
+    state.houses[house.id] = replace(house, **changes)
+
+
+# house records rewritten between two steps -> the label that must flag
+# them
 HOUSE_FIELD_WRITES = {
-    "local_xy": (lambda h: setattr(h, "local_xy", (0, 0)),
+    "local_xy": (lambda s, h: _rehouse(s, h, local_xy=(0, 0)),
                  "a_s_house_xy_bounds"),
-    "occupants": (lambda h: setattr(h, "occupants", set()), "a_homeless"),
+    "occupants": (lambda s, h: _rehouse(s, h, occupants=set()),
+                  "a_homeless"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOUSE_FIELD_WRITES))
 def test_house_field_write_after_an_idle_step_matches_oracle(case):
     """A seed-1 hourly warn-mode Run is idle at step 40: its window is
-    EMPTY_WINDOW. A field of the lowest-id occupied house written then is
-    journaled by the house's hook, so the run's next step reports the
-    oracle's list, which flags the write."""
+    EMPTY_WINDOW. The lowest-id occupied house replaced then by a copy with
+    one field changed is journaled by the house records, so the run's next
+    step reports the oracle's list, which flags the write."""
     run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
                             "t0": "2020", "t_final": "2021", "seed": "1",
                             "verification_mode": "warn"}))
@@ -1549,7 +1556,7 @@ def test_house_field_write_after_an_idle_step_matches_oracle(case):
     house = min((h for h in run.state.houses.values() if h.occupants),
                 key=lambda h: h.id)
     write, label = HOUSE_FIELD_WRITES[case]
-    write(house)
+    write(run.state, house)
     before = len(run.violations)
     run.advance()
     expected = oracle.check_step(run.state, run.snaps, DEFAULT_EVENT_ORDER)
@@ -1591,11 +1598,16 @@ def _replace_house(state, house):
     state.towns[house.town].houses.add(hid)
 
 
+def _retown(state, town, **changes):
+    """Store a copy of a town with the changed fields under its id."""
+    state.towns[town.id] = replace(town, **changes)
+
+
 # direct writes to the space between two steps -> whether a check must fire
 SPACE_WRITES = {
-    "density": (lambda s, t, h: setattr(t, "density", 0.9), True),
-    "grid_xy": (lambda s, t, h: setattr(t, "grid_xy", (9, 9)), True),
-    "density_restored": (lambda s, t, h: setattr(t, "density", t.density),
+    "density": (lambda s, t, h: _retown(s, t, density=0.9), True),
+    "grid_xy": (lambda s, t, h: _retown(s, t, grid_xy=(9, 9)), True),
+    "density_restored": (lambda s, t, h: _retown(s, t, density=t.density),
                          False),
     "town_added": (lambda s, t, h: add_town(s, grid_xy=(3, 3)), True),
     "town_removed": (lambda s, t, h: s.towns.pop(1), True),
@@ -1679,7 +1691,7 @@ def test_check_space_matches_the_digest_on_direct_writes(case, at):
 
 def _halved_density(run):
     town = run.faults.choice(list(run.state.towns.values()))
-    town.density /= 2
+    _retown(run.state, town, density=town.density / 2)
     return town.id
 
 

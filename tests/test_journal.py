@@ -3,17 +3,17 @@
 The rosters, the snapshot freeze and the every-step checks read what
 changed from WorldState.changed_since, which alone reads the journal.
 Once it has been called, every attribute write to a person is journaled
-by CountedPerson's write hook; every write to the house records, at any
-time, by HouseRecords'; and every town, local_xy or occupants write to a
-stored house by JournaledHouse's. The space checks read the town writes,
-which TownRecords and JournaledTown's write hook count in
-Journal.town_writes. So only a write the hooks cannot see goes unseen by
-them: a change to a container, an item write to the person records, a
-rebinding of a state's house or town records, or a write past a hook. The writer test walks the
-package's source and fails on any such write outside the functions that
-journal it; the note test fails on any other caller of Journal.note than
-the three hooks and add_person, and the reader test on any other caller
-of Journal.since.
+by CountedPerson's write hook, and every write to the house records, at
+any time, by HouseRecords'. Houses and towns are frozen records: a changed
+one is a new record, written to the records. The space checks read the
+town writes, which TownRecords counts in Journal.town_writes. So only a
+write the hooks cannot see goes unseen by them: a change to a container,
+an item write to the person records, a rebinding of a state's house or
+town records, or a write past a hook or a frozen record. The writer test
+walks the package's source and fails on any such write outside the
+functions that journal it; the note test fails on any other caller of
+Journal.note than the two hooks and add_person, and the reader test on
+any other caller of Journal.since.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import copy
 import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -30,24 +31,24 @@ from conftest import add_house, add_person, add_town, family_state, make_state
 from demosim.cli import build_config
 from demosim.engine import Run
 from demosim.initialization import init_world
-from demosim.model import (EMPTY_WINDOW, FEMALE, House, JournaledHouse,
-                           JournaledTown, Journal, Town, WorldState,
-                           link_partners, mark_dead, unlink_partners)
+from demosim.model import (EMPTY_WINDOW, FEMALE, House, Journal, Town,
+                           WorldState, link_partners, mark_dead,
+                           unlink_partners)
 from demosim.space import create_house, leave_house, move_person
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demosim"
 
 # the person fields the every-step checks, the rosters and the birth-step
-# index read (children: the birth spacing of events._fertile_wife), the
-# house fields the checks read, and the town fields the space checks
-# read: the hooks journal or count an assignment to one, but not a write
-# past them (object.__setattr__, setattr or delattr with the field's name)
+# index read (children: the birth spacing of events._fertile_wife), and
+# every field of a House and a Town: the person hook journals an
+# assignment to one and a frozen record refuses it, but neither sees a
+# write past them (object.__setattr__, setattr or delattr with the
+# field's name)
 FIELDS = {"alive", "partner", "house", "ever_partners", "born_step",
           "died_step", "gave_birth", "children", "local_xy", "town",
-          "occupants", "id", "grid_xy", "density"}
+          "occupants", "id", "grid_xy", "density", "houses"}
 # containers the readers read: the hooks see no mutating call or item
-# write on one. An assignment to a stored house's occupants is journaled,
-# but flagged too: only the mutators change who lives where
+# write on one
 CONTAINERS = {"occupants", "children", "ever_partners"}
 # the person records: an item write or a mutating call adds or drops one
 # (the house and town records journal or count their own item writes)
@@ -101,8 +102,7 @@ class _Writes(ast.NodeVisitor):
                 self._target(elt)
         elif isinstance(node, ast.Starred):
             self._target(node.value)
-        elif (isinstance(node, ast.Attribute)
-              and node.attr in HOOKED_RECORDS | {"occupants"}):
+        elif isinstance(node, ast.Attribute) and node.attr in HOOKED_RECORDS:
             self._hit(node, node.attr)
         elif (isinstance(node, ast.Subscript)
               and isinstance(node.value, ast.Attribute)
@@ -169,11 +169,12 @@ def test_only_journaled_mutators_write_checked_fields():
 
 
 def test_writes_past_the_town_hooks_are_found():
-    """A town field written past JournaledTown.__setattr__, a town record
-    written past TownRecords, and a state's records rebound to a new dict
-    are each one write the writer test flags: the space checks would not
-    see them, so none may stand in the package outside WRAPS. The two
-    writes through the hooks are not flagged."""
+    """A town field written past the frozen Town, a town record written
+    past TownRecords, and a state's records rebound to a new dict are each
+    one write the writer test flags: the space checks would not see them,
+    so none may stand in the package outside WRAPS. A field assignment,
+    which the frozen Town refuses, and a write through TownRecords are not
+    flagged."""
     finder = _Writes()
     finder.visit(ast.parse(
         "def f(state, town):\n"
@@ -182,67 +183,61 @@ def test_writes_past_the_town_hooks_are_found():
         "    dict.__setitem__(state.towns, 0, town)\n"
         "    state.towns = build_towns(density)\n"
         "    state.houses = {}\n"
-        "    town.density = 0.9\n"  # through the hook
+        "    town.density = 0.9\n"  # refused
         "    state.towns[0] = town\n"))  # through the hook
     assert finder.found == [("f", 2, "density"), ("f", 3, "grid_xy"),
                             ("f", 4, "towns"), ("f", 5, "towns"),
                             ("f", 6, "houses")]
 
 
-def test_writes_past_the_house_hook_are_found():
-    """A house field written past JournaledHouse.__setattr__ is one write
-    the writer test flags; the write through the hook is not."""
+def test_writes_past_a_frozen_house_are_found():
+    """A house field written past the frozen House is one write the
+    writer test flags; an assignment, which the House refuses, is not."""
     finder = _Writes()
     finder.visit(ast.parse(
         "def f(house):\n"
         "    object.__setattr__(house, 'local_xy', (0, 0))\n"
         "    setattr(house, 'town', 1)\n"
         "    delattr(house, 'occupants')\n"
-        "    house.local_xy = (0, 0)\n"))  # through the hook
+        "    house.local_xy = (0, 0)\n"  # refused
+        "    house.occupants = set()\n"))  # refused
     assert finder.found == [("f", 2, "local_xy"), ("f", 3, "town"),
                             ("f", 4, "occupants")]
 
 
-def test_house_field_writes_are_journaled():
-    """A house the records store journals its id and its occupants at the
-    clock's step on a town, local_xy or occupants write; a write to any
-    other field, a change inside its occupant set and a write to a house
-    outside any records note nothing."""
+def test_house_and_town_fields_are_frozen():
+    """Every field of a House and a Town refuses a write: a changed house
+    or town is a new record, which its records journal or count. Only the
+    occupant and house sets change, in place. The writer test flags a
+    write past the frozen record to any of these fields."""
     state = make_state()
     town = add_town(state)
     house = add_house(state, town)
-    man = add_person(state, age_years=30, house=house)
-    assert type(house) is JournaledHouse
-    state.time.step_index = 1
-    state.changed_since(None)  # starts the person hook
-    journal = state.journal
-
-    def written(now, name, value, target=house):
-        state.time.step_index = now
-        before = journal.writes
-        setattr(target, name, value)
-        return journal.writes - before, journal.since(now)
-
-    assert written(2, "local_xy", (2, 2)) == (1, ({man.id}, {house.id}))
-    assert written(3, "town", town.id) == (1, ({man.id}, {house.id}))
-    assert written(4, "occupants", set()) == (1, ({man.id}, {house.id}))
-    assert written(5, "local_xy", (1, 1)) == (1, (set(), {house.id}))
-    assert written(6, "id", house.id) == (0, EMPTY_WINDOW)
-    loose = House(id=9, town=town.id, local_xy=(1, 1))
-    assert type(loose) is House
-    assert written(7, "local_xy", (0, 0), loose) == (0, EMPTY_WINDOW)
-    state.time.step_index = 8
-    house.occupants.add(man.id)
-    assert journal.since(8) is EMPTY_WINDOW
+    assert [f.name for f in fields(House)] == ["id", "town", "local_xy",
+                                               "occupants"]
+    assert [f.name for f in fields(Town)] == ["id", "grid_xy", "density",
+                                              "houses"]
+    for record in (house, town):
+        for f in fields(record):
+            assert f.name in FIELDS
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
+    house.occupants.add(1)
+    town.houses.add(2)
+    assert state.houses[house.id].occupants == {1}
+    assert state.towns[town.id].houses == {house.id, 2}
 
 
 @pytest.mark.parametrize("copied", [
     copy.deepcopy, lambda run: pickle.loads(pickle.dumps(run))],
     ids=["deepcopy", "pickle"])
 def test_a_copy_keeps_the_town_count_and_journals_its_own(copied):
-    """A copy of a seed-1 hourly Run after 5 steps restores its towns and
-    houses past their hooks: its town_writes is the original's, and a
-    house write on the copy is journaled in the copy's journal alone."""
+    """A copy of a seed-1 hourly Run after 5 steps restores its town and
+    house records past their hooks: its town_writes is the original's, and
+    a house record write on the copy is journaled in the copy's journal
+    alone."""
     run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
                             "t0": "2020", "t_final": "2021", "seed": "1"}))
     for _ in range(5):
@@ -250,9 +245,8 @@ def test_a_copy_keeps_the_town_count_and_journals_its_own(copied):
     twin = copied(run)
     assert twin.state.journal.town_writes == run.state.journal.town_writes
     house = min(twin.state.houses.values(), key=lambda h: h.id)
-    assert type(house) is JournaledHouse
-    assert house.journal is twin.state.journal
-    house.local_xy = house.local_xy
+    assert type(house) is House
+    twin.state.houses[house.id] = replace(house)
     assert house.id in twin.state.journal.since(5)[1]
     assert house.id not in run.state.journal.since(5)[1]
 
@@ -326,15 +320,12 @@ def test_mutators_journal_what_they_change():
 
 def test_town_writes_count_every_town_write():
     """Each write to the town records counts once per town it adds,
-    replaces or drops, and hands each town it stores the journal as a
-    JournaledTown, whose __setattr__ then counts each id, grid_xy or
-    density write to it; a read, a write to a town's house set and a write
-    to a town outside any records, a plain Town, count nothing."""
+    replaces or drops, a town rewritten under its id too; a read and a
+    change to a town's house set count nothing."""
     state = make_state()
     towns, journal = state.towns, state.journal
     t0, t1 = add_town(state), add_town(state)
     assert journal.town_writes == 2 and journal.writes == 0
-    assert t0.journal is t1.journal is journal
 
     def counted(write, *args):
         before = journal.town_writes
@@ -345,15 +336,9 @@ def test_town_writes_count_every_town_write():
         return journal.town_writes - before
 
     loose = Town(id=5, grid_xy=(5, 5), density=0.5)
-    assert type(loose) is Town
-    assert counted(setattr, loose, "density", 0.1) == 0
     assert counted("__setitem__", 2, loose) == 1
-    assert type(loose) is JournaledTown and loose.journal is journal
-    assert counted(setattr, loose, "density", 0.2) == 1
-    assert counted(setattr, t0, "id", 0) == 1
-    assert counted(setattr, t0, "grid_xy", (4, 4)) == 1
-    assert counted(setattr, t0, "houses", {1}) == 0
-    assert counted(t0.houses.add, 2) == 0
+    assert counted("__setitem__", 0, replace(t0, grid_xy=(4, 4))) == 1
+    assert counted(towns[0].houses.add, 2) == 0
     assert counted("__setitem__", 2, Town(id=2, grid_xy=(6, 6),
                                           density=0.3)) == 1
     assert counted("__delitem__", 2) == 1
@@ -443,14 +428,13 @@ def test_changed_since_is_the_one_reader_of_the_journal():
 
 
 def test_the_write_hook_and_the_record_adders_write_the_journal():
-    """Every person write is journaled by CountedPerson.__setattr__, every
-    house record write by HouseRecords and every house field write by
-    JournaledHouse.__setattr__, so only add_person, which adds a person
-    record, notes anything else."""
+    """Every person write is journaled by CountedPerson.__setattr__ and
+    every house record write by HouseRecords (a House is frozen, so a
+    changed house is a record write), so only add_person, which adds a
+    person record, notes anything else."""
     assert sorted(package_callers("note")) == [
         ("model", "CountedPerson.__setattr__"),
         ("model", "HouseRecords._note"),
-        ("model", "JournaledHouse.__setattr__"),
         ("model", "WorldState.add_person")]
 
 

@@ -144,7 +144,8 @@ def test_validate_world_dangling_house_ref():
     # person 42 does not exist yet; force the id for the message check
     state.persons[42] = state.persons.pop(p.id)
     state.persons[42].id = 42
-    house.occupants = {42}
+    house.occupants.clear()
+    house.occupants.add(42)
     state.persons[42].house = 999
     problems = validate_world(state)
     assert "dangling house ref: p42" in problems

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -188,7 +189,7 @@ def _married_minor(state, houses, persons):
 
 def _house_coordinates_bound(state, houses, persons):
     h0, _ = houses
-    h0.local_xy = (26, 1)
+    state.houses[h0.id] = replace(h0, local_xy=(26, 1))
     return f"house coordinates out of range: h{h0.id}"
 
 
@@ -452,10 +453,10 @@ def test_retrospective_space_checks(family):
     state, town, (h0, _), _ = family
     before = SpaceDigest.of(state)
     assert check_retrospective(before, state) == []
-    town.density = 0.9
+    state.towns[town.id] = replace(town, density=0.9)
     out = check_retrospective(before, state)
     assert labels_of(out) == {"a_s_static_towns"}
-    town.density = 0.5
+    state.towns[town.id] = town
     # demolish a house (occupants evicted for the fixture's sake)
     for pid in list(h0.occupants):
         state.persons[pid].house = None
