@@ -23,9 +23,8 @@ from operator import itemgetter
 from .events import (DEFAULT_EVENT_ORDER, StepOutcome, step,
                      validate_event_order)
 from .initialization import InitReport, init_world
-from .model import (EMPTY_WINDOW, AssumptionFailure, IntegrityError,
-                    ModelData, ModelParams, SimulationParams, WorldState,
-                    validate_world)
+from .model import (AssumptionFailure, House, IntegrityError, ModelData,
+                    ModelParams, SimulationParams, WorldState, validate_world)
 from .predicates import SnapshotStore
 from .rates import RateContext
 from .space import DensityMap, build_towns
@@ -69,30 +68,13 @@ class RunConfig:
         build_towns(self.density)
 
 
-def _empty_houses(state: WorldState) -> int:
-    """The houses with no occupant, kept in state.kept as (the step they
-    were counted at, their ids): only the houses in the change window since
-    that step (each house written, left or moved into) are tested again, or
-    every house when the window cannot tell. On EMPTY_WINDOW the count
-    stands, and so does its step, which the window reaches back to."""
-    houses = state.houses
-    at, empty = state.kept.get(_empty_houses, (None, None))
-    changed = state.changed_since(at)
-    if changed is EMPTY_WINDOW:
-        return len(empty)
-    if changed is None:
-        empty = {hid for hid, h in houses.items() if not h.occupants}
-    else:
-        empty -= changed[1]
-        empty |= {hid for hid in changed[1]
-                  if hid in houses and not houses[hid].occupants}
-    state.kept[_empty_houses] = (state.time.step_index, empty)
-    return len(empty)
+def _unoccupied(state: WorldState, house: House) -> bool:
+    return not house.occupants
 
 
 @dataclass(slots=True)
 class TimeSeries:
-    """The rows of timeseries.csv, from counts kept on the state."""
+    """The rows of timeseries.csv, from the census and a house roster."""
     rows: list[tuple] = field(default_factory=list)
     def append(self, state: WorldState, step_index: int, births: int,
                deaths: int, marriages: int, divorces: int,
@@ -106,14 +88,14 @@ class TimeSeries:
         # each living person's age is now - born_step: the same integer sum
         age_sum = alive * time.step_index - born_sum
         mean_age = age_sum / alive / spy if alive else 0.0
-        empty = _empty_houses(state)
         self.rows.append((
             step_index,
             time.t0_year + step_index // spy,
             alive, males, alive - males,
             births, deaths, marriages, divorces,
             round(mean_age, 6),
-            len(state.houses), empty, violations,
+            len(state.houses),
+            len(state.roster(_unoccupied, houses=True)), violations,
         ))
 
     def to_csv(self) -> str:
@@ -138,9 +120,7 @@ class RunResult:
 def resolve_seed(seed: int | str) -> int:
     """A literal seed is used as-is; "random" draws entropy at startup. The
     resolved value is echoed into summary.json either way."""
-    if seed == "random":
-        return secrets.randbits(64)
-    return int(seed)
+    return secrets.randbits(64) if seed == "random" else int(seed)
 
 
 def state_digest(state: WorldState) -> str:

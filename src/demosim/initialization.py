@@ -144,9 +144,7 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
                 continue  # the male heads the couple's unit
             unit = [p, state.persons[p.partner]]
             unit.extend(state.persons[c] for c in sorted(p.children))
-        elif p.born_step <= came_of_age:
-            unit = [p]
-        elif p.father is None:
+        elif p.born_step <= came_of_age or p.father is None:
             unit = [p]
         else:
             continue  # children with parents move with the father's unit

@@ -50,6 +50,12 @@ class AssumptionFailure(SimulationError):
     """A registered assumption was violated while running in fail mode."""
 
 
+def _require_ints(params: object, *names: str) -> None:
+    for name in names:  # type, not isinstance: a bool is no count
+        if type(value := getattr(params, name)) is not int:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def delta_t_spelling(delta_t: str | int) -> str | int:
     """The one spelling of a clock rate, which SimulationParams keeps: a
     STEPS_PER_YEAR label in lower case, or the int count of steps a year,
@@ -93,11 +99,17 @@ class SimulationParams:
     seed: int | str = "random"
 
     def __post_init__(self) -> None:
+        _require_ints(self, "t0", "t_final")
         if self.t_final <= self.t0:
             raise ConfigError(f"t_final ({self.t_final}) must exceed t0 ({self.t0})")
+        seed = self.seed
+        if isinstance(seed, str) and seed.isascii() and seed.isdigit():
+            self.seed = seed = int(seed)
+        elif seed != "random" and type(seed) is not int:
+            raise ConfigError(f"seed must be an int or random, got {seed!r}")
         # random.Random(-s) is the stream of random.Random(s)
-        if isinstance(self.seed, int) and self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if type(seed) is int and seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.delta_t = delta_t_spelling(self.delta_t)
 
     @property
@@ -120,6 +132,7 @@ class ModelParams:
     start_married_ratio: float = 0.8
 
     def __post_init__(self) -> None:
+        _require_ints(self, "initial_pop", "max_num_marr_cand")
         for name in ("basic_divorce_rate", "basic_death_rate",
                      "basic_male_marriage_rate", "female_age_death_rate",
                      "female_age_scaling", "male_age_death_rate",
@@ -206,8 +219,6 @@ class Person:
     ever_partners: list[int] = field(default_factory=list)
     house: int | None = None
     gave_birth: bool = False
-    # the birth-step index of the person's state (WorldState.born_at)
-    cohorts: dict[int, list[int]] = field(default_factory=dict, repr=False)
     # the change journal of the person's state, which CountedPerson writes
     journal: Journal | None = field(default=None, repr=False)
 
@@ -232,9 +243,9 @@ class CountedPerson(Person):
     """A Person whose every attribute write is journaled, with the old
     partner on a partner write and the old house on a house write, keeps
     the census on its journal current and refiles the person in the
-    birth-step index on a born_step write. WorldState.keep_census switches
-    persons to it, and files them, not the constructor: this __setattr__
-    would slow every field that Person() and init_world write."""
+    journal's birth-step index on a born_step write. WorldState.keep_census
+    switches persons to it, and files them, not the constructor: this
+    __setattr__ would slow every field that Person() and init_world write."""
     __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
@@ -248,8 +259,8 @@ class CountedPerson(Person):
         if name in _CENSUS_FIELDS:
             journal.count(self, -1)
             if name == "born_step":
-                self.cohorts[self.born_step].remove(self.id)
-                bisect.insort(self.cohorts.setdefault(value, []), self.id)
+                journal.born[self.born_step].remove(self.id)
+                bisect.insort(journal.born.setdefault(value, []), self.id)
             object.__setattr__(self, name, value)
             journal.count(self, 1)
         else:
@@ -364,11 +375,13 @@ class Journal:
     `town_writes` counts TownRecords' writes, any step.
 
     It also holds the state's census once WorldState.keep_census has taken
-    it: the living, the living males and the sum of the living's birth
-    steps, which CountedPerson writes keep current."""
+    it: the living, the living males, the sum of the living's birth steps
+    and `born` (None before), the birth-step index that WorldState.born_at
+    reads; CountedPerson writes and add_person keep them current."""
 
     __slots__ = ("_forgotten", "_step", "_persons", "_houses", "_older",
-                 "writes", "town_writes", "living", "males", "born_sum")
+                 "writes", "town_writes", "living", "males", "born_sum",
+                 "born")
 
     def __init__(self) -> None:
         self._forgotten = 0  # the newest step whose writes were dropped
@@ -379,6 +392,7 @@ class Journal:
         self._older: tuple[int, set[int], set[int]] = (0, set(), set())
         self.writes = self.town_writes = 0
         self.living = self.males = self.born_sum = 0
+        self.born: dict[int, list[int]] | None = None
 
     def count(self, p: Person, sign: int) -> None:
         """Add (sign 1) or take away (sign -1) p's share of the census."""
@@ -432,13 +446,11 @@ class WorldState:
     next_person_id: int = 0
     next_house_id: int = 0
     journal: Journal = field(default_factory=Journal)
-    _born: dict[int, list[int]] = field(default_factory=dict, init=False,
-                                        repr=False)
-    # what each incremental reader (a roster, the deaths screen, the
-    # empty-house count, a hard check, check_step) carries from one step to
-    # the next for this state, under a key of its own: the step it last
-    # read at, which it hands changed_since, and its data; the kinship
-    # index, synced by its check's rule, is kept bare
+    # what each incremental reader (a person or house roster, the deaths
+    # screen, a hard check, check_step) carries from one step to the next
+    # for this state, under a key of its own: the step it last read at,
+    # which it hands changed_since, and its data; the kinship index,
+    # synced by its check's rule, is kept bare
     kept: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
     # changed_since's key (the step and the journal's writes), its answer
@@ -447,8 +459,6 @@ class WorldState:
     # it, and no cohort turned at it
     _changed: tuple = field(default=(None, None, None, None, False),
                             init=False, repr=False)
-    # whether every person is a CountedPerson (keep_census)
-    _counted: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.houses = HouseRecords(self.houses, self.journal, self.time)
@@ -463,10 +473,10 @@ class WorldState:
         self.next_person_id = pid + 1
         person = Person(id=pid, gender=gender, born_step=born_step,
                         time=self.time, father=father, mother=mother,
-                        cohorts=self._born, journal=self.journal)
-        if self._counted:
+                        journal=self.journal)
+        if self.journal.born is not None:  # keep_census took the census
             self.journal.count(person, 1)
-            self._born.setdefault(born_step, []).append(pid)
+            self.journal.born.setdefault(born_step, []).append(pid)
             person.__class__ = CountedPerson
         self.persons[pid] = person
         self.journal.note(self.time.step_index, (pid,))
@@ -474,18 +484,17 @@ class WorldState:
 
     def keep_census(self) -> None:
         """Count everyone on record once, file them in the birth-step index
-        and switch them to CountedPerson, whose writes keep the count, the
-        index and the journal from then on, as add_person does for each
-        person added after. Called at the first census, changed_since or
-        born_at, so building a world runs unhooked."""
-        if not self._counted:
-            journal, born = self.journal, self._born
-            journal.living = journal.males = journal.born_sum = 0
+        on the journal and switch them to CountedPerson, whose writes keep
+        the count, the index and the journal from then on, as add_person
+        does for each person added after. Called at the first census,
+        changed_since or born_at, so building a world runs unhooked."""
+        journal = self.journal
+        if journal.born is None:
+            born = journal.born = {}
             for p in self.persons.values():
                 journal.count(p, 1)
                 born.setdefault(p.born_step, []).append(p.id)
                 p.__class__ = CountedPerson
-            self._counted = True
 
     def census(self) -> tuple[int, int, int]:
         """The living, the living males and the sum of the living's birth
@@ -496,11 +505,11 @@ class WorldState:
 
     def born_at(self, step: int) -> list[int]:
         """The ids of the persons born at `step`, ascending, from the index
-        that keep_census builds, which the first call starts: add_person
-        files each person added after it (ids only grow), and a
-        CountedPerson's born_step write refiles them."""
+        on the journal that keep_census builds, which the first call
+        starts: add_person files each person added after it (ids only
+        grow), and a CountedPerson's born_step write refiles them."""
         self.keep_census()
-        return self._born.get(step, [])
+        return self.journal.born.get(step, [])
 
     def clock_turned(self) -> set[int]:
         """The persons whose standing the clock alone may flip at this step:
@@ -509,7 +518,7 @@ class WorldState:
         children a step past their first birthday (the birth spacing)."""
         self.keep_census()
         now, spy = self.time.step_index, self.time.steps_per_year
-        persons, cohort = self.persons, self._born.get
+        persons, cohort = self.persons, self.journal.born.get
         adult = now - ADULT_YEARS * spy
         turned = {*cohort(adult, ()), *cohort(adult - 1, ()),
                   *cohort(now - MOTHER_AGE_LIMIT_YEARS * spy, ())}
@@ -558,28 +567,31 @@ class WorldState:
             self._changed = (now, journal.writes, window, calm, quiet)
         return window if step is not None and calm <= step <= now else None
 
-    def roster(self, holds: Callable[[WorldState, Person], bool]) -> list[int]:
-        """The ascending ids of the persons on record for whom
-        holds(state, person) is true; holds reads only the live state and
-        the clock. Kept in `kept` under holds, with the step it was read
-        at: only the persons in changed_since(that step) are evaluated
-        again, or everyone when that is None; on EMPTY_WINDOW the kept
-        list is returned as it is, and its step, which the window reaches
-        back to, stays. So a roster sees what a freeze and the checks see.
-        Callers must not change the list."""
-        persons = self.persons
+    def roster(self, holds: Callable[[WorldState, Person | House], bool],
+               houses: bool = False) -> list[int]:
+        """The ascending ids of the persons on record, or with `houses` of
+        the houses, for which holds(state, record) is true; holds reads
+        only the live state and the clock. Kept in `kept` under holds, with
+        the step it was read at: only the ids in that half of
+        changed_since(that step) are evaluated again, and an id no longer
+        on record drops out, or every record is when that is None; on
+        EMPTY_WINDOW the kept list is returned as it is, and its step,
+        which the window reaches back to, stays. So a roster sees what a
+        freeze and the checks see. Callers must not change the list."""
+        records = self.houses if houses else self.persons
         read_at, ids = self.kept.get(holds, (None, None))
         changed = self.changed_since(read_at)
         if changed is EMPTY_WINDOW:
             return ids
-        if changed is None:
-            ids = [pid for pid, p in persons.items() if holds(self, p)]
+        if changed is None:  # sorted: a house dropped and re-added is last
+            ids = sorted(rid for rid, r in records.items() if holds(self, r))
         else:
-            for pid in changed[0]:
-                i = bisect.bisect_left(ids, pid)
-                there = ids[i:i + 1] == [pid]
-                if there != bool(holds(self, persons[pid])):  # add or drop
-                    ids[i:i + there] = [] if there else [pid]
+            for rid in changed[houses]:
+                i = bisect.bisect_left(ids, rid)
+                there = ids[i:i + 1] == [rid]
+                record = records.get(rid)  # None: no longer on record
+                if there != (record is not None and bool(holds(self, record))):
+                    ids[i:i + there] = [] if there else [rid]  # add or drop
         self.kept[holds] = (self.time.step_index, ids)
         return ids
 

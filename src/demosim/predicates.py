@@ -232,10 +232,8 @@ def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
     if pid not in prev.known:
         raise MissingSnapshotError(f"person {pid} unknown at step "
                                    f"{prev.step_index}")
-    if attr == "alive":
-        return pid in prev.alive
-    if attr == "married":
-        return pid in prev.married
+    if attr in _JUST_ATTRS:  # alive, married, gave_birth
+        return _JUST_ATTRS[attr][1](prev, pid)
     if attr == "partner":
         return prev.partner.get(pid)
     if attr == "house":
@@ -248,8 +246,6 @@ def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
         if pid not in prev.alive and p.died_step is not None:
             end = min(p.died_step, end)
         return end - p.born_step
-    if attr == "gave_birth":
-        return pid in prev.gave_birth
     raise ValueError(f"pre() does not support attribute {attr!r}")
 
 

@@ -579,11 +579,8 @@ def build_registry(event_order=DEFAULT_EVENT_ORDER
 def check_initial(state: WorldState,
                   registry: tuple[Assumption, ...] | None = None) -> list[Violation]:
     registry = build_registry() if registry is None else registry
-    out: list[Violation] = []
-    for a in registry:
-        if a.scope == "initial":
-            out.extend(a.check(state, None))
-    return out
+    return [v for a in registry if a.scope == "initial"
+            for v in a.check(state, None)]
 
 
 def check_step(state: WorldState, snaps: SnapshotStore,

@@ -73,7 +73,8 @@ from test_golden import CHAIN_CLOCKS, CHAIN_ORDERS, CHAIN_RUNS, chain_config
 from test_verification import STRUCTURAL_FAULTS
 from demosim import events
 from demosim.cli import build_config
-from demosim.engine import Run, TIMESERIES_HEADER, TimeSeries, state_digest
+from demosim.engine import (Run, TIMESERIES_HEADER, TimeSeries, _unoccupied,
+                            state_digest)
 from demosim.events import DEFAULT_EVENT_ORDER, step
 from demosim.initialization import init_world
 from demosim.model import (ADULT_YEARS, EMPTY_WINDOW, FEMALE, MALE,
@@ -1171,6 +1172,19 @@ def test_houses_empty_after_a_direct_house_write(case):
         series.append(state, now, 0, 0, 0, 0, 0)
         assert series.rows[-1][_EMPTY] == oracle.houses_empty(state)
     assert [row[_EMPTY] for row in series.rows] == [1, 1, after]
+
+
+def test_a_house_roster_sweep_is_ascending():
+    """A house dropped and put back sits last among the house records, so
+    a house roster's sweep sorts: its list is in ascending id, as the
+    reads of later windows, which bisect it, need."""
+    state, town, (h0, _), _ = family_state()
+    empty = add_house(state, town, xy=(3, 3))
+    _drop_house(state, h0)
+    state.houses[h0.id] = House(id=h0.id, town=town.id, local_xy=(1, 1))
+    town.houses.add(h0.id)
+    assert list(state.houses)[-1] == h0.id
+    assert state.roster(_unoccupied, houses=True) == [h0.id, empty.id]
 
 
 def test_houses_empty_when_the_first_row_is_past_step_0():

@@ -465,8 +465,8 @@ def test_window_is_computed_once_per_step(monkeypatch):
 def test_a_quiet_step_shares_one_empty_window(monkeypatch):
     """On a quiet step of a seed-1 hourly stretch (nothing journaled at
     it or the step before, and no cohort turned), every reader of the step
-    (the five rosters, the freeze, check_step's idle test, the
-    empty-house count and the space checks) gets the one EMPTY_WINDOW,
+    (the five person rosters and the empty-house roster, the freeze,
+    check_step's idle test and the space checks) gets the one EMPTY_WINDOW,
     and Journal.since answers it itself, with no set built."""
     run = Run(build_config({"initial_pop": "200", "delta_t": "hourly",
                             "t0": "2020", "t_final": "2021", "seed": "1"}))
@@ -496,8 +496,7 @@ def test_a_quiet_step_shares_one_empty_window(monkeypatch):
             quiet += 1
             assert [w for _, w in answers if w is not EMPTY_WINDOW] == []
             assert sorted(name for name, _ in answers) == sorted(
-                ["roster"] * 5 + ["freeze", "check_step", "_empty_houses",
-                                  "check_space"])
+                ["roster"] * 6 + ["freeze", "check_step", "check_space"])
             assert journal_answers == [EMPTY_WINDOW]
             assert journal_answers[0] is EMPTY_WINDOW
         wrote_before = wrote

@@ -239,10 +239,11 @@ def test_another_registry_runs_its_hard_checks_on_an_idle_step():
 
 @pytest.mark.parametrize("name", ["daily_decade", "hourly_year"])
 def test_rosters_read_the_window_after_the_first_step(monkeypatch, name):
-    """Stepped by Run, the five rosters never read everyone after step 1:
-    a roster that returned its list on the empty window, and so kept the
-    step it read before, reads the window at the next step, even after a
-    write later in the step it returned at."""
+    """Stepped by Run, the six rosters (five of persons, one of the empty
+    houses) never read everyone after step 1: a roster that returned its
+    list on the empty window, and so kept the step it read before, reads
+    the window at the next step, even after a write later in the step it
+    returned at."""
     run = Run(build_config({**IDLE_RUNS[name][0], "seed": "1"}))
     real, swept = WorldState.changed_since, []
 
@@ -255,7 +256,7 @@ def test_rosters_read_the_window_after_the_first_step(monkeypatch, name):
     monkeypatch.setattr(WorldState, "changed_since", changed_since)
     for _ in range(1000):
         run.advance()  # fail mode: no violation
-    assert swept == [1] * 5
+    assert swept == [1] * 6
 
 
 @pytest.mark.parametrize("copied", [
@@ -348,4 +349,20 @@ def test_the_package_keeps_nothing_in_a_module_global():
     found = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_only_the_stepping_modules_read_the_change_window():
+    """engine.py and cli.py call no changed_since, touch no `kept` and
+    name no EMPTY_WINDOW: reading the change window, and keeping what a
+    reader carries from it, stays in model, events, verification and
+    predicates, and the time series reads the empty houses as a roster."""
+    package = Path(__file__).resolve().parent.parent / "src" / "demosim"
+    found = []
+    for name in ("engine.py", "cli.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if getattr(node, "attr", None) in ("changed_since", "kept")
+                  or "EMPTY_WINDOW" in (getattr(node, "id", None),
+                                        getattr(node, "name", None))]
     assert found == []

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from conftest import add_house, add_person, add_town, make_state, marry
+from demosim.engine import RunConfig, run
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ConfigError,
                            DataFormatError, FertilityTable, ModelData,
                            ModelParams, SimTime, SimulationParams,
                            link_partners, unlink_partners, validate_world)
 from demosim.predicates import is_adult
+from demosim.rates import default_model_data
+from demosim.space import DensityMap
 
 
 def steps_per_year(delta_t) -> int:
@@ -57,6 +60,47 @@ def test_simulation_params_rejects_bad_span():
         SimulationParams(t0=2030, t_final=2020)
     with pytest.raises(ConfigError):
         SimulationParams(t0=2020, t_final=2020)
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1", -1, True, 1.5], ids=repr)
+def test_simulation_params_reject_a_bad_seed(seed):
+    """A seed is "random", an int >= 0 or a string of ASCII digits;
+    anything else, a bool and a negative seed in either spelling among
+    them, fails at construction, not when a run resolves it."""
+    with pytest.raises(ConfigError, match="seed"):
+        SimulationParams(seed=seed)
+
+
+def test_a_digit_string_seed_is_its_int():
+    """SimulationParams keeps a seed of ASCII digits as its int, so a run
+    with seed "7" is the run with seed 7."""
+    assert SimulationParams(seed="7").seed == 7
+    assert SimulationParams(seed="random").seed == "random"
+    sim = dict(t0=2020, t_final=2021, delta_t="monthly")
+    digests = {run(RunConfig(sim=SimulationParams(**sim, seed=seed),
+                             model=ModelParams(initial_pop=100),
+                             data=default_model_data(),
+                             density=DensityMap.default())).digest
+               for seed in ("7", 7)}
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("params, key, value", [
+    (SimulationParams, "t0", 2019.5),
+    (SimulationParams, "t_final", 2020.5),
+    (SimulationParams, "t_final", "2030"),
+    (SimulationParams, "t0", True),
+    (ModelParams, "initial_pop", "10"),
+    (ModelParams, "initial_pop", 2.0),
+    (ModelParams, "max_num_marr_cand", 2.5),
+    (ModelParams, "max_num_marr_cand", True),
+])
+def test_integer_params_reject_other_types(params, key, value):
+    """t0, t_final, initial_pop and max_num_marr_cand are ints, not bools:
+    any other value fails at construction, not as a TypeError partway
+    through init_world or run."""
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        params(**{key: value})
 
 
 def test_model_params_defaults():
