@@ -23,14 +23,11 @@ randrange and sample, so a batch drawn ahead of it could not be handed
 back.
 
 Every event visits a roster of the persons who can take part
-(WorldState.roster), kept from the change window that the freeze and the
-checks read too (WorldState.changed_since). CountedPerson journals every
-person write but ageing's, which clears the mother's flag past it; births
-adds the neonate to the parents' children, which no write names: the
-window holds each journaled neonate's parents. On a step with nothing in
-the window (model.EMPTY_WINDOW), the usual one on a fine clock, each
-roster read returns the kept list and deaths returns once its draws pass
-the screen, so such a step costs little more than its draws.
+(WorldState.roster), whose key is written in the paper's predicates. On a
+step with nothing in the change window (model.EMPTY_WINDOW), the usual one
+on a fine clock, each roster read returns the kept list and deaths returns
+once its draws pass the screen, so such a step costs little more than its
+draws.
 """
 from __future__ import annotations
 
@@ -41,11 +38,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .model import (ADULT_YEARS, ConfigError, IntegrityError, MALE, FEMALE,
-                    MOTHER_AGE_LIMIT_YEARS, Person, WorldState,
-                    is_orphan_oldest_sibling, link_partners, mark_dead,
-                    unlink_partners)
-from .predicates import Snapshot, SnapshotStore
+from .model import (ConfigError, IntegrityError, MALE, FEMALE, Person,
+                    WorldState, is_orphan_oldest_sibling, link_partners,
+                    mark_dead, unlink_partners)
+from .predicates import (Snapshot, SnapshotStore, is_adult, is_alive,
+                         is_female, is_male, is_married, is_single)
 from .rates import RateContext
 from .space import (find_or_create_empty_house, leave_house, manhattan,
                     move_person, weighted_pick)
@@ -214,7 +211,7 @@ def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
         mother = persons.get(persons[pid].mother)
         if mother is not None:
             object.__setattr__(mother, "gave_birth", False)
-    for pid in state.born_at(state.time.born_years_ago(ADULT_YEARS)):
+    for pid in state.born_at(state.time.came_of_age):
         p = persons[pid]
         if not p.alive or is_orphan_oldest_sibling(
                 state, p, lambda q: persons[q].alive):
@@ -223,9 +220,18 @@ def ageing(state: WorldState, ctx: RateContext, rng: random.Random,
             outcome.adults_moved.append(p.id)
 
 
+# Each roster key, before the event that reads it, is the `and` of the
+# paper's Boolean predicates and of named model rules: a module function,
+# which pickle and deepcopy keep as itself, as state.kept's key.
+
+def _born_before_now(state: WorldState, p: Person) -> bool:
+    """A neonate of this step draws for no death until the next one."""
+    return p.born_step < state.time.step_index
+
+
 def _mortal(state: WorldState, p: Person) -> bool:
-    """Alive and born before this step: the persons deaths draws for."""
-    return p.alive and p.born_step < state.time.step_index
+    """isAlive and born before now: the persons deaths draws for."""
+    return is_alive(state, p) and _born_before_now(state, p)
 
 
 def _death_threshold(state: WorldState, ctx: RateContext,
@@ -285,17 +291,24 @@ def deaths(state: WorldState, ctx: RateContext, rng: random.Random,
             outcome.died.append(p.id)
 
 
+def _under_mother_limit(state: WorldState, p: Person) -> bool:
+    return p.age_steps < state.time.mother_limit_steps
+
+
+def _spaced(state: WorldState, p: Person) -> bool:
+    """No child born within the last year, by birth step: a child's death
+    cannot freeze the spacing."""
+    year_ago, persons = state.time.year_ago, state.persons
+    return all(persons[c].born_step < year_ago for c in p.children)
+
+
 def _fertile_wife(state: WorldState, p: Person) -> bool:
-    """A married adult woman under the mother age limit with no child born in
-    the last year (by birth step: a child's death cannot freeze the spacing).
-    The adult test keeps a married minor out of the fertility table."""
-    time = state.time
-    if (p.partner is None or p.gender != FEMALE or not p.alive
-            or not time.born_years_ago(MOTHER_AGE_LIMIT_YEARS) < p.born_step
-            <= time.born_years_ago(ADULT_YEARS)):
-        return False
-    recent, persons = time.born_years_ago(1), state.persons
-    return all(persons[c].born_step < recent for c in p.children)
+    """isFemale and isMarried and isAlive and isAdult, under the mother age
+    limit and spaced: the women births draws for. isAdult keeps a married
+    minor out of the fertility table."""
+    return (is_female(state, p) and is_married(state, p)
+            and is_alive(state, p) and is_adult(state, p)
+            and _under_mother_limit(state, p) and _spaced(state, p))
 
 
 def births(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -327,7 +340,8 @@ def births(state: WorldState, ctx: RateContext, rng: random.Random,
 
 
 def _married_man(state: WorldState, p: Person) -> bool:
-    return p.partner is not None and p.gender == MALE and p.alive
+    """isMale and isMarried and isAlive: the men divorces draws for."""
+    return is_male(state, p) and is_married(state, p) and is_alive(state, p)
 
 
 def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
@@ -348,26 +362,25 @@ def divorces(state: WorldState, ctx: RateContext, rng: random.Random,
             outcome.divorced.append((man.id, wife_id))
 
 
-def _single_adult(gender: str, state: WorldState, p: Person) -> bool:
-    """A single adult of the gender, less males who turned exactly 18 this
-    step. marriages also excludes those married at the previous step: that
-    reads a snapshot, which each freeze replaces with no journal write, so a
-    roster cannot follow it. _single_man and _single_woman are the roster
-    keys."""
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
-    return (p.partner is None and p.gender == gender and p.alive
-            and p.born_step <= came_of_age
-            and (gender == FEMALE or p.born_step != came_of_age))
+def _came_of_age_now(state: WorldState, p: Person) -> bool:
+    """Turning adult at this step. A man joins the marriage pool one step
+    after that; ageing moves him out at it."""
+    return p.born_step == state.time.came_of_age
 
 
-# the roster keys: module functions, which pickle and deepcopy keep as
-# themselves, so a copied state's rosters stay under them in state.kept
 def _single_man(state: WorldState, p: Person) -> bool:
-    return _single_adult(MALE, state, p)
+    """isMale and isSingle and isAlive and isAdult, less those who came of
+    age now: the men marriages draws for. marriages also leaves out those
+    married at the previous step: that reads a snapshot, which each freeze
+    replaces with no journal write, so a roster cannot follow it."""
+    return (is_male(state, p) and is_single(state, p) and is_alive(state, p)
+            and is_adult(state, p) and not _came_of_age_now(state, p))
 
 
 def _single_woman(state: WorldState, p: Person) -> bool:
-    return _single_adult(FEMALE, state, p)
+    """isFemale and isSingle and isAlive and isAdult: the bride pool."""
+    return (is_female(state, p) and is_single(state, p)
+            and is_alive(state, p) and is_adult(state, p))
 
 
 def candidate_count(pool_size: int, max_num_marr_cand: int) -> int:

@@ -15,8 +15,8 @@ import random
 from dataclasses import asdict, dataclass
 
 from .events import age_factor, candidate_count, find_bride
-from .model import (ADULT_YEARS, FEMALE, MALE, MOTHER_AGE_LIMIT_YEARS,
-                    ModelParams, Person, SimTime, SimulationParams, WorldState)
+from .model import (FEMALE, MALE, ModelParams, Person, SimTime,
+                    SimulationParams, WorldState)
 from .space import DensityMap, build_towns, create_house, move_person, \
     weighted_town
 
@@ -72,7 +72,7 @@ def init_partnerships(state: WorldState, params: ModelParams,
     one weighted by ageFactor. Returns (couples formed, selected males left
     single because the pool ran dry or every weight was zero)."""
     spy, now = state.time.steps_per_year, state.time.step_index
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    came_of_age = state.time.came_of_age
     males, pool = [], []
     for p in state.persons.values():
         if p.born_step > came_of_age:
@@ -99,12 +99,12 @@ def assign_parents(state: WorldState,
                    rng: random.Random) -> tuple[int, list[int]]:
     """Give every child a uniformly drawn father from the couples that are old
     enough (both spouses at least 18 years 9 months older than the child) and
-    whose wife was younger than MOTHER_AGE_LIMIT_YEARS at the child's birth.
+    whose wife was younger than the mother age limit at the child's birth.
     Children with no candidates stay parentless and are reported, not
     failed. Compared as birth steps: 18 years 9 months is 75/4 years."""
     spy = state.time.steps_per_year
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
-    mother_limit = MOTHER_AGE_LIMIT_YEARS * spy
+    came_of_age = state.time.came_of_age
+    mother_limit = state.time.mother_limit_steps
     couples = []  # (husband, 4 x the later birth step, the wife's)
     for m in state.persons.values():
         if m.gender == MALE and m.partner is not None:
@@ -136,7 +136,7 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
     single adult alone, a parentless child alone. Towns are drawn by density
     weight per unit; every unit gets a fresh house, as none is ever empty
     here. Returns the number of houses created."""
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    came_of_age = state.time.came_of_age
     towns = [state.towns[tid] for tid in sorted(state.towns)]
     for p in state.persons.values():
         if p.partner is not None:
@@ -174,7 +174,8 @@ def init_world(params: ModelParams, sim: SimulationParams, data,
     couples, left_single = init_partnerships(state, params, rng)
     assigned, parentless = assign_parents(state, rng)
     houses = assign_housing(state, rng)
-    adults = sum(1 for p in persons if p.born_step <= -ADULT_YEARS * spy)
+    came_of_age = state.time.came_of_age
+    adults = sum(1 for p in persons if p.born_step <= came_of_age)
     report = InitReport(
         per_town=targets,
         persons_total=len(persons),

@@ -56,6 +56,15 @@ def _require_ints(params: object, *names: str) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_reals(params: object, *names: str) -> None:
+    for name in names:  # nor is a bool a rate
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def delta_t_spelling(delta_t: str | int) -> str | int:
     """The one spelling of a clock rate, which SimulationParams keeps: a
     STEPS_PER_YEAR label in lower case, or the int count of steps a year,
@@ -77,10 +86,21 @@ def delta_t_spelling(delta_t: str | int) -> str | int:
 
 @dataclass(slots=True)
 class SimTime:
-    """Simulation clock: integer steps since t0, at steps_per_year per year."""
+    """Simulation clock: integer steps since t0, at steps_per_year per year.
+    It states the model's age thresholds, in steps, and nothing else does:
+    a loop over everyone reads one once and compares ages or birth steps
+    with it."""
     step_index: int
     t0_year: int
     steps_per_year: int
+    # the ages from which a person is an adult (isAdult) and a woman gives
+    # birth no more
+    adult_steps: int = field(init=False, repr=False, compare=False)
+    mother_limit_steps: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.adult_steps = ADULT_YEARS * self.steps_per_year
+        self.mother_limit_steps = MOTHER_AGE_LIMIT_YEARS * self.steps_per_year
 
     @property
     def year(self) -> int:
@@ -89,6 +109,18 @@ class SimTime:
     def born_years_ago(self, years: int) -> int:
         """The birth step of a person exactly `years` years old now."""
         return self.step_index - years * self.steps_per_year
+
+    @property
+    def came_of_age(self) -> int:
+        """The birth step of those turning adult now; one born at it or
+        before is an adult."""
+        return self.step_index - self.adult_steps
+
+    @property
+    def year_ago(self) -> int:
+        """One year back: a woman with a child born after it gives birth no
+        more until it passes (the birth spacing)."""
+        return self.step_index - self.steps_per_year
 
 
 @dataclass(slots=True)
@@ -133,13 +165,10 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _require_ints(self, "initial_pop", "max_num_marr_cand")
-        for name in ("basic_divorce_rate", "basic_death_rate",
-                     "basic_male_marriage_rate", "female_age_death_rate",
-                     "female_age_scaling", "male_age_death_rate",
-                     "male_age_scaling", "start_married_ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got "
-                                  f"{getattr(self, name)}")
+        _require_reals(self, "basic_divorce_rate", "basic_death_rate",
+                       "basic_male_marriage_rate", "female_age_death_rate",
+                       "female_age_scaling", "male_age_death_rate",
+                       "male_age_scaling", "start_married_ratio")
         for name in ("basic_divorce_rate", "basic_death_rate",
                      "basic_male_marriage_rate", "female_age_death_rate",
                      "male_age_death_rate"):
@@ -513,16 +542,16 @@ class WorldState:
 
     def clock_turned(self) -> set[int]:
         """The persons whose standing the clock alone may flip at this step:
-        those turning ADULT_YEARS, a step past it (men join the marriage
-        pool then) or MOTHER_AGE_LIMIT_YEARS, and the parents of the
+        those coming of age, a step past it (men join the marriage pool
+        then) or reaching the mother age limit, and the parents of the
         children a step past their first birthday (the birth spacing)."""
         self.keep_census()
-        now, spy = self.time.step_index, self.time.steps_per_year
-        persons, cohort = self.persons, self.journal.born.get
-        adult = now - ADULT_YEARS * spy
+        time, persons, cohort = self.time, self.persons, self.journal.born.get
+        now = time.step_index
+        adult = now - time.adult_steps
         turned = {*cohort(adult, ()), *cohort(adult - 1, ()),
-                  *cohort(now - MOTHER_AGE_LIMIT_YEARS * spy, ())}
-        for pid in cohort(now - spy - 1, ()):
+                  *cohort(now - time.mother_limit_steps, ())}
+        for pid in cohort(time.year_ago - 1, ()):
             p = persons[pid]
             turned.update(q for q in (p.mother, p.father) if q is not None)
         return turned
@@ -570,14 +599,17 @@ class WorldState:
     def roster(self, holds: Callable[[WorldState, Person | House], bool],
                houses: bool = False) -> list[int]:
         """The ascending ids of the persons on record, or with `houses` of
-        the houses, for which holds(state, record) is true; holds reads
-        only the live state and the clock. Kept in `kept` under holds, with
-        the step it was read at: only the ids in that half of
-        changed_since(that step) are evaluated again, and an id no longer
-        on record drops out, or every record is when that is None; on
-        EMPTY_WINDOW the kept list is returned as it is, and its step,
-        which the window reaches back to, stays. So a roster sees what a
-        freeze and the checks see. Callers must not change the list."""
+        the houses, for which holds(state, record) is true. Kept in `kept`
+        under holds, with the step it was read at: only the ids in that
+        half of changed_since(that step) are evaluated again, and an id no
+        longer on record drops out, or every record is when that is None;
+        on EMPTY_WINDOW the kept list is returned as it is, and its step,
+        which the window reaches back to, stays. So the list is exact only
+        if holds reads the record's own fields, its partner's and its
+        children's, and the clock only through the cohorts clock_turned
+        lists: those are what puts a person in the window. hasASibling
+        reads a sibling, whose birth journals the parents, not the older
+        child, so it is no key. Callers must not change the list."""
         records = self.houses if houses else self.persons
         read_at, ids = self.kept.get(holds, (None, None))
         changed = self.changed_since(read_at)
@@ -693,8 +725,7 @@ def partnership_faults(state: WorldState, persons: Iterable[Person],
                        houses: Iterable[House]) -> list[Fault]:
     """Partnerships are symmetric, opposite-gender and between living
     adults. Each partner is checked from both sides."""
-    adult_steps = ADULT_YEARS * state.time.steps_per_year
-    adult_born = state.time.born_years_ago(ADULT_YEARS)  # born later: minor
+    adult_steps = state.time.adult_steps
     out = []
     for p in persons:
         if p.partner is None:
@@ -711,8 +742,7 @@ def partnership_faults(state: WorldState, persons: Iterable[Person],
         if not (p.alive and other.alive):
             out.append(_person_fault("dead person still partnered", pid,
                                      other.id))
-        if (p.born_step > adult_born if p.alive
-                else p.age_steps < adult_steps):
+        if p.age_steps < adult_steps:  # isAdult, at death if dead
             out.append(_person_fault("married minor", pid))
     return out
 

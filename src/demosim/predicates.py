@@ -7,6 +7,13 @@ houses never move or change town: House is a frozen record (a removed house
 reads as none). A freeze copies only the columns the journaled persons
 changed; snapshots share the rest, read-only (see Snapshot).
 
+The Boolean predicates are the terms the events' rosters are written in
+(events._single_man is isMale and isSingle and isAlive and isAdult, ...).
+filter_pop evaluates its predicate for every member of its base at each
+call and keeps nothing: a roster re-tests only the persons a change window
+names, which a predicate may leave out of date. hasASibling is one such: a
+sibling's birth journals the parents, not the older child.
+
 The post-style assumptions have no forward-looking query here; the
 verification module checks them one step later against the stored snapshot.
 """
@@ -19,8 +26,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
-from .model import (ADULT_YEARS, FEMALE, House, IntegrityError, MALE,
-                    MissingSnapshotError, WorldState)
+from .model import (FEMALE, House, IntegrityError, MALE,
+                    MissingSnapshotError, Person, WorldState)
 
 
 class Snapshot:
@@ -149,25 +156,75 @@ class SubPopulation:
         return i < len(self.ids) and self.ids[i] == pid
 
 
-@dataclass(frozen=True)
-class BooleanPredicate:
-    name: str
-    eval: Callable[[int, WorldState, SnapshotStore | None], bool]
+# The paper's Boolean predicates (is_male is isMale, ...) are module
+# functions (state, person) -> bool, the signature of a WorldState.roster
+# key, so the events' roster keys are written as their `and`; a group
+# predicate (children_of is childrenOf, ...) maps them to a set of ids.
+BooleanPredicate = Callable[[WorldState, Person], bool]
+GroupPredicate = Callable[[WorldState, Person], set[int]]
 
 
-@dataclass(frozen=True)
-class GroupPredicate:
-    name: str
-    eval: Callable[[int, WorldState], set[int]]
+def is_male(state: WorldState, p: Person) -> bool:
+    return p.gender == MALE
 
 
-def filter_pop(pred: BooleanPredicate, base: SubPopulation, state: WorldState,
-               snaps: SnapshotStore | None = None) -> SubPopulation:
+def is_female(state: WorldState, p: Person) -> bool:
+    return p.gender == FEMALE
+
+
+def is_alive(state: WorldState, p: Person) -> bool:
+    return p.alive
+
+
+def is_married(state: WorldState, p: Person) -> bool:
+    return p.partner is not None
+
+
+def is_single(state: WorldState, p: Person) -> bool:
+    return p.partner is None
+
+
+def is_adult(state: WorldState, p: Person) -> bool:
+    """isAdult: at least the adult age, at death for the dead."""
+    return p.age_steps >= state.time.adult_steps
+
+
+def has_children(state: WorldState, p: Person) -> bool:
+    return bool(p.children)
+
+
+def has_a_sibling(state: WorldState, p: Person) -> bool:
+    """hasASibling: no roster key (see WorldState.roster)."""
+    return bool(siblings_of(state, p))
+
+
+def children_of(state: WorldState, p: Person) -> set[int]:
+    return set(p.children)
+
+
+def siblings_of(state: WorldState, p: Person) -> set[int]:
+    """siblingsOf: the other children of either parent."""
+    out: set[int] = set()
+    for parent_id in (p.father, p.mother):
+        if parent_id is not None:
+            out |= state.persons[parent_id].children
+    out.discard(p.id)
+    return out
+
+
+def parents_of(state: WorldState, p: Person) -> set[int]:
+    return {q for q in (p.father, p.mother) if q is not None}
+
+
+def filter_pop(pred: BooleanPredicate, base: SubPopulation,
+               state: WorldState) -> SubPopulation:
+    """The members of `base` for which pred holds, each evaluated now."""
+    persons = state.persons
     for pid in base:
-        if pid not in state.persons:
+        if pid not in persons:
             raise IntegrityError(f"unresolvable person id {pid}")
     return SubPopulation(tuple(pid for pid in base.ids
-                               if pred.eval(pid, state, snaps)))
+                               if pred(state, persons[pid])))
 
 
 def combine(op: str, a: SubPopulation, b: SubPopulation) -> SubPopulation:
@@ -181,33 +238,32 @@ def combine(op: str, a: SubPopulation, b: SubPopulation) -> SubPopulation:
     raise ValueError(f"unknown set operation {op!r}")
 
 
-def negate(pred: BooleanPredicate, base: SubPopulation, state: WorldState,
-           snaps: SnapshotStore | None = None) -> SubPopulation:
-    return combine("difference", base, filter_pop(pred, base, state, snaps))
+def negate(pred: BooleanPredicate, base: SubPopulation,
+           state: WorldState) -> SubPopulation:
+    return combine("difference", base, filter_pop(pred, base, state))
 
 
 def group_of_filtered(g: GroupPredicate, base_filtered: SubPopulation,
                       state: WorldState) -> SubPopulation:
     out: set[int] = set()
     for pid in base_filtered:
-        out |= g.eval(pid, state)
+        out |= g(state, state.persons[pid])
     return SubPopulation.of(out)
 
 
 def filtered_group(g: GroupPredicate, base: SubPopulation,
-                   pred: BooleanPredicate, state: WorldState,
-                   snaps: SnapshotStore | None = None) -> SubPopulation:
-    return filter_pop(pred, group_of_filtered(g, base, state), state, snaps)
+                   pred: BooleanPredicate, state: WorldState) -> SubPopulation:
+    return filter_pop(pred, group_of_filtered(g, base, state), state)
 
 
-# attribute keys usable with just(); (live test, snapshot test) pairs
-_JUST_ATTRS = {
-    "alive": (lambda p: p.alive, lambda snap, pid: pid in snap.alive),
-    "married": (lambda p: p.partner is not None,
-                lambda snap, pid: pid in snap.married),
-    "gave_birth": (lambda p: p.gave_birth,
-                   lambda snap, pid: pid in snap.gave_birth),
-}
+def _gave_birth(state: WorldState, p: Person) -> bool:
+    return p.gave_birth
+
+
+# the attributes just() and pre() read: the live predicate of each, and its
+# snapshot column of the same name
+_JUST_ATTRS = {"alive": is_alive, "married": is_married,
+               "gave_birth": _gave_birth}
 
 
 def just(attr: str, state: WorldState, snaps: SnapshotStore,
@@ -217,10 +273,12 @@ def just(attr: str, state: WorldState, snaps: SnapshotStore,
     just("married", negated=True) is "just got divorced or widowed"."""
     if attr not in _JUST_ATTRS:
         raise ValueError(f"just() does not support attribute {attr!r}")
-    live, frozen = _JUST_ATTRS[attr]
+    live = _JUST_ATTRS[attr]
     prev = snaps.before(state.time.step_index)
-    now = {pid for pid, p in state.persons.items() if live(p) != negated}
-    before = {pid for pid in prev.known if frozen(prev, pid) != negated}
+    frozen = getattr(prev, attr)
+    now = {pid for pid, p in state.persons.items()
+           if live(state, p) != negated}
+    before = {pid for pid in prev.known if (pid in frozen) != negated}
     return SubPopulation.of(now - before)
 
 
@@ -233,7 +291,7 @@ def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
         raise MissingSnapshotError(f"person {pid} unknown at step "
                                    f"{prev.step_index}")
     if attr in _JUST_ATTRS:  # alive, married, gave_birth
-        return _JUST_ATTRS[attr][1](prev, pid)
+        return pid in getattr(prev, attr)
     if attr == "partner":
         return prev.partner.get(pid)
     if attr == "house":
@@ -247,38 +305,3 @@ def pre(attr: str, pid: int, snaps: SnapshotStore, state: WorldState):
             end = min(p.died_step, end)
         return end - p.born_step
     raise ValueError(f"pre() does not support attribute {attr!r}")
-
-
-def _bp(name: str, fn) -> BooleanPredicate:
-    return BooleanPredicate(name, lambda pid, state, snaps: fn(state.persons[pid], state))
-
-
-is_male = _bp("isMale", lambda p, s: p.gender == MALE)
-is_female = _bp("isFemale", lambda p, s: p.gender == FEMALE)
-is_alive = _bp("isAlive", lambda p, s: p.alive)
-is_married = _bp("isMarried", lambda p, s: p.partner is not None)
-is_single = _bp("isSingle", lambda p, s: p.partner is None)
-is_adult = _bp("isAdult",
-               lambda p, s: p.age_steps >= ADULT_YEARS * s.time.steps_per_year)
-has_children = _bp("hasChildren", lambda p, s: bool(p.children))
-
-
-def _siblings(pid: int, state: WorldState) -> set[int]:
-    p = state.persons[pid]
-    out: set[int] = set()
-    for parent_id in (p.father, p.mother):
-        if parent_id is not None:
-            out |= state.persons[parent_id].children
-    out.discard(pid)
-    return out
-
-
-has_a_sibling = _bp("hasASibling", lambda p, s: bool(_siblings(p.id, s)))
-
-children_of = GroupPredicate(
-    "childrenOf", lambda pid, state: set(state.persons[pid].children))
-siblings_of = GroupPredicate("siblingsOf", _siblings)
-parents_of = GroupPredicate(
-    "parentsOf",
-    lambda pid, state: {q for q in (state.persons[pid].father,
-                                    state.persons[pid].mother) if q is not None})

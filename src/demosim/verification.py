@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .model import (ADULT_YEARS, EMPTY_WINDOW, MALE, MOTHER_AGE_LIMIT_YEARS,
-                    Fault, House, Person, WorldState, dead_residence_faults,
-                    house_xy_faults, is_orphan_oldest_sibling,
-                    partnership_faults, residence_faults)
+from .model import (EMPTY_WINDOW, MALE, Fault, House, Person, WorldState,
+                    dead_residence_faults, house_xy_faults,
+                    is_orphan_oldest_sibling, partnership_faults,
+                    residence_faults)
 from .predicates import Snapshot, SnapshotStore
 from .events import DEFAULT_EVENT_ORDER, validate_event_order
 
@@ -83,7 +83,7 @@ def _initial_check(label: str, rule, state: WorldState,
 
 
 def _adults_no_parents(state: WorldState) -> list[Fault]:
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    came_of_age = state.time.came_of_age
     return _one_fault([p.id for p in state.persons.values()
                        if p.born_step <= came_of_age
                        and (p.father is not None or p.mother is not None)],
@@ -91,7 +91,7 @@ def _adults_no_parents(state: WorldState) -> list[Fault]:
 
 
 def _parents_alive(state: WorldState) -> list[Fault]:
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    came_of_age = state.time.came_of_age
     bad = []
     for p in state.persons.values():
         if p.born_step <= came_of_age:
@@ -108,7 +108,7 @@ def _family_together(state: WorldState) -> list[Fault]:
     """Initial houses hold exactly one family unit: a couple plus their
     children, or one single adult, or one parentless child."""
     out = []
-    came_of_age = state.time.born_years_ago(ADULT_YEARS)
+    came_of_age = state.time.came_of_age
     for house in state.houses.values():
         occ = [state.persons[pid] for pid in sorted(house.occupants)]
         if not occ:
@@ -220,7 +220,7 @@ def _turned_adult(state: WorldState,
     persons = state.persons
     return [(persons[pid], is_orphan_oldest_sibling(
                 state, persons[pid], prev.alive.__contains__))
-            for pid in state.born_at(state.time.born_years_ago(ADULT_YEARS))
+            for pid in state.born_at(state.time.came_of_age)
             if pid in prev.alive]
 
 
@@ -258,7 +258,7 @@ def _married_gives_birth(state: WorldState, prev: Snapshot,
     shares her house, and each flagged person in `changed` has a neonate:
     the mother births flags is in the window as her neonate's parent."""
     out = []
-    limit = MOTHER_AGE_LIMIT_YEARS * state.time.steps_per_year
+    limit = state.time.mother_limit_steps
     mothers_with_neonate = set()
     for q in _born_now(state, changed):
         if q.father is None or q.mother is None:
@@ -270,9 +270,9 @@ def _married_gives_birth(state: WorldState, prev: Snapshot,
             out.append(Fault((q.id, mother.id),
                              "mother not flagged for this birth"))
         if mother.age_steps >= limit:
-            out.append(Fault((mother.id,), f"mother aged "
-                                           f"{MOTHER_AGE_LIMIT_YEARS} or "
-                                           f"older at birth"))
+            years = limit // state.time.steps_per_year
+            out.append(Fault((mother.id,),
+                             f"mother aged {years} or older at birth"))
         father_ok = (mother.partner == q.father
                      or (mother.partner is None and mother.ever_partners
                          and mother.ever_partners[-1] == q.father))

@@ -366,3 +366,43 @@ def test_only_the_stepping_modules_read_the_change_window():
                   or "EMPTY_WINDOW" in (getattr(node, "id", None),
                                         getattr(node, "name", None))]
     assert found == []
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    package = Path(__file__).resolve().parent.parent / "src" / "demosim"
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def test_age_thresholds_are_named_only_on_the_clock():
+    """ADULT_YEARS and MOTHER_AGE_LIMIT_YEARS are named in model.py, which
+    states them as SimTime's clock values, in rates.py's fertility-coverage
+    check and in the package's exports alone: every other module reads the
+    clock."""
+    thresholds = {"ADULT_YEARS", "MOTHER_AGE_LIMIT_YEARS"}
+    found = sorted({name for name, tree in _package_trees().items()
+                    for node in ast.walk(tree)
+                    if {getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None)} & thresholds})
+    assert found == ["__init__.py", "model.py", "rates.py"]
+
+
+def test_roster_keys_are_module_functions():
+    """Every roster read in the package is keyed by a bare name of a
+    function defined at its module's top level, which pickle and deepcopy
+    keep as itself; a lambda, partial or instance would leave its roster
+    behind under a key a copy no longer uses."""
+    calls, bad = 0, []
+    for name, tree in _package_trees().items():
+        top = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "roster"):
+                calls += 1
+                key = node.args[0] if node.args else None
+                if not (isinstance(key, ast.Name) and key.id in top):
+                    bad.append((name, node.lineno))
+    assert bad == []
+    assert calls == 6  # the five event rosters and the empty houses

@@ -2,6 +2,8 @@
 the referential-integrity sweep."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from conftest import add_house, add_person, add_town, make_state, marry
@@ -103,6 +105,20 @@ def test_integer_params_reject_other_types(params, key, value):
         params(**{key: value})
 
 
+# the float fields of ModelParams, by their annotation
+FLOAT_FIELDS = [f.name for f in fields(ModelParams) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [True, None, "0.1"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_float_params_reject_other_types(key, value):
+    """A rate or scale is an int or a float, not a bool, None or a string:
+    any other value fails at construction with a ConfigError that names
+    the field, not as a TypeError or as a bool read as 0 or 1."""
+    with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        ModelParams(**{key: value})
+
+
 def test_model_params_defaults():
     p = ModelParams()
     assert p.basic_divorce_rate == 0.06
@@ -170,9 +186,9 @@ def test_adult_boundary_is_exact():
     state = make_state(spy=12)
     p = add_person(state, MALE, 0)
     p.age_steps = ADULT_YEARS * 12 - 1
-    assert not is_adult.eval(p.id, state, None)
+    assert not is_adult(state, p)
     p.age_steps = ADULT_YEARS * 12
-    assert is_adult.eval(p.id, state, None)
+    assert is_adult(state, p)
 
 
 def test_validate_world_clean_family(family):

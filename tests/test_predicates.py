@@ -6,6 +6,9 @@ import random
 import pytest
 
 from conftest import add_house, add_person, add_town, make_state, marry
+from demosim import events
+from demosim.cli import build_config
+from demosim.engine import Run
 from demosim.model import (FEMALE, MALE, IntegrityError,
                            MissingSnapshotError, mark_dead, unlink_partners)
 from demosim.predicates import (SnapshotStore, SubPopulation, children_of,
@@ -53,6 +56,21 @@ def test_filter_builtins(family):
     assert filter_pop(has_a_sibling, base, state).ids == ()
 
 
+def test_filter_pop_keeps_nothing_between_calls(family):
+    """filter_pop evaluates its predicate at every call: hasASibling turns
+    true for the older child when a sibling is born, a write that journals
+    the parents, not the older child, so a roster keyed by it would stay
+    stale."""
+    state, _, _, (dad, mum, kid, single) = family
+    state.time.step_index = 2  # a step whose writes the journal records
+    assert filter_pop(has_a_sibling, everyone(state), state).ids == ()
+    sis = add_person(state, FEMALE, 0, father=dad.id, mother=mum.id)
+    dad.children.add(sis.id)
+    mum.children.add(sis.id)
+    assert filter_pop(has_a_sibling, everyone(state), state).ids == \
+        (kid.id, sis.id)
+
+
 def test_filter_rejects_unknown_id(family):
     state, *_ = family
     with pytest.raises(IntegrityError):
@@ -71,14 +89,14 @@ def test_negate_is_relative_complement(family):
 
 def test_group_predicates(family):
     state, _, _, (dad, mum, kid, _) = family
-    assert children_of.eval(dad.id, state) == {kid.id}
-    assert parents_of.eval(kid.id, state) == {dad.id, mum.id}
-    assert siblings_of.eval(kid.id, state) == set()
+    assert children_of(state, dad) == {kid.id}
+    assert parents_of(state, kid) == {dad.id, mum.id}
+    assert siblings_of(state, kid) == set()
     sis = add_person(state, FEMALE, 8, father=dad.id, mother=mum.id)
     dad.children.add(sis.id)
     mum.children.add(sis.id)
-    assert siblings_of.eval(kid.id, state) == {sis.id}
-    assert siblings_of.eval(kid.id, state) == siblings_of.eval(sis.id, state) \
+    assert siblings_of(state, kid) == {sis.id}
+    assert siblings_of(state, kid) == siblings_of(state, sis) \
         - {kid.id} | {sis.id} - {kid.id}
 
 
@@ -269,3 +287,43 @@ def test_just_matches_brute_force_on_random_mutations():
             for negated in (False, True):
                 assert just(attr, state, snaps, negated).ids == \
                     brute_force_just(attr, state, snaps, negated)
+
+
+# each event roster key -> its formula in the paper's terms: the atomic
+# predicates and named model rules it intersects, and those it takes away
+ROSTER_FORMULAS = {
+    events._mortal: ((is_alive, events._born_before_now), ()),
+    events._fertile_wife: ((is_female, is_married, is_alive, is_adult,
+                            events._under_mother_limit, events._spaced), ()),
+    events._married_man: ((is_male, is_married, is_alive), ()),
+    events._single_man: ((is_male, is_single, is_alive, is_adult),
+                         (events._came_of_age_now,)),
+    events._single_woman: ((is_female, is_single, is_alive, is_adult), ()),
+}
+
+
+@pytest.mark.parametrize("params", [
+    {"initial_pop": "1000", "delta_t": "daily", "t0": "2020",
+     "t_final": "2030"},
+    {"initial_pop": "200", "delta_t": "hourly", "t0": "2020",
+     "t_final": "2021"},
+], ids=["daily_decade", "hourly_year"])
+def test_event_rosters_equal_their_formulas(params):
+    """After each of the first 300 steps of a seed-1 run, every event
+    roster equals its formula built with filter_pop and combine over
+    everyone on record."""
+    run = Run(build_config({**params, "seed": "1"}))
+    state = run.state
+    for _ in range(300):
+        run.advance()
+        base, filtered = everyone(state), {}
+        for holds, (terms, less) in ROSTER_FORMULAS.items():
+            for pred in terms + less:
+                if pred not in filtered:
+                    filtered[pred] = filter_pop(pred, base, state)
+            formula = base
+            for pred in terms:
+                formula = combine("intersect", formula, filtered[pred])
+            for pred in less:
+                formula = combine("difference", formula, filtered[pred])
+            assert tuple(state.roster(holds)) == formula.ids, holds.__name__
