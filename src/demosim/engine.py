@@ -185,6 +185,9 @@ class Run:
         self.ctx = RateContext(config.model, config.data, sim.steps_per_year)
         self.registry = build_registry(config.event_order)
         self.steps_planned = (sim.t_final - sim.t0) * sim.steps_per_year
+        if config.out_dir is not None:
+            # an out dir that cannot be made fails before init, not at the end
+            os.makedirs(config.out_dir, exist_ok=True)
         self.state, self.init_report = init_world(
             config.model, sim, config.data, config.density, self.rng)
         if problems := validate_world(self.state):

@@ -5,20 +5,23 @@ Draw order (the determinism contract for initialization): one gender draw per
 person in ascending id; one age draw per person in ascending id; partnership
 selection and matching per adult male in ascending id (selection draw always,
 then candidate sample and weighted pick only when selected); one father draw
-per child in ascending id; one town draw plus house draws per family unit in
-ascending head id.
+per child with any candidate couple, randrange(count) in ascending child id,
+the count taken by a sweep over the children in birth-step order; one town
+draw plus house draws per family unit in ascending head id.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 from .events import age_factor, candidate_count, find_bride
 from .model import (FEMALE, MALE, ModelParams, Person, SimTime,
                     SimulationParams, WorldState)
 from .space import DensityMap, build_towns, create_house, move_person, \
-    weighted_town
+    pick_town
 
 
 @dataclass(slots=True)
@@ -95,33 +98,71 @@ def init_partnerships(state: WorldState, params: ModelParams,
     return couples, left_single
 
 
+def _live_couples(windows: list[tuple[int, int]], births: list[int]):
+    """For each birth step of `births` (ascending), the ascending positions
+    of the couples whose window [enter, leave) holds it. Both bounds rise
+    with the birth step, so each couple enters and leaves once; a couple
+    whose window is empty never enters. One list is yielded, kept in place."""
+    opened = [i for i, (enter, leave) in enumerate(windows) if enter < leave]
+    enters = sorted(opened, key=lambda i: windows[i][0])
+    leaves = sorted(opened, key=lambda i: windows[i][1])
+    live: list[int] = []
+    a = r = 0
+    for b in births:
+        while a < len(enters) and windows[enters[a]][0] <= b:
+            bisect.insort(live, enters[a])
+            a += 1
+        # a couple leaving by b entered before it: enter < leave <= b
+        while r < len(leaves) and windows[leaves[r]][1] <= b:
+            del live[bisect.bisect_left(live, leaves[r])]
+            r += 1
+        yield live
+
+
 def assign_parents(state: WorldState,
                    rng: random.Random) -> tuple[int, list[int]]:
     """Give every child a uniformly drawn father from the couples that are old
     enough (both spouses at least 18 years 9 months older than the child) and
     whose wife was younger than the mother age limit at the child's birth.
     Children with no candidates stay parentless and are reported, not
-    failed. Compared as birth steps: 18 years 9 months is 75/4 years."""
+    failed. Compared as birth steps: 18 years 9 months is 75/4 years, so a
+    couple can parent a child born at step b exactly when b is in
+    [ceil((4 * later birth + 75 * spy) / 4), wife's birth + mother limit).
+
+    A sweep over the children in ascending birth step counts each child's
+    candidates; then one randrange(count) is drawn per child with any, in
+    ascending child id, and a second sweep takes that candidate, counted in
+    ascending husband id. The links are written in ascending child id."""
     spy = state.time.steps_per_year
     came_of_age = state.time.came_of_age
     mother_limit = state.time.mother_limit_steps
-    couples = []  # (husband, 4 x the later birth step, the wife's)
+    husbands: list[Person] = []
+    windows: list[tuple[int, int]] = []  # each couple's [enter, leave)
     for m in state.persons.values():
         if m.gender == MALE and m.partner is not None:
             wife_born = state.persons[m.partner].born_step
-            couples.append((m, 4 * max(m.born_step, wife_born), wife_born))
+            later4 = 4 * max(m.born_step, wife_born)
+            husbands.append(m)
+            windows.append((-((-later4 - 75 * spy) // 4),
+                            wife_born + mother_limit))
+    children = [p for p in state.persons.values()
+                if p.born_step > came_of_age]
+    order = sorted(range(len(children)), key=lambda j: children[j].born_step)
+    births = [children[j].born_step for j in order]
+    counts = [0] * len(children)
+    for j, live in zip(order, _live_couples(windows, births)):
+        counts[j] = len(live)
+    draws = [rng.randrange(n) if n else -1 for n in counts]
+    fathers: list[Person | None] = [None] * len(children)
+    for j, live in zip(order, _live_couples(windows, births)):
+        if draws[j] >= 0:
+            fathers[j] = husbands[live[draws[j]]]
     assigned = 0
     parentless: list[int] = []
-    for child in [p for p in state.persons.values()
-                  if p.born_step > came_of_age]:
-        latest = 4 * child.born_step - 75 * spy
-        earliest = child.born_step - mother_limit
-        cands = [m for m, later4, wife_born in couples
-                 if later4 <= latest and wife_born > earliest]
-        if not cands:
+    for child, father in zip(children, fathers):
+        if father is None:
             parentless.append(child.id)
             continue
-        father = cands[rng.randrange(len(cands))]
         mother = state.persons[father.partner]
         child.father = father.id
         child.mother = mother.id
@@ -134,10 +175,12 @@ def assign_parents(state: WorldState,
 def assign_housing(state: WorldState, rng: random.Random) -> int:
     """House each family unit together: a couple with their children, a
     single adult alone, a parentless child alone. Towns are drawn by density
-    weight per unit; every unit gets a fresh house, as none is ever empty
-    here. Returns the number of houses created."""
+    weight per unit, from one table of running density totals; every unit
+    gets a fresh house, as none is ever empty here. Returns the number of
+    houses created."""
     came_of_age = state.time.came_of_age
     towns = [state.towns[tid] for tid in sorted(state.towns)]
+    totals = list(accumulate(t.density for t in towns))
     for p in state.persons.values():
         if p.partner is not None:
             if p.gender != MALE:
@@ -148,7 +191,7 @@ def assign_housing(state: WorldState, rng: random.Random) -> int:
             unit = [p]
         else:
             continue  # children with parents move with the father's unit
-        house = create_house(state, weighted_town(towns, rng), rng)
+        house = create_house(state, pick_town(towns, totals, rng), rng)
         for q in unit:
             move_person(state, q, house)
     return len(state.houses)

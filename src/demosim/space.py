@@ -118,25 +118,37 @@ def find_or_create_empty_house(state: WorldState, town: Town,
     return create_house(state, town, rng)
 
 
+def pick_by_totals(items: list, totals: list[float], rng: random.Random):
+    """One item with probability proportional to its weight, given the
+    running totals of the non-negative weights; None, with no draw, when the
+    total is zero."""
+    if not totals or totals[-1] <= 0.0:
+        return None
+    x = rng.random() * totals[-1]
+    # first index whose running total exceeds x, so a zero-weight item never
+    # matches; the last item if x reaches the total (rounded or infinite)
+    return items[min(bisect.bisect_right(totals, x), len(items) - 1)]
+
+
 def weighted_pick(items: list, weights: list[float], rng: random.Random):
     """One item with probability proportional to its non-negative weight;
     None, with no draw, when the total weight is zero."""
-    cumulative = list(accumulate(weights))
-    if not cumulative or cumulative[-1] <= 0.0:
-        return None
-    x = rng.random() * cumulative[-1]
-    # first index whose running total exceeds x, so a zero-weight item never
-    # matches; the last item if x reaches the total (rounded or infinite)
-    return items[min(bisect.bisect_right(cumulative, x), len(items) - 1)]
+    return pick_by_totals(items, list(accumulate(weights)), rng)
 
 
-def weighted_town(towns: list[Town], rng: random.Random) -> Town:
-    """Density-weighted town selection."""
-    town = weighted_pick(towns, [t.density for t in towns], rng)
+def pick_town(towns: list[Town], totals: list[float],
+              rng: random.Random) -> Town:
+    """Density-weighted town selection, given the running density totals."""
+    town = pick_by_totals(towns, totals, rng)
     if town is None:
         raise ConfigError("total town density is zero" if towns
                           else "no towns to select from")
     return town
+
+
+def weighted_town(towns: list[Town], rng: random.Random) -> Town:
+    """Density-weighted town selection."""
+    return pick_town(towns, list(accumulate(t.density for t in towns)), rng)
 
 
 def move_person(state: WorldState, person: Person, house: House) -> None:

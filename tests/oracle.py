@@ -25,6 +25,10 @@ column, which the lockstep snapshot test compares each freeze with.
 `SpaceSets` and `space_changes` are the retrospective space checks as they
 were before the space digest stopped hashing: frozenset diffs.
 
+`assign_parents` is the father draw of initialization as it was before it
+swept the children in birth-step order: each child scans every couple,
+which the differential initialization test compares the sweep with.
+
 `census` is the recount `TimeSeries.append` made at every step before the
 person writes kept its counts: one pass over everyone on record, which the
 lockstep census test compares `WorldState.census` with.
@@ -627,6 +631,44 @@ class FullSnapshot:
                         if p.partner is not None}
         self.house = {p.id: p.house for p in persons if p.house is not None}
         self.gave_birth = {p.id for p in persons if p.gave_birth}
+
+
+# --------------------------------------------------------- initialization
+
+def assign_parents(state: WorldState,
+                   rng: random.Random) -> tuple[int, list[int]]:
+    """Give every child a uniformly drawn father from the couples that are old
+    enough (both spouses at least 18 years 9 months older than the child) and
+    whose wife was younger than the mother age limit at the child's birth.
+    Children with no candidates stay parentless and are reported, not
+    failed. Compared as birth steps: 18 years 9 months is 75/4 years."""
+    spy = state.time.steps_per_year
+    came_of_age = state.time.came_of_age
+    mother_limit = state.time.mother_limit_steps
+    couples = []  # (husband, 4 x the later birth step, the wife's)
+    for m in state.persons.values():
+        if m.gender == MALE and m.partner is not None:
+            wife_born = state.persons[m.partner].born_step
+            couples.append((m, 4 * max(m.born_step, wife_born), wife_born))
+    assigned = 0
+    parentless: list[int] = []
+    for child in [p for p in state.persons.values()
+                  if p.born_step > came_of_age]:
+        latest = 4 * child.born_step - 75 * spy
+        earliest = child.born_step - mother_limit
+        cands = [m for m, later4, wife_born in couples
+                 if later4 <= latest and wife_born > earliest]
+        if not cands:
+            parentless.append(child.id)
+            continue
+        father = cands[rng.randrange(len(cands))]
+        mother = state.persons[father.partner]
+        child.father = father.id
+        child.mother = mother.id
+        father.children.add(child.id)
+        mother.children.add(child.id)
+        assigned += 1
+    return assigned, parentless
 
 
 # --------------------------------------------------------------- census

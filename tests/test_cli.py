@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from demosim import cli
+from demosim import cli, engine
 from demosim.cli import (KNOWN_KEYS, build_config, main, parse_config,
                          parse_config_lines)
 from demosim.engine import RunConfig, run
@@ -354,6 +354,25 @@ def test_each_exit_code_has_its_prefix(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run", abort)
     rc, _, stderr = run_main(["run"], capsys)
     assert (rc, stderr) == (2, "assumption failure: a_homeless at step 3\n")
+
+
+@pytest.mark.parametrize("replicates", ["1", "2"])
+def test_main_run_unmakeable_out_fails_before_init(replicates, tmp_path,
+                                                   capsys, monkeypatch):
+    """An --out that cannot be made, a path under a regular file, exits 74
+    before the world is built or a step is run, with replicates too."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    calls = []
+    monkeypatch.setattr(engine, "init_world",
+                        lambda *args: calls.append("init_world"))
+    monkeypatch.setattr(engine.Run, "advance",
+                        lambda self: calls.append("advance"))
+    rc, _, stderr = run_main(["run", "--out", str(blocker / "arts"),
+                              "--replicates", replicates], capsys)
+    assert (rc, stderr.split()[0]) == (74, "error:")
+    assert calls == []
+    assert blocker.read_text() == ""
 
 
 def test_only_main_maps_errors_to_exit_codes():

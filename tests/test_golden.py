@@ -108,14 +108,16 @@ def test_frail_screen_passes_every_draw(monkeypatch):
 
 
 # state_digest right after init_world with seed 1, for the init_20k and
-# daily_decade configs of bench/bench.py and at twice init_20k's population
-# (17,769 persons), where a faster init must still make the same draws: init
-# alone, whose draws every run starts from
+# daily_decade configs of bench/bench.py and at twice and four times
+# init_20k's population (17,769 and 35,519 persons), where a faster init must
+# still make the same draws: init alone, whose draws every run starts from
 INIT_GOLDEN = {
     "init_20k": ({"initial_pop": "20000", "delta_t": "monthly",
                   "t0": "2020", "t_final": "2021"}, "a22e531fb52a3d50"),
     "init_40k": ({"initial_pop": "40000", "delta_t": "monthly",
                   "t0": "2020", "t_final": "2021"}, "a9b5f4a6cd78846d"),
+    "init_80k": ({"initial_pop": "80000", "delta_t": "monthly",
+                  "t0": "2020", "t_final": "2021"}, "93162aa1ebf626ba"),
     "daily_decade": ({"initial_pop": "1000", "delta_t": "daily",
                       "t0": "2020", "t_final": "2030"}, "60b2ce4338590071"),
 }

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 
 import oracle
+import pytest
 from conftest import add_person, make_state
 from demosim.initialization import (assign_genders, assign_parents,
                                     draw_gender, init_partnerships,
@@ -108,6 +110,13 @@ def test_init_partnerships_ignores_minors():
     assert all(p.partner is None for p in state.persons.values())
 
 
+def couple(state, dad_born, mum_born):
+    """A married pair with the given birth steps."""
+    dad = add_person(state, MALE, 0, born_step=dad_born)
+    mum = add_person(state, FEMALE, 0, born_step=mum_born)
+    dad.partner, mum.partner = mum.id, dad.id
+
+
 def test_assign_parents_age_window():
     state = make_state(spy=12)  # 18.75 years is exactly 225 monthly steps
     spy = state.time.steps_per_year
@@ -122,11 +131,26 @@ def test_assign_parents_age_window():
     assert assigned == 1 and parentless == []
     assert child.father == dad.id and child.mother == mum.id
     assert child.id in dad.children and child.id in mum.children
+    # the younger spouse must be at least ceil(75 * spy / 4) steps older
+    # than the child, at 365 and 5 steps a year a fraction more than 18.75
+    # years; one step fewer leaves the child parentless
+    for spy, child_born, younger in product((12, 365, 5), (0, -1, -7),
+                                            (MALE, FEMALE)):
+        gap = -(-75 * spy // 4)
+        for step_gap in (gap - 1, gap, gap + 1):
+            state = make_state(spy=spy)
+            later = child_born - step_gap
+            older = later - 3 * spy
+            couple(state, *((later, older) if younger == MALE
+                            else (older, later)))
+            child = add_person(state, MALE, 0, born_step=child_born)
+            assigned, parentless = assign_parents(state, random.Random(0))
+            assert (assigned, parentless) == (
+                (1, []) if 4 * step_gap >= 75 * spy else (0, [child.id]))
 
 
 def test_assign_parents_wife_age_cutoff():
     state = make_state()
-    spy = state.time.steps_per_year
     dad = add_person(state, MALE, 50)
     mum = add_person(state, FEMALE, 45)  # exactly 45: excluded for a newborn
     dad.partner, mum.partner = mum.id, dad.id
@@ -137,6 +161,82 @@ def test_assign_parents_wife_age_cutoff():
     mum.age_steps -= 1
     assigned, parentless = assign_parents(state, random.Random(0))
     assert assigned == 1 and parentless == []
+    for spy in (12, 365, 5):
+        # 45 years at the child's birth, then one step younger
+        for wife_age, expected in ((45 * spy, 0), (45 * spy - 1, 1)):
+            state = make_state(spy=spy)
+            couple(state, -2 - 50 * spy, -2 - wife_age)
+            add_person(state, MALE, 0, born_step=-2)
+            assert assign_parents(state, random.Random(0))[0] == expected
+        # a husband of 19 and a wife of about 45.25 years: she reaches the
+        # age limit as he becomes old enough, an empty window; a wife one
+        # step younger leaves a window of one step, which holds only a
+        # child born on that step
+        dad_born = -19 * spy
+        enter = dad_born - (-75 * spy // 4)
+        births = (0, enter + 1, enter, enter - 1, -17 * spy)
+        for wife_born, assigned_on in ((enter - 45 * spy, ()),
+                                       (enter - 45 * spy + 1, (enter,))):
+            state = make_state(spy=spy)
+            couple(state, dad_born, wife_born)
+            kids = [add_person(state, FEMALE, 0, born_step=b)
+                    for b in births]
+            assigned, parentless = assign_parents(state, random.Random(0))
+            assert assigned == len(assigned_on)
+            assert parentless == [k.id for k in kids
+                                  if k.born_step not in assigned_on]
+
+
+def random_couples_world(spy, seed):
+    """A world of 240 persons with random genders and birth steps: random
+    ones, ones tied on a few birth steps of the last nine years, and ones
+    within a step of 18.75 years or of the mother age limit before such a
+    step. Each man of the 18.75 years marries at random a woman of either
+    of the last two, so many windows open or close on a child's birth
+    step, and no couple parents the older random children."""
+    rng = random.Random(seed)
+    state = make_state(spy=spy)
+    gap = -(-75 * spy // 4)
+    anchors = [-rng.randrange(9 * spy) for _ in range(8)]
+    men, women = [], []
+    for _ in range(240):
+        kind = rng.randrange(5)
+        if kind == 0:
+            born = -rng.randrange(70 * spy)
+        elif kind == 1:
+            born = -rng.randrange(70) * spy
+        else:
+            born = rng.choice(anchors) + rng.choice((-1, 0, 1)) \
+                - (0, gap, 45 * spy)[kind - 2]
+        p = add_person(state, rng.choice((MALE, FEMALE)), 0, born_step=born)
+        if p.gender == FEMALE and kind > 2:
+            women.append(p)
+        elif kind == 3:
+            men.append(p)
+    rng.shuffle(women)
+    for m, f in zip(men, women):
+        m.partner, f.partner = f.id, m.id
+    return state
+
+
+@pytest.mark.parametrize("spy", [12, 52, 365, 1000, 8760, 37])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_assign_parents_matches_full_scan(spy, seed):
+    """The sweep draws the same father for every child as a scan of every
+    couple per child, leaves the same children parentless and the RNG in
+    the same state, and fills each children set in the same order."""
+    swept, scanned = (random_couples_world(spy, seed) for _ in range(2))
+    rng_swept, rng_scanned = random.Random(seed), random.Random(seed)
+    got = assign_parents(swept, rng_swept)
+    want = oracle.assign_parents(scanned, rng_scanned)
+    assert got == want
+    assert 0 < got[0] and got[1]
+    assert rng_swept.getstate() == rng_scanned.getstate()
+
+    def links(state):
+        return [(p.father, p.mother, list(p.children))
+                for p in state.persons.values()]
+    assert links(swept) == links(scanned)
 
 
 def test_init_world_structure():
