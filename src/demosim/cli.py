@@ -15,7 +15,7 @@ from .engine import RunConfig, resolve_seed, run, run_batch
 from .events import DEFAULT_EVENT_ORDER
 from .initialization import town_population_targets
 from .model import (AssumptionFailure, ConfigError, DataFormatError,
-                    ModelData, ModelParams, SimulationError,
+                    ModelData, ModelParams, Range, SimulationError,
                     SimulationParams)
 from .rates import (DEFAULT_DIVORCE_MODIFIERS, DEFAULT_MARRIAGE_MODIFIERS,
                     default_fertility, load_fertility_text)
@@ -69,15 +69,15 @@ def _echo(value: object) -> object:
     return ",".join(map(str, value)) if isinstance(value, tuple) else value
 
 
-_SIM_PARSERS = {"t0": _int, "t_final": _int, "delta_t": _text, "seed": _seed}
+# the parser of each numeric field's kind, and of the two fields with none
+_PARSERS = {int: _int, float: _float, "delta_t": _text, "seed": _seed}
 # key -> (its parser, its value when no line sets it), for every key a
 # config file may set. An empty path or out_dir is unset: the built-in
 # data, no artifacts
 _KEYS: dict[str, tuple[Callable[[str, str], object], object]] = {
-    **{f.name: (_SIM_PARSERS[f.name], f.default)
-       for f in fields(SimulationParams)},
-    **{f.name: (_int if f.type in (int, "int") else _float, f.default)
-       for f in fields(ModelParams)},
+    f.name: (_PARSERS[f.metadata[Range].kind if Range in f.metadata
+                      else f.name], f.default)
+    for f in (*fields(SimulationParams), *fields(ModelParams))} | {
     "fertility_path": (_text, ""),
     "density_path": (_text, ""),
     "divorce_modifiers": (_floats, DEFAULT_DIVORCE_MODIFIERS),

@@ -1,15 +1,16 @@
 """Domain types shared by every other module: persons, frozen houses and
-towns, time, parameters, the error hierarchy, the per-step change journal
-and the person write hook and house and town records that keep it, the
-partnership and death mutators, the structural rules that both
-validate_world and the every-step assumption checks apply, and the orphan
-stay-home rule that ageing applies and its check replays."""
+towns, time, errors, the parameter and data records, each numeric field
+stating its Range, which check_input checks a value against, the per-step
+change journal and the person write hook and house and town records that
+keep it, the partnership and death mutators, the structural rules that
+validate_world and the every-step checks apply, and the orphan stay-home
+rule that ageing applies and its check replays."""
 from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable, MutableMapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, MutableMapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 MALE = "male"
@@ -50,19 +51,59 @@ class AssumptionFailure(SimulationError):
     """A registered assumption was violated while running in fail mode."""
 
 
-def _require_ints(params: object, *names: str) -> None:
-    for name in names:  # type, not isinstance: a bool is no count
-        if type(value := getattr(params, name)) is not int:
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+class Range(NamedTuple):
+    """The kind and bounds of a numeric input: an integer, which a float
+    is not, or a finite real; a bool, None or a string is neither. The
+    interval is written as in mathematics: a bracket closes a bound, a
+    parenthesis opens it, and inf is no bound."""
+    kind: type  # int or float
+    interval: str  # "[0, 1)", "(0, inf)", ...
 
 
-def _require_reals(params: object, *names: str) -> None:
-    for name in names:  # nor is a bool a rate
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+def ranged(kind: type, interval: str, default: object = MISSING):
+    """A field stating its Range, or for a vector or grid each entry's."""
+    return field(default=default, metadata={Range: Range(kind, interval)})
+
+
+def check_input(row: Range, name: str, value: object,
+                error: type[SimulationError] = ConfigError) -> None:
+    """Raise `error`, naming `name`, unless value is of the row's kind and
+    lies in its interval."""
+    if row.kind is int and type(value) is not int:  # a bool is no count
+        raise error(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    opens, closes = row.interval[0] == "(", row.interval[-1] == ")"
+    low, high = map(float, row.interval[1:-1].split(", "))
+    if value < low or opens and value == low:
+        bound = f"{'>' if opens else '>='} {low:g}"
+    elif value > high or closes and value == high:
+        bound = f"{'<' if closes else '<='} {high:g}"
+    else:
+        return
+    raise error(f"{name} must be {bound}: {value} is outside {row.interval}")
+
+
+def check_grid(label: str, rows: tuple, cell: Range) -> None:
+    """A DataFormatError unless `rows` is a grid, not empty, whose rows are
+    equally long and whose cells are each in `cell`'s range."""
+    if not isinstance(rows, Sequence) or not rows or not rows[0]:
+        raise DataFormatError(f"{label} is empty or not a sequence")
+    for r, row in enumerate(rows, start=1):
+        if not isinstance(row, Sequence) or len(row) != len(rows[0]):
+            raise DataFormatError(f"{label} row {r} is not a sequence as "
+                                  f"long as row 1")
+        for value in row:
+            check_input(cell, f"{label} row {r} value", value, DataFormatError)
+
+
+def _check_fields(params: object) -> None:
+    """check_input on each field of `params` that states a Range."""
+    for f in fields(params):
+        if Range in f.metadata:
+            check_input(f.metadata[Range], f.name, getattr(params, f.name))
 
 
 def delta_t_spelling(delta_t: str | int) -> str | int:
@@ -125,13 +166,13 @@ class SimTime:
 
 @dataclass(slots=True)
 class SimulationParams:
-    t0: int = 2020
-    t_final: int = 2030
+    t0: int = ranged(int, "(-inf, inf)", 2020)
+    t_final: int = ranged(int, "(-inf, inf)", 2030)
     delta_t: str | int = "daily"
     seed: int | str = "random"
 
     def __post_init__(self) -> None:
-        _require_ints(self, "t0", "t_final")
+        _check_fields(self)
         if self.t_final <= self.t0:
             raise ConfigError(f"t_final ({self.t_final}) must exceed t0 ({self.t0})")
         seed = self.seed
@@ -152,82 +193,55 @@ class SimulationParams:
 @dataclass(slots=True)
 class ModelParams:
     """Model-level constants. Rates are per-year probabilities."""
-    basic_divorce_rate: float = 0.06
-    basic_death_rate: float = 0.0001
-    basic_male_marriage_rate: float = 0.7
-    female_age_death_rate: float = 0.00019
-    female_age_scaling: float = 15.5
-    initial_pop: int = 10000
-    male_age_death_rate: float = 0.00021
-    male_age_scaling: float = 14.0
-    max_num_marr_cand: int = 100
-    start_married_ratio: float = 0.8
+    basic_divorce_rate: float = ranged(float, "[0, inf)", 0.06)
+    # a yearly probability on its own; only its sum with an age term is
+    # clamped, by design
+    basic_death_rate: float = ranged(float, "[0, 1)", 0.0001)
+    basic_male_marriage_rate: float = ranged(float, "[0, inf)", 0.7)
+    female_age_death_rate: float = ranged(float, "[0, inf)", 0.00019)
+    female_age_scaling: float = ranged(float, "(0, inf)", 15.5)
+    initial_pop: int = ranged(int, "[0, inf)", 10000)
+    male_age_death_rate: float = ranged(float, "[0, inf)", 0.00021)
+    male_age_scaling: float = ranged(float, "(0, inf)", 14.0)
+    max_num_marr_cand: int = ranged(int, "(0, inf)", 100)
+    start_married_ratio: float = ranged(float, "[0, 1]", 0.8)
 
     def __post_init__(self) -> None:
-        _require_ints(self, "initial_pop", "max_num_marr_cand")
-        _require_reals(self, "basic_divorce_rate", "basic_death_rate",
-                       "basic_male_marriage_rate", "female_age_death_rate",
-                       "female_age_scaling", "male_age_death_rate",
-                       "male_age_scaling", "start_married_ratio")
-        for name in ("basic_divorce_rate", "basic_death_rate",
-                     "basic_male_marriage_rate", "female_age_death_rate",
-                     "male_age_death_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        # a yearly probability on its own; only its sum with an age term is
-        # clamped, by design
-        if self.basic_death_rate >= 1:
-            raise ConfigError("basic_death_rate must be < 1")
-        if self.female_age_scaling <= 0 or self.male_age_scaling <= 0:
-            raise ConfigError("age scalings must be > 0")
-        if not 0 <= self.start_married_ratio <= 1:
-            raise ConfigError("start_married_ratio must be in [0, 1]")
-        if self.initial_pop < 0:
-            raise ConfigError("initial_pop must be >= 0")
-        if self.max_num_marr_cand <= 0:
-            raise ConfigError("max_num_marr_cand must be positive")
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
 class FertilityTable:
     """Per-year fertility probabilities indexed by (age row, year column)."""
-    rows: tuple[tuple[float, ...], ...]
-    age_offset: int
-    year_offset: int
+    # a yearly probability of 1 has no per-step equivalent
+    rows: tuple[tuple[float, ...], ...] = ranged(float, "[0, 1)")
+    age_offset: int = ranged(int, "(-inf, inf)")
+    year_offset: int = ranged(int, "(-inf, inf)")
 
     def __post_init__(self) -> None:
-        if not self.rows or not self.rows[0]:
-            raise DataFormatError("fertility table is empty")
-        width = len(self.rows[0])
-        for r, row in enumerate(self.rows):
-            if len(row) != width:
-                raise DataFormatError(f"fertility row {r} has {len(row)} "
-                                      f"columns, expected {width}")
-            for value in row:
-                # a yearly probability of 1 has no per-step equivalent
-                if not 0.0 <= value < 1.0:
-                    raise DataFormatError(
-                        f"fertility row {r} has value {value} outside [0, 1)")
+        cells, *offsets = fields(self)
+        for f in offsets:
+            check_input(f.metadata[Range], f.name, getattr(self, f.name),
+                        DataFormatError)
+        check_grid("fertility table", self.rows, cells.metadata[Range])
 
 
 @dataclass(slots=True)
 class ModelData:
     """Input data: fertility table plus the two 16-entry decade modifiers."""
     fertility: FertilityTable
-    divorce_modifier_by_decade: tuple[float, ...]
-    male_marriage_modifier_by_decade: tuple[float, ...]
+    divorce_modifier_by_decade: tuple[float, ...] = ranged(float, "[0, inf)")
+    male_marriage_modifier_by_decade: tuple[float, ...] = ranged(
+        float, "[0, inf)")
 
     def __post_init__(self) -> None:
-        for name in ("divorce_modifier_by_decade",
-                     "male_marriage_modifier_by_decade"):
-            vec = tuple(getattr(self, name))
-            setattr(self, name, vec)
-            if len(vec) != 16:
-                raise ConfigError(f"{name} must have 16 entries, got {len(vec)}")
-            if not all(math.isfinite(v) for v in vec):
-                raise ConfigError(f"{name} entries must be finite")
-            if any(v < 0 for v in vec):
-                raise ConfigError(f"{name} entries must be >= 0")
+        for f in fields(self)[1:]:  # the modifiers; the table checks itself
+            vec = getattr(self, f.name)
+            if not isinstance(vec, Iterable) or len(vec := tuple(vec)) != 16:
+                raise ConfigError(f"{f.name} must be 16 numbers, got {vec!r}")
+            setattr(self, f.name, vec)
+            for value in vec:
+                check_input(f.metadata[Range], f"{f.name} entries", value)
 
 
 @dataclass(slots=True, eq=False)  # ids are unique: compare by identity

@@ -112,27 +112,21 @@ def load_fertility_text(text: str) -> FertilityTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError("fertility file is empty")
-    header = lines[0].split()
-    offsets = {}
-    for token in header:
-        key, sep, value = token.partition("=")
-        if sep != "=" or key not in ("age_offset", "year_offset"):
-            raise DataFormatError(f"bad fertility header token {token!r}")
-        try:
-            offsets[key] = int(value)
-        except ValueError as exc:
-            raise DataFormatError(f"bad fertility header value {token!r}") from exc
-    if set(offsets) != {"age_offset", "year_offset"}:
-        raise DataFormatError("fertility header must declare age_offset and "
-                              "year_offset")
+    header = dict(token.partition("=")[::2] for token in lines[0].split())
+    if header.keys() != {"age_offset", "year_offset"}:
+        raise DataFormatError(f"fertility header must declare age_offset and "
+                              f"year_offset alone, got {lines[0]!r}")
+    try:
+        offsets = {key: int(value) for key, value in header.items()}
+    except ValueError as exc:
+        raise DataFormatError(f"fertility header: {exc}") from None
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             rows.append(tuple(float(tok) for tok in line.split(",")))
         except ValueError as exc:
             raise DataFormatError(f"fertility line {lineno}: {exc}") from exc
-    return FertilityTable(rows=tuple(rows), age_offset=offsets["age_offset"],
-                          year_offset=offsets["year_offset"])
+    return FertilityTable(rows=tuple(rows), **offsets)
 
 
 def default_fertility() -> FertilityTable:

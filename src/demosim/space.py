@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 from .model import (HOUSE_COORD_BOUNDS, ConfigError, DataFormatError, House,
-                    Person, Town, WorldState)
+                    Person, Range, Town, WorldState, check_grid, ranged)
 
 # built-in population density grid, 12 rows by 8 columns
 DEFAULT_DENSITY_ROWS: tuple[tuple[float, ...], ...] = (
@@ -33,20 +33,10 @@ DEFAULT_DENSITY_SHAPE = (12, 8)
 class DensityMap:
     """Rectangular grid of densities in [0, 1]. Any shape is accepted here;
     the file loader insists on the standard 12x8."""
-    rows: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple[float, ...], ...] = ranged(float, "[0, 1]")
 
     def __post_init__(self) -> None:
-        if not self.rows or not self.rows[0]:
-            raise DataFormatError("density map is empty")
-        width = len(self.rows[0])
-        for r, row in enumerate(self.rows, start=1):
-            if len(row) != width:
-                raise DataFormatError(f"density map row {r} has {len(row)} "
-                                      f"columns, expected {width}")
-            for value in row:
-                if not 0.0 <= value <= 1.0:
-                    raise DataFormatError(
-                        f"density map row {r} has value {value} outside [0, 1]")
+        check_grid("density map", self.rows, fields(self)[0].metadata[Range])
 
     @classmethod
     def from_text(cls, text: str) -> DensityMap:

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from demosim import cli, engine
 from demosim.cli import (KNOWN_KEYS, build_config, main, parse_config,
                          parse_config_lines)
 from demosim.engine import RunConfig, run
-from demosim.model import AssumptionFailure, ConfigError
+from demosim.model import (AssumptionFailure, ConfigError, ModelData,
+                           ModelParams, Range, SimulationParams)
 from demosim.rates import DEFAULT_DIVORCE_MODIFIERS
 from demosim.space import DensityMap
 
@@ -333,6 +336,111 @@ def test_main_defaults_is_validate_then_the_grid(capsys):
     assert lines[-13] == "density grid 12x8, 48 towns"
     assert [tuple(map(float, line.split())) for line in grid] == \
         [tuple(row) for row in DensityMap.default().rows]
+
+
+# `demosim defaults` stdout, byte for byte
+DEFAULTS_STDOUT = """\
+basic_death_rate = 0.0001
+basic_divorce_rate = 0.06
+basic_male_marriage_rate = 0.7
+delta_t = daily
+density_path =\x20
+divorce_modifiers = 0.0,1.0,0.9,0.5,0.4,0.2,0.1,0.03,0.01,0.001,0.001,0.001,0.0,0.0,0.0,0.0
+event_order = ageing,deaths,births,divorces,marriages
+female_age_death_rate = 0.00019
+female_age_scaling = 15.5
+fertility_path =\x20
+initial_pop = 10000
+male_age_death_rate = 0.00021
+male_age_scaling = 14.0
+marriage_modifiers = 0.0,0.16,0.5,1.0,0.8,0.7,0.66,0.5,0.4,0.2,0.1,0.05,0.01,0.0,0.0,0.0
+max_num_marr_cand = 100
+out_dir =\x20
+seed = random
+start_married_ratio = 0.8
+t0 = 2020
+t_final = 2030
+verification_mode = fail
+fertility table covers ages 17..51, years 2020..2020
+initial_pop builds 4457 persons (per-town ceil)
+density grid 12x8, 48 towns
+0 0.1 0.2 0.1 0 0 0 0
+0.1 0.1 0.2 0.2 0.3 0 0 0
+0 0.2 0.2 0.3 0 0 0 0
+0 0.2 1 0.5 0 0 0 0
+0.4 0 0.2 0.2 0.4 0 0 0
+0.6 0 0 0.3 0.8 0.2 0 0
+0 0 0 0.6 0.8 0.4 0 0
+0 0 0.2 1 0.8 0.6 0.1 0
+0 0 0.1 0.2 1 0.6 0.3 0.4
+0 0 0.5 0.7 0.5 1 1 0
+0 0 0.2 0.4 0.6 1 1 0
+0 0.2 0.3 0 0 0 0 0
+"""
+
+# the benchmark's workload configs -> the sha256 of `demosim validate`
+# stdout for each (its first 16 hex digits) and its last line
+VALIDATE_PINS = {
+    "daily_decade": ({"initial_pop": "1000", "delta_t": "daily",
+                      "t0": "2020", "t_final": "2030"},
+                     "b517f133bad58334", 474),
+    "hourly_year": ({"initial_pop": "200", "delta_t": "hourly",
+                     "t0": "2020", "t_final": "2021"},
+                    "af3bcbdae5ac23a3", 113),
+    "init_20k": ({"initial_pop": "20000", "delta_t": "monthly",
+                  "t0": "2020", "t_final": "2021"},
+                 "062408ad84cbb279", 8894),
+    "century_replicates": ({"initial_pop": "1000", "delta_t": "monthly",
+                            "t0": "2020", "t_final": "2120",
+                            "event_order": "ageing, births, deaths, "
+                                           "divorces, marriages"},
+                           "025f58013dbe75d1", 474),
+    "smoke": ({"initial_pop": "300", "delta_t": "monthly", "t0": "2020",
+               "t_final": "2030"}, "176d30f266ec30d7", 158),
+}
+
+
+def test_defaults_stdout_is_pinned(capsys):
+    """The built-in settings, as `defaults` prints them, do not move when
+    the way the parameters are stated and checked does."""
+    assert run_main(["defaults"], capsys) == (0, DEFAULTS_STDOUT, "")
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_PINS))
+def test_validate_stdout_is_pinned(tmp_path, capsys, name):
+    """`validate` prints the same bytes for each benchmark workload."""
+    pairs, digest, built = VALIDATE_PINS[name]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    rc, stdout, stderr = run_main(["validate", "--config", str(cfg)], capsys)
+    assert (rc, stderr) == (0, "")
+    assert stdout.splitlines()[-1] == \
+        f"initial_pop builds {built} persons (per-town ceil)"
+    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
+
+
+def test_readme_lists_each_key_with_its_row():
+    """The README's list of keys has a line for every key, and the line
+    of a numeric key gives the kind and interval its field's Range
+    states."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    listed = readme.split("Every key, one a line")[1].split("\n\n")[1]
+    lines = {line.split("`")[1]: line for line in listed.splitlines()}
+    assert set(lines) == KNOWN_KEYS
+    modifiers = {"divorce_modifier_by_decade": "divorce_modifiers",
+                 "male_marriage_modifier_by_decade": "marriage_modifiers"}
+    for record in (SimulationParams, ModelParams, ModelData):
+        for f in fields(record):
+            if Range not in f.metadata:
+                continue
+            kind, interval = f.metadata[Range]
+            noun = "an integer" if kind is int else "a real"
+            stated = (f"- `{f.name}`: {noun} in {interval}"
+                      if f.name in KNOWN_KEYS else
+                      f"- `{modifiers[f.name]}`: 16 comma-separated reals, "
+                      f"each in {interval}")
+            assert lines[modifiers.get(f.name, f.name)].startswith(stated)
 
 
 def test_each_exit_code_has_its_prefix(tmp_path, capsys, monkeypatch):

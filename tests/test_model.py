@@ -2,15 +2,19 @@
 the referential-integrity sweep."""
 from __future__ import annotations
 
-from dataclasses import fields
+import ast
+import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from conftest import add_house, add_person, add_town, make_state, marry
-from demosim.engine import RunConfig, run
+from demosim.engine import Run, RunConfig, run
 from demosim.model import (ADULT_YEARS, FEMALE, MALE, ConfigError,
                            DataFormatError, FertilityTable, ModelData,
-                           ModelParams, SimTime, SimulationParams,
+                           ModelParams, Range, SimTime, SimulationParams,
                            link_partners, unlink_partners, validate_world)
 from demosim.predicates import is_adult
 from demosim.rates import default_model_data
@@ -160,6 +164,142 @@ def test_model_data_requires_16_modifiers():
         ModelData(fertility=fert,
                   divorce_modifier_by_decade=(0.1,) * 15,
                   male_marriage_modifier_by_decade=(0.1,) * 16)
+
+
+def run_with(fertility: dict | None = None, data: dict | None = None,
+             density=None) -> None:
+    """Build a seed-1 monthly Run of 100 persons with the given fertility
+    table fields, ModelData fields or density rows in place of the
+    defaults: the run's set-up, step 0, and no step after it."""
+    default = default_model_data()
+    Run(RunConfig(
+        sim=SimulationParams(t0=2020, t_final=2021, delta_t="monthly",
+                             seed=1),
+        model=ModelParams(initial_pop=100),
+        data=replace(default, fertility=replace(default.fertility,
+                                                **(fertility or {})),
+                     **(data or {})),
+        density=DensityMap(density or DensityMap.default().rows)))
+
+
+@pytest.mark.parametrize("fields_, message", [
+    # accepted, then a TypeError indexing the rows at step 2
+    ({"age_offset": 17.5}, "age_offset must be an integer, got 17.5"),
+    # a TypeError in RunConfig's coverage check
+    ({"age_offset": "17"}, "age_offset must be an integer, got '17'"),
+    ({"year_offset": True}, "year_offset must be an integer, got True"),
+    # a TypeError comparing the cell with 0
+    ({"rows": (("0.1",),) * 35},
+     "fertility table row 1 value must be a number, got '0.1'"),
+    ({"rows": ((float("nan"),),) * 35},
+     "fertility table row 1 value must be finite"),
+    # a bare TypeError from len()
+    ({"rows": (0.1,) * 35}, "fertility table row 1 is not a sequence"),
+], ids=["float_offset", "string_offset", "bool_offset", "string_cell",
+        "nan_cell", "flat_rows"])
+def test_a_bad_fertility_table_fails_when_built(fields_, message):
+    """A fertility offset that is not an int, or a cell that is not a
+    finite real, is a DataFormatError naming it when the table is built,
+    before step 1: not a bare TypeError from RunConfig or partway through
+    a run."""
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}"):
+        run_with(fertility=fields_)
+
+
+@pytest.mark.parametrize("divorce, message", [
+    (None, "divorce_modifier_by_decade must be 16 numbers, got None"),
+    (1.0, "divorce_modifier_by_decade must be 16 numbers, got 1.0"),
+    (("0.1",) * 16, "divorce_modifier_by_decade entries must be a number"),
+    # accepted, and a run with it completed
+    ((True,) * 16, "divorce_modifier_by_decade entries must be a number"),
+    ((-0.1,) * 16, "divorce_modifier_by_decade entries must be >= 0"),
+], ids=["none", "scalar", "strings", "bools", "negative"])
+def test_a_bad_modifier_vector_fails_when_built(divorce, message):
+    """A modifier vector that is no sequence, or whose entries are not
+    finite reals >= 0, is a ConfigError naming it when ModelData is
+    built."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        run_with(data={"divorce_modifier_by_decade": divorce})
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((("1",),), "density map row 1 value must be a number, got '1'"),
+    # accepted, and a run with it completed
+    (((True, 0.5),), "density map row 1 value must be a number, got True"),
+    (((0.5, 1.5),), "density map row 1 value must be <= 1: 1.5 is outside"),
+    (((0.5,), (None,)), "density map row 2 value must be a number"),
+    # a bare TypeError from len()
+    ((0.5, 0.5), "density map row 1 is not a sequence"),
+    (((0.5, 0.5), (0.5,)), "density map row 2 is not a sequence as long"),
+], ids=["string", "bool", "above_one", "none", "flat", "ragged"])
+def test_a_bad_density_map_fails_when_built(rows, message):
+    """A density cell that is not a real in [0, 1] is a DataFormatError
+    naming its row when the map is built."""
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}"):
+        run_with(density=rows)
+
+
+# the values the seed and delta_t rules accept on purpose: a string of
+# ASCII digits is the int it spells
+ACCEPTED = {("seed", "1"), ("delta_t", "1")}
+BAD_VALUES = [True, None, "1", math.nan, math.inf]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("params, key", [
+    (params, f.name) for params in (SimulationParams, ModelParams)
+    for f in fields(params)])
+def test_every_parameter_rejects_a_bad_value(params, key, value):
+    """Every field of SimulationParams and ModelParams given a bool, None,
+    a string or a non-finite float is a ConfigError naming the field when
+    the parameters are built, but for the values in ACCEPTED."""
+    if (key, value) in ACCEPTED:
+        params(**{key: value})
+        return
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        params(**{key: value})
+
+
+# the fields of the five input records that state no Range: the seed and
+# delta_t keep rules of their own, which accept strings, and the fertility
+# table is a record that checks itself
+NO_RANGE = {"delta_t", "seed", "fertility"}
+
+
+def test_every_numeric_field_states_its_range():
+    """Each field of the five input records but those in NO_RANGE states
+    a Range, of kind int or float, with an interval whose bounds parse,
+    so a new parameter cannot skip its check."""
+    records = (SimulationParams, ModelParams, ModelData, FertilityTable,
+               DensityMap)
+    unranged = {f.name for record in records for f in fields(record)
+                if Range not in f.metadata}
+    assert unranged == NO_RANGE
+    for record in records:
+        for f in fields(record):
+            if f.name in NO_RANGE:
+                continue
+            row = f.metadata[Range]
+            assert row.kind in (int, float)
+            assert row.interval[0] in "[(" and row.interval[-1] in ")]"
+            low, high = map(float, row.interval[1:-1].split(", "))
+            assert low < high
+
+
+def test_no_field_is_named_outside_its_row():
+    """model.py holds no string constant equal to the name of a
+    SimulationParams or ModelParams field, so no list of field names
+    restates what the rows state; and cli.py reads no `.type` off a field
+    to guess a parser."""
+    source = Path(__file__).resolve().parent.parent / "src" / "demosim"
+    names = {f.name for params in (SimulationParams, ModelParams)
+             for f in fields(params)}
+    model = ast.parse((source / "model.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(model)
+            if isinstance(node, ast.Constant) and node.value in names] == []
+    cli = ast.parse((source / "cli.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(cli)
+            if isinstance(node, ast.Attribute) and node.attr == "type"] == []
 
 
 def test_add_person_ids_are_dense_and_ordered():

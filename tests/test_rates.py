@@ -188,6 +188,11 @@ def test_load_fertility_text_errors():
         load_fertility_text("age_offset=20 year_offset=2019\n0.1, x\n")
     with pytest.raises(DataFormatError):
         load_fertility_text("age_offset=20 year_offset=2019\n0.1\n0.1, 0.2\n")
+    for header in ("age_offset:20 year_offset=2019", "age_offset=x "
+                   "year_offset=2019", "age_offset=17.5 year_offset=2019",
+                   "age_offset=20 year_offset=2019 rows=1"):
+        with pytest.raises(DataFormatError, match="fertility header"):
+            load_fertility_text(f"{header}\n0.1\n")
 
 
 def test_rate_context_matches_direct_computation():
